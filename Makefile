@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet staticcheck test race fleetsoak crashsoak fleetbatch fuzz bench benchbatch benchdiff benchoverhead loadgensmoke multinodesmoke scenariosmoke ci
+.PHONY: build vet staticcheck test race fleetsoak crashsoak fleetbatch flakehunt fuzz bench benchsmoke benchbatch benchdiff benchoverhead loadgensmoke multinodesmoke scenariosmoke ci
 
 build:
 	$(GO) build ./...
@@ -19,10 +19,11 @@ test:
 	$(GO) test ./...
 
 # The parallel mode bank, the decision windows, the lock-free telemetry
-# registry, and the fleet session manager are the concurrency-sensitive
-# surfaces; run them under the race detector.
+# registry, the store's group-commit flusher, and the fleet session
+# manager are the concurrency-sensitive surfaces; run them under the
+# race detector.
 race:
-	$(GO) test -race ./internal/core/... ./internal/detect/... ./internal/telemetry/... ./internal/fleet/...
+	$(GO) test -race ./internal/core/... ./internal/detect/... ./internal/telemetry/... ./internal/store/... ./internal/fleet/...
 
 # Fleet soak: the multi-session service suite under the race detector —
 # N concurrent sessions bit-for-bit equal to N sequential detectors,
@@ -56,6 +57,17 @@ fleetbatch:
 	$(GO) test -race -count=1 -run 'TestFleetBatch' ./internal/fleet/
 	$(GO) test -race -count=1 -timeout 30m -run 'TestBatchedStep' ./internal/eval/
 
+# Flake hunt: the store and fleet suites 20 times over under the race
+# detector, on two Ps with four busy-looping processes competing for
+# the CPUs — the conditions under which a goroutine is preempted between
+# two steps that only look atomic (the reply-before-idle eviction flake
+# was invisible on a quiet machine). Any failure in 20 is a bug.
+flakehunt:
+	@set -e; pids=""; \
+	for i in 1 2 3 4; do sh -c 'while :; do :; done' & pids="$$pids $$!"; done; \
+	trap 'kill $$pids 2>/dev/null' EXIT INT TERM; \
+	GOMAXPROCS=2 $(GO) test -race -count=20 -timeout 60m ./internal/store/ ./internal/fleet/
+
 # Fuzz smoke: each decoder target gets a short native-fuzzing burst
 # (go test -fuzz accepts one target per invocation). The corpus grows in
 # testdata/fuzz and regressions replay as ordinary seed tests.
@@ -71,6 +83,12 @@ fuzz:
 
 bench:
 	$(GO) test -run xxx -bench 'EngineStepParallel|EngineFleet|FleetStep|NUISEStep' -benchtime=1500x .
+
+# The benchmark (bench/, BENCHMARK.json) is a Go module of its own, so
+# `go build ./...` at the root never compiles it: vet and short-test it
+# here so a change to an internal API it uses fails in-repo.
+benchsmoke:
+	cd bench && $(GO) vet . && $(GO) test -short .
 
 # Batching speedup report: the scalar-vs-blocked fleet stepping pair
 # (compare the sessions/core metrics of EngineFleet and

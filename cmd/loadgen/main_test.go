@@ -27,8 +27,12 @@ func newTraceServer(t *testing.T) *httptest.Server {
 		Metrics: tel.Registry(),
 		Trace:   tracer,
 		Durability: fleet.Durability{
-			Dir:          t.TempDir(),
-			CommitWindow: time.Millisecond,
+			Dir: t.TempDir(),
+			// Group commit on, with a window that dwarfs the step and the
+			// timer tick: the attribution check below adds stage medians,
+			// which only add up when one stage — here the paced sync —
+			// dominates, under the race detector too.
+			CommitWindow: 20 * time.Millisecond,
 		},
 	})
 	if err != nil {

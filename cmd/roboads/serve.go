@@ -54,9 +54,10 @@ type serveOptions struct {
 	// 0 and 1 = every frame, n > 1 = batched, negative = never).
 	fsyncEvery int
 	// commitWindow > 0 enables cross-session group commit
-	// (fleet.Durability.CommitWindow): one fsync per window covers every
-	// session's appends, and a frame is acknowledged only after the
-	// group fsync covering it. Supersedes fsyncEvery.
+	// (fleet.Durability.CommitWindow): the store's flusher syncs the
+	// sessions' appends together at the pace the window sets, and a frame
+	// is acknowledged only after the group fsync covering it. Supersedes
+	// fsyncEvery.
 	commitWindow time.Duration
 	// trace enables frame-lifecycle tracing: per-stage latency
 	// histograms in /metrics and reservoir-sampled span exemplars at

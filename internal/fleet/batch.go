@@ -17,12 +17,12 @@ import (
 // steps their frames in lockstep through one blocked
 // detect.DetectorBatch pass. Everything a scalar quantum guarantees per
 // session is preserved — the step mutex is held for every coalesced
-// session, frames of one submission step strictly in order, the WAL
-// reply-after-fsync ordering and the group-commit barrier run
-// per session, and each session reschedules itself afterwards — so the
-// report streams are bit-for-bit the scalar streams (the batched
-// engine's own contract), just produced with fewer passes over the
-// shared mode-bank algebra.
+// session, frames of one submission step strictly in order, every job
+// takes the same complete tail (WAL reply-after-fsync ordering, group
+// commit, reply) as a scalar one, and each session reschedules itself
+// afterwards — so the report streams are bit-for-bit the scalar streams
+// (the batched engine's own contract), just produced with fewer passes
+// over the shared mode-bank algebra.
 
 // batchSpace is the cached blocked workspace for one batch fingerprint.
 // mu serializes use: the workspace holds per-slot staging buffers, so
@@ -161,8 +161,8 @@ func (m *Manager) finish(it batchItem) {
 // shorter drop out of later rounds, and a lone remaining session takes
 // the scalar path (a batch of one buys nothing). The caller holds the
 // workspace lock for the whole pass (the workspace stages per-slot
-// state). Per-session semantics mirror process exactly — see the
-// step-mutex, durability, and reply handling there.
+// state). Per-session semantics are process's: the same step mutex, the
+// same per-frame record, the same complete tail.
 func (m *Manager) processBatch(db *detect.DetectorBatch, items []batchItem) {
 	k := len(items)
 	results := make([][]FrameResult, k)
@@ -173,10 +173,7 @@ func (m *Manager) processBatch(db *detect.DetectorBatch, items []batchItem) {
 		results[idx] = make([]FrameResult, len(it.job.frames))
 		it.s.stepMu.Lock()
 		if it.s.isClosed() {
-			err := fmt.Errorf("%w: session %s", ErrClosed, it.s.info.ID)
-			for i := range results[idx] {
-				results[idx][i].Err = err
-			}
+			failAll(results[idx], fmt.Errorf("%w: session %s", ErrClosed, it.s.info.ID))
 			continue
 		}
 		active[idx] = true
@@ -226,69 +223,15 @@ func (m *Manager) processBatch(db *detect.DetectorBatch, items []batchItem) {
 			// is the frame's step stage — the same shared-cost
 			// attribution elapsed carries below.
 			fr.Span.Lap(telemetry.StageStep)
-			rep, err := reps[i], errs[i]
-			m.mFrames.Inc()
-			if err == nil && it.s.ds != nil {
-				if derr := m.logFrame(it.s, fr, rep); derr != nil {
-					rep, err = nil, derr
-				} else {
-					appended[idx]++
-					fr.Span.Lap(telemetry.StageWALAppend)
-					fr.Span.Shift(telemetry.StageWALAppend, telemetry.StageFsync, it.s.ds.LastSyncNanos())
-				}
-			}
-			if err != nil {
-				m.mErrors.Inc()
-			} else {
-				it.s.applied.Add(1)
-			}
+			results[idx][j] = m.record(it.s, fr, reps[i], errs[i], &appended[idx])
 			m.mStepSeconds.Observe(elapsed)
-			results[idx][j] = FrameResult{Report: rep, Err: err}
 		}
 	}
 
-	for idx := range items {
-		if appended[idx] > 0 {
-			// Wake the replication stream before the commit barriers so
-			// the follower's fsync overlaps the group's.
-			m.replNotify()
-			break
-		}
-	}
 	for idx, it := range items {
 		s := it.s
-		if active[idx] && s.ds != nil && appended[idx] > 0 {
-			if cerr := s.ds.Commit(appended[idx]); cerr != nil {
-				cerr = fmt.Errorf("fleet: commit frames: %w", cerr)
-				for i := range results[idx] {
-					if results[idx][i].Err == nil {
-						results[idx][i] = FrameResult{Err: cerr}
-					}
-				}
-			} else {
-				if m.cfg.Trace != nil {
-					for i := range it.job.frames {
-						if results[idx][i].Err == nil {
-							it.job.frames[i].Span.Lap(telemetry.StageFsync)
-						}
-					}
-				}
-				if m.snapshotEvery > 0 && s.ds.SinceSnapshot() >= m.snapshotEvery {
-					m.persistSnapshot(s)
-				}
-				if werr := m.waitFollowerAck(s); werr != nil {
-					for i := range results[idx] {
-						if results[idx][i].Err == nil {
-							results[idx][i] = FrameResult{Err: werr}
-						}
-					}
-				}
-			}
-		}
+		m.complete(s, it.job, results[idx], appended[idx])
 		s.stepMu.Unlock()
-		s.touch(m.now())
-		it.job.reply <- results[idx]
-		m.inflight.Done()
 		s.scheduled.Store(false)
 		if len(s.frames) > 0 {
 			m.schedule(s)

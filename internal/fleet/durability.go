@@ -36,10 +36,13 @@ type Durability struct {
 	// n > 1 batches; negative never fsyncs.
 	FsyncEvery int
 	// CommitWindow > 0 enables cross-session group commit
-	// (store.Options.CommitWindow): WAL appends skip the inline fsync
-	// and a batch is acknowledged only after a fleet-level group fsync
-	// covering it, amortizing one fsync per window over every session.
-	// Reply-after-fsync is preserved; FsyncEvery is ignored.
+	// (store.Options.CommitWindow): WAL appends skip the inline fsync,
+	// shard workers enlist each stepped job with the store's flusher and
+	// move on, and the job is acknowledged by the flusher after the group
+	// sync covering it. The value paces the flusher (four WAL files per
+	// window store-wide, one sync per session per window) and is not a
+	// delay: an idle store syncs a job at once. Reply-after-fsync is
+	// preserved; FsyncEvery is ignored.
 	CommitWindow time.Duration
 }
 
@@ -159,7 +162,10 @@ func (m *Manager) initDurable(id string, spec Spec, stepper Stepper, info Sessio
 	return ds, nil
 }
 
-// persistSnapshot checkpoints s. The caller holds s.stepMu.
+// persistSnapshot checkpoints s. The caller holds s.stepMu. The WAL
+// rotation inside first waits for the session's enlisted commits to be
+// synced and answered (store.SessionStore.WriteSnapshot); answering
+// takes no session lock, so holding stepMu across that wait is safe.
 func (m *Manager) persistSnapshot(s *session) (int, error) {
 	ss, ok := s.stepper.(StateStepper)
 	if !ok {
@@ -170,13 +176,12 @@ func (m *Manager) persistSnapshot(s *session) (int, error) {
 }
 
 // logFrame write-ahead-logs one successfully stepped frame. The caller
-// holds s.stepMu and replies only after logFrame — and, under group
-// commit, the covering SessionStore.Commit — returns, so a replied
-// frame is on stable storage. An append error is surfaced to the client
-// in place of the report: the frame was applied in memory but its
-// durability is unknown, and claiming success would break the recovery
-// contract. Checkpoint cadence lives in process(), after the commit
-// barrier, so WAL rotation never discards un-fsynced appends.
+// holds s.stepMu, and the reply is sent only after logFrame returns —
+// under group commit, only from the completion of the covering
+// SessionStore.CommitAsync — so a replied frame is on stable storage. An
+// append error is surfaced to the client in place of the report: the
+// frame was applied in memory but its durability is unknown, and
+// claiming success would break the recovery contract.
 func (m *Manager) logFrame(s *session, fr BatchFrame, rep *detect.Report) error {
 	frame := &trace.Frame{K: rep.Decision.Iteration, U: []float64(fr.U), Readings: make(map[string][]float64, len(fr.Readings))}
 	for name, z := range fr.Readings {

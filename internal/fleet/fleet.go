@@ -735,18 +735,15 @@ func (m *Manager) pop(s *session) (frameJob, bool) {
 // Close/Shutdown also take before closing the detector, so a stepper is
 // never closed mid-step. Each frame gets its own result (a failed frame
 // does not fail its batch neighbors — exactly the sequential-submission
-// semantics); the whole job is answered with one reply send after the
-// durability barrier covering every appended frame.
+// semantics); the stepped-and-appended job then goes to complete, the
+// one tail that makes it durable and answers it.
 func (m *Manager) process(s *session, job frameJob) {
 	results := make([]FrameResult, len(job.frames))
+	appended := 0
 	s.stepMu.Lock()
 	if s.isClosed() {
-		err := fmt.Errorf("%w: session %s", ErrClosed, s.info.ID)
-		for i := range results {
-			results[i].Err = err
-		}
+		failAll(results, fmt.Errorf("%w: session %s", ErrClosed, s.info.ID))
 	} else {
-		appended := 0
 		for i, fr := range job.frames {
 			// A frame deep in the job waited for its predecessors since
 			// the queue-wait lap; that batch-position wait is the
@@ -755,86 +752,152 @@ func (m *Manager) process(s *session, job frameJob) {
 			start := time.Now()
 			rep, err := s.stepper.StepContext(context.Background(), fr.U, fr.Readings)
 			fr.Span.Lap(telemetry.StageStep)
-			m.mFrames.Inc()
-			if err == nil && s.ds != nil {
-				// Reply-after-fsync ordering: the frame is in the WAL
-				// (and, with FsyncEvery ≤ 1, on stable storage) before
-				// the client hears success, so a replied frame survives
-				// any crash. Under group commit the inline fsync is
-				// skipped; the Commit barrier below supplies it.
-				if derr := m.logFrame(s, fr, rep); derr != nil {
-					rep, err = nil, derr
-				} else {
-					appended++
-					fr.Span.Lap(telemetry.StageWALAppend)
-					// An inline fsync (FsyncEvery policy) ran inside the
-					// append; reattribute its share so fsync cost never
-					// hides in the append stage.
-					fr.Span.Shift(telemetry.StageWALAppend, telemetry.StageFsync, s.ds.LastSyncNanos())
-				}
-			}
-			if err != nil {
-				m.mErrors.Inc()
-			} else {
-				s.applied.Add(1)
-			}
+			results[i] = m.record(s, fr, rep, err, &appended)
 			m.mStepSeconds.Observe(time.Since(start).Seconds())
-			results[i] = FrameResult{Report: rep, Err: err}
-		}
-		if appended > 0 {
-			// Wake the replication stream before the local commit
-			// barrier: the follower's fsync overlaps ours.
-			m.replNotify()
-		}
-		if s.ds != nil && appended > 0 {
-			if cerr := s.ds.Commit(appended); cerr != nil {
-				// The group fsync failed: durability of every frame in
-				// the batch is unknown, and a success reply would break
-				// the replied ⇒ durable contract.
-				cerr = fmt.Errorf("fleet: commit frames: %w", cerr)
-				for i := range results {
-					if results[i].Err == nil {
-						results[i] = FrameResult{Err: cerr}
-					}
-				}
-			} else {
-				if m.cfg.Trace != nil {
-					// Group-commit window attribution: time between a
-					// frame's WAL append and the commit barrier covering
-					// it — for early frames of a deep job that includes
-					// the batch mates stepped before the shared fsync,
-					// which is exactly the latency group commit trades
-					// for throughput.
-					for i := range job.frames {
-						if results[i].Err == nil {
-							job.frames[i].Span.Lap(telemetry.StageFsync)
-						}
-					}
-				}
-				if m.snapshotEvery > 0 && s.ds.SinceSnapshot() >= m.snapshotEvery {
-					// Checkpoint cadence runs after the commit barrier so
-					// WAL rotation never discards un-fsynced appends. The
-					// frames are already durable; a failed checkpoint only
-					// postpones compaction, so it does not fail the batch.
-					m.persistSnapshot(s)
-				}
-				if werr := m.waitFollowerAck(s); werr != nil {
-					// AckFollower: the follower never confirmed its own
-					// fsync of these frames, so a success reply would
-					// overstate durability — fail them like a commit error.
-					for i := range results {
-						if results[i].Err == nil {
-							results[i] = FrameResult{Err: werr}
-						}
-					}
-				}
-			}
 		}
 	}
+	m.complete(s, job, results, appended)
 	s.stepMu.Unlock()
+}
+
+// record books one stepped frame: counters, and for a durable session
+// the WAL append that must precede any success reply. The caller holds
+// s.stepMu and has lapped the frame's step stage.
+func (m *Manager) record(s *session, fr BatchFrame, rep *detect.Report, err error, appended *int) FrameResult {
+	m.mFrames.Inc()
+	if err == nil && s.ds != nil {
+		// Reply-after-fsync ordering: the frame is in the WAL (and, with
+		// FsyncEvery ≤ 1, on stable storage) before the client hears
+		// success, so a replied frame survives any crash. Under group
+		// commit the inline fsync is skipped; complete enlists the job
+		// for the group sync that supplies it.
+		if derr := m.logFrame(s, fr, rep); derr != nil {
+			rep, err = nil, derr
+		} else {
+			*appended++
+			fr.Span.Lap(telemetry.StageWALAppend)
+			// An inline fsync (FsyncEvery policy) ran inside the append;
+			// reattribute its share so fsync cost never hides in the
+			// append stage.
+			fr.Span.Shift(telemetry.StageWALAppend, telemetry.StageFsync, s.ds.LastSyncNanos())
+		}
+	}
+	if err != nil {
+		m.mErrors.Inc()
+	} else {
+		s.applied.Add(1)
+	}
+	return FrameResult{Report: rep, Err: err}
+}
+
+// complete is the tail every job takes after its frames were stepped
+// and appended: checkpoint cadence → commit → follower ack → reply. The
+// caller is the shard worker holding s.stepMu, and complete never blocks
+// it on the disk: a durable job is enlisted with the store's flusher —
+// which, after the one sync covering the job's last append, laps the
+// fsync stage and sends the reply — and the worker returns to release
+// stepMu and take the next runnable session, this session's next job
+// included. A volatile session (s.ds == nil) is answered right here on
+// the worker, as is every job when group commit is off and the appends
+// already synced inline.
+//
+// The ack point is the completion callback: nothing before it tells the
+// client anything, so replied ⇒ durable holds, and the store runs one
+// session's completions in enlistment order, so replies keep submission
+// order even while a later job steps during an earlier job's sync.
+//
+// Under AckFollower the wait for the follower's ack must not sit on the
+// flusher, where one slow follower would hold up every session's next
+// sync: the completion hands the job to a goroutine of its own, and the
+// session's ackTail chain keeps those goroutines answering in order.
+func (m *Manager) complete(s *session, job frameJob, results []FrameResult, appended int) {
+	if s.ds == nil {
+		m.answer(s, job, results)
+		return
+	}
+	if appended > 0 {
+		// Wake the replication stream before the local sync: the
+		// follower's fsync overlaps ours.
+		m.replNotify()
+		if m.snapshotEvery > 0 && s.ds.SinceSnapshot() >= m.snapshotEvery {
+			// Checkpoint cadence, on the worker because it needs the
+			// detector under stepMu. The snapshot is itself a durable
+			// copy of every applied frame — the enlistment below then
+			// finds an empty segment and syncs nothing — and rotation
+			// first waits out this session's enlisted syncs, so no
+			// acknowledged append is ever discarded un-synced. A failed
+			// checkpoint only postpones compaction; it does not fail the
+			// batch.
+			m.persistSnapshot(s)
+		}
+	}
+	finish := func(err error) {
+		if err != nil {
+			for i := range results {
+				if results[i].Err == nil {
+					results[i] = FrameResult{Err: err}
+				}
+			}
+		}
+		m.answer(s, job, results)
+	}
+	followerAck := m.cfg.AckPolicy == AckFollower && m.repl != nil
+	var prev, next chan struct{}
+	if followerAck {
+		prev, next = s.ackTail, make(chan struct{})
+		s.ackTail = next
+	}
+	seq := s.ds.Applied() // the job's last appended frame
+	s.ds.CommitAsync(appended, func(err error) {
+		if err != nil {
+			// The group sync failed: durability of every frame in the
+			// job is unknown, and a success reply would break the
+			// replied ⇒ durable contract.
+			err = fmt.Errorf("fleet: commit frames: %w", err)
+		} else if appended > 0 && m.cfg.Trace != nil {
+			// Durability-wait attribution: time between a frame's WAL
+			// append and the sync covering it — batch mates stepped
+			// after it, the flusher's grouping delay, the sync itself.
+			for i := range job.frames {
+				if results[i].Err == nil {
+					job.frames[i].Span.Lap(telemetry.StageFsync)
+				}
+			}
+		}
+		if !followerAck {
+			finish(err)
+			return
+		}
+		go func() {
+			if err == nil && appended > 0 {
+				// If the follower never confirms its own fsync of these
+				// frames, a success reply would overstate durability —
+				// fail them like a commit error.
+				err = m.repl.waitAcked(s.info.ID, seq, m.cfg.AckTimeout)
+			}
+			if prev != nil {
+				<-prev // the session's previous job has been answered
+			}
+			finish(err)
+			close(next)
+		}()
+	})
+}
+
+// answer sends a job's reply. The session stops counting the job as
+// outstanding first, so a caller holding its reply can never find the
+// session still busy with it (eviction and migration key off that).
+func (m *Manager) answer(s *session, job frameJob, results []FrameResult) {
 	s.touch(m.now())
+	s.outstanding.Add(-1)
 	job.reply <- results
 	m.inflight.Done()
+}
+
+func failAll(results []FrameResult, err error) {
+	for i := range results {
+		results[i].Err = err
+	}
 }
 
 // closeSession marks the session closed (rejecting new pushes), answers
@@ -842,6 +905,8 @@ func (m *Manager) process(s *session, job frameJob) {
 // in-flight step (or in-flight Checkpoint — both hold stepMu) finishes.
 // With persist, a final snapshot is written first so eviction and
 // shutdown leave the session restorable at its exact frame boundary.
+// Jobs already enlisted with the flusher are still synced and answered:
+// the final snapshot's rotation and ds.Close both wait for their syncs.
 func (m *Manager) closeSession(s *session, persist bool) {
 	s.closeMu.Lock()
 	if s.closed {
@@ -855,12 +920,8 @@ func (m *Manager) closeSession(s *session, persist bool) {
 		case job := <-s.frames:
 			m.mQueue.Set(float64(m.queued.Add(-int64(len(job.frames)))))
 			results := make([]FrameResult, len(job.frames))
-			err := fmt.Errorf("%w: session %s", ErrClosed, s.info.ID)
-			for i := range results {
-				results[i].Err = err
-			}
-			job.reply <- results
-			m.inflight.Done()
+			failAll(results, fmt.Errorf("%w: session %s", ErrClosed, s.info.ID))
+			m.answer(s, job, results)
 		default:
 			drained = true
 		}
@@ -895,7 +956,8 @@ func (m *Manager) janitor(interval time.Duration) {
 }
 
 // evictIdle closes sessions whose last activity predates IdleTimeout.
-// Sessions with queued or in-flight frames are never evicted.
+// Sessions with an unanswered job — queued, mid-step, or enlisted and
+// awaiting its sync — are never evicted.
 func (m *Manager) evictIdle() {
 	cutoff := m.now().Add(-m.cfg.IdleTimeout).UnixNano()
 	m.mu.Lock()
@@ -905,7 +967,7 @@ func (m *Manager) evictIdle() {
 		if s == nil {
 			continue
 		}
-		if s.lastActive.Load() <= cutoff && len(s.frames) == 0 && !s.scheduled.Load() {
+		if s.lastActive.Load() <= cutoff && s.outstanding.Load() == 0 {
 			delete(m.sessions, id)
 			victims = append(victims, s)
 			chans = append(chans, m.markClosing(id))
@@ -989,12 +1051,20 @@ type frameJob struct {
 // the closed flag; stepMu serializes detector use (one shard worker at a
 // time, and never concurrently with Stepper.Close).
 type session struct {
-	info       SessionInfo
-	spec       Spec // the build spec, recorded for snapshot identity
-	stepper    Stepper
-	ds         *store.SessionStore // nil when durability is off; guarded by stepMu
-	frames     chan frameJob
-	scheduled  atomic.Bool
+	info      SessionInfo
+	spec      Spec // the build spec, recorded for snapshot identity
+	stepper   Stepper
+	ds        *store.SessionStore // nil when durability is off; guarded by stepMu
+	frames    chan frameJob
+	scheduled atomic.Bool // holds the session's one run-queue token
+	// outstanding counts accepted jobs not yet answered — queued,
+	// mid-step, or enlisted with the store's flusher. It drops just
+	// before the reply is sent, so it is what "busy" means to eviction
+	// and migration.
+	outstanding atomic.Int32
+	// ackTail is closed once the session's latest AckFollower job has
+	// been answered; the next one waits on it. Guarded by stepMu.
+	ackTail    chan struct{}
 	lastActive atomic.Int64 // UnixNano of last accepted or finished frame
 	// applied counts frames folded into the detector state — the index
 	// the next frame continues from. It equals ds.Applied() for durable
@@ -1025,10 +1095,12 @@ func (s *session) push(job frameJob, retryAfter time.Duration) error {
 	if s.migrating.Load() {
 		return fmt.Errorf("%w: session %s", ErrMigrating, s.info.ID)
 	}
+	s.outstanding.Add(1)
 	select {
 	case s.frames <- job:
 		return nil
 	default:
+		s.outstanding.Add(-1)
 		return &BackpressureError{SessionID: s.info.ID, RetryAfter: retryAfter}
 	}
 }

@@ -37,13 +37,14 @@ func (m *Manager) Migrate(ctx context.Context, id, target string) (api.MigrateRe
 		return none, err
 	}
 
-	// Drain: new pushes are already rejected; wait for the queue to empty
-	// and the in-flight scheduling quantum to finish.
+	// Drain: new pushes are already rejected; wait until every accepted
+	// job has been answered — which, for a durable session, is after the
+	// sync covering it, so the export below reads only settled state.
 	for {
 		if s.isClosed() {
 			return abort(fmt.Errorf("%w: session %s", ErrClosed, id))
 		}
-		if len(s.frames) == 0 && !s.scheduled.Load() {
+		if s.outstanding.Load() == 0 {
 			break
 		}
 		select {

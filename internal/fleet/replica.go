@@ -138,8 +138,10 @@ func (h *replHub) ack(session string, seq int) {
 
 // waitAcked blocks until the follower acks session up to seq, the
 // follower disconnects (degraded: local durability stands alone, nil),
-// or timeout expires (error: the frame must NOT be acked). Called with
-// the session's stepMu held — replication progress never needs it.
+// or timeout expires (error: the frame must NOT be acked). This is the
+// Config.AckPolicy == AckFollower wait after a successful local commit;
+// it runs on the job's own completion goroutine (Manager.complete),
+// never on a shard worker or the store's flusher, and holds no lock.
 func (h *replHub) waitAcked(session string, seq int, timeout time.Duration) error {
 	h.mu.Lock()
 	if !h.connected {
@@ -187,24 +189,12 @@ func (h *replHub) waitAcked(session string, seq int, timeout time.Duration) erro
 }
 
 // replNotify wakes the replication shipper after WAL appends. Called on
-// the frame path before the local commit barrier so the follower's fsync
-// overlaps the primary's.
+// the frame path before the job enlists for its local sync so the
+// follower's fsync overlaps the primary's.
 func (m *Manager) replNotify() {
 	if m.repl != nil {
 		m.repl.wake()
 	}
-}
-
-// waitFollowerAck enforces Config.AckPolicy after a successful local
-// commit: under AckFollower it blocks until the connected follower
-// confirms its own fsync of every frame this session has appended. The
-// caller holds s.stepMu; a non-nil error means the frames must be
-// answered as failed (not acked).
-func (m *Manager) waitFollowerAck(s *session) error {
-	if m.cfg.AckPolicy != AckFollower || m.repl == nil || s.ds == nil {
-		return nil
-	}
-	return m.repl.waitAcked(s.info.ID, s.ds.Applied(), m.cfg.AckTimeout)
 }
 
 // handleReplicate serves POST /v1/internal/replicate: the follower's

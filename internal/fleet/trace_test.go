@@ -35,64 +35,80 @@ func getTrace(t *testing.T, base string) telemetry.TraceSnapshot {
 // TestTraceThroughFleetHTTP drives real frames through both ingest
 // paths of a durable, traced fleet server and pins the span contract
 // end to end: every frame is traced, every exemplar's stage laps sum
-// exactly to its total, and the expected lifecycle stages appear.
+// exactly to its total, and the expected lifecycle stages appear — with
+// the fsync inline on the shard worker, and with group commit, where the
+// store's flusher laps the fsync stage and sends the reply.
 func TestTraceThroughFleetHTTP(t *testing.T) {
-	tracer := telemetry.NewTracer(nil)
-	_, srv := newTestServer(t, Config{
-		Workers:    2,
-		Trace:      tracer,
-		Durability: Durability{Dir: t.TempDir()},
-	})
-	info := createSession(t, srv.URL, "khepera")
-	frames := kheperaFrames(t, 11, 8)
+	for _, tc := range []struct {
+		name   string
+		window time.Duration
+		stages []string
+	}{
+		{"inline-fsync", 0, []string{"decode", "admit", "queue_wait", "step", "wal_append", "reply"}},
+		{"group-commit", 2 * time.Millisecond, []string{"decode", "admit", "queue_wait", "step", "wal_append", "fsync", "reply"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tracer := telemetry.NewTracer(nil)
+			_, srv := newTestServer(t, Config{
+				Workers:    2,
+				Trace:      tracer,
+				Durability: Durability{Dir: t.TempDir(), CommitWindow: tc.window},
+			})
+			info := createSession(t, srv.URL, "khepera")
+			frames := kheperaFrames(t, 11, 8)
 
-	// Half over the streaming endpoint, half over per-frame /step.
-	lines := streamFrames(t, srv.URL, info.ID, frames[:4])
-	if len(lines) != 4 {
-		t.Fatalf("%d reply lines, want 4", len(lines))
-	}
-	for _, frame := range frames[4:] {
-		body, _ := json.Marshal(frame)
-		resp, err := http.Post(fmt.Sprintf("%s/v1/sessions/%s/step", srv.URL, info.ID),
-			"application/json", bytes.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("step status = %d", resp.StatusCode)
-		}
-	}
+			// Half over the streaming endpoint, half over per-frame /step.
+			lines := streamFrames(t, srv.URL, info.ID, frames[:4])
+			if len(lines) != 4 {
+				t.Fatalf("%d reply lines, want 4", len(lines))
+			}
+			for _, frame := range frames[4:] {
+				body, _ := json.Marshal(frame)
+				resp, err := http.Post(fmt.Sprintf("%s/v1/sessions/%s/step", srv.URL, info.ID),
+					"application/json", bytes.NewReader(body))
+				if err != nil {
+					t.Fatal(err)
+				}
+				resp.Body.Close()
+				if resp.StatusCode != http.StatusOK {
+					t.Fatalf("step status = %d", resp.StatusCode)
+				}
+			}
 
-	snap := getTrace(t, srv.URL)
-	if !snap.Enabled {
-		t.Fatal("trace endpoint reports disabled")
-	}
-	if snap.Frames != int64(len(frames)) {
-		t.Fatalf("traced %d frames, want %d", snap.Frames, len(frames))
-	}
-	for _, stage := range []string{"decode", "admit", "queue_wait", "step", "wal_append", "reply"} {
-		if _, ok := snap.Stages[stage]; !ok {
-			t.Errorf("stage %q missing from %v", stage, snap.Stages)
-		}
-	}
-	if len(snap.Exemplars) != len(frames) {
-		t.Fatalf("%d exemplars, want %d", len(snap.Exemplars), len(frames))
-	}
-	for _, ex := range snap.Exemplars {
-		if ex.Session != info.ID {
-			t.Errorf("exemplar session %q, want %q", ex.Session, info.ID)
-		}
-		var sum int64
-		for _, n := range ex.StageNanos {
-			sum += n
-		}
-		if sum != ex.TotalNanos || sum <= 0 {
-			t.Errorf("frame %d: stage sum %d != total %d (%v)", ex.K, sum, ex.TotalNanos, ex.StageNanos)
-		}
-	}
-	if snap.StageSumP50Seconds <= 0 {
-		t.Error("stage p50 sum is zero")
+			snap := getTrace(t, srv.URL)
+			if !snap.Enabled {
+				t.Fatal("trace endpoint reports disabled")
+			}
+			if snap.Frames != int64(len(frames)) {
+				t.Fatalf("traced %d frames, want %d", snap.Frames, len(frames))
+			}
+			for _, stage := range tc.stages {
+				if _, ok := snap.Stages[stage]; !ok {
+					t.Errorf("stage %q missing from %v", stage, snap.Stages)
+				}
+			}
+			if len(snap.Exemplars) != len(frames) {
+				t.Fatalf("%d exemplars, want %d", len(snap.Exemplars), len(frames))
+			}
+			for _, ex := range snap.Exemplars {
+				if ex.Session != info.ID {
+					t.Errorf("exemplar session %q, want %q", ex.Session, info.ID)
+				}
+				var sum int64
+				for _, n := range ex.StageNanos {
+					sum += n
+				}
+				if sum != ex.TotalNanos || sum <= 0 {
+					t.Errorf("frame %d: stage sum %d != total %d (%v)", ex.K, sum, ex.TotalNanos, ex.StageNanos)
+				}
+				if tc.window > 0 && ex.StageNanos["fsync"] <= 0 {
+					t.Errorf("frame %d: no fsync lap from the flusher (%v)", ex.K, ex.StageNanos)
+				}
+			}
+			if snap.StageSumP50Seconds <= 0 {
+				t.Error("stage p50 sum is zero")
+			}
+		})
 	}
 }
 

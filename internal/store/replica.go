@@ -154,7 +154,7 @@ func (st *Store) Materialize(id string, snapshot []byte, frames []*trace.Frame) 
 	// The WAL tail, one binary record per frame, then a single fsync:
 	// Materialize is off the hot path, durability before return is the
 	// whole point.
-	w, err := openWALTrunc(filepath.Join(dir, walName(k)), k, -1)
+	w, err := st.openWAL(filepath.Join(dir, walName(k)), os.O_TRUNC, k, -1)
 	if err != nil {
 		return err
 	}

@@ -42,6 +42,12 @@ const (
 	// from a batch opening to its fsync completing — the durability
 	// delay a committed frame's reply waited out.
 	MetricCommitSeconds = "roboads_store_commit_seconds"
+	// MetricCommitBatchSessions is the files-per-flush histogram: distinct
+	// WAL segments one group flush synced.
+	MetricCommitBatchSessions = "roboads_store_commit_batch_sessions"
+	// MetricCommitEnlistedWait is the per-enlistment wait histogram: time
+	// from one CommitAsync enlisting to the sync that covers it finishing.
+	MetricCommitEnlistedWait = "roboads_store_commit_enlisted_wait_seconds"
 )
 
 // ErrNoSnapshot reports a session directory holding no decodable
@@ -59,11 +65,14 @@ type Options struct {
 	// leaves durability to the OS page cache (benchmarks, tests).
 	FsyncEvery int
 	// CommitWindow, when positive, enables cross-session group commit:
-	// appends skip their inline fsync and SessionStore.Commit instead
-	// enlists the session in a fleet-wide batch that is fsynced once —
-	// one fsync per window covering every dirty session — after at most
-	// this delay. Reply-after-fsync semantics are preserved as long as
-	// callers reply only after Commit returns. A positive CommitWindow
+	// appends skip their inline fsync and SessionStore.CommitAsync (or
+	// its blocking form, Commit) enlists them in a fleet-wide batch whose
+	// one flush syncs every dirty session. The value is the flusher's
+	// pace, not a delay every commit sleeps out: it syncs at most four
+	// files per window and any one session's file once per window, so an
+	// idle store syncs a lone commit at once and a busy one serves a
+	// steady rate, whatever the device does that minute. Reply-after-fsync semantics are preserved as long as
+	// callers reply only from the completion. A positive CommitWindow
 	// supersedes FsyncEvery.
 	CommitWindow time.Duration
 	// Metrics receives the store histograms and counters; nil uses a
@@ -82,6 +91,10 @@ type Store struct {
 	// committer is the group-commit coordinator; nil unless
 	// Options.CommitWindow is positive.
 	committer *committer
+	// fsync is the one seam every WAL sync goes through — inline,
+	// forced, and the group flush — so tests can inject device errors
+	// and delays. Always (*os.File).Sync outside tests.
+	fsync func(*os.File) error
 
 	mSnapBytes     *telemetry.Histogram
 	mSnapSeconds   *telemetry.Histogram
@@ -92,6 +105,9 @@ type Store struct {
 	mOversize      *telemetry.Counter
 	mCommitFrames  *telemetry.Histogram
 	mCommitSeconds *telemetry.Histogram
+	// Group-flush shape: files per flush and per-enlistment wait.
+	mCommitSessions *telemetry.Histogram
+	mEnlistedWait   *telemetry.Histogram
 }
 
 // Open prepares dir as a durability root, creating it if needed.
@@ -117,6 +133,7 @@ func Open(dir string, opts Options) (*Store, error) {
 	st := &Store{
 		dir:            dir,
 		opts:           opts,
+		fsync:          (*os.File).Sync,
 		mSnapBytes:     reg.Histogram(MetricSnapshotBytes, "Encoded snapshot size in bytes.", byteBuckets()),
 		mSnapSeconds:   reg.Histogram(MetricSnapshotSeconds, "Snapshot write latency in seconds.", telemetry.LatencyBuckets()),
 		mAppends:       reg.Counter(MetricWALAppends, "WAL records appended."),
@@ -126,6 +143,9 @@ func Open(dir string, opts Options) (*Store, error) {
 		mOversize:      reg.Counter(MetricWALOversize, "WAL records recovered despite exceeding the legacy 4MiB line cap."),
 		mCommitFrames:  reg.Histogram(MetricCommitBatchFrames, "WAL appends amortized per group-commit fsync.", batchBuckets()),
 		mCommitSeconds: reg.Histogram(MetricCommitSeconds, "Group-commit latency in seconds.", telemetry.LatencyBuckets()),
+
+		mCommitSessions: reg.Histogram(MetricCommitBatchSessions, "WAL files synced per group-commit flush.", batchBuckets()),
+		mEnlistedWait:   reg.Histogram(MetricCommitEnlistedWait, "Wait from enlisting a commit to its covering sync, in seconds.", telemetry.LatencyBuckets()),
 	}
 	if opts.CommitWindow > 0 {
 		st.committer = newCommitter(st, opts.CommitWindow)
@@ -135,6 +155,11 @@ func Open(dir string, opts Options) (*Store, error) {
 
 // Dir returns the store root.
 func (st *Store) Dir() string { return st.dir }
+
+// SetFsyncForTest replaces the store's sync seam so a test outside
+// this package can inject device errors and delays. Call it before any
+// traffic.
+func (st *Store) SetFsyncForTest(fsync func(*os.File) error) { st.fsync = fsync }
 
 // SetRecovered publishes the recovery gauge; the fleet manager calls it
 // once startup recovery completes.
@@ -212,7 +237,7 @@ func (st *Store) Recover(id string) (*SessionStore, *Snapshot, []*trace.Frame, e
 		}
 	}
 	applied := snap.FramesApplied + len(frames)
-	w, err := openWAL(walPath, applied, st.opts.FsyncEvery)
+	w, err := st.openWAL(walPath, os.O_APPEND, applied, st.opts.FsyncEvery)
 	if err != nil {
 		return nil, nil, nil, err
 	}
@@ -294,6 +319,12 @@ type SessionStore struct {
 	wal     *walWriter
 	base    int // FramesApplied of the current snapshot
 	applied int // absolute index of the last appended frame
+	// enlisted counts CommitAsync enlistments not yet synced and
+	// completed; guarded by the committer's mutex, not by the owner.
+	enlisted int
+	// syncDue is the earliest time the flusher syncs this session's WAL
+	// again (one sync per commit window); the flusher's own.
+	syncDue time.Time
 }
 
 // Applied returns the absolute index of the last durable-or-appended
@@ -384,9 +415,11 @@ func (s *SessionStore) WriteSnapshot(snap *Snapshot) (int, error) {
 	// the same segment, and its records are re-derived from the newer
 	// snapshot anyway.
 	if s.wal != nil {
+		// The flusher may still hold this handle for an enlisted commit.
+		s.drain()
 		s.wal.close()
 	}
-	w, err := openWALTrunc(filepath.Join(s.dir, walName(k)), k, s.st.opts.FsyncEvery)
+	w, err := s.st.openWAL(filepath.Join(s.dir, walName(k)), os.O_TRUNC, k, s.st.opts.FsyncEvery)
 	if err != nil {
 		return 0, err
 	}
@@ -419,26 +452,57 @@ func (s *SessionStore) compact(keep int) {
 	}
 }
 
-// Commit makes every frame appended so far durable under the store's
-// commit policy. With group commit enabled (Options.CommitWindow > 0)
-// it enlists the session in the current fleet-wide batch and blocks
-// until the batch fsync — one fsync covering all sessions that enlisted
-// in the window — completes; the caller must reply to its client only
-// after Commit returns to preserve the replied ⇒ durable contract.
-// Without group commit it is a no-op: appends already fsynced inline
-// per FsyncEvery. frames is the number of appends this commit covers,
-// reported to the batch-size histogram.
+// CommitAsync makes every frame appended so far durable under the
+// store's commit policy and then calls done — exactly once, with the
+// sync's error if it failed — without blocking the caller. With group
+// commit enabled (Options.CommitWindow > 0) it enlists done with the
+// store's flusher, which calls it after the one flush whose sync covers
+// this session's segment; completions of one session run in CommitAsync
+// order, so the caller preserves replied ⇒ durable and per-session reply
+// order by replying only from done. Without group commit appends already
+// synced inline per FsyncEvery and done runs before CommitAsync returns.
+// frames is the number of appends this commit covers (batch-size
+// histogram); a commit covering none is enlisted like any other, so it
+// still completes behind the session's earlier ones.
 //
-// Invariant (shared with the committer's flush): between enlisting and
-// the batch completing, the caller blocks, and the caller is the only
-// goroutine that touches this session's WAL — the fleet session's step
-// lock serializes Append/Commit/rotate/Close — so the flush goroutine
-// has exclusive access to the file handle during the group fsync.
+// Invariant (shared with the committer's flush): Append, CommitAsync,
+// WriteSnapshot and Close are serialized by the owning session's step
+// lock, and the caller may go on appending while an enlistment is
+// outstanding. The flusher touches nothing of the session but the
+// *os.File captured at enlist time, and only to Sync it — safe beside a
+// concurrent Write, and a Sync that runs late merely covers more.
+// Whatever retires that handle (WriteSnapshot's rotation, Close) first
+// waits until every outstanding enlistment has been synced and
+// completed, so a captured handle is never closed, and a segment never
+// rotated away, under the flusher. done therefore must not wait on
+// anything the session's owner holds while calling those two.
+func (s *SessionStore) CommitAsync(frames int, done func(error)) {
+	c := s.st.committer
+	if c == nil || s.wal == nil {
+		done(nil)
+		return
+	}
+	c.enlist(s, frames, done)
+}
+
+// Commit is CommitAsync plus the wait: it returns once every frame
+// appended so far is durable under the store's commit policy.
 func (s *SessionStore) Commit(frames int) error {
 	if s.st.committer == nil || s.wal == nil || frames <= 0 {
 		return nil
 	}
-	return s.st.committer.commit(s, frames)
+	errc := make(chan error, 1)
+	s.CommitAsync(frames, func(err error) { errc <- err })
+	return <-errc
+}
+
+// drain waits until the flusher has synced and completed every
+// outstanding enlistment of this session, after which it holds none of
+// its file handles.
+func (s *SessionStore) drain() {
+	if s.st.committer != nil {
+		s.st.committer.drain(s)
+	}
 }
 
 // Sync forces the WAL to stable storage regardless of policy.
@@ -450,24 +514,17 @@ func (s *SessionStore) Sync() error {
 	return s.wal.sync()
 }
 
-// Close releases the WAL file handle. It does not sync: callers that
-// need durability checkpoint or Sync first.
+// Close releases the WAL file handle once outstanding enlistments have
+// been synced. It does not itself sync: callers that need durability
+// checkpoint or Sync first.
 func (s *SessionStore) Close() error {
 	if s.wal == nil {
 		return nil
 	}
+	s.drain()
 	err := s.wal.close()
 	s.wal = nil
 	return err
-}
-
-// openWALTrunc creates or truncates the segment at path.
-func openWALTrunc(path string, lastSeq, fsyncEvery int) (*walWriter, error) {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("store: open WAL: %w", err)
-	}
-	return &walWriter{f: f, seq: lastSeq, fsyncEvery: fsyncEvery}, nil
 }
 
 // syncDir fsyncs a directory so a just-renamed entry survives power

@@ -231,18 +231,20 @@ type walWriter struct {
 	sinceSync  int
 	syncNanos  int64  // wall time of the most recent append's inline fsync; 0 when it carried none
 	buf        []byte // reused binary record encoding buffer
+	st         *Store // for the sync seam, Store.fsync
 }
 
-// openWAL opens (creating or appending to) the segment at path. lastSeq
-// is the sequence number of the last record already known durable — the
-// paired snapshot's FramesApplied plus any records replayed from the
-// segment at recovery.
-func openWAL(path string, lastSeq, fsyncEvery int) (*walWriter, error) {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+// openWAL opens the segment at path, creating it if needed: mode is
+// os.O_APPEND to continue it or os.O_TRUNC to restart it. lastSeq is the
+// sequence number of the last record already known durable — the paired
+// snapshot's FramesApplied plus any records replayed from the segment at
+// recovery.
+func (st *Store) openWAL(path string, mode, lastSeq, fsyncEvery int) (*walWriter, error) {
+	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|mode, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("store: open WAL: %w", err)
 	}
-	return &walWriter{f: f, seq: lastSeq, fsyncEvery: fsyncEvery}, nil
+	return &walWriter{f: f, seq: lastSeq, fsyncEvery: fsyncEvery, st: st}, nil
 }
 
 // append writes one frame as the next record, fsyncing per policy.
@@ -266,7 +268,7 @@ func (w *walWriter) append(frame *trace.Frame) (seq int, synced bool, err error)
 		// Timed so frame tracing can reattribute the inline fsync's
 		// share of the append out of the wal_append stage.
 		t0 := time.Now()
-		if err := w.f.Sync(); err != nil {
+		if err := w.st.fsync(w.f); err != nil {
 			return 0, false, fmt.Errorf("store: fsync WAL: %w", err)
 		}
 		w.syncNanos = time.Since(t0).Nanoseconds()
@@ -279,7 +281,7 @@ func (w *walWriter) append(frame *trace.Frame) (seq int, synced bool, err error)
 // sync forces an fsync regardless of policy.
 func (w *walWriter) sync() error {
 	w.sinceSync = 0
-	return w.f.Sync()
+	return w.st.fsync(w.f)
 }
 
 func (w *walWriter) close() error {

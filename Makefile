@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet staticcheck test race fleetsoak crashsoak fleetbatch flakehunt fuzz bench benchsmoke benchbatch benchdiff benchoverhead loadgensmoke multinodesmoke scenariosmoke ci
+.PHONY: build vet staticcheck test race fleetsoak crashsoak fleetbatch flakehunt fuzz bench profile-replay benchsmoke benchbatch benchdiff benchoverhead loadgensmoke multinodesmoke scenariosmoke ci
 
 build:
 	$(GO) build ./...
@@ -83,6 +83,20 @@ fuzz:
 
 bench:
 	$(GO) test -run xxx -bench 'EngineStepParallel|EngineFleet|FleetStep|NUISEStep' -benchtime=1500x .
+
+# CPU and allocation profiles of the suite replay (BenchmarkSuiteReplay,
+# the detect_replay workload as a Go benchmark), written with the test
+# binary outside the tree. The missions are generated once (~4 s, the
+# path planner; -focus skips it). Read them with
+#   go tool pprof -top -focus 'Detector..Step' $(PROFILE_DIR)/roboads.test $(PROFILE_DIR)/cpu.prof
+#   go tool pprof -sample_index=alloc_space -top $(PROFILE_DIR)/roboads.test $(PROFILE_DIR)/mem.prof
+PROFILE_DIR ?= $(or $(TMPDIR),/tmp)/roboads-profile
+profile-replay:
+	mkdir -p $(PROFILE_DIR)
+	$(GO) test -run xxx -bench '^BenchmarkSuiteReplay$$' -benchtime=100x \
+		-o $(PROFILE_DIR)/roboads.test -outputdir $(PROFILE_DIR) \
+		-cpuprofile cpu.prof -memprofile mem.prof .
+	@echo "profiles in $(PROFILE_DIR)"
 
 # The benchmark (bench/, BENCHMARK.json) is a Go module of its own, so
 # `go build ./...` at the root never compiles it: vet and short-test it

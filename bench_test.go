@@ -226,7 +226,7 @@ func BenchmarkEngineStepParallel(b *testing.B) {
 // ROADMAP north star, where parallelism comes from robot count rather
 // than bank width. Reported time is per fleet-wide iteration.
 func BenchmarkEngineFleet(b *testing.B) {
-	for _, robots := range []int{4, 16} {
+	for _, robots := range []int{1, 4, 16} {
 		robots := robots
 		b.Run(fmt.Sprintf("robots=%d", robots), func(b *testing.B) {
 			plant, model, suite := benchPlant()
@@ -294,7 +294,7 @@ func reportSessionsPerCore(b *testing.B, robots int) {
 // steps. The ratio of the two benchmarks' sessions/core metrics is the
 // batching speedup gated in BENCH_engine.json.
 func BenchmarkEngineFleetBatched(b *testing.B) {
-	for _, robots := range []int{4, 16, 64} {
+	for _, robots := range []int{1, 4, 16, 64} {
 		robots := robots
 		b.Run(fmt.Sprintf("robots=%d", robots), func(b *testing.B) {
 			plant, model, suite := benchPlant()
@@ -684,6 +684,47 @@ func BenchmarkDetectorStep(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// replaySuite generates BenchmarkSuiteReplay's missions once (~4 s of
+// path planning): the harness calls a benchmark function once per b.N it
+// tries.
+var replaySuite = sync.OnceValues(func() ([]*suiteMission, error) { return generateSuite(42) })
+
+// BenchmarkSuiteReplay is bench/'s detect_replay workload as a Go
+// benchmark, so it can be profiled (make profile-replay): the 26
+// missions of scenario.Default(42) are generated once, and each
+// iteration replays all of them through a fresh sequential detector per
+// mission — mat, core and detect do all the timed work.
+func BenchmarkSuiteReplay(b *testing.B) {
+	missions, err := replaySuite()
+	if err != nil {
+		b.Fatal(err)
+	}
+	frames := 0
+	for _, m := range missions {
+		frames += len(m.recs)
+	}
+	ecfg := core.DefaultEngineConfig()
+	ecfg.Workers = -1
+
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, m := range missions {
+			det, err := m.prof.NewDetector(ecfg, detect.DefaultConfig())
+			if err != nil {
+				b.Fatal(err)
+			}
+			for _, rec := range m.recs {
+				if _, err := det.Step(rec.UPlanned, rec.Readings); err != nil {
+					b.Fatalf("%s k=%d: %v", m.name, rec.K, err)
+				}
+			}
+			det.Close()
+		}
+	}
+	b.ReportMetric(float64(frames)*float64(b.N)/b.Elapsed().Seconds(), "frames/s")
 }
 
 // --- Table II: one benchmark per attack/failure scenario -------------------

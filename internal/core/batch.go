@@ -311,6 +311,10 @@ func (b *EngineBatch) Step(engines []*Engine, us []mat.Vec, readings []map[strin
 			errs[s] = ErrBatchShape
 			continue
 		}
+		// A malformed frame is refused exactly as Engine.Step refuses it.
+		if errs[s] = e.gather(us[s], readings[s]); errs[s] != nil {
+			continue
+		}
 		alive[s] = true
 		perMode[s] = make([]*Result, b.nModes)
 		resArr[s] = make([]Result, b.nModes)
@@ -333,16 +337,18 @@ func (b *EngineBatch) Step(engines []*Engine, us []mat.Vec, readings []map[strin
 			alive, b.live, b.redo, b.hasTesting, b.implausible, b.okMask)
 	}
 
+	for s := 0; s < k; s++ {
+		if alive[s] {
+			outs[s], errs[s] = engines[s].commit(new(Output), perMode[s], slab, stepStart[s], fallbacks0[s])
+		}
+	}
+	// commit carves too (weights, the anomaly split), so the next slab is
+	// sized from what the whole Step used.
 	if used := slab.FloatsUsed(); used > b.slabFloats {
 		b.slabFloats = used
 	}
 	if used := slab.MatsUsed(); used > b.slabMats {
 		b.slabMats = used
-	}
-	for s := 0; s < k; s++ {
-		if alive[s] {
-			outs[s], errs[s] = engines[s].commit(perMode[s], stepStart[s], fallbacks0[s])
-		}
 	}
 	return outs, errs
 }
@@ -368,7 +374,7 @@ func (b *EngineBatch) stepModeBatch(
 	if r <= 0 || forceJacobiLikelihood {
 		for s := 0; s < K; s++ {
 			if alive[s] {
-				engines[s].stepMode(i, us[s], readings[s], perMode[s])
+				scalarMode(engines[s], i, us[s], &resArr[s][i], perMode[s], slab)
 			}
 		}
 		return
@@ -625,8 +631,18 @@ func (b *EngineBatch) stepModeBatch(
 	// --- Scalar redo for everything the blocked path could not carry ---
 	for s := 0; s < K; s++ {
 		if redo[s] {
-			engines[s].stepMode(i, us[s], readings[s], perMode[s])
+			scalarMode(engines[s], i, us[s], &resArr[s][i], perMode[s], slab)
 		}
+	}
+}
+
+// scalarMode runs mode i of e through the engine's own scalar stepMode
+// (which reads the frame Step's gather parked), with the Result carved
+// from the batch's slab.
+func scalarMode(e *Engine, i int, u mat.Vec, res *Result, perMode []*Result, slab *mat.Slab) {
+	e.shapes[i].carve(slab, res)
+	if e.stepMode(i, u, res) {
+		perMode[i] = res
 	}
 }
 
@@ -642,7 +658,7 @@ func demote(live, redo, ok []bool) {
 
 // stackInto concatenates the named readings into dst, reporting false
 // when any is missing or the total length mismatches. The values are
-// exactly stackReadings' append-concatenation.
+// exactly what the engine's own stack copies.
 func stackInto(dst mat.Vec, readings map[string]mat.Vec, names []string) bool {
 	off := 0
 	for _, name := range names {

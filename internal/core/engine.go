@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"roboads/internal/mat"
+	"roboads/internal/sensors"
 	"roboads/internal/stat"
 )
 
@@ -59,7 +60,9 @@ type EngineConfig struct {
 	// output is bit-for-bit identical to sequential: each mode's NUISE
 	// depends only on that mode's own state, results are gathered by
 	// mode index, and every downstream loop iterates in fixed mode
-	// order, so scheduling cannot influence a single float.
+	// order, so scheduling cannot influence a single float. On the
+	// sequential path a warmed Step allocates only what its caller
+	// receives (see Output); the fan-out adds a closure per mode.
 	Workers int
 	// Observer receives instrumentation events (per-Step wall time,
 	// per-mode latency, pool queue wait, dropped readings, weight-floor
@@ -106,9 +109,22 @@ type Engine struct {
 	// to more than one; nil engines step sequentially. scratch holds one
 	// matrix arena per mode — a mode is exactly one job per Step, so
 	// per-mode ownership makes arena reuse race-free by construction and
-	// keeps each arena's shape sequence stable across iterations.
+	// keeps each arena's shape sequence stable across iterations. z2 and
+	// z1 are each mode's stacked reference and testing readings, owned
+	// per mode for the same reason.
 	pool    *workerPool
 	scratch []*mat.Scratch
+	z2, z1  []mat.Vec
+
+	// Everything a Step hands its caller is carved from one slab: the
+	// per-mode Results (shapes[i] each), the weight vector and the
+	// selected mode's anomaly split. slabFloats and slabMats size it
+	// exactly, once, from the mode shapes; the slab value itself is only
+	// cursors, renewed onto fresh backing arrays every Step, so a
+	// returned Output is never written again.
+	shapes               []resultShape
+	slab                 mat.Slab
+	slabFloats, slabMats int
 
 	// spd caches Cholesky factors of the covariances tested during one
 	// Step's weight update (per-sensor anomaly blocks, Pa), so the
@@ -128,17 +144,29 @@ type Engine struct {
 	commitNext []float64
 	evCovs     [][]*mat.Mat
 
-	// obs is EngineConfig.Observer; nil when instrumentation is off.
 	// sensorNames is the union of every mode's reference and testing
-	// workflow names, precomputed so the dropped-reading check is one
-	// map lookup per sensor per Step. stats is the reused StepStats
-	// record handed to the observer (borrowed, never retained).
-	obs         Observer
-	sensorNames []string
-	stats       StepStats
+	// workflow names and sensorDims their reading lengths. Each Step looks
+	// every sensor up once (gather), checks the reading's length and
+	// parks it in frame (nil: missing this iteration); refIdx and testIdx
+	// are each mode's reference and testing sensors as indices into it,
+	// so stacking a mode's readings is copies, not map lookups.
+	sensorNames     []string
+	sensorDims      []int
+	frame           []mat.Vec
+	refIdx, testIdx [][]int
+
+	// obs is EngineConfig.Observer; nil when instrumentation is off.
+	// stats is the reused StepStats record handed to the observer
+	// (borrowed, never retained).
+	obs   Observer
+	stats StepStats
 }
 
-// Output is one control iteration's engine result.
+// Output is one control iteration's engine result. It is the caller's to
+// keep: the Output, the Results it points at and every vector and matrix
+// in them are fresh each Step (one slab and a few headers, see
+// Engine.slab) and the engine never writes to them again. SPD is the one
+// exception, as its comment says.
 type Output struct {
 	// Iteration is the control iteration index k.
 	Iteration int
@@ -205,21 +233,10 @@ func NewEngine(plant Plant, modes []*Mode, x0 mat.Vec, p0 *mat.Mat, cfg EngineCo
 		spd:     mat.NewCholCache(),
 		obs:     cfg.Observer,
 	}
-	seen := make(map[string]bool)
-	for _, m := range modes {
-		for _, name := range m.ReferenceNames {
-			if !seen[name] {
-				seen[name] = true
-				e.sensorNames = append(e.sensorNames, name)
-			}
-		}
-		for _, name := range m.testingNames {
-			if !seen[name] {
-				seen[name] = true
-				e.sensorNames = append(e.sensorNames, name)
-			}
-		}
+	if err := e.indexSensors(); err != nil {
+		return nil, err
 	}
+	e.sizeOutputs()
 	workers := cfg.Workers
 	if workers == 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -258,9 +275,91 @@ func (e *Engine) State() (mat.Vec, *mat.Mat) {
 	return e.x.Clone(), e.px.Clone()
 }
 
+// indexSensors numbers the sensing workflows the mode set reads and
+// records, per mode, which of them stack into its reference and testing
+// readings.
+func (e *Engine) indexSensors() error {
+	index := make(map[string]int)
+	indices := func(parts []sensors.Sensor) ([]int, error) {
+		idx := make([]int, len(parts))
+		for j, s := range parts {
+			at, seen := index[s.Name()]
+			if !seen {
+				at = len(e.sensorNames)
+				index[s.Name()] = at
+				e.sensorNames = append(e.sensorNames, s.Name())
+				e.sensorDims = append(e.sensorDims, s.Dim())
+			} else if e.sensorDims[at] != s.Dim() {
+				return nil, fmt.Errorf("core: sensor %q reads %d values in one mode and %d in another",
+					s.Name(), e.sensorDims[at], s.Dim())
+			}
+			idx[j] = at
+		}
+		return idx, nil
+	}
+	e.refIdx = make([][]int, len(e.modes))
+	e.testIdx = make([][]int, len(e.modes))
+	for i, m := range e.modes {
+		var err error
+		if e.refIdx[i], err = indices(m.referenceParts); err != nil {
+			return err
+		}
+		if e.testIdx[i], err = indices(m.Testing); err != nil {
+			return err
+		}
+	}
+	e.frame = make([]mat.Vec, len(e.sensorNames))
+	return nil
+}
+
+// sizeOutputs allocates the per-mode reading stacks and sizes the
+// per-Step slab from the mode shapes: every mode's Result, the weight
+// vector, and the largest anomaly split any mode could be selected with.
+func (e *Engine) sizeOutputs() {
+	m := len(e.modes)
+	e.shapes = make([]resultShape, m)
+	e.z2 = make([]mat.Vec, m)
+	e.z1 = make([]mat.Vec, m)
+	splitFloats, splitMats := 0, 0
+	for i, mode := range e.modes {
+		sh := newResultShape(e.plant.Model, mode.Reference, mode.testingStacked)
+		e.shapes[i] = sh
+		e.z2[i] = make(mat.Vec, sh.p2)
+		e.z1[i] = make(mat.Vec, sh.p1)
+		e.slabFloats += sh.floats()
+		splitFloats = max(splitFloats, mode.splitFloats())
+		splitMats = max(splitMats, len(mode.Testing))
+	}
+	e.slabFloats += m + splitFloats
+	e.slabMats = resultMats*m + splitMats
+}
+
 // ErrAllModesFailed indicates every NUISE instance errored in one
 // iteration, leaving the engine without a state update.
 var ErrAllModesFailed = errors.New("core: all modes failed")
+
+// ErrFrameShape indicates a frame whose command or one of whose readings
+// has the wrong length for the engine's model and sensors. The frame is
+// refused before any mode runs: the engine is exactly as it was.
+var ErrFrameShape = errors.New("core: frame shape mismatch")
+
+// gather validates one frame and parks each sensor's reading in e.frame
+// (nil: missing). A reading the mode set never looks at is ignored, as
+// it always was.
+func (e *Engine) gather(u mat.Vec, readings map[string]mat.Vec) error {
+	if q := e.plant.Model.ControlDim(); len(u) != q {
+		return fmt.Errorf("%w: command has %d values, want %d", ErrFrameShape, len(u), q)
+	}
+	for s, name := range e.sensorNames {
+		z, ok := readings[name]
+		if ok && len(z) != e.sensorDims[s] {
+			return fmt.Errorf("%w: sensor %q reading has %d values, want %d",
+				ErrFrameShape, name, len(z), e.sensorDims[s])
+		}
+		e.frame[s] = z
+	}
+	return nil
+}
 
 // Step runs one control iteration (Algorithm 1 lines 2–9): the bank of
 // per-mode NUISE runs — fanned out over the worker pool when
@@ -271,7 +370,9 @@ var ErrAllModesFailed = errors.New("core: all modes failed")
 // dropped sensor packet) degrades only the modes that depend on that
 // sensor — a mode loses the iteration when its reference is incomplete,
 // and runs reference-only (no d̂s) when only its testing block is — it
-// never sinks the whole bank.
+// never sinks the whole bank. A command or reading of the wrong length is
+// a different matter: the frame is refused with ErrFrameShape before any
+// mode runs, and the engine is exactly as it was.
 func (e *Engine) Step(u mat.Vec, readings map[string]mat.Vec) (*Output, error) {
 	return e.StepContext(context.Background(), u, readings)
 }
@@ -305,21 +406,39 @@ func (e *Engine) StepContext(ctx context.Context, u mat.Vec, readings map[string
 	if obs != nil {
 		stepStart = time.Now()
 		fallbacks0 = JacobiFallbacks()
-		for _, name := range e.sensorNames {
-			if _, ok := readings[name]; !ok {
-				obs.DroppedReading(name)
+	}
+	// A malformed frame is refused here, before any mode runs and before
+	// anything of the engine's moves.
+	if err := e.gather(u, readings); err != nil {
+		return nil, err
+	}
+	if obs != nil {
+		for s, z := range e.frame {
+			if z == nil {
+				obs.DroppedReading(e.sensorNames[s])
 			}
 		}
 	}
 
+	// What the caller receives: the Output, the Results its PerMode points
+	// into, and one slab holding every float of both. All of it is fresh
+	// each Step and carved here, serially, so the fan-out below only fills
+	// disjoint, already-placed destinations.
+	out := new(Output)
+	results := make([]Result, len(e.modes))
 	perMode := make([]*Result, len(e.modes))
+	e.slab.Renew(e.slabFloats, e.slabMats)
+	for i := range results {
+		e.shapes[i].carve(&e.slab, &results[i])
+	}
+
 	if e.pool == nil {
 		if obs == nil {
 			for i := range e.modes {
 				if cancellable && ctx.Err() != nil {
 					return nil, ctx.Err()
 				}
-				e.stepMode(i, u, readings, perMode)
+				e.runMode(i, u, results, perMode)
 			}
 		} else {
 			for i := range e.modes {
@@ -327,7 +446,7 @@ func (e *Engine) StepContext(ctx context.Context, u mat.Vec, readings map[string
 					return nil, ctx.Err()
 				}
 				modeStart := time.Now()
-				e.stepMode(i, u, readings, perMode)
+				e.runMode(i, u, results, perMode)
 				obs.ModeStep(i, e.modes[i].Name, time.Since(modeStart).Nanoseconds(), perMode[i] != nil)
 			}
 		}
@@ -346,7 +465,7 @@ func (e *Engine) StepContext(ctx context.Context, u mat.Vec, readings map[string
 					if cancellable && ctx.Err() != nil {
 						return
 					}
-					e.stepMode(i, u, readings, perMode)
+					e.runMode(i, u, results, perMode)
 				})
 			} else {
 				submitted := time.Now()
@@ -357,7 +476,7 @@ func (e *Engine) StepContext(ctx context.Context, u mat.Vec, readings map[string
 					}
 					started := time.Now()
 					obs.PoolWait(started.Sub(submitted).Nanoseconds())
-					e.stepMode(i, u, readings, perMode)
+					e.runMode(i, u, results, perMode)
 					obs.ModeStep(i, e.modes[i].Name, time.Since(started).Nanoseconds(), perMode[i] != nil)
 				})
 			}
@@ -365,12 +484,12 @@ func (e *Engine) StepContext(ctx context.Context, u mat.Vec, readings map[string
 		wg.Wait()
 	}
 	if cancellable && ctx.Err() != nil {
-		// Nothing has been committed: perMode and the scratch arenas are
-		// the only things touched, and both are per-call / shape-stable.
+		// Nothing has been committed: the per-call outputs, the reading
+		// stacks and the scratch arenas are the only things touched.
 		return nil, ctx.Err()
 	}
 
-	return e.commit(perMode, stepStart, fallbacks0)
+	return e.commit(out, perMode, &e.slab, stepStart, fallbacks0)
 }
 
 // commit is the serial tail of a step — belief commit, weight update,
@@ -379,10 +498,12 @@ func (e *Engine) StepContext(ctx context.Context, u mat.Vec, readings map[string
 // perMode slice and then run this identical code, which is half of the
 // batched path's bit-for-bit guarantee. It runs after the gather (not
 // inside stepMode) so that a cancelled StepContext aborts with no
-// partial per-mode state written. stepStart and fallbacks0 carry the
-// caller's instrumentation preamble and are read only when an observer
-// is attached.
-func (e *Engine) commit(perMode []*Result, stepStart time.Time, fallbacks0 int64) (*Output, error) {
+// partial per-mode state written. out is the caller's fresh Output to
+// fill and slab the step's slab, which the weight vector and the anomaly
+// split are carved from. stepStart and fallbacks0 carry the caller's
+// instrumentation preamble and are read only when an observer is
+// attached.
+func (e *Engine) commit(out *Output, perMode []*Result, slab *mat.Slab, stepStart time.Time, fallbacks0 int64) (*Output, error) {
 	obs := e.obs
 
 	// Commit each surviving mode's private belief. The belief buffers are
@@ -500,11 +621,13 @@ func (e *Engine) commit(perMode []*Result, stepStart time.Time, fallbacks0 int64
 		}
 	}
 
-	out := &Output{
+	weights := slab.Vec(len(e.weights))
+	copy(weights, e.weights)
+	*out = Output{
 		Iteration:    e.k,
 		Selected:     selected,
 		SelectedMode: e.modes[selected],
-		Weights:      append([]float64(nil), e.weights...),
+		Weights:      weights,
 		PerMode:      perMode,
 		Result:       res,
 		SPD:          e.spd,
@@ -515,7 +638,7 @@ func (e *Engine) commit(perMode []*Result, stepStart time.Time, fallbacks0 int64
 		// copies of the same block values, so the decision layer's tests
 		// on these fresh copies agree bit-for-bit — the factorization is a
 		// pure function of the block values.
-		out.SensorAnomalies = e.modes[selected].SplitDs(res.Ds, res.Ps)
+		out.SensorAnomalies = e.modes[selected].splitDs(res.Ds, res.Ps, slab)
 	}
 	if obs != nil {
 		failed := 0
@@ -543,33 +666,55 @@ func (e *Engine) commit(perMode []*Result, stepStart time.Time, fallbacks0 int64
 	return out, nil
 }
 
-// stepMode runs mode i's NUISE for this iteration. It writes only index
-// i of perMode — disjoint slots per mode — so the bank fans out without
-// locks; the mode's private belief (e.xm, e.pxm) is read here but
-// committed serially after the gather, so an aborted StepContext leaves
-// it untouched. Failure semantics mirror the weight floor: a missing
-// reference reading or a NUISE error leaves perMode[i] nil (the mode
-// sits out this iteration and takes the floor), while a missing testing
-// reading degrades the mode to a reference-only update (no d̂s) rather
-// than failing it.
-func (e *Engine) stepMode(i int, u mat.Vec, readings map[string]mat.Vec, perMode []*Result) {
+// runMode steps mode i into results[i] and, when the mode produced a
+// result, points perMode[i] at it.
+func (e *Engine) runMode(i int, u mat.Vec, results []Result, perMode []*Result) {
+	if e.stepMode(i, u, &results[i]) {
+		perMode[i] = &results[i]
+	}
+}
+
+// stepMode runs mode i's NUISE for this iteration into res, which the
+// caller carved to the mode's shape, and reports whether the mode
+// produced a result. It reads the frame gather parked and the mode's
+// private belief (e.xm, e.pxm) and writes only mode i's reading stacks
+// and arena and res — disjoint per mode — so the bank fans out without
+// locks; the belief is committed serially after the gather, so an
+// aborted StepContext leaves it untouched. Failure semantics mirror the
+// weight floor: a missing reference reading or a NUISE error fails the
+// mode (it sits out this iteration and takes the floor), while a missing
+// testing reading degrades the mode to a reference-only update (no d̂s)
+// rather than failing it.
+func (e *Engine) stepMode(i int, u mat.Vec, res *Result) bool {
 	m := e.modes[i]
-	z2, err := stackReadings(readings, m.ReferenceNames)
-	if err != nil {
-		return
+	z2 := e.z2[i]
+	if !e.stack(z2, e.refIdx[i]) {
+		return false
 	}
 	testing := m.testingStacked
 	var z1 mat.Vec
 	if testing != nil {
-		if z1, err = stackReadings(readings, m.testingNames); err != nil {
+		if z1 = e.z1[i]; !e.stack(z1, e.testIdx[i]) {
 			testing, z1 = nil, nil
+			res.dropTesting()
 		}
 	}
-	res, err := NUISEScratch(e.plant, m.Reference, testing, u, e.xm[i], e.pxm[i], z1, z2, e.scratch[i])
-	if err != nil {
-		return
+	return nuiseStep(e.plant, m.Reference, testing, u, e.xm[i], e.pxm[i], z1, z2, e.scratch[i], res) == nil
+}
+
+// stack concatenates the frame's readings of the listed sensors into
+// dst, reporting false when one is missing. gather checked the lengths,
+// so the parts fill dst exactly.
+func (e *Engine) stack(dst mat.Vec, sensorIdx []int) bool {
+	off := 0
+	for _, s := range sensorIdx {
+		z := e.frame[s]
+		if z == nil {
+			return false
+		}
+		off += copy(dst[off:], z)
 	}
-	perMode[i] = res
+	return true
 }
 
 // testingEvidence returns Π_t max(pvalue(d̂s_t), AttackPrior) over mode
@@ -610,16 +755,4 @@ func flooredPValue(spd *mat.CholCache, cov *mat.Mat, v mat.Vec, floor float64) f
 		pv = floor
 	}
 	return pv
-}
-
-func stackReadings(readings map[string]mat.Vec, names []string) (mat.Vec, error) {
-	var out mat.Vec
-	for _, name := range names {
-		z, ok := readings[name]
-		if !ok {
-			return nil, fmt.Errorf("core: missing reading for sensor %q", name)
-		}
-		out = append(out, z...)
-	}
-	return out, nil
 }

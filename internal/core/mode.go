@@ -24,8 +24,9 @@ type Mode struct {
 	// stacking order.
 	Testing []sensors.Sensor
 
-	testingStacked sensors.Sensor // nil when len(Testing) == 0
-	testingNames   []string       // workflow names of Testing, in stacking order
+	referenceParts []sensors.Sensor // the sensors Reference stacks, in order
+	testingStacked sensors.Sensor   // nil when len(Testing) == 0
+	testingNames   []string         // workflow names of Testing, in stacking order
 }
 
 // ErrNoModes indicates an engine constructed without modes.
@@ -49,6 +50,7 @@ func NewMode(reference []sensors.Sensor, testing []sensors.Sensor) (*Mode, error
 		Reference:      ref,
 		ReferenceNames: names,
 		Testing:        append([]sensors.Sensor(nil), testing...),
+		referenceParts: append([]sensors.Sensor(nil), reference...),
 	}
 	if len(testing) > 0 {
 		stacked, err := sensors.NewStacked(testing...)
@@ -81,20 +83,36 @@ type SensorAnomaly struct {
 }
 
 // SplitDs slices the stacked anomaly estimate and covariance back into
-// per-sensor components.
+// per-sensor components (copies: the split shares nothing with ds, ps).
 func (m *Mode) SplitDs(ds mat.Vec, ps *mat.Mat) []SensorAnomaly {
-	out := make([]SensorAnomaly, 0, len(m.Testing))
+	return m.splitDs(ds, ps, mat.NewSlab(m.splitFloats(), len(m.Testing)))
+}
+
+// splitDs is SplitDs with the copies carved from slab.
+func (m *Mode) splitDs(ds mat.Vec, ps *mat.Mat, slab *mat.Slab) []SensorAnomaly {
+	out := make([]SensorAnomaly, len(m.Testing))
 	off := 0
-	for _, s := range m.Testing {
+	for j, s := range m.Testing {
 		d := s.Dim()
-		out = append(out, SensorAnomaly{
+		part := slab.Vec(d)
+		copy(part, ds[off:off+d])
+		out[j] = SensorAnomaly{
 			Sensor: s.Name(),
-			Ds:     ds.Slice(off, off+d),
-			Ps:     ps.Submatrix(off, off+d, off, off+d),
-		})
+			Ds:     part,
+			Ps:     ps.SubmatrixInto(slab.Mat(d, d), off, off),
+		}
 		off += d
 	}
 	return out
+}
+
+// splitFloats returns the floats one anomaly split of this mode holds.
+func (m *Mode) splitFloats() int {
+	floats := 0
+	for _, s := range m.Testing {
+		floats += s.Dim() + s.Dim()*s.Dim()
+	}
+	return floats
 }
 
 // HypothesizedCorrupted reports whether the mode hypothesizes the named

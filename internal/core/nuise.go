@@ -123,12 +123,16 @@ func NUISE(plant Plant, reference, testing sensors.Sensor, u, xPrev mat.Vec, pxP
 	return NUISEScratch(plant, reference, testing, u, xPrev, pxPrev, z1, z2, nil)
 }
 
-// NUISEScratch is NUISE with an explicit scratch arena for the ~20 matrix
-// temporaries one step builds. Passing the same arena across iterations
-// makes the step allocation-free apart from the Result itself (every
-// matrix stored in the Result is freshly allocated, never arena-owned,
-// so results stay valid after the arena is reused). A nil arena
-// allocates a private one, which is equivalent to the plain NUISE call.
+// NUISEScratch is NUISE with an explicit scratch arena for the ~60 matrix
+// and vector temporaries one step builds: the Jacobians A, G, C2, C1 and
+// the predictions f, h2, h1 are evaluated through the models' Into fast
+// paths into arena buffers, and everything stored in the Result is carved
+// from one private mat.Slab that nothing else ever writes. Passing the
+// same arena across iterations makes the step allocation-free apart from
+// the Result (the Result header, its slab's two backing arrays, and
+// whatever a model or sensor without an Into fast path allocates), and
+// results stay valid after the arena is reused. A nil arena allocates a
+// private one, which is equivalent to the plain NUISE call.
 //
 // Scratch reuse changes where intermediates live but not how they are
 // computed: every destination-variant op accumulates in the same element
@@ -138,6 +142,76 @@ func NUISEScratch(plant Plant, reference, testing sensors.Sensor, u, xPrev mat.V
 	if sc == nil {
 		sc = mat.NewScratch()
 	}
+	if testing != nil && testing.Dim() == 0 {
+		testing = nil
+	}
+	shape := newResultShape(plant.Model, reference, testing)
+	var slab mat.Slab
+	slab.Renew(shape.floats(), resultMats)
+	res := new(Result)
+	shape.carve(&slab, res)
+	if err := nuiseStep(plant, reference, testing, u, xPrev, pxPrev, z1, z2, sc, res); err != nil {
+		return nil, err
+	}
+	return res, nil
+}
+
+// resultShape is the dimensions of one mode's Result: n states, q
+// controls, p2 reference rows, p1 testing rows (0: no testing block).
+type resultShape struct{ n, q, p2, p1 int }
+
+// resultMats is the matrix headers one Result holds (Px, Pa, Ps).
+const resultMats = 3
+
+func newResultShape(model dynamics.Model, reference, testing sensors.Sensor) resultShape {
+	sh := resultShape{n: model.StateDim(), q: model.ControlDim(), p2: reference.Dim()}
+	if testing != nil {
+		sh.p1 = testing.Dim()
+	}
+	return sh
+}
+
+// floats returns the floats a Result of this shape holds.
+func (sh resultShape) floats() int {
+	return sh.n + sh.n*sh.n + sh.q + sh.q*sh.q + sh.p2 + sh.p1 + sh.p1*sh.p1
+}
+
+// carve points res's vectors and matrices at fresh slab memory of this
+// shape — the destinations nuiseStep fills. A mode without a testing
+// block gets a nil Ds and a 0×0 Ps.
+func (sh resultShape) carve(slab *mat.Slab, res *Result) {
+	*res = Result{
+		X:          slab.Vec(sh.n),
+		Px:         slab.Mat(sh.n, sh.n),
+		Da:         slab.Vec(sh.q),
+		Pa:         slab.Mat(sh.q, sh.q),
+		Innovation: slab.Vec(sh.p2),
+		Ps:         slab.Mat(sh.p1, sh.p1),
+	}
+	if sh.p1 > 0 {
+		res.Ds = slab.Vec(sh.p1)
+	}
+}
+
+// dropTesting turns a carved Result into that of a reference-only step:
+// no d̂s and a 0×0 Ps, which is what a mode without a testing block
+// reports. (The carved p1×p1 floats stay unused in the slab.)
+func (res *Result) dropTesting() {
+	res.Ds = nil
+	res.Ps = noTestingPs
+}
+
+// noTestingPs is the 0×0 covariance of a reference-only step. It has no
+// entries, so sharing one between every such Result is unobservable.
+var noTestingPs = mat.New(0, 0)
+
+// nuiseStep is the one implementation of Algorithm 2. res arrives with
+// its vectors and matrices carved to the mode's shape (resultShape.carve,
+// then dropTesting when testing is nil) and leaves filled in; on error
+// its contents are unspecified. Every temporary lives on the arena, whose
+// buffers come back with unspecified contents — each is the destination
+// of an …Into kernel that overwrites all of it before anything reads it.
+func nuiseStep(plant Plant, reference, testing sensors.Sensor, u, xPrev mat.Vec, pxPrev *mat.Mat, z1, z2 mat.Vec, sc *mat.Scratch, res *Result) error {
 	sc.Reset()
 
 	model := plant.Model
@@ -145,14 +219,14 @@ func NUISEScratch(plant Plant, reference, testing sensors.Sensor, u, xPrev mat.V
 	q := model.ControlDim()
 
 	// Linearize the kinematics at the previous estimate.
-	a := model.A(xPrev, u)
-	g := model.G(xPrev, u)
+	a := dynamics.EvalAInto(model, sc.Mat(n, n), xPrev, u)
+	g := dynamics.EvalGInto(model, sc.Mat(n, q), xPrev, u)
 
 	// Uncompensated prediction, and the measurement linearization point.
-	xPred0 := plant.wrapState(model.F(xPrev, u))
-	c2 := reference.C(xPred0)
-	r2 := reference.R()
 	p2 := reference.Dim()
+	xPred0 := plant.wrapState(dynamics.EvalFInto(model, sc.Vec(n), xPrev, u))
+	c2 := sensors.EvalCInto(reference, sc.Mat(p2, n), xPred0)
+	r2 := reference.R()
 
 	// --- Step 1: actuator anomaly estimation (lines 2–6) ---
 	// pTilde = A·Px·Aᵀ + Q
@@ -173,7 +247,7 @@ func NUISEScratch(plant Plant, reference, testing sensors.Sensor, u, xPrev mat.V
 	} else {
 		solved, err := rStar.SolveMat(c2g)
 		if err != nil {
-			return nil, fmt.Errorf("%w: R* inversion: %v", ErrIllConditioned, err)
+			return fmt.Errorf("%w: R* inversion: %v", ErrIllConditioned, err)
 		}
 		rsInvC2g = solved
 	}
@@ -181,8 +255,7 @@ func NUISEScratch(plant Plant, reference, testing sensors.Sensor, u, xPrev mat.V
 	fisher := mat.TMulInto(sc.Mat(q, q), c2g, rsInvC2g)
 	daValid := fisherConditioned(fisher)
 	var m2 *mat.Mat
-	var da mat.Vec
-	var pa *mat.Mat
+	da, pa := res.Da, res.Pa
 	if daValid {
 		// m2 = fisher⁻¹·Gᵀ·C2ᵀ·R*⁻¹ = fisher⁻¹·(R*⁻¹·C2·G)ᵀ (q×p2)
 		rsInvC2gT := mat.TInto(sc.Mat(q, p2), rsInvC2g)
@@ -196,18 +269,21 @@ func NUISEScratch(plant Plant, reference, testing sensors.Sensor, u, xPrev mat.V
 		}
 	}
 	if daValid {
-		innov0 := sensors.WrapResidual(mat.SubVecInto(sc.Vec(p2), z2, reference.H(xPred0)), reference.AngleIndices())
-		da = m2.MulVec(innov0)
+		h2 := sensors.EvalHInto(reference, sc.Vec(p2), xPred0)
+		innov0 := sensors.WrapResidual(mat.SubVecInto(h2, z2, h2), reference.AngleIndices())
+		mat.MulVecInto(da, m2, innov0)
 		paAcc := mat.MulTInto(sc.Mat(q, q), mat.MulInto(sc.Mat(q, p2), m2, rStar), m2)
-		pa = mat.SymmetrizeInto(mat.New(q, q), paAcc)
+		mat.SymmetrizeInto(pa, paAcc)
 	} else {
 		// rank(C2·G) < dim(u): the actuator anomaly is unobservable from
 		// this reference (e.g. steering at standstill). Degrade to a
 		// standard EKF step: no compensation, d̂a pinned at zero with an
-		// uninformative covariance.
-		m2 = sc.Mat(q, p2)
-		da = mat.NewVec(q)
-		pa = mat.New(q, q)
+		// uninformative covariance. M2 = 0 is an operand of what follows,
+		// never a kernel's destination, so this is the one arena buffer
+		// that has to be zeroed by hand.
+		m2 = sc.Mat(q, p2).Zero()
+		clear(da)
+		pa.Zero()
 		for i := 0; i < q; i++ {
 			pa.Set(i, i, 1e6)
 		}
@@ -223,7 +299,7 @@ func NUISEScratch(plant Plant, reference, testing sensors.Sensor, u, xPrev mat.V
 			}
 		}
 	}
-	xPred := plant.wrapState(model.F(xPrev, uComp))
+	xPred := plant.wrapState(dynamics.EvalFInto(model, res.X, xPrev, uComp))
 	gm2 := mat.MulInto(sc.Mat(n, p2), g, m2)
 	// igm = I − G·M2·C2
 	igm := mat.IdentityInto(sc.Mat(n, n))
@@ -246,7 +322,9 @@ func NUISEScratch(plant Plant, reference, testing sensors.Sensor, u, xPrev mat.V
 	mat.AddInto(r2Tilde, r2Tilde, c2s)
 	mat.AddInto(r2Tilde, r2Tilde, mat.TInto(sc.Mat(p2, p2), c2s))
 	mat.SymmetrizeInto(r2Tilde, r2Tilde)
-	nu := sensors.WrapResidual(z2.Sub(reference.H(xPred)), reference.AngleIndices())
+	nu := sensors.WrapResidual(
+		mat.SubVecInto(res.Innovation, z2, sensors.EvalHInto(reference, sc.Vec(p2), xPred)),
+		reference.AngleIndices())
 
 	gainNumer := mat.MulTInto(sc.Mat(n, p2), pxPred, c2)
 	mat.AddInto(gainNumer, gainNumer, s)
@@ -316,14 +394,14 @@ func NUISEScratch(plant Plant, reference, testing sensors.Sensor, u, xPrev mat.V
 		atomic.AddInt64(&nuiseJacobiFallbacks, 1)
 		r2TildeInv, rank, pseudoDet, err := r2Tilde.PseudoInverseSym(0)
 		if err != nil {
-			return nil, fmt.Errorf("%w: innovation covariance: %v", ErrIllConditioned, err)
+			return fmt.Errorf("%w: innovation covariance: %v", ErrIllConditioned, err)
 		}
 		l = mat.MulInto(sc.Mat(n, p2), gainNumer, r2TildeInv)
 		likelihood, pValue = likelihoodOf(nu, r2TildeInv, rank, pseudoDet)
 	}
 
-	// xPred came fresh from model.F (never arena-owned), so the update
-	// can land in place and the sum double as the Result's state.
+	// xPred already lives in res.X, so the update lands in place and the
+	// sum is the Result's state.
 	x := plant.wrapState(mat.AddVecInto(xPred, xPred, mat.MulVecInto(sc.Vec(n), l, nu)))
 	// ilc = I − L·C2
 	ilc := mat.IdentityInto(sc.Mat(n, n))
@@ -334,39 +412,27 @@ func NUISEScratch(plant Plant, reference, testing sensors.Sensor, u, xPrev mat.V
 	mat.SubInto(pxAcc, pxAcc, mat.MulTInto(sc.Mat(n, n), mat.MulInto(sc.Mat(n, p2), ilc, s), l))
 	mat.SubInto(pxAcc, pxAcc, mat.MulTInto(sc.Mat(n, n), mat.MulTInto(sc.Mat(n, n), l, s), ilc))
 	// The Result owns its matrices (the arena is reused next iteration),
-	// so the symmetrized covariances land in fresh allocations — but via
-	// the Into variants, with all intermediates on scratch.
-	px := mat.SymmetrizeInto(mat.New(n, n), pxAcc)
+	// so the symmetrized covariances land in its carved storage.
+	px := mat.SymmetrizeInto(res.Px, pxAcc)
 
 	// --- Step 4: testing-sensor anomaly estimation (lines 15–16) ---
-	var ds mat.Vec
-	ps := mat.New(0, 0)
-	if testing != nil && testing.Dim() > 0 {
-		ds = sensors.WrapResidual(z1.Sub(testing.H(x)), testing.AngleIndices())
-		c1 := testing.C(x)
+	if testing != nil {
 		p1 := testing.Dim()
+		sensors.WrapResidual(
+			mat.SubVecInto(res.Ds, z1, sensors.EvalHInto(testing, sc.Vec(p1), x)),
+			testing.AngleIndices())
+		c1 := sensors.EvalCInto(testing, sc.Mat(p1, n), x)
 		psAcc := mat.MulTInto(sc.Mat(p1, p1), mat.MulInto(sc.Mat(p1, n), c1, px), c1)
 		mat.AddInto(psAcc, psAcc, testing.R())
-		ps = mat.SymmetrizeInto(mat.New(p1, p1), psAcc)
+		mat.SymmetrizeInto(res.Ps, psAcc)
 	}
 
-	res := &Result{
-		X:           x,
-		Px:          px,
-		Da:          da,
-		Pa:          pa,
-		Ds:          ds,
-		Ps:          ps,
-		Likelihood:  likelihood,
-		PValue:      pValue,
-		Innovation:  nu,
-		Implausible: implausible,
-		DaValid:     daValid,
+	res.Likelihood, res.PValue = likelihood, pValue
+	res.Implausible, res.DaValid = implausible, daValid
+	if x.HasNaN() || px.HasNaN() || da.HasNaN() || (res.Ds != nil && res.Ds.HasNaN()) {
+		return ErrDiverged
 	}
-	if res.X.HasNaN() || res.Px.HasNaN() || res.Da.HasNaN() || (ds != nil && ds.HasNaN()) {
-		return nil, ErrDiverged
-	}
-	return res, nil
+	return nil
 }
 
 // fisherConditioned reports whether the q×q information matrix

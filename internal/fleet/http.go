@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"roboads/internal/api"
+	"roboads/internal/core"
 	"roboads/internal/detect"
 	"roboads/internal/mat"
 	"roboads/internal/telemetry"
@@ -579,6 +580,11 @@ func errorCode(err error) string {
 func replyCode(err error) string {
 	if code := errorCode(err); code != api.CodeBadRequest {
 		return code
+	}
+	if errors.Is(err, core.ErrFrameShape) {
+		// The frame itself is malformed (a command or reading of the
+		// wrong length): the client's fault, and the session lives on.
+		return api.CodeBadRequest
 	}
 	return api.CodeInternal
 }

@@ -15,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"roboads/internal/api"
 	"roboads/internal/mat"
 	"roboads/internal/trace"
 )
@@ -197,6 +198,50 @@ func TestHTTPStreamingMatchesLocal(t *testing.T) {
 			}
 		}
 		t.Fatal("reports diverged")
+	}
+}
+
+// One malformed frame — a reading of the wrong length, which used to
+// panic inside NUISE on the shard worker and take the whole process down
+// — gets an error reply line of its own, and the session carries on as if
+// the frame had never arrived: every later line is the report a detector
+// that never saw it produces.
+func TestHTTPMalformedFrameIsRefused(t *testing.T) {
+	frames := kheperaFrames(t, 27, 30)
+	want := localReports(t, DefaultBuilder(), Spec{Robot: "khepera"}, frames)
+	var wantWire []WireReport
+	buf, _ := json.Marshal(want)
+	if err := json.Unmarshal(buf, &wantWire); err != nil {
+		t.Fatal(err)
+	}
+
+	const at = 10
+	bad := frames[at]
+	bad.Readings = make(map[string][]float64, len(frames[at].Readings))
+	for name, z := range frames[at].Readings {
+		bad.Readings[name] = z
+	}
+	bad.Readings["ips"] = bad.Readings["ips"][:2]
+	sent := append(append(append([]trace.Frame(nil), frames[:at]...), bad), frames[at:]...)
+
+	_, srv := newTestServer(t, Config{Workers: 2})
+	info := createSession(t, srv.URL, "khepera")
+	lines := streamFrames(t, srv.URL, info.ID, sent)
+	if len(lines) != len(sent) {
+		t.Fatalf("got %d reply lines for %d frames", len(lines), len(sent))
+	}
+	if l := lines[at]; l.Report != nil || l.Code != api.CodeBadRequest || l.Closed ||
+		!strings.Contains(l.Error, "frame shape") {
+		t.Fatalf("malformed frame answered %+v", l)
+	}
+	good := append(append([]ReplyLine(nil), lines[:at]...), lines[at+1:]...)
+	for i, l := range good {
+		if l.Error != "" || l.Report == nil {
+			t.Fatalf("line %d: %+v", i, l)
+		}
+		if !reflect.DeepEqual(*l.Report, wantWire[i]) {
+			t.Fatalf("report %d diverged after the refused frame:\nremote %+v\nlocal  %+v", i, *l.Report, wantWire[i])
+		}
 	}
 }
 

@@ -236,4 +236,16 @@ func TestSlabCarving(t *testing.T) {
 	if s.MatsUsed() != 2 {
 		t.Fatalf("MatsUsed = %d", s.MatsUsed())
 	}
+
+	// Renew starts over on fresh backing arrays: what was carved keeps
+	// its memory and its values, and the next carve cannot alias it.
+	s.Renew(4, 1)
+	m3 := s.Mat(2, 2)
+	m3.Set(0, 0, 9)
+	if m1.At(0, 0) != 1 || m2.At(0, 0) != 3 || v1[0] != 4 || v2[0] != 5 {
+		t.Fatal("Renew disturbed values carved before it")
+	}
+	if s.FloatsUsed() != 4 || s.MatsUsed() != 1 {
+		t.Fatalf("after Renew: FloatsUsed = %d, MatsUsed = %d", s.FloatsUsed(), s.MatsUsed())
+	}
 }

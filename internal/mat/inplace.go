@@ -261,11 +261,22 @@ func mustDistinct(dst, a, b *Mat) {
 }
 
 // Scratch is a reusable arena of matrices for allocation-free hot loops.
-// Mat hands out zeroed matrices; Reset makes every matrix handed out so
+// Mat and Vec hand out buffers; Reset makes every buffer handed out so
 // far reusable again. After one warm pass with a stable shape sequence,
-// further passes allocate nothing. A Scratch is not safe for concurrent
-// use; the engine keeps one per mode so each NUISE instance owns its
-// arena (modes never run concurrently with themselves).
+// further passes allocate nothing and each request is answered by the
+// next buffer in line.
+//
+// Contents are unspecified: a buffer comes back holding whatever its
+// last user left in it (only a buffer the arena has just allocated is
+// zero). Every …Into kernel of this package overwrites its whole
+// destination, so a caller that only ever passes arena buffers as
+// destinations never sees the difference; a caller that wants zeros —
+// a matrix used as an operand without being written first — calls
+// Mat.Zero itself.
+//
+// A Scratch is not safe for concurrent use; the engine keeps one per
+// mode so each NUISE instance owns its arena (modes never run
+// concurrently with themselves).
 type Scratch struct {
 	mats []*Mat
 	next int
@@ -281,14 +292,27 @@ func NewScratch() *Scratch { return &Scratch{} }
 // Reset. Buffers obtained before the Reset must no longer be referenced.
 func (s *Scratch) Reset() { s.next, s.vnext = 0, 0 }
 
-// Mat returns a zeroed r×c matrix owned by the arena, reusing a
-// previously allocated one of the same shape when available.
+// Mat returns an r×c matrix owned by the arena, contents unspecified.
+// When this pass requests shapes in the order the last one did, that is
+// the next buffer in line.
 func (s *Scratch) Mat(r, c int) *Mat {
-	for i := s.next; i < len(s.mats); i++ {
+	if s.next < len(s.mats) {
+		if m := s.mats[s.next]; m.rows == r && m.cols == c {
+			s.next++
+			return m
+		}
+	}
+	return s.matSlow(r, c)
+}
+
+// matSlow serves a request the shape sequence did not predict (the first
+// pass, or a pass that branched differently): it moves a later free
+// buffer of the shape into line, or allocates one.
+func (s *Scratch) matSlow(r, c int) *Mat {
+	for i := s.next + 1; i < len(s.mats); i++ {
 		if m := s.mats[i]; m.rows == r && m.cols == c {
 			s.mats[i], s.mats[s.next] = s.mats[s.next], m
 			s.next++
-			clear(m.data)
 			return m
 		}
 	}
@@ -300,14 +324,23 @@ func (s *Scratch) Mat(r, c int) *Mat {
 	return m
 }
 
-// Vec returns a zeroed length-n vector owned by the arena, reusing a
-// previously allocated one of the same length when available.
+// Vec returns a length-n vector owned by the arena, contents
+// unspecified; see Mat.
 func (s *Scratch) Vec(n int) Vec {
-	for i := s.vnext; i < len(s.vecs); i++ {
+	if s.vnext < len(s.vecs) {
+		if v := s.vecs[s.vnext]; len(v) == n {
+			s.vnext++
+			return v
+		}
+	}
+	return s.vecSlow(n)
+}
+
+func (s *Scratch) vecSlow(n int) Vec {
+	for i := s.vnext + 1; i < len(s.vecs); i++ {
 		if v := s.vecs[i]; len(v) == n {
 			s.vecs[i], s.vecs[s.vnext] = s.vecs[s.vnext], v
 			s.vnext++
-			clear(v)
 			return v
 		}
 	}
@@ -317,4 +350,20 @@ func (s *Scratch) Vec(n int) Vec {
 	s.vecs[s.vnext], s.vecs[last] = s.vecs[last], s.vecs[s.vnext]
 	s.vnext++
 	return v
+}
+
+// Fill sets every entry of every buffer the arena owns to v. Tests fill
+// an arena with NaN between passes to prove that no result depends on
+// what a recycled buffer held.
+func (s *Scratch) Fill(v float64) {
+	for _, m := range s.mats {
+		for i := range m.data {
+			m.data[i] = v
+		}
+	}
+	for _, vec := range s.vecs {
+		for i := range vec {
+			vec[i] = v
+		}
+	}
 }

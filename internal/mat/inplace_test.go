@@ -2,6 +2,7 @@ package mat
 
 import (
 	"errors"
+	"math"
 	"testing"
 	"testing/quick"
 )
@@ -134,8 +135,17 @@ func TestScratchReusesBuffers(t *testing.T) {
 	if a2 != a || b2 != b {
 		t.Fatal("scratch did not reuse same-shape buffers after Reset")
 	}
-	if a2.At(0, 0) != 0 || b2.At(1, 1) != 0 {
-		t.Fatal("reused scratch matrix not zeroed")
+	// Contents are unspecified — the arena does not spend a clear on a
+	// buffer whose next user overwrites it — so a kernel writing into a
+	// reused buffer must not care what it holds, which Fill lets a test
+	// prove.
+	v := s.Vec(3)
+	s.Fill(math.NaN())
+	if !a2.HasNaN() || !b2.HasNaN() || !v.HasNaN() {
+		t.Fatal("Fill missed an arena buffer")
+	}
+	if got := MulInto(a2, Identity(3), Identity(3)); !bitEqual(got, Identity(3)) {
+		t.Fatalf("MulInto into a poisoned buffer = %v", got)
 	}
 	// Two requests of the same shape within one pass must be distinct.
 	s.Reset()

@@ -112,6 +112,7 @@ type iterRec struct {
 type missionRun struct {
 	compiled attack.Scenario
 	step     func() (*sim.StepRecord, error)
+	prof     robot.Profile
 	det      *detect.Detector
 	dt       float64
 	cap      int
@@ -119,11 +120,11 @@ type missionRun struct {
 	finished bool
 }
 
-// newMissionRun builds the simulator and detector for one trial,
-// mirroring eval.RunKheperaScenario's construction exactly: the same
-// mission, the same seed handling, and Profile.NewDetector with the
-// default engine and §V-F decision parameters.
-func newMissionRun(sc *Scenario, seed int64) (*missionRun, error) {
+// newMissionSim builds the simulator of one trial, mirroring
+// eval.RunKheperaScenario's construction exactly — the same mission and
+// the same seed handling — and the robot profile its detectors are built
+// from. No detector is attached yet.
+func newMissionSim(sc *Scenario, seed int64) (*missionRun, error) {
 	compiled, err := sc.Compile(1000)
 	if err != nil {
 		return nil, err
@@ -133,14 +134,13 @@ func newMissionRun(sc *Scenario, seed int64) (*missionRun, error) {
 		mr.cap = MaxIterations
 	}
 	mission := missionFor(sc.World)
-	var prof robot.Profile
 	switch sc.Robot {
 	case "khepera":
 		setup, err := sim.NewKhepera(mission, &mr.compiled, seed)
 		if err != nil {
 			return nil, fmt.Errorf("scenario %q seed %d: %w", sc.Name, seed, err)
 		}
-		prof = robot.Khepera(setup)
+		mr.prof = robot.Khepera(setup)
 		mr.step = setup.Sim.Step
 		mr.dt = sim.KheperaDt
 	case "tamiya":
@@ -148,17 +148,51 @@ func newMissionRun(sc *Scenario, seed int64) (*missionRun, error) {
 		if err != nil {
 			return nil, fmt.Errorf("scenario %q seed %d: %w", sc.Name, seed, err)
 		}
-		prof = robot.Tamiya(setup)
+		mr.prof = robot.Tamiya(setup)
 		mr.step = setup.Sim.Step
 		mr.dt = sim.TamiyaDt
 	default:
 		return nil, fmt.Errorf("scenario %q: unknown robot %q", sc.Name, sc.Robot)
 	}
-	mr.det, err = prof.NewDetector(core.DefaultEngineConfig(), detect.DefaultConfig())
+	return mr, nil
+}
+
+// newMissionRun is newMissionSim plus the trial's detector:
+// Profile.NewDetector with the default engine and §V-F decision
+// parameters.
+func newMissionRun(sc *Scenario, seed int64) (*missionRun, error) {
+	mr, err := newMissionSim(sc, seed)
+	if err != nil {
+		return nil, err
+	}
+	mr.det, err = mr.prof.NewDetector(core.DefaultEngineConfig(), detect.DefaultConfig())
 	if err != nil {
 		return nil, err
 	}
 	return mr, nil
+}
+
+// Frames steps one trial's simulator alone to the end of its mission (or
+// the scenario's iteration cap) and returns the frames RunSuite would
+// feed a detector, with the profile that detector is built from — for
+// tests and benchmarks that replay one frame set through many detectors.
+func Frames(sc *Scenario, seed int64) (robot.Profile, []*sim.StepRecord, error) {
+	mr, err := newMissionSim(sc, seed)
+	if err != nil {
+		return robot.Profile{}, nil, err
+	}
+	var recs []*sim.StepRecord
+	for len(recs) < mr.cap {
+		rec, err := mr.step()
+		if err != nil {
+			break // mission over
+		}
+		recs = append(recs, rec)
+		if rec.Done {
+			break
+		}
+	}
+	return mr.prof, recs, nil
 }
 
 // record appends one stepped iteration.

@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet staticcheck test race fleetsoak crashsoak fleetbatch flakehunt fuzz bench profile-replay benchsmoke benchbatch benchdiff benchoverhead loadgensmoke multinodesmoke scenariosmoke ci
+.PHONY: build vet staticcheck test tier1-loaded race fleetsoak crashsoak fleetbatch flakehunt fuzz bench profile-replay profile-generate benchsmoke benchbatch benchdiff benchoverhead loadgensmoke multinodesmoke scenariosmoke ci
 
 build:
 	$(GO) build ./...
@@ -57,16 +57,25 @@ fleetbatch:
 	$(GO) test -race -count=1 -run 'TestFleetBatch' ./internal/fleet/
 	$(GO) test -race -count=1 -timeout 30m -run 'TestBatchedStep' ./internal/eval/
 
+# LOADED prefixes a recipe's command with four busy-looping processes that
+# compete for the CPUs until the command exits.
+LOADED = set -e; pids=""; \
+	for i in 1 2 3 4; do sh -c 'while :; do :; done' & pids="$$pids $$!"; done; \
+	trap 'kill $$pids 2>/dev/null' EXIT INT TERM;
+
 # Flake hunt: the store and fleet suites 20 times over under the race
 # detector, on two Ps with four busy-looping processes competing for
 # the CPUs — the conditions under which a goroutine is preempted between
 # two steps that only look atomic (the reply-before-idle eviction flake
 # was invisible on a quiet machine). Any failure in 20 is a bug.
 flakehunt:
-	@set -e; pids=""; \
-	for i in 1 2 3 4; do sh -c 'while :; do :; done' & pids="$$pids $$!"; done; \
-	trap 'kill $$pids 2>/dev/null' EXIT INT TERM; \
-	GOMAXPROCS=2 $(GO) test -race -count=20 -timeout 60m ./internal/store/ ./internal/fleet/
+	@$(LOADED) GOMAXPROCS=2 $(GO) test -race -count=20 -timeout 60m ./internal/store/ ./internal/fleet/
+
+# Tier-1 under load (ROADMAP item 4c): the whole suite, uncached, on two
+# Ps with the same four CPU burners as flakehunt. A test that passes on a
+# quiet machine and fails here has a scheduling or timing assumption in it.
+tier1-loaded:
+	@$(LOADED) GOMAXPROCS=2 $(GO) test -count=1 ./...
 
 # Fuzz smoke: each decoder target gets a short native-fuzzing burst
 # (go test -fuzz accepts one target per invocation). The corpus grows in
@@ -86,8 +95,8 @@ bench:
 
 # CPU and allocation profiles of the suite replay (BenchmarkSuiteReplay,
 # the detect_replay workload as a Go benchmark), written with the test
-# binary outside the tree. The missions are generated once (~4 s, the
-# path planner; -focus skips it). Read them with
+# binary outside the tree. The missions are generated once (under a
+# second; -focus skips it). Read them with
 #   go tool pprof -top -focus 'Detector..Step' $(PROFILE_DIR)/roboads.test $(PROFILE_DIR)/cpu.prof
 #   go tool pprof -sample_index=alloc_space -top $(PROFILE_DIR)/roboads.test $(PROFILE_DIR)/mem.prof
 PROFILE_DIR ?= $(or $(TMPDIR),/tmp)/roboads-profile
@@ -96,6 +105,16 @@ profile-replay:
 	$(GO) test -run xxx -bench '^BenchmarkSuiteReplay$$' -benchtime=100x \
 		-o $(PROFILE_DIR)/roboads.test -outputdir $(PROFILE_DIR) \
 		-cpuprofile cpu.prof -memprofile mem.prof .
+	@echo "profiles in $(PROFILE_DIR)"
+
+# The same for generating the suite's missions (BenchmarkSuiteGenerate:
+# the RRT* planner, then the simulator), what detect_replay reports as
+# setup_s. Profiles are named gen-*.prof beside profile-replay's.
+profile-generate:
+	mkdir -p $(PROFILE_DIR)
+	$(GO) test -run xxx -bench '^BenchmarkSuiteGenerate$$' -benchtime=10x \
+		-o $(PROFILE_DIR)/roboads.test -outputdir $(PROFILE_DIR) \
+		-cpuprofile gen-cpu.prof -memprofile gen-mem.prof .
 	@echo "profiles in $(PROFILE_DIR)"
 
 # The benchmark (bench/, BENCHMARK.json) is a Go module of its own, so

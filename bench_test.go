@@ -686,9 +686,8 @@ func BenchmarkDetectorStep(b *testing.B) {
 	}
 }
 
-// replaySuite generates BenchmarkSuiteReplay's missions once (~4 s of
-// path planning): the harness calls a benchmark function once per b.N it
-// tries.
+// replaySuite generates BenchmarkSuiteReplay's missions once: the harness
+// calls a benchmark function once per b.N it tries.
 var replaySuite = sync.OnceValues(func() ([]*suiteMission, error) { return generateSuite(42) })
 
 // BenchmarkSuiteReplay is bench/'s detect_replay workload as a Go
@@ -725,6 +724,28 @@ func BenchmarkSuiteReplay(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(frames)*float64(b.N)/b.Elapsed().Seconds(), "frames/s")
+}
+
+// BenchmarkSuiteGenerate is the other half of an evaluation trial, what
+// bench/'s detect_replay pays as setup_s before it can replay anything:
+// generating the 26 missions of scenario.Default(42) — one RRT* plan each,
+// then the closed-loop simulator stepped to completion with no detector
+// attached.
+func BenchmarkSuiteGenerate(b *testing.B) {
+	b.ReportAllocs()
+	missions, frames := 0, 0
+	for i := 0; i < b.N; i++ {
+		suite, err := generateSuite(42)
+		if err != nil {
+			b.Fatal(err)
+		}
+		missions += len(suite)
+		for _, m := range suite {
+			frames += len(m.recs)
+		}
+	}
+	b.ReportMetric(float64(missions)/b.Elapsed().Seconds(), "missions/s")
+	b.ReportMetric(float64(frames)/b.Elapsed().Seconds(), "frames/s")
 }
 
 // --- Table II: one benchmark per attack/failure scenario -------------------

@@ -46,6 +46,28 @@ func DefaultConfig() Config {
 // reaching the goal region.
 var ErrNoPath = errors.New("plan: no path found")
 
+// ErrConfig indicates a Config no search can run on.
+var ErrConfig = errors.New("plan: invalid config")
+
+// validate rejects the configurations on which the search would only burn
+// its budget on duplicate or NaN candidates. The negated comparisons also
+// catch NaN. RewireRadius 0 (no neighbourhood: plain RRT) is legal.
+func (c Config) validate() error {
+	switch {
+	case c.MaxIterations <= 0:
+		return fmt.Errorf("%w: MaxIterations %d must be positive", ErrConfig, c.MaxIterations)
+	case !(c.StepSize > 0):
+		return fmt.Errorf("%w: StepSize %v must be positive", ErrConfig, c.StepSize)
+	case !(c.GoalRadius >= 0):
+		return fmt.Errorf("%w: GoalRadius %v must not be negative", ErrConfig, c.GoalRadius)
+	case !(c.Margin >= 0):
+		return fmt.Errorf("%w: Margin %v must not be negative", ErrConfig, c.Margin)
+	case !(c.RewireRadius >= 0):
+		return fmt.Errorf("%w: RewireRadius %v must not be negative", ErrConfig, c.RewireRadius)
+	}
+	return nil
+}
+
 type node struct {
 	p      world.Point
 	parent int
@@ -55,14 +77,28 @@ type node struct {
 // Plan runs RRT* on m from start to goal and returns the waypoint list
 // (start first, a point inside the goal region last).
 func Plan(m *world.Map, start, goal world.Point, cfg Config, rng *stat.RNG) ([]world.Point, error) {
+	if err := cfg.validate(); err != nil {
+		return nil, err
+	}
 	if !m.Free(start, cfg.Margin) {
 		return nil, fmt.Errorf("plan: start %v not in free space", start)
 	}
 	if !m.Free(goal, cfg.Margin) {
 		return nil, fmt.Errorf("plan: goal %v not in free space", goal)
 	}
+	nodes, bestGoal := growTree(m, start, goal, cfg, rng)
+	if bestGoal < 0 {
+		return nil, ErrNoPath
+	}
+	return extractPath(nodes, bestGoal), nil
+}
 
+// growTree runs the sampling loop and returns the tree with the index of
+// its cheapest node inside the goal region, -1 when none got there.
+func growTree(m *world.Map, start, goal world.Point, cfg Config, rng *stat.RNG) ([]node, int) {
 	nodes := []node{{p: start, parent: -1, cost: 0}}
+	index := newNodeIndex(m.Bounds, cfg)
+	index.insert(0, start)
 	bestGoal := -1
 	bestCost := math.Inf(1)
 
@@ -82,19 +118,25 @@ func Plan(m *world.Map, start, goal world.Point, cfg Config, rng *stat.RNG) ([]w
 		}
 
 		// Steer from the nearest node toward the sample.
-		nearest := nearestNode(nodes, sample)
+		nearest := index.nearest(nodes, sample)
 		candidate := steer(nodes[nearest].p, sample, cfg.StepSize)
 		if !m.Free(candidate, cfg.Margin) {
 			continue
 		}
 
 		// Choose the lowest-cost collision-free parent in the
-		// neighborhood (the RRT* "choose parent" step).
-		neighbors := nearNodes(nodes, candidate, cfg.RewireRadius)
+		// neighborhood (the RRT* "choose parent" step). The neighbors
+		// come in no particular order, so among equal costs the lowest
+		// index wins explicitly — and the nearest node, the incumbent,
+		// yields only to a strictly cheaper one — which is what a scan
+		// in index order with a strict comparison selects.
+		neighbors, dists := index.near(nodes, candidate, cfg.RewireRadius)
 		parent, parentCost := nearest, nodes[nearest].cost+nodes[nearest].p.Dist(candidate)
-		for _, ni := range neighbors {
-			c := nodes[ni].cost + nodes[ni].p.Dist(candidate)
-			if c < parentCost && m.SegmentFree(world.Segment{A: nodes[ni].p, B: candidate}, cfg.Margin, 0) {
+		for j, ni32 := range neighbors {
+			ni := int(ni32)
+			c := nodes[ni].cost + dists[j]
+			if (c < parentCost || (c == parentCost && parent != nearest && ni < parent)) &&
+				m.SegmentFree(world.Segment{A: nodes[ni].p, B: candidate}, cfg.Margin, 0) {
 				parent, parentCost = ni, c
 			}
 		}
@@ -103,10 +145,11 @@ func Plan(m *world.Map, start, goal world.Point, cfg Config, rng *stat.RNG) ([]w
 		}
 		newIdx := len(nodes)
 		nodes = append(nodes, node{p: candidate, parent: parent, cost: parentCost})
+		index.insert(newIdx, candidate)
 
 		// Rewire the neighborhood through the new node where cheaper.
-		for _, ni := range neighbors {
-			through := parentCost + candidate.Dist(nodes[ni].p)
+		for j, ni := range neighbors {
+			through := parentCost + dists[j]
 			if through < nodes[ni].cost &&
 				m.SegmentFree(world.Segment{A: candidate, B: nodes[ni].p}, cfg.Margin, 0) {
 				nodes[ni].parent = newIdx
@@ -120,31 +163,7 @@ func Plan(m *world.Map, start, goal world.Point, cfg Config, rng *stat.RNG) ([]w
 			bestCost = parentCost
 		}
 	}
-
-	if bestGoal < 0 {
-		return nil, ErrNoPath
-	}
-	return extractPath(nodes, bestGoal), nil
-}
-
-func nearestNode(nodes []node, p world.Point) int {
-	best, bestDist := 0, math.Inf(1)
-	for i, n := range nodes {
-		if d := n.p.Dist(p); d < bestDist {
-			best, bestDist = i, d
-		}
-	}
-	return best
-}
-
-func nearNodes(nodes []node, p world.Point, radius float64) []int {
-	var out []int
-	for i, n := range nodes {
-		if n.p.Dist(p) <= radius {
-			out = append(out, i)
-		}
-	}
-	return out
+	return nodes, bestGoal
 }
 
 func steer(from, toward world.Point, step float64) world.Point {

@@ -98,7 +98,7 @@ func run(args []string) error {
 	stateDir := fs.String("state-dir", "", "persist fleet sessions under this directory (serve); empty = no persistence")
 	snapshotEvery := fs.Int("snapshot-every", 0, "frames between automatic session checkpoints (serve); 0 = 256, negative = manual only")
 	fsyncEvery := fs.Int("fsync-every", 0, "WAL fsync cadence in frames (serve); 0 or 1 = every frame, negative = never")
-	commitWindow := fs.Duration("commit-window", 0, "group commit (serve): any value >0 takes WAL syncs off the shard workers and paces them — an idle server syncs a frame at once, a busy one syncs sessions' appends together at no more than four WAL files per window store-wide and one sync per session per window, so the window is the upper bound on the grouping delay of a lone session and sets a steady rate under load (supersedes -fsync-every; frames still ack only after the covering fsync)")
+	commitWindow := fs.Duration("commit-window", 0, "group commit (serve): any value >0 takes log syncs off the shard workers — a worker writes a job's frames to the one log all sessions share and enlists the reply with the store's flusher, whose single fsync covers every session that enlisted. The value is a pace per session, not a delay and not a store-wide limit: one session's jobs are completed at most once per window, so an idle session's frame is synced at once and a lone client streaming without pause settles at one reply per window (supersedes -fsync-every; frames still ack only after a covering fsync)")
 	traceFrames := fs.Bool("trace", true, "frame-lifecycle tracing (serve): per-stage latency histograms in /metrics and span exemplars at /v1/debug/trace; false = zero span work on the frame path")
 	wire := fs.String("wire", "binary", "frame wire format for replay -remote: binary|json (replies are identical either way)")
 	binary := fs.Bool("binary", false, "record in the binary trace format (smaller, faster to replay; replay auto-detects either)")

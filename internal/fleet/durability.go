@@ -17,9 +17,10 @@ import (
 
 // Durability configures the optional persistence layer of a Manager.
 // When Dir is set, every session checkpoints its detector state to
-// <Dir>/<session>/ and write-ahead-logs each accepted frame, so a crash
-// or redeploy loses nothing: NewManager recovers persisted sessions
-// (newest snapshot + WAL-tail replay) under their original IDs, and the
+// <Dir>/<session>/ and each accepted frame is appended to the one log
+// under <Dir> that all sessions share, so a crash or redeploy loses
+// nothing: NewManager recovers persisted sessions (newest snapshot +
+// replay of the session's log records since) under their original IDs, and the
 // recovered report stream is bit-for-bit the stream the uninterrupted
 // process would have produced.
 type Durability struct {
@@ -27,22 +28,24 @@ type Durability struct {
 	// hot path then carries no persistence work at all).
 	Dir string
 	// SnapshotEvery is the automatic checkpoint cadence in frames: a
-	// session whose WAL reaches this length is snapshotted and the WAL
-	// rotated. 0 defaults to 256; negative disables automatic
-	// checkpoints (the WAL still grows, and Checkpoint still works).
+	// session with this many frames logged since its snapshot is
+	// snapshotted again, which releases those records. 0 defaults to 256;
+	// negative disables automatic checkpoints (Checkpoint still works, and
+	// the janitor still checkpoints a session that pins old log).
 	SnapshotEvery int
-	// FsyncEvery is the WAL fsync policy (store.Options.FsyncEvery):
+	// FsyncEvery is the log fsync policy (store.Options.FsyncEvery):
 	// 0 and 1 fsync every frame — a replied frame is on stable storage;
 	// n > 1 batches; negative never fsyncs.
 	FsyncEvery int
 	// CommitWindow > 0 enables cross-session group commit
-	// (store.Options.CommitWindow): WAL appends skip the inline fsync,
-	// shard workers enlist each stepped job with the store's flusher and
-	// move on, and the job is acknowledged by the flusher after the group
-	// sync covering it. The value paces the flusher (four WAL files per
-	// window store-wide, one sync per session per window) and is not a
-	// delay: an idle store syncs a job at once. Reply-after-fsync is
-	// preserved; FsyncEvery is ignored.
+	// (store.Options.CommitWindow): appends skip the inline fsync, shard
+	// workers enlist each stepped job with the store's flusher and move
+	// on, and the job is acknowledged by the flusher after a sync of the
+	// shared log that covers it — one fsync for every session enlisted.
+	// The value is a pace per session (its jobs are completed at most once
+	// per window), not a delay and not a store-wide limit: an idle
+	// session's job is synced at once. Reply-after-fsync is preserved;
+	// FsyncEvery is ignored.
 	CommitWindow time.Duration
 }
 
@@ -56,8 +59,8 @@ type StateStepper interface {
 	ImportState(*detect.State) error
 }
 
-// Checkpoint forces a snapshot of one live session right now, rotating
-// its WAL. It runs under the session's step lock: the snapshot captures
+// Checkpoint forces a snapshot of one live session right now, releasing
+// its log records. It runs under the session's step lock: the snapshot captures
 // a frame boundary, never a mid-step state, and the session cannot be
 // evicted or closed while the serialization is in progress.
 func (m *Manager) Checkpoint(id string) (CheckpointInfo, error) {
@@ -108,10 +111,9 @@ func (m *Manager) Restore(id string) (SessionInfo, error) {
 	m.sessions[id] = nil // reserved
 	m.mu.Unlock()
 	if closing != nil {
-		// The session was just evicted or deleted and its teardown
-		// (final snapshot, WAL handle close) is still running; reading
-		// or reopening its files now could strand appends on a segment
-		// teardown is about to compact away. Wait it out.
+		// The session was just evicted or deleted and its teardown (final
+		// snapshot, store close) is still running; recovering it now could
+		// read a snapshot teardown is about to replace. Wait it out.
 		<-closing
 	}
 
@@ -162,10 +164,9 @@ func (m *Manager) initDurable(id string, spec Spec, stepper Stepper, info Sessio
 	return ds, nil
 }
 
-// persistSnapshot checkpoints s. The caller holds s.stepMu. The WAL
-// rotation inside first waits for the session's enlisted commits to be
-// synced and answered (store.SessionStore.WriteSnapshot); answering
-// takes no session lock, so holding stepMu across that wait is safe.
+// persistSnapshot checkpoints s. The caller holds s.stepMu. It waits on
+// nothing but its own file syncs: commits the session still has enlisted
+// complete on their own (store.SessionStore.WriteSnapshot).
 func (m *Manager) persistSnapshot(s *session) (int, error) {
 	ss, ok := s.stepper.(StateStepper)
 	if !ok {
@@ -177,8 +178,9 @@ func (m *Manager) persistSnapshot(s *session) (int, error) {
 
 // logFrame write-ahead-logs one successfully stepped frame. The caller
 // holds s.stepMu, and the reply is sent only after logFrame returns —
-// under group commit, only from the completion of the covering
-// SessionStore.CommitAsync — so a replied frame is on stable storage. An
+// under group commit, where the record is written with the rest of its
+// job by SessionStore.CommitAsync, only from that call's completion — so
+// a replied frame is on stable storage. An
 // append error is surfaced to the client in place of the report: the
 // frame was applied in memory but its durability is unknown, and
 // claiming success would break the recovery contract.
@@ -194,8 +196,8 @@ func (m *Manager) logFrame(s *session, fr BatchFrame, rep *detect.Report) error 
 }
 
 // rebuildSession reconstructs one persisted session: newest snapshot,
-// detector rebuilt from the recorded profile, state imported, WAL tail
-// replayed. The returned session is not yet registered. The second
+// detector rebuilt from the recorded profile, state imported, its log
+// records since replayed. The returned session is not yet registered. The second
 // return is the number of frames replayed.
 func (m *Manager) rebuildSession(id string) (*session, int, error) {
 	ds, snap, frames, err := m.store.Recover(id)

@@ -190,8 +190,8 @@ type Manager struct {
 	mu       sync.Mutex
 	sessions map[string]*session
 	// closing marks sessions removed from the map whose teardown (final
-	// snapshot, WAL close) is still running; Restore waits on the entry
-	// so it never reads or reopens files mid-teardown.
+	// snapshot, store close) is still running; Restore waits on the entry
+	// so it never reads a snapshot mid-teardown.
 	closing map[string]chan struct{}
 	// tombstones maps migrated-away session IDs to the base URL of the
 	// node that took them; lookups answer ErrMoved with the target until
@@ -235,7 +235,8 @@ const (
 )
 
 // NewManager starts a fleet manager: its shard workers immediately and,
-// when Config.IdleTimeout is set, the eviction janitor.
+// when Config.IdleTimeout or Config.Durability.Dir is set, the janitor
+// (idle eviction, and checkpoints of sessions that pin old log).
 func NewManager(cfg Config) (*Manager, error) {
 	if cfg.Build == nil {
 		return nil, errors.New("fleet: Config.Build is required")
@@ -319,10 +320,13 @@ func NewManager(cfg Config) (*Manager, error) {
 		m.wg.Add(1)
 		go m.worker()
 	}
-	if cfg.IdleTimeout > 0 {
+	if cfg.IdleTimeout > 0 || m.store != nil {
 		m.janitorStop = make(chan struct{})
 		m.janitorDone = make(chan struct{})
 		interval := cfg.IdleTimeout / 4
+		if cfg.IdleTimeout <= 0 {
+			interval = time.Second // no eviction: only the pass that bounds the log
+		}
 		if interval < 10*time.Millisecond {
 			interval = 10 * time.Millisecond
 		}
@@ -815,21 +819,14 @@ func (m *Manager) complete(s *session, job frameJob, results []FrameResult, appe
 		m.answer(s, job, results)
 		return
 	}
-	if appended > 0 {
-		// Wake the replication stream before the local sync: the
-		// follower's fsync overlaps ours.
-		m.replNotify()
-		if m.snapshotEvery > 0 && s.ds.SinceSnapshot() >= m.snapshotEvery {
-			// Checkpoint cadence, on the worker because it needs the
-			// detector under stepMu. The snapshot is itself a durable
-			// copy of every applied frame — the enlistment below then
-			// finds an empty segment and syncs nothing — and rotation
-			// first waits out this session's enlisted syncs, so no
-			// acknowledged append is ever discarded un-synced. A failed
-			// checkpoint only postpones compaction; it does not fail the
-			// batch.
-			m.persistSnapshot(s)
-		}
+	if appended > 0 && m.snapshotEvery > 0 && s.ds.SinceSnapshot() >= m.snapshotEvery {
+		// Checkpoint cadence, on the worker because it needs the detector
+		// under stepMu. It waits for nothing: the snapshot is itself a
+		// durable copy of every applied frame, and commits this session
+		// still has enlisted complete against the log on their own. A
+		// failed checkpoint only postpones compaction; it does not fail the
+		// batch.
+		m.persistSnapshot(s)
 	}
 	finish := func(err error) {
 		if err != nil {
@@ -906,7 +903,7 @@ func failAll(results []FrameResult, err error) {
 // With persist, a final snapshot is written first so eviction and
 // shutdown leave the session restorable at its exact frame boundary.
 // Jobs already enlisted with the flusher are still synced and answered:
-// the final snapshot's rotation and ds.Close both wait for their syncs.
+// the flusher holds a log position, nothing of the session.
 func (m *Manager) closeSession(s *session, persist bool) {
 	s.closeMu.Lock()
 	if s.closed {
@@ -950,8 +947,33 @@ func (m *Manager) janitor(interval time.Duration) {
 		case <-m.janitorStop:
 			return
 		case <-t.C:
-			m.evictIdle()
+			if m.cfg.IdleTimeout > 0 {
+				m.evictIdle()
+			}
+			m.checkpointLagging()
 		}
+	}
+}
+
+// checkpointLagging keeps the shared log bounded: a live session whose
+// oldest record since its snapshot lies more than two segments behind the
+// log's head pins every segment from there on, so it is checkpointed —
+// which it would not be on its own, being idle or slow. (An evicted
+// session ends on a snapshot and pins nothing.)
+func (m *Manager) checkpointLagging() {
+	if m.store == nil {
+		return
+	}
+	for _, id := range m.store.Lagging() {
+		s, err := m.lookup(id)
+		if err != nil {
+			continue
+		}
+		s.stepMu.Lock()
+		if !s.isClosed() && s.ds != nil {
+			m.persistSnapshot(s)
+		}
+		s.stepMu.Unlock()
 	}
 }
 

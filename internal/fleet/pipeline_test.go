@@ -124,43 +124,34 @@ func TestShutdownAnswersPendingCommit(t *testing.T) {
 	}
 }
 
-// TestCheckpointWaitsForPendingCommit: a Checkpoint that lands while a
-// job is enlisted but not yet synced must not rotate its WAL segment
-// away under the flusher — the job is answered with success, and a copy
-// of the state directory taken right then (a crash) recovers every
+// TestCheckpointDuringPendingCommit: a Checkpoint that lands while a job
+// is enlisted but not yet synced neither waits for the flusher — there is
+// no per-session file to rotate away under it — nor disturbs the job: the
+// job is answered with success once its sync is through, and a copy of
+// the state directory taken right then (a crash) recovers every
 // acknowledged frame.
-func TestCheckpointWaitsForPendingCommit(t *testing.T) {
+func TestCheckpointDuringPendingCommit(t *testing.T) {
 	dir := t.TempDir()
 	m, a, pa, release := pendingCommit(t, dir)
 	defer m.Shutdown(context.Background())
 
-	type checkpoint struct {
-		ci  CheckpointInfo
-		err error
+	ci, err := m.Checkpoint(a.ID) // returns with the sync still held
+	if err != nil {
+		t.Fatal(err)
 	}
-	done := make(chan checkpoint, 1)
-	go func() {
-		ci, err := m.Checkpoint(a.ID)
-		done <- checkpoint{ci, err}
-	}()
-	stillBlocked(t, done, "Checkpoint rotated the WAL under a sync still in flight")
+	if ci.FramesApplied != 3 {
+		t.Fatalf("checkpoint at %d frames, want 3", ci.FramesApplied)
+	}
+	stillBlocked(t, pa.reply, "job answered before its sync finished")
 	close(release)
-	cp := <-done
-	if cp.err != nil {
-		t.Fatal(cp.err)
+	results, err := pa.Wait(context.Background())
+	if err != nil {
+		t.Fatal(err)
 	}
-	if cp.ci.FramesApplied != 3 {
-		t.Fatalf("checkpoint at %d frames, want 3", cp.ci.FramesApplied)
-	}
-	select {
-	case results := <-pa.reply:
-		for i, res := range results {
-			if res.Err != nil {
-				t.Fatalf("frame %d of the job pending across the checkpoint: %v", i, res.Err)
-			}
+	for i, res := range results {
+		if res.Err != nil {
+			t.Fatalf("frame %d of the job pending across the checkpoint: %v", i, res.Err)
 		}
-	default:
-		t.Fatal("Checkpoint rotated the WAL before the enlisted job was synced and answered")
 	}
 
 	crashed := t.TempDir()
@@ -267,6 +258,110 @@ func TestSyncFailureFailsEveryCoveredJob(t *testing.T) {
 	defer cancel()
 	if err := m.Shutdown(ctx); err != nil {
 		t.Fatalf("shutdown after a failed flush: %v", err)
+	}
+}
+
+// TestLogFailureIsSticky: one failed fsync of the log — after which the
+// device reports success again, as Linux does once it has dropped the
+// dirty pages — must fail every later job of every session until the
+// store is reopened: none may be answered with success over the hole. A
+// copy of the directory then recovers no frame that was acknowledged
+// after the failure, and every frame acknowledged before it.
+func TestLogFailureIsSticky(t *testing.T) {
+	for _, window := range []time.Duration{2 * time.Millisecond, 0} {
+		t.Run(fmt.Sprintf("commit-window=%v", window), func(t *testing.T) {
+			dir := t.TempDir()
+			m, err := NewManager(Config{
+				Workers: 2, Build: DefaultBuilder(),
+				Durability: Durability{Dir: dir, CommitWindow: window, SnapshotEvery: -1},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer m.Shutdown(context.Background())
+			boom := errors.New("injected: device error")
+			var healthy atomic.Bool
+			var failures atomic.Int32
+			healthy.Store(true)
+			m.store.SetFsyncForTest(func(f *os.File) error {
+				if !healthy.Swap(true) {
+					failures.Add(1)
+					return boom // once; the next sync "succeeds"
+				}
+				return f.Sync()
+			})
+			frames := kheperaFrames(t, 35, 12)
+			var ids []string
+			for i := 0; i < 3; i++ {
+				ids = append(ids, mustCreate(t, m, Spec{Robot: "khepera"}).ID)
+			}
+			step := func(id string, from, n int) (acked int, err error) {
+				p, serr := m.SubmitBatch(id, batchOf(frames[from:from+n]))
+				if serr != nil {
+					t.Fatal(serr)
+				}
+				results, werr := p.Wait(context.Background())
+				if werr != nil {
+					t.Fatal(werr)
+				}
+				for _, res := range results {
+					if res.Err == nil {
+						acked++
+					} else {
+						err = res.Err
+					}
+				}
+				return acked, err
+			}
+			for _, id := range ids {
+				if n, err := step(id, 0, 3); n != 3 {
+					t.Fatalf("before the failure: %d of 3 frames acknowledged (%v)", n, err)
+				}
+			}
+			healthy.Store(false)
+			if n, err := step(ids[0], 3, 3); n == 3 || !errors.Is(err, boom) {
+				t.Fatalf("job over the failing sync: %d frames acknowledged, error %v", n, err)
+			}
+			if failures.Load() != 1 {
+				t.Fatalf("%d syncs failed, want exactly 1", failures.Load())
+			}
+			for round := 0; round < 2; round++ {
+				for _, id := range ids[1:] {
+					n, err := step(id, 3+3*round, 3)
+					if n != 0 || !errors.Is(err, store.ErrLogFailed) {
+						t.Errorf("session %s after the failure: %d frames acknowledged, error %v (want none, ErrLogFailed)", id, n, err)
+					}
+					if code := replyCode(err); code != "internal" {
+						t.Errorf("reply code %q for a log failure, want internal", code)
+					}
+				}
+			}
+
+			crashed := t.TempDir()
+			if err := copyTree(dir, crashed); err != nil {
+				t.Fatal(err)
+			}
+			m2, err := NewManager(Config{Workers: 1, Build: DefaultBuilder(), Durability: Durability{Dir: crashed}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer m2.Shutdown(context.Background())
+			for _, id := range ids {
+				st, err := m2.Status(id)
+				if err != nil {
+					t.Fatal(err)
+				}
+				// Unacknowledged frames may have reached the disk; none past
+				// the third was ever acknowledged.
+				if st.FramesApplied < 3 {
+					t.Errorf("session %s recovered %d frames of 3 acknowledged before the failure", id, st.FramesApplied)
+				}
+			}
+			// The reopened store takes frames again.
+			if _, err := m2.Step(context.Background(), ids[1], mat.Vec(frames[0].U), frameReadings(&frames[0])); err != nil && errors.Is(err, store.ErrLogFailed) {
+				t.Fatalf("reopened store still refuses: %v", err)
+			}
+		})
 	}
 }
 

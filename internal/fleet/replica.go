@@ -188,9 +188,9 @@ func (h *replHub) waitAcked(session string, seq int, timeout time.Duration) erro
 	}
 }
 
-// replNotify wakes the replication shipper after WAL appends. Called on
-// the frame path before the job enlists for its local sync so the
-// follower's fsync overlaps the primary's.
+// replNotify wakes the replication shipper after a job's records were
+// written to the log (CommitAsync does that before it enlists the job
+// for its local sync), so the follower's fsync overlaps the primary's.
 func (m *Manager) replNotify() {
 	if m.repl != nil {
 		m.repl.wake()

@@ -1,18 +1,18 @@
 package store
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"math/rand"
 	"os"
-	"path/filepath"
 	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"roboads/internal/telemetry"
+	"roboads/internal/trace"
 )
 
 // openSession creates a session with an initial snapshot so appends work.
@@ -76,7 +76,7 @@ func waitDone(t *testing.T, done <-chan error) error {
 // wait for one token on release, so a test can keep a flush in flight
 // while more commits enlist behind it.
 func holdSyncs(st *Store) (entered, release chan struct{}) {
-	entered, release = make(chan struct{}, 64), make(chan struct{}, 64)
+	entered, release = make(chan struct{}, 64), make(chan struct{})
 	st.fsync = func(f *os.File) error {
 		entered <- struct{}{}
 		<-release
@@ -117,12 +117,12 @@ func TestGroupCommitLoneCommitFlushesAtOnce(t *testing.T) {
 
 // TestGroupCommitGroupsBehindRunningSync pins where grouping comes from:
 // whatever enlists while one flush is syncing is covered by the next
-// flush together — one sync per dirty file, every completion released —
-// up to syncFanout files a flush.
+// flush together — ONE sync of the shared log, however many sessions,
+// every completion released.
 func TestGroupCommitGroupsBehindRunningSync(t *testing.T) {
 	st, reg := groupStore(t)
 	entered, release := holdSyncs(st)
-	const sessions = syncFanout // the waiting batch is one flush: syncFanout files
+	const sessions = 4
 	stores := make([]*SessionStore, sessions)
 	for i := range stores {
 		stores[i] = openSession(t, st, fmt.Sprintf("s-%d", i), 0)
@@ -140,9 +140,8 @@ func TestGroupCommitGroupsBehindRunningSync(t *testing.T) {
 		t.Fatal("a commit completed while the only flusher was held in another sync")
 	case <-time.After(5 * time.Millisecond):
 	}
-	for i := 0; i < 1+sessions; i++ {
-		release <- struct{}{}
-	}
+	release <- struct{}{}
+	release <- struct{}{}
 	if err := waitDone(t, first); err != nil {
 		t.Fatal(err)
 	}
@@ -154,10 +153,13 @@ func TestGroupCommitGroupsBehindRunningSync(t *testing.T) {
 	if got := histogramCount(t, reg, MetricCommitBatchSessions); got != 2 {
 		t.Fatalf("%d flushes, want 2 (the lone commit, then everyone behind it)", got)
 	}
-	if got := counterValue(t, reg, MetricWALFsyncs); got != 1+sessions {
-		t.Fatalf("%d fsyncs, want %d (one per dirty file per flush)", got, 1+sessions)
+	if got := counterValue(t, reg, MetricWALFsyncs); got != 2 {
+		t.Fatalf("%d fsyncs, want 2 (one per flush, whatever it covers)", got)
 	}
 	// And the frames are genuinely durable: recover each session.
+	if st, _ = reopen(t, st); st == nil {
+		return
+	}
 	for i, want := range []int{3, 4, 4, 4} {
 		_, snap, frames, err := st.Recover(fmt.Sprintf("s-%d", i))
 		if err != nil {
@@ -169,11 +171,23 @@ func TestGroupCommitGroupsBehindRunningSync(t *testing.T) {
 	}
 }
 
-// TestGroupCommitPace pins the two rates the window sets, by their lower
-// bounds only (a loaded machine may be slower, never faster): one
-// session's commits, each enlisted when the last completed, are synced
-// once per window, and the store syncs syncFanout files per window once
-// it has used what an idle flusher keeps.
+// reopen opens a second store on st's directory, as a restart would.
+func reopen(t *testing.T, st *Store) (*Store, *telemetry.Registry) {
+	t.Helper()
+	reg := telemetry.NewRegistry()
+	st2, err := Open(st.Dir(), Options{CommitWindow: st.opts.CommitWindow, FsyncEvery: st.opts.FsyncEvery, Metrics: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st2, reg
+}
+
+// TestGroupCommitPace pins the rate the window sets, by its lower bound
+// only (a loaded machine may be slower, never faster): one session's
+// commits, each enlisted when the last completed, are synced once per
+// window. Nothing rations the store as a whole: a burst from many
+// sessions, none of which was served in the last window, costs a few
+// flushes a quarter window apart, not a window per four of them.
 func TestGroupCommitPace(t *testing.T) {
 	const window = 20 * time.Millisecond
 	st, reg := pacedStore(t, window)
@@ -195,132 +209,143 @@ func TestGroupCommitPace(t *testing.T) {
 		t.Errorf("%d fsyncs for %d lockstep commits", got, commits)
 	}
 
-	// A burst of paceCarry+3 windows' worth of files, one per session so
-	// that no session's own pace binds: the last flush has at most
-	// syncFanout of them, and what went before it is two windows more
-	// than the flusher can have kept.
-	burst := make([]*SessionStore, (paceCarry+3)*syncFanout)
+	// 64 sessions, two commits each back to back: under the per-file pace
+	// of 4 files per window that the per-session WAL files needed, the
+	// second round alone took 16 windows.
+	burst := make([]*SessionStore, 64)
 	for i := range burst {
 		burst[i] = openSession(t, st, fmt.Sprintf("s-%d", i), 0)
 	}
 	start = time.Now()
-	var dones []<-chan error
-	for _, ss := range burst {
-		dones = append(dones, enlistFrames(t, ss, 2))
-	}
-	for _, done := range dones {
-		if err := waitDone(t, done); err != nil {
-			t.Fatal(err)
+	for round := 0; round < 2; round++ {
+		var dones []<-chan error
+		for _, ss := range burst {
+			dones = append(dones, enlistFrames(t, ss, 2))
+		}
+		for _, done := range dones {
+			if err := waitDone(t, done); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
-	if got, min := time.Since(start), 2*window; got < min {
-		t.Errorf("a burst of %d files took %v, want >= %v (%d files per window after the first %d)",
-			len(burst), got, min, syncFanout, paceCarry*syncFanout)
+	if got, max := time.Since(start), 8*window; got > max {
+		t.Errorf("two rounds of %d idle sessions took %v, want < %v: something paces the store as a whole", len(burst), got, max)
 	}
 }
 
-// TestGroupCommitSyncFailureFailsWholeBatch injects a device error into
-// one file's sync: every job the flush covered must complete with the
-// error, and none with success.
+// TestGroupCommitSyncFailureFailsWholeBatch injects one device error
+// into the log's sync: every job the flush covered must complete with
+// the error, none with success — and the failure is STICKY. On Linux a
+// failed fsync marks the dirty pages clean, so the next one succeeds over
+// a hole; the store therefore refuses every later append and commit, on
+// every session, until it is reopened, and a copy of the directory
+// recovers no frame that was answered with success after the failure.
 func TestGroupCommitSyncFailureFailsWholeBatch(t *testing.T) {
-	st, _ := groupStore(t)
-	const sessions = syncFanout // one flush
-	stores := make([]*SessionStore, sessions)
-	for i := range stores {
-		stores[i] = openSession(t, st, fmt.Sprintf("s-%d", i), 0)
-	}
-	lead := openSession(t, st, "s-lead", 0)
-	bad := stores[2].wal.f
-	boom := errors.New("injected: device error")
-	entered, release := make(chan struct{}), make(chan struct{})
-	st.fsync = func(f *os.File) error {
-		switch f {
-		case lead.wal.f: // holds the flusher while the batch under test forms
-			entered <- struct{}{}
-			<-release
-		case bad:
-			return boom
-		}
-		return f.Sync()
-	}
-	first := enlistFrames(t, lead, 1)
-	<-entered
-	var dones []<-chan error
-	for _, ss := range stores {
-		dones = append(dones, enlistFrames(t, ss, 2))
-	}
-	close(release)
-	if err := waitDone(t, first); err != nil {
-		t.Fatalf("the flush before the failing one: %v", err)
-	}
-	for i, done := range dones {
-		if err := waitDone(t, done); !errors.Is(err, boom) {
-			t.Errorf("job %d completed with %v, want the injected error", i, err)
-		}
-	}
-	// The next batch is independent of the failed one.
-	st.fsync = (*os.File).Sync
-	if err := waitDone(t, enlistFrames(t, stores[0], 1)); err != nil {
-		t.Fatalf("commit after a failed batch: %v", err)
+	for _, window := range []time.Duration{time.Millisecond, 0} {
+		t.Run(fmt.Sprintf("window=%v", window), func(t *testing.T) {
+			st, _ := pacedStore(t, window)
+			stores := make([]*SessionStore, 4)
+			for i := range stores {
+				stores[i] = openSession(t, st, fmt.Sprintf("s-%d", i), 0)
+			}
+			if err := commitFrames(stores[0], 2); err != nil {
+				t.Fatalf("commit before the failure: %v", err)
+			}
+			boom := errors.New("injected: device error")
+			var calls atomic.Int32
+			st.fsync = func(f *os.File) error {
+				if calls.Add(1) == 1 {
+					return boom // fail once, then "succeed" like the kernel does
+				}
+				return f.Sync()
+			}
+			if err := commitFrames(stores[1], 2); !errors.Is(err, boom) || !errors.Is(err, ErrLogFailed) {
+				t.Fatalf("commit over the failing sync: %v, want the injected error wrapped in ErrLogFailed", err)
+			}
+			// Every later commit on every session fails, although the device
+			// would now report success.
+			acked := 0
+			for round := 0; round < 3; round++ {
+				for i, ss := range stores {
+					err := commitFrames(ss, 1)
+					if err == nil {
+						acked++
+					}
+					if !errors.Is(err, ErrLogFailed) {
+						t.Errorf("round %d session %d: commit after a failed sync: %v, want ErrLogFailed", round, i, err)
+					}
+				}
+			}
+			if err := stores[2].Sync(); !errors.Is(err, ErrLogFailed) {
+				t.Errorf("Sync after a failed sync: %v", err)
+			}
+			st2, err := Open(copyDir(t, st.Dir()), Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, want := range []int{2, 0, 0, 0} {
+				_, snap, frames, err := st2.Recover(fmt.Sprintf("s-%d", i))
+				if err != nil {
+					t.Fatal(err)
+				}
+				// Unacked frames may or may not have reached the disk; none
+				// was acked after the failure, so any count ≥ the acked
+				// prefix is within the contract.
+				if got := snap.FramesApplied + len(frames); got < want || acked != 0 {
+					t.Errorf("session %d recovered %d frames with %d acked before and %d after the failure", i, got, want, acked)
+				}
+			}
+			// Reopening clears it.
+			if err := commitFrames(openSession(t, st2, "s-new", 0), 1); err != nil {
+				t.Fatalf("commit on the reopened store: %v", err)
+			}
+		})
 	}
 }
 
-// TestGroupCommitDrainBeforeRotateAndClose pins the handle-lifetime
-// invariant: WriteSnapshot's rotation and Close wait until the flusher
-// has synced the session's outstanding enlistments, so the captured
-// handle is never closed under it (the job would fail with a closed-file
-// error) and no enlisted append is rotated away un-synced. It also pins
-// that a commit enlisted right after a rotation — its segment empty, the
-// snapshot holding every frame — syncs nothing.
-func TestGroupCommitDrainBeforeRotateAndClose(t *testing.T) {
-	st, reg := groupStore(t)
-	synced := make(chan string, 16)
-	st.fsync = func(f *os.File) error {
-		time.Sleep(5 * time.Millisecond) // widen the race the drain closes
-		err := f.Sync()
-		synced <- filepath.Base(f.Name())
-		return err
+// commitFrames appends n frames to ss and commits them, whichever way the
+// store is configured: the first error of either step.
+func commitFrames(ss *SessionStore, n int) error {
+	for k := 0; k < n; k++ {
+		if err := ss.Append(testFrame(ss.Applied())); err != nil {
+			return err
+		}
 	}
+	return ss.Commit(n)
+}
+
+// TestGroupCommitPendingAcrossSnapshotAndClose: a commit still enlisted
+// when its session checkpoints or closes is neither lost nor failed, and
+// neither WriteSnapshot nor Close waits for it — the flusher holds only a
+// log position, there is no per-session file to rotate or close under it.
+func TestGroupCommitPendingAcrossSnapshotAndClose(t *testing.T) {
+	st, _ := groupStore(t)
+	entered, release := holdSyncs(st)
 	ss := openSession(t, st, "s-0", 0)
 
 	done := enlistFrames(t, ss, 3)
+	<-entered
 	snap := testSnapshot(0)
 	snap.SessionID = "s-0"
-	if _, err := ss.WriteSnapshot(snap); err != nil {
+	if _, err := ss.WriteSnapshot(snap); err != nil { // returns while the sync is held
+		t.Fatal(err)
+	}
+	done2 := enlistFrames(t, ss, 2)
+	if err := ss.Close(); err != nil { // likewise
 		t.Fatal(err)
 	}
 	select {
 	case err := <-done:
-		if err != nil {
-			t.Fatalf("commit pending across a rotation failed: %v", err)
-		}
+		t.Fatalf("commit completed (%v) before its sync was released", err)
 	default:
-		t.Fatal("WriteSnapshot rotated the segment before the enlisted commit was synced")
 	}
-	if got := <-synced; got != walName(0) {
-		t.Fatalf("flusher synced %s, want the segment captured at enlist time (%s)", got, walName(0))
-	}
-
-	before := counterValue(t, reg, MetricWALFsyncs)
-	if err := waitDone(t, enlistFrames(t, ss, 0)); err != nil {
-		t.Fatal(err)
-	}
-	if got := counterValue(t, reg, MetricWALFsyncs) - before; got != 0 {
-		t.Fatalf("%d fsyncs of a segment emptied by the snapshot, want 0", got)
-	}
-
-	done = enlistFrames(t, ss, 2)
-	if err := ss.Close(); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatalf("commit pending across Close failed: %v", err)
+	close(release)
+	for i, d := range []<-chan error{done, done2} {
+		if err := waitDone(t, d); err != nil {
+			t.Fatalf("commit %d pending across the snapshot and Close failed: %v", i, err)
 		}
-	default:
-		t.Fatal("Close released the handle before the enlisted commit was synced")
 	}
+	st, _ = reopen(t, st)
 	_, rsnap, frames, err := st.Recover("s-0")
 	if err != nil {
 		t.Fatal(err)
@@ -407,14 +432,12 @@ func TestCommitNoopWithoutWindow(t *testing.T) {
 	}
 }
 
-// TestRecoverOversizeWALRecord is the regression test for the silent
-// recovery data-loss bug: a legitimately huge acked frame (a dense
-// lidar scan far past the old 4MiB scanner line cap) must recover
-// intact — not vanish as a phantom torn tail — and be counted in the
-// oversize metric.
+// TestRecoverOversizeWALRecord: a legitimately huge acked frame (a dense
+// lidar scan, larger than a whole log segment) must recover intact — not
+// vanish as a phantom torn tail (it once did, past a 4 MiB line cap) —
+// and so must the ordinary frame after it, across the rotation.
 func TestRecoverOversizeWALRecord(t *testing.T) {
-	reg := telemetry.NewRegistry()
-	st, err := Open(t.TempDir(), Options{Metrics: reg})
+	st, err := Open(t.TempDir(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -434,7 +457,11 @@ func TestRecoverOversizeWALRecord(t *testing.T) {
 	if err := ss.Close(); err != nil {
 		t.Fatal(err)
 	}
+	if n := len(logFiles(t, st.Dir())); n != 2 {
+		t.Fatalf("%d log segments, want 2 (the oversize record fills the first)", n)
+	}
 
+	st, _ = reopen(t, st)
 	_, snap, frames, err := st.Recover("s-0")
 	if err != nil {
 		t.Fatal(err)
@@ -445,117 +472,41 @@ func TestRecoverOversizeWALRecord(t *testing.T) {
 	if !reflect.DeepEqual(frames[0], big) {
 		t.Fatalf("oversized frame did not survive recovery intact")
 	}
-	if got := counterValue(t, reg, MetricWALOversize); got != 1 {
-		t.Fatalf("%s = %d, want 1", MetricWALOversize, got)
-	}
 }
 
-// TestRecoverMixedFormatSegment builds the segment an in-place upgrade
-// leaves behind — a JSON prefix written by the old version continued
-// with binary records by the new one — and requires recovery to replay
-// the whole thing, including truncating a torn binary tail.
-func TestRecoverMixedFormatSegment(t *testing.T) {
-	dir := t.TempDir()
-	st, err := Open(dir, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ss := openSession(t, st, "s-0", 0)
-	if err := ss.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Simulate the old version: overwrite the rotated segment with JSON
-	// records 1..3.
-	walPath := filepath.Join(dir, "s-0", walName(0))
-	var seg bytes.Buffer
-	for seq := 1; seq <= 3; seq++ {
-		line, err := EncodeWALRecord(seq, testFrame(seq-1))
-		if err != nil {
-			t.Fatal(err)
-		}
-		seg.Write(line)
-	}
-	if err := os.WriteFile(walPath, seg.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	// The new version recovers the JSON prefix and continues in binary.
-	ss2, snap, frames, err := st.Recover("s-0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if snap.FramesApplied != 0 || len(frames) != 3 {
-		t.Fatalf("recovered %d+%d frames, want 0+3", snap.FramesApplied, len(frames))
-	}
-	for seq := 4; seq <= 6; seq++ {
-		if err := ss2.Append(testFrame(seq - 1)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := ss2.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Recover the mixed segment whole...
-	ss3, _, frames, err := st.Recover("s-0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(frames) != 6 {
-		t.Fatalf("mixed segment recovered %d frames, want 6", len(frames))
-	}
-	for i, fr := range frames {
-		if !reflect.DeepEqual(fr, testFrame(i)) {
-			t.Fatalf("frame %d changed across mixed recovery: %+v", i, fr)
-		}
-	}
-	ss3.Close()
-
-	// ...and with a torn binary tail, recover the clean prefix.
-	data, err := os.ReadFile(walPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(walPath, data[:len(data)-7], 0o644); err != nil {
-		t.Fatal(err)
-	}
-	ss4, _, frames, err := st.Recover("s-0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(frames) != 5 {
-		t.Fatalf("torn mixed segment recovered %d frames, want 5", len(frames))
-	}
-	ss4.Close()
-}
-
-// TestWALRecordBinaryRoundTrip mirrors TestWALRecordRoundTrip for the
-// binary record format, including bit-flip detection.
+// TestWALRecordBinaryRoundTrip: the one record format round-trips, and
+// any flipped bit is detected.
 func TestWALRecordBinaryRoundTrip(t *testing.T) {
-	rec, err := AppendWALRecordBinary(nil, 3, testFrame(2))
+	rec, err := appendRecord(nil, "s-000007", 3, testFrame(2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	seq, frame, n, err := decodeWALRecordBinary(rec)
-	if err != nil {
-		t.Fatal(err)
+	decode := func(data []byte) (id string, seq, n int, frame *trace.Frame) {
+		scanLog(data, func(_, rn int, rid []byte, rseq int, raw []byte) {
+			if n == 0 {
+				id, seq, n = string(rid), rseq, rn
+				frame, _ = trace.DecodeFrameBinary(raw)
+			}
+		})
+		return
 	}
-	if seq != 3 || n != len(rec) || frame.K != 2 || frame.U[0] != 0.2 || frame.Readings["gps"][1] != 2.5 {
-		t.Fatalf("round trip changed record: seq=%d n=%d frame=%+v", seq, n, frame)
+	id, seq, n, frame := decode(rec)
+	if id != "s-000007" || seq != 3 || n != len(rec) || frame == nil || frame.K != 2 || frame.U[0] != 0.2 || frame.Readings["gps"][1] != 2.5 {
+		t.Fatalf("round trip changed record: id=%s seq=%d n=%d frame=%+v", id, seq, n, frame)
 	}
-	if _, err := AppendWALRecordBinary(nil, 0, testFrame(0)); err == nil {
+	if _, err := appendRecord(nil, "s", 0, testFrame(0)); err == nil {
 		t.Fatal("sequence 0 accepted")
 	}
-	if _, err := AppendWALRecordBinary(nil, 1, nil); err == nil {
+	if _, err := appendRecord(nil, "s", 1, nil); err == nil {
 		t.Fatal("nil frame accepted")
+	}
+	if _, err := appendRecord(nil, "", 1, testFrame(0)); err == nil {
+		t.Fatal("empty session id accepted")
 	}
 	for i := range rec {
 		mut := append([]byte(nil), rec...)
 		mut[i] ^= 0x08
-		if s, _, _, err := decodeWALRecordBinary(mut); err == nil && mut[0] == walBinaryMarker && s == seq {
-			// A flip in the length prefix can shift framing; only an
-			// undetected same-seq decode is a real miss.
+		if _, _, n, _ := decode(mut); n != 0 {
 			t.Fatalf("bit flip at byte %d went undetected", i)
 		}
 	}
@@ -578,13 +529,13 @@ func histogramCount(t *testing.T, reg *telemetry.Registry, name string) int64 {
 // the encoding deterministic.
 func TestWALAppendEncodeAllocs(t *testing.T) {
 	frame := testFrame(7)
-	buf, err := AppendWALRecordBinary(nil, 1, frame)
+	buf, err := appendRecord(nil, "s-000001", 1, frame)
 	if err != nil {
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(200, func() {
 		var err error
-		buf, err = AppendWALRecordBinary(buf[:0], 2, frame)
+		buf, err = appendRecord(buf[:0], "s-000001", 2, frame)
 		if err != nil {
 			t.Fatal(err)
 		}

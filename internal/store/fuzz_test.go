@@ -2,7 +2,11 @@ package store
 
 import (
 	"bytes"
+	"encoding/binary"
+	"hash/crc32"
 	"testing"
+
+	"roboads/internal/trace"
 )
 
 // FuzzDecodeSnapshot drives the snapshot decoder with arbitrary bytes:
@@ -42,65 +46,110 @@ func FuzzDecodeSnapshot(f *testing.F) {
 	})
 }
 
-// FuzzDecodeWALRecord drives the WAL line decoder with arbitrary bytes.
-// Accepted records must round-trip through EncodeWALRecord.
+// FuzzDecodeWALRecord drives the record envelope decoder — shared by the
+// log and the legacy per-session format — with arbitrary bytes under
+// both markers: it must reject or accept, never panic, and an accepted
+// record's payload and length must lie within the input.
 func FuzzDecodeWALRecord(f *testing.F) {
-	line, err := EncodeWALRecord(1, testFrame(0))
+	rec, err := appendRecord(nil, "s-000001", 1, testFrame(0))
 	if err != nil {
 		f.Fatal(err)
 	}
-	f.Add(line[:len(line)-1])
-	f.Add(line[:len(line)/2])
-	f.Add([]byte(`{"seq":1,"crc":0,"frame":{}}`))
+	f.Add(rec)
+	f.Add(rec[:len(rec)/2])
+	f.Add([]byte{recordMarker, 0xff, 0xff, 0xff, 0x7f})
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		seq, frame, err := DecodeWALRecord(data)
-		if err != nil {
-			return
-		}
-		if _, err := EncodeWALRecord(seq, frame); err != nil {
-			t.Fatalf("accepted WAL record failed to re-encode: %v", err)
+		for _, marker := range []byte{recordMarker, legacyMarker} {
+			payload, n := openRecord(data, marker)
+			if n == 0 {
+				continue
+			}
+			if n > len(data) || len(payload) != n-recordOverhead {
+				t.Fatalf("accepted record of %d bytes with a %d-byte payload in %d bytes of input", n, len(payload), len(data))
+			}
 		}
 	})
 }
 
-// FuzzReadWALTail feeds arbitrary bytes as a WAL stream: the tail
-// reader must terminate with the valid prefix and never panic,
-// whatever garbage follows.
+// legacyRecord renders one record of the per-session WAL format that
+// preceded the shared log (marker 0xB2, payload seq | frame).
+func legacyRecord(seq int, frame *trace.Frame) []byte {
+	payload := trace.AppendFrameBinary(binary.LittleEndian.AppendUint64(nil, uint64(seq)), frame)
+	rec := binary.LittleEndian.AppendUint32([]byte{legacyMarker}, uint32(len(payload)))
+	return binary.LittleEndian.AppendUint32(append(rec, payload...), crc32.ChecksumIEEE(payload))
+}
+
+// FuzzReadWALTail feeds arbitrary bytes to the one-shot upgrade reader
+// of legacy per-session WAL files: it must terminate with the valid
+// prefix or the JSON refusal and never panic, whatever garbage follows.
 func FuzzReadWALTail(f *testing.F) {
 	var buf bytes.Buffer
 	for seq := 1; seq <= 3; seq++ {
-		line, err := EncodeWALRecord(seq, testFrame(seq-1))
-		if err != nil {
-			f.Fatal(err)
-		}
-		buf.Write(line)
+		buf.Write(legacyRecord(seq, testFrame(seq-1)))
 	}
 	f.Add(buf.Bytes())
 	f.Add(append(buf.Bytes(), []byte("garbage tail\n")...))
 	f.Add([]byte("\n\n\n"))
-	// Binary and mixed-format segments flow through the same reader.
-	var binBuf bytes.Buffer
-	binBuf.Write(buf.Bytes())
-	for seq := 4; seq <= 6; seq++ {
-		rec, err := AppendWALRecordBinary(nil, seq, testFrame(seq-1))
-		if err != nil {
-			f.Fatal(err)
-		}
-		binBuf.Write(rec)
-	}
-	f.Add(binBuf.Bytes())
-	f.Add(binBuf.Bytes()[:binBuf.Len()-5])
-	f.Add([]byte{walBinaryMarker, 0xff, 0xff, 0xff, 0x7f})
+	f.Add([]byte(`{"seq":1,"crc":0,"frame":{}}` + "\n"))
+	f.Add(buf.Bytes()[:buf.Len()-5])
+	f.Add([]byte{legacyMarker, 0xff, 0xff, 0xff, 0x7f})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		frames, _, _, err := readWALTail(bytes.NewReader(data), 1)
-		if err != nil {
-			t.Fatalf("readWALTail returned I/O error on in-memory input: %v", err)
+		frames, err := readLegacyWAL(data, 1)
+		if err != nil && frames != nil {
+			t.Fatalf("readLegacyWAL returned frames with an error: %v", err)
 		}
 		for i, fr := range frames {
 			if fr == nil {
 				t.Fatalf("frame %d is nil", i)
 			}
+		}
+	})
+}
+
+// FuzzDecodeLog feeds arbitrary bytes to the shared-log decoder: it must
+// never panic, and the prefix it accepts must re-encode, record by
+// record, to the very bytes it was decoded from (for the canonical frame
+// encoding, which is all the writer produces: the decoder accepts any
+// CRC-valid payload).
+func FuzzDecodeLog(f *testing.F) {
+	var log []byte
+	for i, id := range []string{"s-000001", "s-000002", "s-000001", "r-9f", "s-000002"} {
+		var err error
+		if log, err = appendRecord(log, id, 1+i/2, testFrame(i)); err != nil {
+			f.Fatal(err)
+		}
+	}
+	f.Add(log)
+	f.Add(log[:len(log)-7])
+	f.Add(append(append([]byte(nil), log...), "garbage tail"...))
+	flipped := append([]byte(nil), log...)
+	flipped[len(flipped)/2] ^= 0x20
+	f.Add(flipped)
+	f.Add(legacyRecord(1, testFrame(0)))
+	f.Add([]byte{recordMarker, 0xff, 0xff, 0xff, 0x7f})
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		next := 0
+		valid := scanLog(data, func(off, n int, id []byte, seq int, raw []byte) {
+			if off != next || n <= 0 || off+n > len(data) {
+				t.Fatalf("record at %d+%d after a prefix of %d in %d bytes", off, n, next, len(data))
+			}
+			next = off + n
+			frame, err := trace.DecodeFrameBinary(raw)
+			if err != nil || !bytes.Equal(trace.AppendFrameBinary(nil, frame), raw) {
+				return // not a frame the writer could have produced
+			}
+			again, err := appendRecord(nil, string(id), seq, frame)
+			if err != nil {
+				t.Fatalf("accepted record failed to re-encode: %v", err)
+			}
+			if !bytes.Equal(again, data[off:off+n]) {
+				t.Fatalf("record at %d re-encodes to different bytes", off)
+			}
+		})
+		if valid != next {
+			t.Fatalf("accepted prefix %d, records end at %d", valid, next)
 		}
 	})
 }

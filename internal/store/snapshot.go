@@ -1,22 +1,48 @@
 // Package store is the durability layer of the fleet session service: a
-// versioned snapshot codec plus a per-session append-only write-ahead
-// log of accepted frames. Together they make a hosted detector's state
-// survive a crash or redeploy bit-for-bit — recovery loads the newest
-// valid snapshot and replays the WAL tail through a freshly built
-// detector, after which the next frame produces exactly the report the
-// uninterrupted process would have produced.
+// versioned snapshot codec plus ONE append-only log of accepted frames
+// shared by every session of a Store. Recovery loads a session's newest
+// valid snapshot and replays its later log records through a freshly
+// built detector, after which the next frame produces exactly the report
+// the uninterrupted process would have — bit for bit.
 //
-// On-disk layout (one directory per session):
+// On-disk layout:
 //
-//	<dir>/<session>/snapshot-<k>        snapshot after k applied frames
-//	<dir>/<session>/wal-<k>.ndjson      frames k+1, k+2, … (CRC-checked)
+//	<dir>/log-<lsn, 16 hex digits>   log segment whose first byte is at <lsn>
+//	<dir>/<session>/snapshot-<k>     snapshot after k applied frames
 //
-// Snapshots are written to a temporary file and atomically renamed, so
-// a crash mid-write never corrupts the previous snapshot; writing
-// snapshot-<k> rotates the WAL to wal-<k>.ndjson and removes older
-// pairs (compaction). A torn WAL tail — the normal artifact of a crash
-// mid-append — is detected by per-record CRCs and sequence numbers and
-// silently truncated at the last valid record.
+// The log is one byte stream cut into segments. A byte's position in the
+// stream is its LSN, and a record — CRC-checked, carrying session ID,
+// sequence number and frame (log.go) — is named by the LSN of its first
+// byte. A job's records go down in one write under the store mutex, and
+// one fsync of the head segment makes every session's records up to it
+// durable, which is what group commit (committer.go) amortizes.
+//
+// A snapshot stores the LSN the log had reached when it was taken
+// (Snapshot.LogLSN): only its session's records at or after that LSN,
+// numbered on from FramesApplied+1, count. So nothing ever rewrites the
+// log — older records, records of a removed or re-imported session and
+// records of a session that never got a snapshot are simply ignored —
+// and since a snapshot is written to a temporary file and renamed, a
+// crash mid-write leaves the previous one intact.
+//
+// A segment that reaches a fixed size is synced and its successor
+// started, so only the last segment can end in a torn record; a segment
+// is deleted once no session has a record since its snapshot in or before
+// it. An in-memory index per session (positions of its records since the
+// snapshot), built by one scan at Open and extended by every append,
+// serves Recover, ReplicaRead and migration without re-reading the log.
+//
+// The first torn or corrupt record ends the WHOLE log: Open truncates
+// there and every session keeps what it has before that point. That is
+// safe because a frame is acknowledged only after an fsync that covered
+// its record, and a crash tears only bytes no sync covered: everything
+// acknowledged lies below the last successful sync, hence below the tear.
+// A FAILED fsync is another matter — the kernel may have dropped the
+// dirty pages — so after one the store refuses appends and commits
+// (ErrLogFailed) until reopened. And a bad record in a segment that is
+// not the last cannot be a torn write: Open reports it (MetricLogCorrupt,
+// error log), ends the log there too, and sets the later segments aside
+// rather than skip over the damage.
 package store
 
 import (
@@ -73,11 +99,16 @@ type Snapshot struct {
 	// validates them against the freshly built detector's profile.
 	Sensors []string `json:"sensors"`
 	Dt      float64  `json:"dtSeconds"`
-	// FramesApplied counts the frames folded into State — the WAL
-	// segment paired with this snapshot continues at FramesApplied+1.
+	// FramesApplied counts the frames folded into State — the session's
+	// log records after this snapshot continue at FramesApplied+1.
 	FramesApplied int `json:"framesApplied"`
 	// State is the detector's exported pipeline state.
 	State *detect.State `json:"state"`
+	// LogLSN is the position the store's log had reached when the
+	// snapshot was taken: only the session's records at or after it
+	// count. Set by the store (Materialize re-stamps a shipped snapshot
+	// with the receiver's); 0 in snapshots that predate the shared log.
+	LogLSN int64 `json:"logLsn,omitempty"`
 }
 
 // EncodeSnapshot serializes a snapshot into the versioned CRC-checked

@@ -8,6 +8,8 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"roboads/internal/telemetry"
@@ -19,34 +21,28 @@ import (
 const (
 	// MetricSnapshotBytes is the encoded-snapshot size histogram.
 	MetricSnapshotBytes = "roboads_store_snapshot_bytes"
-	// MetricSnapshotSeconds is the snapshot write latency histogram
-	// (export + encode + durable write + compaction).
+	// MetricSnapshotSeconds is the snapshot write latency histogram.
 	MetricSnapshotSeconds = "roboads_store_snapshot_seconds"
-	// MetricWALAppends counts WAL records appended.
+	// MetricWALAppends counts log records appended.
 	MetricWALAppends = "roboads_store_wal_appends_total"
-	// MetricWALFsyncs counts WAL fsync calls.
+	// MetricWALFsyncs counts fsync calls on the log.
 	MetricWALFsyncs = "roboads_store_wal_fsync_total"
-	// MetricRecoveredSessions gauges the sessions restored from disk by
-	// the most recent startup recovery.
+	// MetricRecoveredSessions gauges the sessions the last startup restored.
 	MetricRecoveredSessions = "roboads_store_recovered_sessions"
-	// MetricRecoveredFrames counts WAL frames replayed during recovery.
+	// MetricRecoveredFrames counts log frames replayed during recovery.
 	MetricRecoveredFrames = "roboads_store_recovered_frames_total"
-	// MetricWALOversize counts WAL records recovered intact despite
-	// exceeding the legacy recovery scanner's 4MiB line cap — frames
-	// older versions would have silently discarded as a torn tail.
-	MetricWALOversize = "roboads_store_wal_oversize_total"
-	// MetricCommitBatchFrames is the group-commit batch size histogram:
-	// WAL appends amortized by each group fsync.
+	// MetricLogCorrupt counts opens that found a bad record in a segment
+	// other than the last: not a torn write. The log ends there regardless.
+	MetricLogCorrupt = "roboads_store_log_corrupt_total"
+	// MetricCommitBatchFrames is the appends-per-group-flush histogram.
 	MetricCommitBatchFrames = "roboads_store_commit_batch_frames"
 	// MetricCommitSeconds is the group-commit latency histogram: time
-	// from a batch opening to its fsync completing — the durability
-	// delay a committed frame's reply waited out.
+	// from a flush's oldest commit enlisting to its sync completing.
 	MetricCommitSeconds = "roboads_store_commit_seconds"
-	// MetricCommitBatchSessions is the files-per-flush histogram: distinct
-	// WAL segments one group flush synced.
+	// MetricCommitBatchSessions is the sessions-per-group-flush histogram.
 	MetricCommitBatchSessions = "roboads_store_commit_batch_sessions"
-	// MetricCommitEnlistedWait is the per-enlistment wait histogram: time
-	// from one CommitAsync enlisting to the sync that covers it finishing.
+	// MetricCommitEnlistedWait is the histogram of the time from one
+	// CommitAsync enlisting to the sync that covers it finishing.
 	MetricCommitEnlistedWait = "roboads_store_commit_enlisted_wait_seconds"
 )
 
@@ -58,32 +54,31 @@ var ErrNoSnapshot = errors.New("store: no valid snapshot")
 // Options parameterizes a Store. The zero value of every field has a
 // usable default.
 type Options struct {
-	// FsyncEvery is the WAL durability knob: 1 (and 0, the default)
-	// fsyncs every appended frame — a frame acknowledged to the client
-	// is on stable storage; n > 1 batches n appends per fsync, trading
-	// the tail of a crash for throughput; negative never fsyncs and
-	// leaves durability to the OS page cache (benchmarks, tests).
+	// FsyncEvery is the log durability knob: 1 (and 0, the default)
+	// fsyncs after every appended frame — an acknowledged frame is on
+	// stable storage; n > 1 syncs after every n appends of a session,
+	// trading the tail of a crash for throughput; negative never fsyncs
+	// (benchmarks, tests).
 	FsyncEvery int
 	// CommitWindow, when positive, enables cross-session group commit:
-	// appends skip their inline fsync and SessionStore.CommitAsync (or
-	// its blocking form, Commit) enlists them in a fleet-wide batch whose
-	// one flush syncs every dirty session. The value is the flusher's
-	// pace, not a delay every commit sleeps out: it syncs at most four
-	// files per window and any one session's file once per window, so an
-	// idle store syncs a lone commit at once and a busy one serves a
-	// steady rate, whatever the device does that minute. Reply-after-fsync semantics are preserved as long as
-	// callers reply only from the completion. A positive CommitWindow
-	// supersedes FsyncEvery.
+	// appends skip their inline fsync and SessionStore.CommitAsync (or its
+	// blocking form, Commit) enlists them with the store's flusher, whose
+	// one fsync of the shared log covers every session enlisted. The value
+	// is a pace per session, not a delay and not a store-wide limit: one
+	// session's commits are completed at most once per window, so an idle
+	// session is synced at once and one streaming without pause gets a
+	// steady rate; the store only keeps two flush starts a quarter window
+	// apart (committer.go). Supersedes FsyncEvery.
 	CommitWindow time.Duration
 	// Metrics receives the store histograms and counters; nil uses a
 	// private registry.
 	Metrics *telemetry.Registry
 }
 
-// Store is the on-disk root of the durability layer: one subdirectory
-// per session, each holding a snapshot and its WAL segment. Store
-// methods are safe for concurrent use across sessions; a single
-// SessionStore is serialized by its owning session.
+// Store is the on-disk root of the durability layer: the shared log plus
+// one subdirectory of snapshots per session. Its methods are safe for
+// concurrent use; a SessionStore is serialized by its owning session. One
+// Store at a time may have a directory open.
 type Store struct {
 	dir  string
 	opts Options
@@ -91,26 +86,32 @@ type Store struct {
 	// committer is the group-commit coordinator; nil unless
 	// Options.CommitWindow is positive.
 	committer *committer
-	// fsync is the one seam every WAL sync goes through — inline,
-	// forced, and the group flush — so tests can inject device errors
-	// and delays. Always (*os.File).Sync outside tests.
+	// fsync is the one seam every sync of the log goes through, so tests
+	// can inject device errors and delays; (*os.File).Sync outside tests.
 	fsync func(*os.File) error
+	// segmentSize is the const of that name, lowered by tests.
+	segmentSize int64
+	// failure holds the sticky ErrLogFailed once a log write or sync failed.
+	failure atomic.Pointer[error]
 
-	mSnapBytes     *telemetry.Histogram
-	mSnapSeconds   *telemetry.Histogram
-	mAppends       *telemetry.Counter
-	mFsyncs        *telemetry.Counter
-	mRecovered     *telemetry.Gauge
-	mReplayed      *telemetry.Counter
-	mOversize      *telemetry.Counter
-	mCommitFrames  *telemetry.Histogram
-	mCommitSeconds *telemetry.Histogram
-	// Group-flush shape: files per flush and per-enlistment wait.
-	mCommitSessions *telemetry.Histogram
-	mEnlistedWait   *telemetry.Histogram
+	// syncMu serializes syncs of the log and segment rotation — at most one
+	// sync is in flight — and guards synced. Taken before mu.
+	syncMu sync.Mutex
+	synced int64 // the log is durable below this LSN
+	// mu guards the append cursor, the segment list and the session index.
+	mu       sync.Mutex
+	segs     []segment // ascending; the last is the head, the only one appended to
+	cursor   int64     // LSN of the next byte appended
+	sessions map[string]*sessionLog
+
+	mSnapBytes, mSnapSeconds                                      *telemetry.Histogram
+	mCommitFrames, mCommitSeconds, mCommitSessions, mEnlistedWait *telemetry.Histogram
+	mAppends, mFsyncs, mReplayed, mCorrupt                        *telemetry.Counter
+	mRecovered                                                    *telemetry.Gauge
 }
 
-// Open prepares dir as a durability root, creating it if needed.
+// Open prepares dir as a durability root, creating it if needed, and
+// reads what it holds (openLog).
 func Open(dir string, opts Options) (*Store, error) {
 	if dir == "" {
 		return nil, errors.New("store: empty directory")
@@ -123,7 +124,7 @@ func Open(dir string, opts Options) (*Store, error) {
 	}
 	if opts.CommitWindow > 0 {
 		// Group commit owns durability: appends never fsync inline, the
-		// committer's window flush covers every dirty session at once.
+		// flusher's sync covers every session at once.
 		opts.FsyncEvery = -1
 	}
 	reg := opts.Metrics
@@ -131,24 +132,28 @@ func Open(dir string, opts Options) (*Store, error) {
 		reg = telemetry.NewRegistry()
 	}
 	st := &Store{
-		dir:            dir,
-		opts:           opts,
-		fsync:          (*os.File).Sync,
-		mSnapBytes:     reg.Histogram(MetricSnapshotBytes, "Encoded snapshot size in bytes.", byteBuckets()),
-		mSnapSeconds:   reg.Histogram(MetricSnapshotSeconds, "Snapshot write latency in seconds.", telemetry.LatencyBuckets()),
-		mAppends:       reg.Counter(MetricWALAppends, "WAL records appended."),
-		mFsyncs:        reg.Counter(MetricWALFsyncs, "WAL fsync calls."),
-		mRecovered:     reg.Gauge(MetricRecoveredSessions, "Sessions restored by the last startup recovery."),
-		mReplayed:      reg.Counter(MetricRecoveredFrames, "WAL frames replayed during recovery."),
-		mOversize:      reg.Counter(MetricWALOversize, "WAL records recovered despite exceeding the legacy 4MiB line cap."),
-		mCommitFrames:  reg.Histogram(MetricCommitBatchFrames, "WAL appends amortized per group-commit fsync.", batchBuckets()),
-		mCommitSeconds: reg.Histogram(MetricCommitSeconds, "Group-commit latency in seconds.", telemetry.LatencyBuckets()),
-
-		mCommitSessions: reg.Histogram(MetricCommitBatchSessions, "WAL files synced per group-commit flush.", batchBuckets()),
+		dir:             dir,
+		opts:            opts,
+		fsync:           (*os.File).Sync,
+		segmentSize:     segmentSize,
+		sessions:        make(map[string]*sessionLog),
+		mSnapBytes:      reg.Histogram(MetricSnapshotBytes, "Encoded snapshot size in bytes.", pow2Buckets(256, 16<<20)),
+		mSnapSeconds:    reg.Histogram(MetricSnapshotSeconds, "Snapshot write latency in seconds.", telemetry.LatencyBuckets()),
+		mAppends:        reg.Counter(MetricWALAppends, "Log records appended."),
+		mFsyncs:         reg.Counter(MetricWALFsyncs, "Log fsync calls."),
+		mRecovered:      reg.Gauge(MetricRecoveredSessions, "Sessions restored by the last startup recovery."),
+		mReplayed:       reg.Counter(MetricRecoveredFrames, "Log frames replayed during recovery."),
+		mCorrupt:        reg.Counter(MetricLogCorrupt, "Opens that found a corrupt record before the log's last segment."),
+		mCommitFrames:   reg.Histogram(MetricCommitBatchFrames, "Appends completed per group-commit flush.", pow2Buckets(1, 4096)),
+		mCommitSeconds:  reg.Histogram(MetricCommitSeconds, "Group-commit latency in seconds.", telemetry.LatencyBuckets()),
+		mCommitSessions: reg.Histogram(MetricCommitBatchSessions, "Sessions completed per group-commit flush.", pow2Buckets(1, 4096)),
 		mEnlistedWait:   reg.Histogram(MetricCommitEnlistedWait, "Wait from enlisting a commit to its covering sync, in seconds.", telemetry.LatencyBuckets()),
 	}
+	if err := st.openLog(); err != nil {
+		return nil, fmt.Errorf("store: open %s: %w", dir, err)
+	}
 	if opts.CommitWindow > 0 {
-		st.committer = newCommitter(st, opts.CommitWindow)
+		st.committer = &committer{st: st, window: opts.CommitWindow, wake: make(chan struct{}, 1)}
 	}
 	return st, nil
 }
@@ -168,9 +173,9 @@ func (st *Store) SetRecovered(sessions int) { st.mRecovered.Set(float64(sessions
 // CountReplayed adds to the recovery frame-replay counter.
 func (st *Store) CountReplayed(frames int) { st.mReplayed.Add(int64(frames)) }
 
-// Sessions lists the session IDs with a directory under the root,
-// sorted lexically. Presence does not imply recoverability — Recover
-// reports ErrNoSnapshot for directories without a durable checkpoint.
+// Sessions lists the session IDs with a directory under the root, sorted
+// lexically (as ReadDir does). Presence does not imply recoverability —
+// Recover reports ErrNoSnapshot for a directory without a checkpoint.
 func (st *Store) Sessions() ([]string, error) {
 	entries, err := os.ReadDir(st.dir)
 	if err != nil {
@@ -182,24 +187,29 @@ func (st *Store) Sessions() ([]string, error) {
 			out = append(out, e.Name())
 		}
 	}
-	sort.Strings(out)
 	return out, nil
 }
 
 // Remove deletes a session's persisted state entirely (explicit session
-// deletion — eviction keeps state so the session can be restored).
+// deletion — eviction keeps state so the session can be restored). The
+// log is not rewritten: records of a session without a snapshot are
+// ignored.
 func (st *Store) Remove(id string) error {
 	dir, err := st.sessionDir(id)
 	if err != nil {
 		return err
 	}
-	return os.RemoveAll(dir)
+	err = os.RemoveAll(dir)
+	st.mu.Lock()
+	delete(st.sessions, id)
+	st.gc()
+	st.mu.Unlock()
+	return err
 }
 
-// Create opens the durability state for a brand-new session. The
-// session is not durable until its first WriteSnapshot succeeds:
-// recovery treats a directory without a valid snapshot as a session
-// whose creation never completed.
+// Create opens the durability state for a brand-new session. It is not
+// durable until its first WriteSnapshot succeeds: recovery treats a
+// directory without a valid snapshot as a creation that never completed.
 func (st *Store) Create(id string) (*SessionStore, error) {
 	dir, err := st.sessionDir(id)
 	if err != nil {
@@ -211,48 +221,37 @@ func (st *Store) Create(id string) (*SessionStore, error) {
 	return &SessionStore{st: st, id: id, dir: dir}, nil
 }
 
-// Recover loads a persisted session: the newest decodable snapshot plus
-// the valid prefix of its WAL segment. A torn or corrupt WAL tail — the
-// normal artifact of a crash mid-append — is physically truncated so
-// subsequent appends extend the valid prefix. The returned SessionStore
-// continues the recovered WAL segment.
+// Recover loads a persisted session: its newest decodable snapshot plus
+// the session's records since, read through the index Open built. The
+// returned SessionStore continues the session's sequence.
 func (st *Store) Recover(id string) (*SessionStore, *Snapshot, []*trace.Frame, error) {
 	dir, err := st.sessionDir(id)
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	snap, snapIdx, err := st.loadNewestSnapshot(dir)
+	_, snap, err := loadSnapshot(dir)
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	walPath := filepath.Join(dir, walName(snapIdx))
-	frames, validBytes, oversize, err := recoverWALFile(walPath, snap.FramesApplied+1)
+	e, base, lsn, recs := st.tail(id)
+	if e == nil || base != snap.FramesApplied || lsn != snap.LogLSN {
+		return nil, nil, nil, fmt.Errorf("store: recover session %s: its snapshot changed on disk behind this store; reopen the store", id)
+	}
+	frames, err := st.readRecords(id, base+1, recs)
 	if err != nil {
 		return nil, nil, nil, fmt.Errorf("store: recover session %s: %w", id, err)
 	}
-	st.mOversize.Add(int64(oversize))
-	if validBytes >= 0 {
-		if err := os.Truncate(walPath, validBytes); err != nil {
-			return nil, nil, nil, fmt.Errorf("store: truncate torn WAL tail: %w", err)
-		}
-	}
-	applied := snap.FramesApplied + len(frames)
-	w, err := st.openWAL(walPath, os.O_APPEND, applied, st.opts.FsyncEvery)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	s := &SessionStore{st: st, id: id, dir: dir, wal: w, base: snap.FramesApplied, applied: applied}
-	return s, snap, frames, nil
+	return &SessionStore{st: st, id: id, dir: dir, log: e, applied: base + len(frames)}, snap, frames, nil
 }
 
-// loadNewestSnapshot decodes the highest-indexed valid snapshot in dir,
-// falling back to older ones when the newest is corrupt (a crash can
-// tear at most the file being written, which the atomic rename already
-// excludes, but defense in depth costs one readdir).
-func (st *Store) loadNewestSnapshot(dir string) (*Snapshot, int, error) {
+// loadSnapshot returns the newest decodable snapshot in dir — raw
+// envelope and decoding — trying the indices present, newest first: a
+// corrupt newest snapshot falls back a generation (the atomic rename
+// already excludes a torn one, but defense in depth costs one readdir).
+func loadSnapshot(dir string) ([]byte, *Snapshot, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
-		return nil, 0, fmt.Errorf("store: read session dir: %w", err)
+		return nil, nil, fmt.Errorf("store: read session dir: %w", err)
 	}
 	var indices []int
 	for _, e := range entries {
@@ -264,22 +263,52 @@ func (st *Store) loadNewestSnapshot(dir string) (*Snapshot, int, error) {
 	var lastErr error = ErrNoSnapshot
 	for _, k := range indices {
 		data, err := os.ReadFile(filepath.Join(dir, snapshotName(k)))
-		if err != nil {
-			lastErr = err
-			continue
+		var snap *Snapshot
+		if err == nil {
+			snap, err = DecodeSnapshot(data)
 		}
-		snap, err := DecodeSnapshot(data)
-		if err != nil {
-			lastErr = err
-			continue
+		if err == nil && snap.FramesApplied != k {
+			err = fmt.Errorf("%w: snapshot-%d declares %d frames", ErrSnapshotCorrupt, k, snap.FramesApplied)
 		}
-		if snap.FramesApplied != k {
-			lastErr = fmt.Errorf("%w: snapshot-%d declares %d frames", ErrSnapshotCorrupt, k, snap.FramesApplied)
-			continue
+		if err == nil {
+			return data, snap, nil
 		}
-		return snap, k, nil
+		lastErr = err
 	}
-	return nil, 0, fmt.Errorf("store: %s: %w", dir, lastErr)
+	return nil, nil, fmt.Errorf("store: %s: %w", dir, lastErr)
+}
+
+// writeSnapshotFile makes data durable as dir/snapshot-<k> — temporary
+// file, fsync, atomic rename, directory fsync — and then removes the
+// snapshots of other generations (advisory: recovery tolerates leftovers).
+func writeSnapshotFile(dir string, k int, data []byte) error {
+	tmp, err := os.CreateTemp(dir, ".snapshot-*.tmp")
+	if err != nil {
+		return fmt.Errorf("store: snapshot temp file: %w", err)
+	}
+	_, err = tmp.Write(data)
+	if err == nil {
+		err = tmp.Sync()
+	}
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp.Name(), filepath.Join(dir, snapshotName(k)))
+	}
+	if err != nil {
+		os.Remove(tmp.Name())
+		return fmt.Errorf("store: write snapshot: %w", err)
+	}
+	syncDir(dir)
+	entries, _ := os.ReadDir(dir)
+	for _, e := range entries {
+		name := e.Name()
+		if j, ok := snapshotIndex(name); ok && j != k || strings.HasPrefix(name, ".snapshot-") && strings.HasSuffix(name, ".tmp") {
+			os.Remove(filepath.Join(dir, name))
+		}
+	}
+	return nil
 }
 
 func (st *Store) sessionDir(id string) (string, error) {
@@ -289,241 +318,178 @@ func (st *Store) sessionDir(id string) (string, error) {
 	return filepath.Join(st.dir, id), nil
 }
 
-// recoverWALFile reads the valid record prefix of the segment at path,
-// accepting JSON, binary, and mixed segments. validBytes is the byte
-// length of that prefix when a torn tail must be truncated away, or -1
-// when the file is already clean (including when it does not exist
-// yet). oversize counts recovered records over the legacy scanner cap.
-func recoverWALFile(path string, firstSeq int) (frames []*trace.Frame, validBytes int64, oversize int, err error) {
-	data, err := os.ReadFile(path)
-	if errors.Is(err, os.ErrNotExist) {
-		return nil, -1, 0, nil
-	}
-	if err != nil {
-		return nil, -1, 0, err
-	}
-	frames, valid, oversize := decodeWALStream(data, firstSeq)
-	if valid == len(data) {
-		return frames, -1, oversize, nil
-	}
-	return frames, int64(valid), oversize, nil
-}
-
-// SessionStore is one session's durability state: the current WAL
-// segment plus snapshot rotation. Methods are not safe for concurrent
+// SessionStore is one session's durability state: its place in the
+// shared log plus snapshot rotation. Methods are not safe for concurrent
 // use — the fleet session serializes them behind its step lock.
 type SessionStore struct {
-	st      *Store
-	id      string
-	dir     string
-	wal     *walWriter
-	base    int // FramesApplied of the current snapshot
+	st  *Store
+	id  string
+	dir string
+	// log is the session's index entry; nil until the first snapshot and
+	// after Close.
+	log     *sessionLog
 	applied int // absolute index of the last appended frame
-	// enlisted counts CommitAsync enlistments not yet synced and
-	// completed; guarded by the committer's mutex, not by the owner.
-	enlisted int
-	// syncDue is the earliest time the flusher syncs this session's WAL
-	// again (one sync per commit window); the flusher's own.
+	// buf holds encoded records not yet written: under group commit a
+	// job's records wait here and CommitAsync writes them in one go.
+	buf       []byte
+	end       int64 // LSN just past the last record this SessionStore wrote
+	sinceSync int   // appends since the last inline fsync
+	syncNanos int64 // wall time of the most recent append's inline fsync; 0 when it carried none
+	// syncDue is the earliest time the flusher completes this session's
+	// commits again, and pass the flush that last did; the flusher's own.
 	syncDue time.Time
+	pass    uint64
 }
 
 // Applied returns the absolute index of the last durable-or-appended
-// frame (snapshot base plus WAL records).
+// frame (snapshot base plus log records).
 func (s *SessionStore) Applied() int { return s.applied }
 
 // SinceSnapshot returns the number of frames appended since the current
-// snapshot — the WAL length recovery would have to replay. Callers use
-// it to pace automatic checkpoints.
-func (s *SessionStore) SinceSnapshot() int { return s.applied - s.base }
-
-// Append logs one accepted frame, fsyncing per the store policy. It
-// must follow a successful WriteSnapshot (the segment is created by
-// snapshot rotation).
-func (s *SessionStore) Append(frame *trace.Frame) error {
-	if s.wal == nil {
-		return errors.New("store: session has no WAL segment (write a snapshot first)")
+// snapshot — what recovery would replay; it paces automatic checkpoints.
+func (s *SessionStore) SinceSnapshot() int {
+	if s.log == nil {
+		return 0
 	}
-	seq, synced, err := s.wal.append(frame)
+	return s.applied - s.log.base
+}
+
+// Append logs one accepted frame. Without group commit the record is
+// written, and fsynced per the store policy, before Append returns; under
+// group commit it is only encoded, and goes down with the rest of its job
+// in the one write CommitAsync makes. It must follow a WriteSnapshot.
+func (s *SessionStore) Append(frame *trace.Frame) error {
+	if s.log == nil {
+		return errors.New("store: session has no snapshot yet (write one first)")
+	}
+	if err := s.st.failed(); err != nil {
+		return err
+	}
+	buf, err := appendRecord(s.buf, s.id, s.applied+1, frame)
 	if err != nil {
 		return err
 	}
-	s.applied = seq
+	s.buf, s.syncNanos = buf, 0
+	s.applied++
 	s.st.mAppends.Inc()
-	if synced {
-		s.st.mFsyncs.Inc()
+	if s.st.committer != nil {
+		return nil
+	}
+	if err := s.write(); err != nil {
+		return err
+	}
+	s.sinceSync++
+	if every := s.st.opts.FsyncEvery; every > 0 && s.sinceSync >= every {
+		// Timed so frame tracing can reattribute the inline fsync's share
+		// of the append out of the wal_append stage.
+		t0 := time.Now()
+		if err := s.Sync(); err != nil {
+			return err
+		}
+		s.syncNanos = time.Since(t0).Nanoseconds()
 	}
 	return nil
 }
 
-// LastSyncNanos returns the wall time of the inline fsync carried by
-// the most recent Append, or 0 when that append synced nothing (fsync
-// batching, group commit, or durability off). Frame tracing uses it to
-// split fsync cost out of the WAL-append stage; like every SessionStore
-// method it is serialized by the owning session's step lock.
-func (s *SessionStore) LastSyncNanos() int64 {
-	if s.wal == nil {
-		return 0
+// write appends the buffered records to the log.
+func (s *SessionStore) write() (err error) {
+	if len(s.buf) > 0 {
+		s.end, err = s.st.appendLog(s.buf, s.log)
+		s.buf = s.buf[:0]
 	}
-	return s.wal.syncNanos
+	return err
 }
 
+// LastSyncNanos returns the wall time of the inline fsync carried by
+// the most recent Append, or 0 when that append synced nothing. Frame
+// tracing uses it to split fsync cost out of the WAL-append stage.
+func (s *SessionStore) LastSyncNanos() int64 { return s.syncNanos }
+
 // WriteSnapshot persists a checkpoint of the session at its current
-// applied-frame count and rotates the WAL: the snapshot is written to a
-// temporary file, fsynced, atomically renamed to snapshot-<k>, the
-// directory entry fsynced, a fresh wal-<k>.ndjson started, and only
-// then are older snapshot/WAL pairs removed — so every instant of the
-// sequence leaves at least one recoverable (snapshot, WAL) pair on
-// disk. snap.FramesApplied is set by the store; the caller fills the
-// identity and state fields. Returns the encoded snapshot size.
+// applied-frame count: the snapshot, stamped with the log's position, is
+// made durable as snapshot-<k> (writeSnapshotFile) and only then are
+// older snapshots removed and the session's earlier records released —
+// so every instant leaves one recoverable snapshot with its records on
+// disk. It waits on nothing: commits still enlisted with the flusher
+// complete on their own. The store sets snap.SessionID, FramesApplied
+// and LogLSN; the caller fills the rest. Returns the encoded size.
 func (s *SessionStore) WriteSnapshot(snap *Snapshot) (int, error) {
 	start := time.Now()
-	snap.SessionID = s.id
-	snap.FramesApplied = s.applied
+	if err := s.write(); err != nil {
+		return 0, err
+	}
+	st, k := s.st, s.applied
+	st.mu.Lock()
+	lsn := st.cursor // every record of this session so far lies below it
+	st.mu.Unlock()
+	snap.SessionID, snap.FramesApplied, snap.LogLSN = s.id, k, lsn
 	data, err := EncodeSnapshot(snap)
 	if err != nil {
 		return 0, err
 	}
-	k := s.applied
-	tmp, err := os.CreateTemp(s.dir, ".snapshot-*.tmp")
-	if err != nil {
-		return 0, fmt.Errorf("store: snapshot temp file: %w", err)
-	}
-	tmpName := tmp.Name()
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(tmpName)
-		return 0, fmt.Errorf("store: write snapshot: %w", err)
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		os.Remove(tmpName)
-		return 0, fmt.Errorf("store: sync snapshot: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmpName)
-		return 0, fmt.Errorf("store: close snapshot: %w", err)
-	}
-	if err := os.Rename(tmpName, filepath.Join(s.dir, snapshotName(k))); err != nil {
-		os.Remove(tmpName)
-		return 0, fmt.Errorf("store: publish snapshot: %w", err)
-	}
-	syncDir(s.dir)
-
-	// Rotate: further appends land in the segment paired with this
-	// snapshot. Recreate (truncate) rather than append — two snapshots
-	// at the same k (e.g. checkpoint with no frames in between) restart
-	// the same segment, and its records are re-derived from the newer
-	// snapshot anyway.
-	if s.wal != nil {
-		// The flusher may still hold this handle for an enlisted commit.
-		s.drain()
-		s.wal.close()
-	}
-	w, err := s.st.openWAL(filepath.Join(s.dir, walName(k)), os.O_TRUNC, k, s.st.opts.FsyncEvery)
-	if err != nil {
+	if err := writeSnapshotFile(s.dir, k, data); err != nil {
 		return 0, err
 	}
-	s.wal = w
-	s.base = k
-	s.compact(k)
+	s.log = st.setSnapshot(s.id, k, lsn, nil)
 
-	s.st.mSnapBytes.Observe(float64(len(data)))
-	s.st.mSnapSeconds.Observe(time.Since(start).Seconds())
+	st.mSnapBytes.Observe(float64(len(data)))
+	st.mSnapSeconds.Observe(time.Since(start).Seconds())
 	return len(data), nil
-}
-
-// compact removes snapshot/WAL files of generations other than keep.
-func (s *SessionStore) compact(keep int) {
-	entries, err := os.ReadDir(s.dir)
-	if err != nil {
-		return // compaction is advisory; recovery tolerates leftovers
-	}
-	for _, e := range entries {
-		name := e.Name()
-		if k, ok := snapshotIndex(name); ok && k != keep {
-			os.Remove(filepath.Join(s.dir, name))
-		}
-		if k, ok := walIndex(name); ok && k != keep {
-			os.Remove(filepath.Join(s.dir, name))
-		}
-		if strings.HasPrefix(name, ".snapshot-") && strings.HasSuffix(name, ".tmp") {
-			os.Remove(filepath.Join(s.dir, name))
-		}
-	}
 }
 
 // CommitAsync makes every frame appended so far durable under the
 // store's commit policy and then calls done — exactly once, with the
-// sync's error if it failed — without blocking the caller. With group
-// commit enabled (Options.CommitWindow > 0) it enlists done with the
-// store's flusher, which calls it after the one flush whose sync covers
-// this session's segment; completions of one session run in CommitAsync
-// order, so the caller preserves replied ⇒ durable and per-session reply
-// order by replying only from done. Without group commit appends already
-// synced inline per FsyncEvery and done runs before CommitAsync returns.
-// frames is the number of appends this commit covers (batch-size
-// histogram); a commit covering none is enlisted like any other, so it
-// still completes behind the session's earlier ones.
-//
-// Invariant (shared with the committer's flush): Append, CommitAsync,
-// WriteSnapshot and Close are serialized by the owning session's step
-// lock, and the caller may go on appending while an enlistment is
-// outstanding. The flusher touches nothing of the session but the
-// *os.File captured at enlist time, and only to Sync it — safe beside a
-// concurrent Write, and a Sync that runs late merely covers more.
-// Whatever retires that handle (WriteSnapshot's rotation, Close) first
-// waits until every outstanding enlistment has been synced and
-// completed, so a captured handle is never closed, and a segment never
-// rotated away, under the flusher. done therefore must not wait on
-// anything the session's owner holds while calling those two.
+// error if the log failed — without blocking the caller on the disk.
+// Under group commit it writes the job's buffered records and enlists
+// done with the store's flusher, which calls it after a sync that covered
+// them; one session's completions run in CommitAsync order, so the caller
+// preserves replied ⇒ durable and reply order by replying only from
+// done. Without group commit appends already synced inline and done runs
+// before CommitAsync returns. frames is the number of appends covered
+// (batch-size histogram); a commit covering none is enlisted like any
+// other, so it completes behind the session's earlier ones. The owner may
+// go on appending — or snapshot, or close — meanwhile: the flusher holds
+// only a log position. done runs on the flusher and must not block.
 func (s *SessionStore) CommitAsync(frames int, done func(error)) {
 	c := s.st.committer
-	if c == nil || s.wal == nil {
-		done(nil)
+	if c == nil || s.log == nil {
+		done(s.st.failed())
 		return
 	}
+	// A failed write is sticky in the store; the flusher reports it to
+	// this commit and every later one, in order.
+	s.write()
 	c.enlist(s, frames, done)
 }
 
 // Commit is CommitAsync plus the wait: it returns once every frame
 // appended so far is durable under the store's commit policy.
 func (s *SessionStore) Commit(frames int) error {
-	if s.st.committer == nil || s.wal == nil || frames <= 0 {
-		return nil
+	if s.st.committer == nil || s.log == nil || frames <= 0 {
+		return s.st.failed()
 	}
 	errc := make(chan error, 1)
 	s.CommitAsync(frames, func(err error) { errc <- err })
 	return <-errc
 }
 
-// drain waits until the flusher has synced and completed every
-// outstanding enlistment of this session, after which it holds none of
-// its file handles.
-func (s *SessionStore) drain() {
-	if s.st.committer != nil {
-		s.st.committer.drain(s)
-	}
-}
-
-// Sync forces the WAL to stable storage regardless of policy.
+// Sync forces the session's records to stable storage regardless of
+// policy.
 func (s *SessionStore) Sync() error {
-	if s.wal == nil {
-		return nil
+	if err := s.write(); err != nil {
+		return err
 	}
-	s.st.mFsyncs.Inc()
-	return s.wal.sync()
+	s.sinceSync = 0
+	_, err := s.st.syncLog(s.end)
+	return err
 }
 
-// Close releases the WAL file handle once outstanding enlistments have
-// been synced. It does not itself sync: callers that need durability
-// checkpoint or Sync first.
+// Close ends the session's use of the store, writing any records still
+// buffered. It does not sync: callers that need durability checkpoint or
+// Sync first. Commits still enlisted complete on their own.
 func (s *SessionStore) Close() error {
-	if s.wal == nil {
-		return nil
-	}
-	s.drain()
-	err := s.wal.close()
-	s.wal = nil
+	err := s.write()
+	s.log = nil
 	return err
 }
 
@@ -537,51 +503,18 @@ func syncDir(dir string) {
 }
 
 func snapshotName(k int) string { return "snapshot-" + strconv.Itoa(k) }
-func walName(k int) string      { return "wal-" + strconv.Itoa(k) + ".ndjson" }
 
 func snapshotIndex(name string) (int, bool) {
 	rest, ok := strings.CutPrefix(name, "snapshot-")
-	if !ok {
-		return 0, false
-	}
 	k, err := strconv.Atoi(rest)
-	if err != nil || k < 0 {
-		return 0, false
-	}
-	return k, true
+	return k, ok && err == nil && k >= 0
 }
 
-func walIndex(name string) (int, bool) {
-	rest, ok := strings.CutPrefix(name, "wal-")
-	if !ok {
-		return 0, false
-	}
-	rest, ok = strings.CutSuffix(rest, ".ndjson")
-	if !ok {
-		return 0, false
-	}
-	k, err := strconv.Atoi(rest)
-	if err != nil || k < 0 {
-		return 0, false
-	}
-	return k, true
-}
-
-// byteBuckets spans 256 B .. 16 MiB exponentially for the snapshot
-// size histogram.
-func byteBuckets() []float64 {
-	out := make([]float64, 0, 17)
-	for b := 256.0; b <= 16*1024*1024; b *= 2 {
-		out = append(out, b)
-	}
-	return out
-}
-
-// batchBuckets spans 1 .. 4096 frames exponentially for the
-// group-commit batch size histogram.
-func batchBuckets() []float64 {
-	out := make([]float64, 0, 13)
-	for b := 1.0; b <= 4096; b *= 2 {
+// pow2Buckets spans lo .. hi exponentially: 256 B .. 16 MiB for the
+// snapshot size histogram, 1 .. 4096 for the group-commit batch sizes.
+func pow2Buckets(lo, hi float64) []float64 {
+	var out []float64
+	for b := lo; b <= hi; b *= 2 {
 		out = append(out, b)
 	}
 	return out

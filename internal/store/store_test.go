@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"roboads/internal/core"
 	"roboads/internal/detect"
@@ -131,58 +132,40 @@ func TestDecodeSnapshotVersionSkew(t *testing.T) {
 	}
 }
 
-func TestWALRecordRoundTrip(t *testing.T) {
-	line, err := EncodeWALRecord(3, testFrame(2))
-	if err != nil {
-		t.Fatalf("encode: %v", err)
-	}
-	if line[len(line)-1] != '\n' {
-		t.Fatalf("record is not newline-terminated")
-	}
-	seq, frame, err := DecodeWALRecord(line[:len(line)-1])
-	if err != nil {
-		t.Fatalf("decode: %v", err)
-	}
-	if seq != 3 || frame.K != 2 || frame.U[0] != 0.2 || frame.Readings["gps"][1] != 2.5 {
-		t.Fatalf("round trip changed record: seq=%d frame=%+v", seq, frame)
-	}
-	// Any bit flip must fail the CRC or the JSON parse.
-	for i := 0; i < len(line)-1; i++ {
-		mut := append([]byte(nil), line[:len(line)-1]...)
-		mut[i] ^= 0x08
-		if _, _, err := DecodeWALRecord(mut); err == nil {
-			t.Fatalf("bit flip at byte %d went undetected", i)
-		}
-	}
-}
-
+// TestReadWALTailStopsAtCorruption: the log decoder yields the intact
+// prefix of a byte stream and stops at the first torn or corrupt record,
+// wherever it is — nothing after a bad record is ever picked up.
 func TestReadWALTailStopsAtCorruption(t *testing.T) {
-	var buf bytes.Buffer
+	var good []byte
+	var ends []int
 	for seq := 1; seq <= 5; seq++ {
-		line, err := EncodeWALRecord(seq, testFrame(seq-1))
-		if err != nil {
+		var err error
+		if good, err = appendRecord(good, "s-1", seq, testFrame(seq-1)); err != nil {
 			t.Fatal(err)
 		}
-		buf.Write(line)
+		ends = append(ends, len(good))
 	}
-	good := buf.Bytes()
-
-	frames, truncated, _, err := readWALTail(bytes.NewReader(good), 1)
-	if err != nil || truncated || len(frames) != 5 {
-		t.Fatalf("clean tail: frames=%d truncated=%v err=%v", len(frames), truncated, err)
+	count := func(data []byte) (records, valid int) {
+		valid = scanLog(data, func(_, _ int, id []byte, seq int, _ []byte) {
+			if string(id) != "s-1" || seq != records+1 {
+				t.Fatalf("record %d decoded as %s/%d", records+1, id, seq)
+			}
+			records++
+		})
+		return records, valid
 	}
-
+	if n, valid := count(good); n != 5 || valid != len(good) {
+		t.Fatalf("clean log: %d records, %d of %d bytes", n, valid, len(good))
+	}
 	// Torn final record.
-	torn := good[:len(good)-9]
-	frames, truncated, _, err = readWALTail(bytes.NewReader(torn), 1)
-	if err != nil || !truncated || len(frames) != 4 {
-		t.Fatalf("torn tail: frames=%d truncated=%v err=%v", len(frames), truncated, err)
+	if n, valid := count(good[:len(good)-9]); n != 4 || valid != ends[3] {
+		t.Fatalf("torn tail: %d records, prefix %d (want 4, %d)", n, valid, ends[3])
 	}
-
-	// Out-of-sequence start discards everything.
-	frames, truncated, _, _ = readWALTail(bytes.NewReader(good), 2)
-	if len(frames) != 0 || !truncated {
-		t.Fatalf("sequence gap: frames=%d truncated=%v", len(frames), truncated)
+	// A flipped bit in the third record hides the intact fourth and fifth.
+	mut := append([]byte(nil), good...)
+	mut[ends[1]+12] ^= 0x10
+	if n, valid := count(mut); n != 2 || valid != ends[1] {
+		t.Fatalf("corrupt middle: %d records, prefix %d (want 2, %d)", n, valid, ends[1])
 	}
 }
 
@@ -210,7 +193,7 @@ func TestSessionStoreLifecycle(t *testing.T) {
 	if ss.Applied() != 5 {
 		t.Fatalf("applied=%d, want 5", ss.Applied())
 	}
-	// Second checkpoint at k=5 rotates the WAL and compacts.
+	// Second checkpoint at k=5 supersedes the first and compacts.
 	if _, err := ss.WriteSnapshot(testSnapshot(0)); err != nil {
 		t.Fatal(err)
 	}
@@ -231,11 +214,15 @@ func TestSessionStoreLifecycle(t *testing.T) {
 	for _, e := range entries {
 		names = append(names, e.Name())
 	}
-	if len(names) != 2 {
-		t.Fatalf("compaction left %v, want exactly one snapshot/WAL pair", names)
+	if len(names) != 1 || names[0] != snapshotName(5) {
+		t.Fatalf("compaction left %v, want exactly the newest snapshot", names)
 	}
 
-	// Recovery sees snapshot-5 plus three replayable frames.
+	// Recovery — by a fresh store, as after a restart — sees snapshot-5
+	// plus three replayable frames.
+	if st, err = Open(st.Dir(), Options{Metrics: reg}); err != nil {
+		t.Fatal(err)
+	}
 	rs, snap, frames, err := st.Recover("sess-1")
 	if err != nil {
 		t.Fatal(err)
@@ -247,7 +234,7 @@ func TestSessionStoreLifecycle(t *testing.T) {
 	if frames[0].K != 5 || frames[2].K != 7 {
 		t.Fatalf("recovered frames out of order: %v..%v", frames[0].K, frames[2].K)
 	}
-	// The recovered store continues the segment.
+	// The recovered store continues the sequence.
 	if err := rs.Append(testFrame(8)); err != nil {
 		t.Fatal(err)
 	}
@@ -261,6 +248,16 @@ func TestSessionStoreLifecycle(t *testing.T) {
 	if reg.CounterValue(MetricWALFsyncs) != 9 {
 		t.Fatalf("fsync counter %d, want 9 (FsyncEvery defaults to 1)", reg.CounterValue(MetricWALFsyncs))
 	}
+}
+
+// logFiles lists the store's segment files, oldest first.
+func logFiles(t *testing.T, dir string) []string {
+	t.Helper()
+	files, err := filepath.Glob(filepath.Join(dir, "log-????????????????"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return files
 }
 
 func TestRecoverTruncatesTornTail(t *testing.T) {
@@ -283,15 +280,18 @@ func TestRecoverTruncatesTornTail(t *testing.T) {
 	ss.Close()
 
 	// Simulate a crash mid-append: chop bytes off the final record.
-	walPath := filepath.Join(st.Dir(), "s", walName(0))
-	data, err := os.ReadFile(walPath)
+	logPath := logFiles(t, st.Dir())[0]
+	data, err := os.ReadFile(logPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(walPath, data[:len(data)-11], 0o644); err != nil {
+	if err := os.WriteFile(logPath, data[:len(data)-11], 0o644); err != nil {
 		t.Fatal(err)
 	}
 
+	if st, err = Open(st.Dir(), Options{}); err != nil {
+		t.Fatal(err)
+	}
 	rs, snap, frames, err := st.Recover("s")
 	if err != nil {
 		t.Fatal(err)
@@ -305,6 +305,9 @@ func TestRecoverTruncatesTornTail(t *testing.T) {
 		t.Fatal(err)
 	}
 	rs.Close()
+	if st, err = Open(st.Dir(), Options{}); err != nil {
+		t.Fatal(err)
+	}
 	rs2, _, frames2, err := st.Recover("s")
 	if err != nil {
 		t.Fatal(err)
@@ -336,10 +339,20 @@ func TestRecoverFallsBackToOlderSnapshot(t *testing.T) {
 
 	// Plant a corrupt higher-numbered snapshot (as if compaction and the
 	// rename raced a crash in some hostile way). Recovery must fall back
-	// to snapshot-0 and its WAL.
+	// to snapshot-0 and its records. The index is huge on purpose: the
+	// loader tries the snapshots that exist, not every integer below the
+	// newest (ReplicaRead's copy of it used to, a million failed opens).
 	dir := filepath.Join(st.Dir(), "s")
-	if err := os.WriteFile(filepath.Join(dir, snapshotName(9)), []byte("garbage"), 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, snapshotName(1_000_000_000)), []byte("garbage"), 0o644); err != nil {
 		t.Fatal(err)
+	}
+	start := time.Now()
+	raw, snap, err := loadSnapshot(dir)
+	if err != nil || snap.FramesApplied != 0 {
+		t.Fatalf("loader: %v, snapshot %+v", err, snap)
+	}
+	if onDisk, _ := os.ReadFile(filepath.Join(dir, snapshotName(0))); !bytes.Equal(raw, onDisk) {
+		t.Fatal("loader's raw envelope is not the file it decoded")
 	}
 	rs, snap, frames, err := st.Recover("s")
 	if err != nil {
@@ -348,6 +361,13 @@ func TestRecoverFallsBackToOlderSnapshot(t *testing.T) {
 	defer rs.Close()
 	if snap.FramesApplied != 0 || len(frames) != 2 {
 		t.Fatalf("fallback recovery: base=%d frames=%d", snap.FramesApplied, len(frames))
+	}
+	batch, err := st.ReplicaRead("s", -1)
+	if err != nil || batch.Base != 0 || len(batch.Frames) != 2 || !bytes.Equal(batch.Snapshot, raw) {
+		t.Fatalf("replica read past a corrupt newest snapshot: %v, %+v", err, batch)
+	}
+	if took := time.Since(start); took > 2*time.Second {
+		t.Fatalf("falling back from snapshot-1000000000 took %v", took)
 	}
 }
 

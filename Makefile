@@ -1,12 +1,17 @@
 GO ?= go
 
-.PHONY: build vet staticcheck test tier1-loaded race fleetsoak crashsoak fleetbatch flakehunt fuzz bench profile-replay profile-generate benchsmoke benchbatch benchdiff benchoverhead loadgensmoke multinodesmoke scenariosmoke ci
+.PHONY: build vet fmtcheck staticcheck test tier1-loaded race fleetsoak crashsoak fleetbatch flakehunt fuzz bench profile-replay profile-generate benchsmoke benchbatch benchdiff benchoverhead loadgensmoke multinodesmoke scenariosmoke ci
 
 build:
 	$(GO) build ./...
 
 vet:
 	$(GO) vet ./...
+
+# gofmt gate: any file gofmt would rewrite fails the target. gofmt walks
+# directories, not modules, so this covers bench/ (its own module) too.
+fmtcheck:
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
 # staticcheck is not vendored; CI installs it with `go install`. Locally
 # this target is a no-op (with a note) when the binary is absent.
@@ -95,6 +100,7 @@ fuzz:
 	$(GO) test -run xxx -fuzz FuzzDecodeLog -fuzztime 15s ./internal/store/
 	$(GO) test -run xxx -fuzz FuzzTraceReader -fuzztime 15s ./internal/trace/
 	$(GO) test -run xxx -fuzz FuzzFrameRecord -fuzztime 15s ./internal/trace/
+	$(GO) test -run xxx -fuzz FuzzReadReplyRecord -fuzztime 15s ./internal/api/
 	$(GO) test -run xxx -fuzz FuzzWireDecode -fuzztime 15s ./internal/fleet/
 	$(GO) test -run xxx -fuzz FuzzFrameBatch -fuzztime 15s ./internal/fleet/
 	$(GO) test -run xxx -fuzz FuzzScenarioDecode -fuzztime 15s ./internal/scenario/

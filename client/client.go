@@ -289,7 +289,8 @@ func retryDelay(header http.Header, hintMs int64) time.Duration {
 type Stream struct {
 	pw     *io.PipeWriter
 	resp   *http.Response
-	sc     *bufio.Scanner
+	sc     *bufio.Scanner   // NDJSON replies
+	rr     *api.ReplyReader // reply records; set instead of sc
 	binary bool
 
 	sendMu sync.Mutex
@@ -297,8 +298,12 @@ type Stream struct {
 }
 
 // Stream opens the streaming ingest for a session. With binary true the
-// frames travel as binary frame records (the compact wire); otherwise
-// as trace NDJSON. Replies are ReplyLine NDJSON either way.
+// frames travel as binary frame records (the compact wire) and the
+// request asks for binary reply records too (api.ContentTypeBinaryReplies);
+// otherwise both directions are NDJSON. The reply decoder follows the
+// response's Content-Type, so a server that predates reply records (or
+// a proxy that drops the Accept header) is read as NDJSON and Recv
+// returns the same ReplyLines either way.
 func (c *Client) Stream(ctx context.Context, id string, binary bool) (*Stream, error) {
 	pr, pw := io.Pipe()
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base+"/v1/sessions/"+id+"/frames", pr)
@@ -308,6 +313,7 @@ func (c *Client) Stream(ctx context.Context, id string, binary bool) (*Stream, e
 	}
 	if binary {
 		req.Header.Set("Content-Type", api.ContentTypeBinaryFrames)
+		req.Header.Set("Accept", api.ContentTypeBinaryReplies)
 	} else {
 		req.Header.Set("Content-Type", api.ContentTypeNDJSON)
 	}
@@ -320,9 +326,14 @@ func (c *Client) Stream(ctx context.Context, id string, binary bool) (*Stream, e
 		defer resp.Body.Close()
 		return nil, decodeError(resp)
 	}
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 0, 1<<16), 1<<22)
-	return &Stream{pw: pw, resp: resp, sc: sc, binary: binary}, nil
+	s := &Stream{pw: pw, resp: resp, binary: binary}
+	if resp.Header.Get("Content-Type") == api.ContentTypeBinaryReplies {
+		s.rr = api.NewReplyReader(resp.Body)
+	} else {
+		s.sc = bufio.NewScanner(resp.Body)
+		s.sc.Buffer(make([]byte, 0, 1<<16), 1<<22)
+	}
+	return s, nil
 }
 
 // Send ships one frame. Safe for one sender goroutine at a time.
@@ -349,6 +360,13 @@ func (s *Stream) CloseSend() error { return s.pw.Close() }
 // Recv returns the next reply line; io.EOF after the final reply of a
 // closed stream.
 func (s *Stream) Recv() (api.ReplyLine, error) {
+	if s.rr != nil {
+		line, err := s.rr.Read()
+		if err != nil && !errors.Is(err, io.EOF) {
+			err = fmt.Errorf("reply record: %w", err)
+		}
+		return line, err
+	}
 	for s.sc.Scan() {
 		if len(bytes.TrimSpace(s.sc.Bytes())) == 0 {
 			continue

@@ -16,8 +16,8 @@ import (
 	"roboads/client"
 	"roboads/internal/api"
 	"roboads/internal/eval"
-	"roboads/internal/router"
 	"roboads/internal/mat"
+	"roboads/internal/router"
 	"roboads/internal/stat"
 	"roboads/internal/trace"
 )

@@ -8,7 +8,9 @@
 //
 // Floats cross the wire through encoding/json, whose shortest-exact
 // rendering round-trips every float64 bit-for-bit, so two wire values
-// are equal if and only if the underlying quantities agree exactly.
+// are equal if and only if the underlying quantities agree exactly. The
+// one binary rendering, the /frames reply record (replyrecord.go), ships
+// the IEEE-754 bits and is pinned by golden bytes of its own.
 package api
 
 import "roboads/internal/trace"
@@ -23,7 +25,8 @@ const Version = 1
 // trace binary frame records (no stream prologue, no header record —
 // exactly the record envelope trace.ReadFrameRecord consumes). Any
 // other Content-Type means trace.Frame NDJSON. Replies are ReplyLine
-// NDJSON either way.
+// NDJSON unless the request also asks for reply records: see
+// ContentTypeBinaryReplies.
 const ContentTypeBinaryFrames = "application/x-roboads-frames"
 
 // ContentTypeNDJSON is the NDJSON content type of frame and reply
@@ -122,11 +125,15 @@ type CheckpointInfo struct {
 	SnapshotBytes int `json:"snapshotBytes"`
 }
 
-// ReplyLine is one NDJSON line streamed back per submitted frame, and
-// the body of a single-frame /step response. Exactly one of Report and
-// Error is set.
+// ReplyLine is one reply streamed back per submitted frame — an NDJSON
+// line or a reply record (ContentTypeBinaryReplies) — and the body of a
+// single-frame /step response. Exactly one of Report and Error is set.
 type ReplyLine struct {
-	// K echoes the frame's iteration index.
+	// K is, next to a Report, the detector's iteration index (Report.K):
+	// how many frames the session's detector had stepped before this
+	// one, which falls behind the frames' own K once a frame has been
+	// refused. Next to an Error it echoes the refused frame's K (the
+	// first frame's, for an error that fails a whole batch).
 	K int `json:"k"`
 	// Report is the frame's detector report.
 	Report *WireReport `json:"report,omitempty"`

@@ -216,10 +216,11 @@ func TestEnginePoisonedArena(t *testing.T) {
 	})
 }
 
-// A command or reading of the wrong length is refused with ErrFrameShape
-// before any mode runs, and the engine carries on as if the frame had
-// never arrived. (Unchecked, it panicked inside NUISE and took the whole
-// serving process down with it.)
+// A command or reading of the wrong length is refused with ErrFrameShape,
+// one holding a NaN or an infinity with ErrFrameNotFinite, before any mode
+// runs, and the engine carries on as if the frame had never arrived.
+// (Unchecked, the first panicked inside NUISE and took the whole serving
+// process down with it; the second failed every mode.)
 func TestEngineRefusesMalformedFrame(t *testing.T) {
 	rig, us, readings := recordScenario(17, 60)
 	const at = 25
@@ -235,12 +236,17 @@ func TestEngineRefusesMalformedFrame(t *testing.T) {
 		name     string
 		u        mat.Vec
 		readings map[string]mat.Vec
+		want     error
 	}{
-		{"short reading", us[at], with("ips", mat.VecOf(0.8, 0.8))},
-		{"long reading", us[at], with("lidar", mat.VecOf(1, 1, 1, 1, 0.2))},
-		{"empty reading", us[at], with(rig.we.Name(), nil)},
-		{"short command", mat.VecOf(0.1), readings[at]},
-		{"long command", mat.VecOf(0.1, 0.1, 0.1), readings[at]},
+		{"short reading", us[at], with("ips", mat.VecOf(0.8, 0.8)), ErrFrameShape},
+		{"long reading", us[at], with("lidar", mat.VecOf(1, 1, 1, 1, 0.2)), ErrFrameShape},
+		{"empty reading", us[at], with(rig.we.Name(), nil), ErrFrameShape},
+		{"short command", mat.VecOf(0.1), readings[at], ErrFrameShape},
+		{"long command", mat.VecOf(0.1, 0.1, 0.1), readings[at], ErrFrameShape},
+		{"NaN reading", us[at], with("ips", mat.VecOf(math.NaN(), 0.8, 0.1)), ErrFrameNotFinite},
+		{"Inf reading", us[at], with("ips", mat.VecOf(0.8, math.Inf(-1), 0.1)), ErrFrameNotFinite},
+		{"NaN command", mat.VecOf(math.NaN(), 0.1), readings[at], ErrFrameNotFinite},
+		{"Inf command", mat.VecOf(0.1, math.Inf(1)), readings[at], ErrFrameNotFinite},
 	}
 	for _, workers := range []int{-1, 2} {
 		for _, tc := range cases {
@@ -249,8 +255,8 @@ func TestEngineRefusesMalformedFrame(t *testing.T) {
 			for k := range us {
 				if k == at {
 					out, err := eng.Step(tc.u, tc.readings)
-					if !errors.Is(err, ErrFrameShape) || out != nil {
-						t.Fatalf("workers=%d %s: got (%v, %v), want ErrFrameShape", workers, tc.name, out, err)
+					if !errors.Is(err, tc.want) || out != nil {
+						t.Fatalf("workers=%d %s: got (%v, %v), want %v", workers, tc.name, out, err, tc.want)
 					}
 				}
 				want, err := ref.Step(us[k], readings[k])

@@ -343,6 +343,12 @@ var ErrAllModesFailed = errors.New("core: all modes failed")
 // refused before any mode runs: the engine is exactly as it was.
 var ErrFrameShape = errors.New("core: frame shape mismatch")
 
+// ErrFrameNotFinite indicates a frame whose command or one of whose
+// readings holds a NaN or an infinity (the binary frame wire can carry
+// them; JSON cannot). Refused like ErrFrameShape, before any mode runs —
+// let in, it fails every mode and surfaces as ErrAllModesFailed.
+var ErrFrameNotFinite = errors.New("core: frame not finite")
+
 // gather validates one frame and parks each sensor's reading in e.frame
 // (nil: missing). A reading the mode set never looks at is ignored, as
 // it always was.
@@ -350,11 +356,17 @@ func (e *Engine) gather(u mat.Vec, readings map[string]mat.Vec) error {
 	if q := e.plant.Model.ControlDim(); len(u) != q {
 		return fmt.Errorf("%w: command has %d values, want %d", ErrFrameShape, len(u), q)
 	}
+	if err := allFinite(u); err != nil {
+		return fmt.Errorf("%w: command: %v", ErrFrameNotFinite, err)
+	}
 	for s, name := range e.sensorNames {
 		z, ok := readings[name]
 		if ok && len(z) != e.sensorDims[s] {
 			return fmt.Errorf("%w: sensor %q reading has %d values, want %d",
 				ErrFrameShape, name, len(z), e.sensorDims[s])
+		}
+		if err := allFinite(z); err != nil {
+			return fmt.Errorf("%w: sensor %q reading: %v", ErrFrameNotFinite, name, err)
 		}
 		e.frame[s] = z
 	}
@@ -370,9 +382,10 @@ func (e *Engine) gather(u mat.Vec, readings map[string]mat.Vec) error {
 // dropped sensor packet) degrades only the modes that depend on that
 // sensor — a mode loses the iteration when its reference is incomplete,
 // and runs reference-only (no d̂s) when only its testing block is — it
-// never sinks the whole bank. A command or reading of the wrong length is
-// a different matter: the frame is refused with ErrFrameShape before any
-// mode runs, and the engine is exactly as it was.
+// never sinks the whole bank. A command or reading of the wrong length, or
+// holding a NaN or an infinity, is a different matter: the frame is refused
+// with ErrFrameShape or ErrFrameNotFinite before any mode runs, and the
+// engine is exactly as it was.
 func (e *Engine) Step(u mat.Vec, readings map[string]mat.Vec) (*Output, error) {
 	return e.StepContext(context.Background(), u, readings)
 }

@@ -235,9 +235,11 @@ func beliefFromState(x, px []float64, n int) (mat.Vec, *mat.Mat, error) {
 }
 
 // allFinite rejects NaN/Inf contamination before it enters the filter.
+// It sits in every Step's prologue (Engine.gather), hence the one
+// subtraction per value: f-f is 0 for a finite f and NaN otherwise.
 func allFinite(v []float64) error {
 	for i, f := range v {
-		if math.IsNaN(f) || math.IsInf(f, 0) {
+		if f-f != 0 {
 			return fmt.Errorf("non-finite value %g at index %d", f, i)
 		}
 	}

@@ -62,6 +62,10 @@ const (
 	RejectCauseShuttingDown  = "shutting_down"
 	RejectCauseSessionCap    = "session_cap"
 	RejectCauseMigrating     = "migrating"
+	// MetricStreams counts /frames streams opened, by the wire their
+	// replies travel on: roboads_fleet_streams_total{replies="binary"}
+	// (reply records) or {replies="ndjson"}.
+	MetricStreams = "roboads_fleet_streams_total"
 	// MetricFrames counts frames stepped through a detector.
 	MetricFrames = "roboads_fleet_frames_total"
 	// MetricFrameErrors counts frames whose detector step failed.
@@ -226,6 +230,8 @@ type Manager struct {
 	mRejQueueFull, mRejSessionClosed *telemetry.Counter
 	mRejShuttingDown, mRejSessionCap *telemetry.Counter
 	mRejMigrating                    *telemetry.Counter
+	// Wire-split stream counters (MetricStreams family).
+	mStreamsBinary, mStreamsNDJSON *telemetry.Counter
 }
 
 const (
@@ -290,6 +296,9 @@ func NewManager(cfg Config) (*Manager, error) {
 		mRejShuttingDown:  reg.Counter(MetricRejects+`{cause="`+RejectCauseShuttingDown+`"}`, "Rejections by cause."),
 		mRejSessionCap:    reg.Counter(MetricRejects+`{cause="`+RejectCauseSessionCap+`"}`, "Rejections by cause."),
 		mRejMigrating:     reg.Counter(MetricRejects+`{cause="`+RejectCauseMigrating+`"}`, "Rejections by cause."),
+
+		mStreamsBinary: reg.Counter(MetricStreams+`{replies="binary"}`, "/frames streams opened, by reply wire."),
+		mStreamsNDJSON: reg.Counter(MetricStreams+`{replies="ndjson"}`, "/frames streams opened, by reply wire."),
 	}
 	if cfg.Batching > 1 {
 		m.batches = make(map[uint64]*batchSpace)

@@ -30,7 +30,9 @@ import (
 //	POST   /v1/sessions/{id}/step        step one trace.Frame (→ ReplyLine)
 //	POST   /v1/sessions/{id}/frames      stream trace.Frame NDJSON (or binary frame
 //	                                     records, Content-Type ContentTypeBinaryFrames)
-//	                                     in, ReplyLine NDJSON out, batched greedily
+//	                                     in, ReplyLine NDJSON out (reply records for
+//	                                     binary frames sent with Accept:
+//	                                     api.ContentTypeBinaryReplies), batched greedily
 //	POST   /v1/sessions/{id}/checkpoint  snapshot the session now (→ CheckpointInfo)
 //	POST   /v1/sessions/{id}/migrate     live-migrate the session to another node
 //	                                     (MigrateRequest → MigrateResponse)
@@ -301,7 +303,9 @@ func (m *Manager) stepSpanned(ctx context.Context, id string, frame *trace.Frame
 
 // handleFrames is the streaming ingest: trace.Frame NDJSON (or, with
 // Content-Type ContentTypeBinaryFrames, binary frame records) in, one
-// ReplyLine out per frame, flushed once per batch. Frames step strictly
+// ReplyLine out per frame, flushed once per batch — as NDJSON, or as
+// reply records when a binary request's Accept header names
+// api.ContentTypeBinaryReplies. Frames step strictly
 // in submission order and the reply stream is bit-for-bit what
 // per-frame /step calls would produce — batching changes when fsyncs
 // and flushes happen, never what is computed. Full duplex lets a client
@@ -319,12 +323,6 @@ func (m *Manager) handleFrames(w http.ResponseWriter, r *http.Request) {
 		httpError(w, lookupStatus(err), err)
 		return
 	}
-	rc := http.NewResponseController(w)
-	rc.EnableFullDuplex() // best-effort; serial clients work regardless
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.WriteHeader(http.StatusOK)
-	rc.Flush()
-
 	fbr := &frameBatchReader{
 		br:      bufio.NewReaderSize(r.Body, 1<<16),
 		binary:  r.Header.Get("Content-Type") == ContentTypeBinaryFrames,
@@ -332,7 +330,19 @@ func (m *Manager) handleFrames(w http.ResponseWriter, r *http.Request) {
 		tr:      m.cfg.Trace,
 		session: id,
 	}
-	enc := json.NewEncoder(w)
+	out := &replyWriter{w: w, rc: http.NewResponseController(w)}
+	out.rc.EnableFullDuplex() // best-effort; serial clients work regardless
+	if fbr.binary && r.Header.Get("Accept") == api.ContentTypeBinaryReplies {
+		m.mStreamsBinary.Inc()
+		w.Header().Set("Content-Type", api.ContentTypeBinaryReplies)
+	} else {
+		out.enc = json.NewEncoder(&out.buf)
+		m.mStreamsNDJSON.Inc()
+		w.Header().Set("Content-Type", api.ContentTypeNDJSON)
+	}
+	w.WriteHeader(http.StatusOK)
+	out.rc.Flush()
+
 	for {
 		frames, spans, readErr := fbr.next()
 		if len(frames) > 0 {
@@ -349,8 +359,8 @@ func (m *Manager) handleFrames(w http.ResponseWriter, r *http.Request) {
 				// canceled request): one terminal line, like the
 				// sequential path's first failing frame. Span ownership
 				// was settled inside submitBatchRetrying.
-				enc.Encode(ReplyLine{K: frames[0].K, Error: err.Error(), Code: replyCode(err), Closed: terminalErr(err)})
-				rc.Flush()
+				out.add(&ReplyLine{K: frames[0].K, Error: err.Error(), Code: replyCode(err), Closed: terminalErr(err)})
+				out.flush()
 				return
 			}
 			closed := false
@@ -365,26 +375,54 @@ func (m *Manager) handleFrames(w http.ResponseWriter, r *http.Request) {
 					line.K = wire.K
 					line.Report = &wire
 				}
-				if encErr := enc.Encode(line); encErr != nil {
-					finishSpans(spans) // client went away mid-reply
-					return
-				}
+				out.add(&line)
 				closed = closed || line.Closed
 			}
-			rc.Flush()
+			err = out.flush()
 			finishSpans(spans)
-			if closed {
+			if closed || err != nil {
 				return
 			}
 		}
 		if readErr != nil {
 			if !errors.Is(readErr, io.EOF) {
-				enc.Encode(ReplyLine{Error: "decode frame: " + readErr.Error(), Closed: true})
-				rc.Flush()
+				out.add(&ReplyLine{Error: "decode frame: " + readErr.Error(), Closed: true})
+				out.flush()
 			}
 			return
 		}
 	}
+}
+
+// replyWriter renders a /frames stream's ReplyLines on the wire the
+// request negotiated — NDJSON when enc is set, else reply records — into
+// one buffer reused across batches, and hands a batch to the connection
+// as one Write and one Flush.
+type replyWriter struct {
+	w   http.ResponseWriter
+	rc  *http.ResponseController
+	enc *json.Encoder // NDJSON into buf; nil on a reply-record stream
+	buf bytes.Buffer
+	err error // first encode failure
+}
+
+func (o *replyWriter) add(line *ReplyLine) {
+	switch {
+	case o.err != nil: // the stream ends before its first unencodable line
+	case o.enc == nil:
+		o.buf.Write(api.AppendReplyRecord(o.buf.AvailableBuffer(), line))
+	default:
+		o.err = o.enc.Encode(line) // fails on a non-finite report value
+	}
+}
+
+// flush sends what add buffered. An error means the stream is over: a
+// line could not be encoded, or the client went away.
+func (o *replyWriter) flush() error {
+	_, err := o.w.Write(o.buf.Bytes())
+	o.buf.Reset()
+	o.rc.Flush()
+	return errors.Join(o.err, err)
 }
 
 // frameBatchReader reads ingest frames in greedy batches from either
@@ -581,9 +619,10 @@ func replyCode(err error) string {
 	if code := errorCode(err); code != api.CodeBadRequest {
 		return code
 	}
-	if errors.Is(err, core.ErrFrameShape) {
+	if errors.Is(err, core.ErrFrameShape) || errors.Is(err, core.ErrFrameNotFinite) {
 		// The frame itself is malformed (a command or reading of the
-		// wrong length): the client's fault, and the session lives on.
+		// wrong length, or not finite): the client's fault, and the
+		// session lives on.
 		return api.CodeBadRequest
 	}
 	return api.CodeInternal

@@ -6,9 +6,14 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"flag"
 	"fmt"
+	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"sync"
@@ -57,19 +62,16 @@ func createSession(t *testing.T, base, robot string) SessionInfo {
 	return info
 }
 
-// streamFrames posts frames as one NDJSON body to the streaming ingest
-// and decodes the per-frame reply lines.
-func streamFrames(t *testing.T, base, id string, frames []trace.Frame) []ReplyLine {
+// rawReplies posts body to the streaming ingest with the given headers
+// and returns the response's Content-Type and raw body.
+func rawReplies(t *testing.T, base, id string, header http.Header, body []byte) (string, []byte) {
 	t.Helper()
-	var body strings.Builder
-	enc := json.NewEncoder(&body)
-	for _, frame := range frames {
-		if err := enc.Encode(frame); err != nil {
-			t.Fatal(err)
-		}
+	req, err := http.NewRequest(http.MethodPost, fmt.Sprintf("%s/v1/sessions/%s/frames", base, id), bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
 	}
-	resp, err := http.Post(fmt.Sprintf("%s/v1/sessions/%s/frames", base, id),
-		"application/x-ndjson", strings.NewReader(body.String()))
+	req.Header = header
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,8 +79,32 @@ func streamFrames(t *testing.T, base, id string, frames []trace.Frame) []ReplyLi
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("frames status = %d", resp.StatusCode)
 	}
+	out, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp.Header.Get("Content-Type"), out
+}
+
+// decodeReplies decodes a /frames response body the way its
+// Content-Type says: reply records, else ReplyLine NDJSON.
+func decodeReplies(t *testing.T, contentType string, body []byte) []ReplyLine {
+	t.Helper()
 	var lines []ReplyLine
-	sc := bufio.NewScanner(resp.Body)
+	if contentType == api.ContentTypeBinaryReplies {
+		rr := api.NewReplyReader(bytes.NewReader(body))
+		for {
+			line, err := rr.Read()
+			if err == io.EOF {
+				return lines
+			}
+			if err != nil {
+				t.Fatalf("decode reply record %d: %v", len(lines), err)
+			}
+			lines = append(lines, line)
+		}
+	}
+	sc := bufio.NewScanner(bytes.NewReader(body))
 	sc.Buffer(make([]byte, 0, 1<<16), 1<<22)
 	for sc.Scan() {
 		var line ReplyLine
@@ -91,6 +117,57 @@ func streamFrames(t *testing.T, base, id string, frames []trace.Frame) []ReplyLi
 		t.Fatal(err)
 	}
 	return lines
+}
+
+// streamFrames posts frames as one NDJSON body to the streaming ingest
+// and decodes the per-frame reply lines.
+func streamFrames(t *testing.T, base, id string, frames []trace.Frame) []ReplyLine {
+	t.Helper()
+	var body bytes.Buffer
+	enc := json.NewEncoder(&body)
+	for _, frame := range frames {
+		if err := enc.Encode(frame); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ct, out := rawReplies(t, base, id, http.Header{"Content-Type": {api.ContentTypeNDJSON}}, body.Bytes())
+	if ct != api.ContentTypeNDJSON {
+		t.Fatalf("NDJSON frames answered with Content-Type %q", ct)
+	}
+	return decodeReplies(t, ct, out)
+}
+
+// streamBinary posts frames as one binary frame-record body to the
+// streaming ingest, asking for reply records when binaryReplies is set,
+// and decodes the per-frame replies from the wire the request selects.
+func streamBinary(t *testing.T, base, id string, frames []trace.Frame, binaryReplies bool) []ReplyLine {
+	t.Helper()
+	var body []byte
+	for i := range frames {
+		body = trace.AppendFrameRecord(body, &frames[i])
+	}
+	header, want := http.Header{"Content-Type": {ContentTypeBinaryFrames}}, api.ContentTypeNDJSON
+	if binaryReplies {
+		header.Set("Accept", api.ContentTypeBinaryReplies)
+		want = api.ContentTypeBinaryReplies
+	}
+	ct, out := rawReplies(t, base, id, header, body)
+	if ct != want {
+		t.Fatalf("binary frames (binaryReplies=%v) answered with Content-Type %q", binaryReplies, ct)
+	}
+	return decodeReplies(t, ct, out)
+}
+
+// replyWires is every way a test can put frames on /frames and read the
+// replies back; all of them must yield the same ReplyLines.
+var replyWires = map[string]func(*testing.T, string, string, []trace.Frame) []ReplyLine{
+	"ndjson-frames/ndjson-replies": streamFrames,
+	"binary-frames/ndjson-replies": func(t *testing.T, base, id string, frames []trace.Frame) []ReplyLine {
+		return streamBinary(t, base, id, frames, false)
+	},
+	"binary-frames/binary-replies": func(t *testing.T, base, id string, frames []trace.Frame) []ReplyLine {
+		return streamBinary(t, base, id, frames, true)
+	},
 }
 
 // TestHTTPSessionLifecycle exercises create → list → step → delete and
@@ -202,10 +279,12 @@ func TestHTTPStreamingMatchesLocal(t *testing.T) {
 }
 
 // One malformed frame — a reading of the wrong length, which used to
-// panic inside NUISE on the shard worker and take the whole process down
-// — gets an error reply line of its own, and the session carries on as if
-// the frame had never arrived: every later line is the report a detector
-// that never saw it produces.
+// panic inside NUISE on the shard worker and take the whole process down,
+// or a NaN reading or infinite command, which used to fail every mode and
+// be answered as an internal error — gets a bad_request reply of its own,
+// and the session carries on as if the frame had never arrived: every
+// later reply is the report a detector that never saw it produces. On
+// every reply wire; the non-finite frames need the binary frame wire.
 func TestHTTPMalformedFrameIsRefused(t *testing.T) {
 	frames := kheperaFrames(t, 27, 30)
 	want := localReports(t, DefaultBuilder(), Spec{Robot: "khepera"}, frames)
@@ -216,74 +295,62 @@ func TestHTTPMalformedFrameIsRefused(t *testing.T) {
 	}
 
 	const at = 10
-	bad := frames[at]
-	bad.Readings = make(map[string][]float64, len(frames[at].Readings))
-	for name, z := range frames[at].Readings {
-		bad.Readings[name] = z
+	malformed := func(u []float64, ips []float64) trace.Frame {
+		bad := frames[at]
+		bad.U = u
+		bad.Readings = make(map[string][]float64, len(frames[at].Readings))
+		for name, z := range frames[at].Readings {
+			bad.Readings[name] = z
+		}
+		bad.Readings["ips"] = ips
+		return bad
 	}
-	bad.Readings["ips"] = bad.Readings["ips"][:2]
-	sent := append(append(append([]trace.Frame(nil), frames[:at]...), bad), frames[at:]...)
-
+	u, ips := frames[at].U, frames[at].Readings["ips"]
+	cases := []struct {
+		name, errPart string
+		bad           trace.Frame
+		binaryOnly    bool
+	}{
+		{"short reading", "frame shape", malformed(u, ips[:2]), false},
+		{"NaN reading", "non-finite", malformed(u, []float64{math.NaN(), ips[1], ips[2]}), true},
+		{"NaN command", "non-finite", malformed([]float64{math.NaN(), u[1]}, ips), true},
+		{"Inf command", "non-finite", malformed([]float64{u[0], math.Inf(1)}, ips), true},
+	}
 	_, srv := newTestServer(t, Config{Workers: 2})
-	info := createSession(t, srv.URL, "khepera")
-	lines := streamFrames(t, srv.URL, info.ID, sent)
-	if len(lines) != len(sent) {
-		t.Fatalf("got %d reply lines for %d frames", len(lines), len(sent))
-	}
-	if l := lines[at]; l.Report != nil || l.Code != api.CodeBadRequest || l.Closed ||
-		!strings.Contains(l.Error, "frame shape") {
-		t.Fatalf("malformed frame answered %+v", l)
-	}
-	good := append(append([]ReplyLine(nil), lines[:at]...), lines[at+1:]...)
-	for i, l := range good {
-		if l.Error != "" || l.Report == nil {
-			t.Fatalf("line %d: %+v", i, l)
+	for _, tc := range cases {
+		sent := append(append(append([]trace.Frame(nil), frames[:at]...), tc.bad), frames[at:]...)
+		for wire, stream := range replyWires {
+			if tc.binaryOnly && strings.HasPrefix(wire, "ndjson-frames") {
+				continue
+			}
+			info := createSession(t, srv.URL, "khepera")
+			lines := stream(t, srv.URL, info.ID, sent)
+			if len(lines) != len(sent) {
+				t.Fatalf("%s, %s: got %d replies for %d frames", tc.name, wire, len(lines), len(sent))
+			}
+			if l := lines[at]; l.Report != nil || l.Code != api.CodeBadRequest || l.Closed ||
+				l.K != tc.bad.K || !strings.Contains(l.Error, tc.errPart) {
+				t.Fatalf("%s, %s: malformed frame answered %+v", tc.name, wire, l)
+			}
+			good := append(append([]ReplyLine(nil), lines[:at]...), lines[at+1:]...)
+			for i, l := range good {
+				if l.Error != "" || l.Report == nil {
+					t.Fatalf("%s, %s: line %d: %+v", tc.name, wire, i, l)
+				}
+				if !reflect.DeepEqual(*l.Report, wantWire[i]) {
+					t.Fatalf("%s, %s: report %d diverged after the refused frame:\nremote %+v\nlocal  %+v", tc.name, wire, i, *l.Report, wantWire[i])
+				}
+			}
 		}
-		if !reflect.DeepEqual(*l.Report, wantWire[i]) {
-			t.Fatalf("report %d diverged after the refused frame:\nremote %+v\nlocal  %+v", i, *l.Report, wantWire[i])
-		}
 	}
-}
-
-// streamBinaryFrames posts frames as one binary frame-record body to
-// the streaming ingest and decodes the per-frame reply lines.
-func streamBinaryFrames(t *testing.T, base, id string, frames []trace.Frame) []ReplyLine {
-	t.Helper()
-	var body []byte
-	for i := range frames {
-		body = trace.AppendFrameRecord(body, &frames[i])
-	}
-	resp, err := http.Post(fmt.Sprintf("%s/v1/sessions/%s/frames", base, id),
-		ContentTypeBinaryFrames, bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("frames status = %d", resp.StatusCode)
-	}
-	var lines []ReplyLine
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 0, 1<<16), 1<<22)
-	for sc.Scan() {
-		var line ReplyLine
-		if err := json.Unmarshal(sc.Bytes(), &line); err != nil {
-			t.Fatalf("decode reply line: %v", err)
-		}
-		lines = append(lines, line)
-	}
-	if err := sc.Err(); err != nil {
-		t.Fatal(err)
-	}
-	return lines
 }
 
 // TestHTTPBatchBinaryMatchesPerFrameJSON is the batching determinism
-// test: the same frames submitted three ways — one per-frame JSON /step
+// test: the same frames submitted four ways — one per-frame JSON /step
 // request each, one NDJSON /frames body (batched server-side), and one
-// binary /frames body — must produce bit-for-bit identical reports.
-// Batching and the wire encoding change scheduling and I/O, never what
-// is computed.
+// binary /frames body answered in NDJSON and in reply records — must
+// produce bit-for-bit identical reports. Batching and the wire encoding
+// change scheduling and I/O, never what is computed.
 func TestHTTPBatchBinaryMatchesPerFrameJSON(t *testing.T) {
 	_, srv := newTestServer(t, Config{Workers: 2, MaxBatch: 7})
 	frames := kheperaFrames(t, 33, 40)
@@ -309,10 +376,7 @@ func TestHTTPBatchBinaryMatchesPerFrameJSON(t *testing.T) {
 		want = append(want, *line.Report)
 	}
 
-	for name, stream := range map[string]func(*testing.T, string, string, []trace.Frame) []ReplyLine{
-		"ndjson-batched": streamFrames,
-		"binary-batched": streamBinaryFrames,
-	} {
+	for name, stream := range replyWires {
 		info := createSession(t, srv.URL, "khepera")
 		lines := stream(t, srv.URL, info.ID, frames)
 		if len(lines) != len(frames) {
@@ -500,5 +564,55 @@ func TestHTTPSessionCap(t *testing.T) {
 	}
 	if resp.Header.Get("Retry-After") == "" {
 		t.Fatal("missing Retry-After header")
+	}
+}
+
+var updateGolden = flag.Bool("update", false, "re-record the testdata/ golden files of the tests that run")
+
+// TestHTTPFramesNDJSONRepliesPinned is the compatibility proof for
+// clients that never heard of binary replies: a request without the
+// Accept header is answered with the bytes recorded before the binary
+// reply record existed (testdata/frames40.replies.ndjson: a 40-frame
+// mission with one shape-refused frame inserted at index 10), whichever
+// wire the frames arrive on.
+func TestHTTPFramesNDJSONRepliesPinned(t *testing.T) {
+	frames := kheperaFrames(t, 21, 40)
+	bad := frames[10]
+	bad.Readings = map[string][]float64{}
+	for name, z := range frames[10].Readings {
+		bad.Readings[name] = z
+	}
+	bad.Readings["ips"] = bad.Readings["ips"][:2]
+	sent := append(append(append([]trace.Frame(nil), frames[:10]...), bad), frames[10:]...)
+	var binBody, jsonBody []byte
+	for i := range sent {
+		binBody = trace.AppendFrameRecord(binBody, &sent[i])
+		line, _ := json.Marshal(&sent[i])
+		jsonBody = append(append(jsonBody, line...), '\n')
+	}
+
+	_, srv := newTestServer(t, Config{Workers: 2})
+	path := filepath.Join("testdata", "frames40.replies.ndjson")
+	for _, wire := range []struct {
+		contentType string
+		body        []byte
+	}{{ContentTypeBinaryFrames, binBody}, {api.ContentTypeNDJSON, jsonBody}} {
+		info := createSession(t, srv.URL, "khepera")
+		ct, got := rawReplies(t, srv.URL, info.ID, http.Header{"Content-Type": {wire.contentType}}, wire.body)
+		if ct != api.ContentTypeNDJSON {
+			t.Fatalf("%s frames answered with Content-Type %q", wire.contentType, ct)
+		}
+		if *updateGolden {
+			if err := os.WriteFile(path, got, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		want, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatalf("%v (regenerate with -update)", err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("%s frames: NDJSON reply body diverged from %s\ngot:\n%s", wire.contentType, path, got)
+		}
 	}
 }

@@ -75,7 +75,7 @@ func adversaries() []Scenario {
 			// the ≈900-unit envelope, ramped over 8 s.
 			Name: "stealthy-actuator-subthreshold", Class: "stealthy", Robot: "khepera",
 			Attacks: []Attack{{
-				Kind: "actuator-bias",
+				Kind:   "actuator-bias",
 				Offset: []float64{-600 * attack.SpeedUnit, 600 * attack.SpeedUnit},
 				Via:    "cyber", Envelope: Envelope{Start: 60, Ramp: 80},
 			}},

@@ -9,6 +9,7 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -40,6 +41,10 @@ const (
 
 	recHeader byte = 0x01
 	recFrame  byte = 0x02
+	// RecReply is the kind of internal/api's reply record, the reply
+	// side of the binary streaming wire; declared here so record kinds
+	// stay unique across everything that uses the envelope.
+	RecReply byte = 0x03
 
 	// maxBinaryRecord bounds a record payload so a hostile or corrupt
 	// length prefix cannot force a giant allocation (mirrors the
@@ -163,68 +168,74 @@ func DecodeFrameBinary(payload []byte) (*Frame, error) {
 	return frame, nil
 }
 
-// appendRecordEnvelope appends a complete record — kind, length prefix,
-// payload, CRC trailer — to dst.
-func appendRecordEnvelope(dst []byte, kind byte, payload []byte) []byte {
-	dst = append(dst, kind)
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(payload)))
-	dst = append(dst, payload...)
-	return binary.LittleEndian.AppendUint32(dst, crc32.ChecksumIEEE(payload))
-}
-
 // AppendFrameRecord appends one complete frame record (kind + length +
 // binary payload + CRC) to dst and returns the extended slice. This is
 // the unit of the binary streaming wire: a sequence of frame records
 // with no stream header is the batch-ingest HTTP body, and the same
 // records follow the magic+header in a recorded binary trace.
 func AppendFrameRecord(dst []byte, f *Frame) []byte {
-	// Reserve the envelope prologue, encode the payload in place, then
-	// backfill the length so encoding makes a single pass over dst.
-	dst = append(dst, recFrame, 0, 0, 0, 0)
-	lenAt := len(dst) - 4
-	payloadAt := len(dst)
-	dst = AppendFrameBinary(dst, f)
+	dst, payloadAt := BeginRecord(dst, recFrame)
+	return EndRecord(AppendFrameBinary(dst, f), payloadAt)
+}
+
+// BeginRecord opens a record of the given kind on dst: it reserves the
+// envelope prologue and returns where the payload starts. The caller
+// appends the payload in place and seals it with EndRecord, so encoding
+// makes a single pass over dst.
+func BeginRecord(dst []byte, kind byte) (out []byte, payloadAt int) {
+	dst = append(dst, kind, 0, 0, 0, 0)
+	return dst, len(dst)
+}
+
+// EndRecord backfills the length of the record opened at payloadAt and
+// appends its CRC trailer.
+func EndRecord(dst []byte, payloadAt int) []byte {
 	payload := dst[payloadAt:]
-	binary.LittleEndian.PutUint32(dst[lenAt:], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(dst[payloadAt-4:], uint32(len(payload)))
 	return binary.LittleEndian.AppendUint32(dst, crc32.ChecksumIEEE(payload))
 }
 
-// readRecordEnvelope reads one record from br. A clean EOF before the
-// kind byte returns io.EOF; EOF anywhere inside a record is a torn
-// record and returns ErrCorrupt.
-func readRecordEnvelope(br *bufio.Reader) (kind byte, payload []byte, err error) {
-	kind, err = br.ReadByte()
-	if err != nil {
+// ReadRecord reads one record of at most limit payload bytes from br,
+// appending the payload to buf[:0] (nil allocates; the returned payload
+// aliases buf when it fits). A clean EOF before the kind byte returns
+// io.EOF; EOF anywhere inside a record is a torn record and returns
+// ErrCorrupt.
+func ReadRecord(br *bufio.Reader, buf []byte, limit int) (byte, []byte, error) {
+	// The prologue and the trailer are peeked in br's own buffer: arrays
+	// handed to io.ReadFull would cost two heap allocations a record.
+	head, err := br.Peek(5)
+	if len(head) == 0 {
 		if errors.Is(err, io.EOF) {
 			return 0, nil, io.EOF
 		}
 		return 0, nil, err
 	}
-	var prologue [4]byte
-	if _, err := io.ReadFull(br, prologue[:]); err != nil {
+	if err != nil {
 		return 0, nil, fmt.Errorf("%w: torn record length", ErrCorrupt)
 	}
-	n := int(binary.LittleEndian.Uint32(prologue[:]))
-	if n > maxBinaryRecord {
-		return 0, nil, fmt.Errorf("%w: record length %d exceeds %d", ErrCorrupt, n, maxBinaryRecord)
+	kind, n := head[0], int(binary.LittleEndian.Uint32(head[1:]))
+	br.Discard(5)
+	if n > limit {
+		return 0, nil, fmt.Errorf("%w: record length %d exceeds %d", ErrCorrupt, n, limit)
 	}
 	// Read the payload in bounded chunks rather than allocating the
 	// declared length up front: a corrupt or hostile length prefix backed
 	// by a short stream then costs only the bytes actually present.
-	payload = make([]byte, 0, min(n, 64<<10))
+	payload := buf[:0]
 	for len(payload) < n {
 		chunk := min(n-len(payload), 64<<10)
 		start := len(payload)
-		payload = append(payload, make([]byte, chunk)...)
+		payload = slices.Grow(payload, chunk)[:start+chunk]
 		if _, err := io.ReadFull(br, payload[start:]); err != nil {
 			return 0, nil, fmt.Errorf("%w: torn record payload", ErrCorrupt)
 		}
 	}
-	var trailer [4]byte
-	if _, err := io.ReadFull(br, trailer[:]); err != nil {
+	trailer, err := br.Peek(4)
+	if err != nil {
 		return 0, nil, fmt.Errorf("%w: torn record checksum", ErrCorrupt)
 	}
-	want := binary.LittleEndian.Uint32(trailer[:])
+	want := binary.LittleEndian.Uint32(trailer)
+	br.Discard(4)
 	if got := crc32.ChecksumIEEE(payload); got != want {
 		return 0, nil, fmt.Errorf("%w: checksum %08x (want %08x)", ErrCorrupt, got, want)
 	}
@@ -236,7 +247,7 @@ func readRecordEnvelope(br *bufio.Reader) (kind byte, payload []byte, err error)
 // error wrapping ErrCorrupt for torn, checksum-failed, or non-frame
 // records.
 func ReadFrameRecord(br *bufio.Reader) (*Frame, error) {
-	kind, payload, err := readRecordEnvelope(br)
+	kind, payload, err := ReadRecord(br, nil, maxBinaryRecord)
 	if err != nil {
 		return nil, err
 	}
@@ -270,7 +281,8 @@ func (r *Recorder) writeBinaryHeader() error {
 	if err != nil {
 		return fmt.Errorf("trace: encode header: %w", err)
 	}
-	r.buf = appendRecordEnvelope(r.buf[:0], recHeader, payload)
+	buf, payloadAt := BeginRecord(r.buf[:0], recHeader)
+	r.buf = EndRecord(append(buf, payload...), payloadAt)
 	if _, err := r.w.Write(r.buf); err != nil {
 		return err
 	}
@@ -304,7 +316,7 @@ func newBinaryReader(br *bufio.Reader) (*binaryReader, Header, error) {
 	if version := binary.LittleEndian.Uint16(prologue[6:]); version != BinaryFormatVersion {
 		return nil, Header{}, fmt.Errorf("%w: binary version %d (want %d)", ErrBadHeader, version, BinaryFormatVersion)
 	}
-	kind, payload, err := readRecordEnvelope(br)
+	kind, payload, err := ReadRecord(br, nil, maxBinaryRecord)
 	if err != nil || kind != recHeader {
 		return nil, Header{}, fmt.Errorf("%w: missing header record", ErrBadHeader)
 	}

@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet fmtcheck staticcheck test tier1-loaded race fleetsoak crashsoak fleetbatch flakehunt fuzz bench profile-replay profile-generate benchsmoke benchbatch benchdiff benchoverhead loadgensmoke multinodesmoke scenariosmoke ci
+.PHONY: build vet fmtcheck staticcheck runcheck test tier1-loaded race fleetsoak crashsoak flakehunt fuzz bench profile-replay profile-generate benchsmoke benchdiff benchoverhead loadgensmoke multinodesmoke scenariosmoke ci
 
 build:
 	$(GO) build ./...
@@ -20,13 +20,30 @@ staticcheck:
 		&& staticcheck ./... \
 		|| echo "staticcheck not installed; skipping (go install honnef.co/go/tools/cmd/staticcheck@latest)"
 
+# Every -run pattern in this Makefile must still name a test: a deleted
+# or renamed test would otherwise leave its target silently green. Each
+# alternative of a pattern is listed on its own (go test -list) in the
+# package the pattern is run against; -run xxx, which the bench and fuzz
+# targets use to select no test, is skipped.
+runcheck:
+	@fail=0; \
+	for spec in $$(sed -n "/^\s*#/d; s/.*-run '\{0,1\}\([^ ']*\)'\{0,1\} \(\.[^ ]*\).*/\1@\2/p" Makefile); do \
+		pat=$${spec%@*}; pkg=$${spec#*@}; \
+		[ "$$pat" = xxx ] && continue; \
+		for alt in $$(echo "$$pat" | tr '|' ' '); do \
+			$(GO) test -list "$$alt" $$pkg | grep -q '^Test' \
+				|| { echo "runcheck: -run $$alt matches no test in $$pkg"; fail=1; }; \
+		done; \
+	done; \
+	exit $$fail
+
 test:
 	$(GO) test ./...
 
-# The parallel mode bank, the decision windows, the lock-free telemetry
-# registry, the store's group-commit flusher, and the fleet session
-# manager are the concurrency-sensitive surfaces; run them under the
-# race detector.
+# The engine and the decision windows (stepped from many goroutines by
+# a fleet), the lock-free telemetry registry, the store's group-commit
+# flusher, and the fleet session manager are the concurrency-sensitive
+# surfaces; run them under the race detector.
 race:
 	$(GO) test -race ./internal/core/... ./internal/detect/... ./internal/telemetry/... ./internal/store/... ./internal/fleet/...
 
@@ -52,20 +69,6 @@ crashsoak:
 		-run TestServeCrashRecovery ./cmd/roboads/
 	$(GO) test -race -count=1 -run 'TestCrashPoint|TestSnapshotPastLogEnd|TestLegacyUpgrade|TestRecover|TestBoundedDisk|TestMaterialize|TestGroupCommitSyncFailure' ./internal/store/
 	$(GO) test -race -count=1 -run 'TestFleetDurable|TestFleetRecovery|TestFleetEviction|TestFleetCheckpoint|TestCheckpointDuringPendingCommit|TestLogFailureIsSticky|TestJanitorCheckpointsLaggingSession' ./internal/fleet/
-
-# Batched-stepping determinism suite under the race detector (DESIGN.md
-# §13): blocked kernels vs scalar (mat), the engine batch including
-# forced scalar fallback (core), the K ∈ {1,2,7,64} sweep over every
-# Table II and Tamiya scenario (eval), and the fleet scheduler's
-# coalesced quanta with concurrent mixed-profile ingest and durability
-# on (fleet). Everything asserts bit-for-bit equality with the scalar
-# path. The eval sweep replays full missions under -race, hence the
-# long timeout.
-fleetbatch:
-	$(GO) test -race -count=1 -run 'TestBatchKernelsMatchScalar|TestCholBatchMatchesScalar|TestViewBatchBindsExternalStorage|TestSlabCarving' ./internal/mat/
-	$(GO) test -race -count=1 -run 'TestEngineBatch' ./internal/core/
-	$(GO) test -race -count=1 -run 'TestFleetBatch' ./internal/fleet/
-	$(GO) test -race -count=1 -timeout 30m -run 'TestBatchedStep' ./internal/eval/
 
 # LOADED prefixes a recipe's command with four busy-looping processes that
 # compete for the CPUs until the command exits.
@@ -106,7 +109,7 @@ fuzz:
 	$(GO) test -run xxx -fuzz FuzzScenarioDecode -fuzztime 15s ./internal/scenario/
 
 bench:
-	$(GO) test -run xxx -bench 'EngineStepParallel|EngineFleet|FleetStep|NUISEStep' -benchtime=1500x .
+	$(GO) test -run xxx -bench 'EngineFleet|FleetStep|NUISEStep' -benchtime=1500x .
 
 # CPU and allocation profiles of the suite replay (BenchmarkSuiteReplay,
 # the detect_replay workload as a Go benchmark), written with the test
@@ -138,14 +141,6 @@ profile-generate:
 benchsmoke:
 	cd bench && $(GO) vet . && $(GO) test -short .
 
-# Batching speedup report: the scalar-vs-blocked fleet stepping pair
-# (compare the sessions/core metrics of EngineFleet and
-# EngineFleetBatched at matching robot counts) and the end-to-end
-# ingest pair (fleet16-scalar vs fleet16-batched frames/s over real
-# HTTP with group commit).
-benchbatch:
-	$(GO) test -run xxx -bench 'BenchmarkEngineFleet|BenchmarkIngestE2E/fleet16' -benchtime=1500x .
-
 # Regression guard: re-runs the benchmark command recorded in
 # BENCH_engine.json and fails if any tracked benchmark is >15% slower
 # (ns/op) than the recorded baseline. Authoritative on the recording
@@ -158,10 +153,8 @@ benchdiff:
 # the recorded baseline — the telemetry layer is contractually free when
 # disabled, and the fleet session service is a layer above the engine,
 # so hosting a fleet must not tax an in-process detector at all.
-# BenchmarkFleetStep rides the same gate to pin the batching-DISABLED
-# fleet quantum: with Config.Batching unset the scheduler must serve
-# frames through the scalar path at the pre-batching cost (the only
-# addition is one nil-map check per quantum). The 5% threshold is
+# BenchmarkFleetStep rides the same gate to pin the fleet quantum around
+# one hosted detector step. The 5% threshold is
 # tighter than single-run noise on shared hardware, so the gate compares
 # the fastest of three long runs (-best); all three baseline entries are
 # recorded under the same best-of-3 protocol. -allocs additionally pins

@@ -174,57 +174,10 @@ func BenchmarkNUISEStepScratch(b *testing.B) {
 	}
 }
 
-// BenchmarkEngineStepParallel measures the parallel mode bank over
-// hypothesis banks of 3, 5, and 7 modes (subsets of the complete set for
-// the three-sensor Khepera suite) crossed with worker counts. Workers=1
-// is the sequential baseline; output is bit-for-bit identical across
-// worker counts (see TestEngineParallelMatchesSequential), so the only
-// difference is wall clock. BENCH_engine.json records the baseline.
-func BenchmarkEngineStepParallel(b *testing.B) {
-	plant, model, suite := benchPlant()
-	x0 := mat.VecOf(1, 1, 0.3)
-	u := model.WheelSpeeds(0.12, 0.1)
-	allModes, err := core.CompleteModes(model, suite, x0, u)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, bank := range []int{3, 5, 7} {
-		if bank > len(allModes) {
-			b.Fatalf("complete set has only %d modes", len(allModes))
-		}
-		for _, workers := range []int{1, 2, 4} {
-			bank, workers := bank, workers
-			b.Run(fmt.Sprintf("modes=%d/workers=%d", bank, workers), func(b *testing.B) {
-				cfg := core.DefaultEngineConfig()
-				cfg.Workers = workers
-				eng, err := core.NewEngine(plant, allModes[:bank], x0, mat.Diag(1e-6, 1e-6, 1e-6), cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				defer eng.Close()
-				rng := stat.NewRNG(4)
-				xTrue := x0.Clone()
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					xTrue = model.F(xTrue, u).Add(rng.GaussianVec(mat.VecOf(5e-4, 5e-4, 1e-3)))
-					readings := map[string]mat.Vec{}
-					for _, s := range suite {
-						readings[s.Name()] = s.H(xTrue)
-					}
-					if _, err := eng.Step(u, readings); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
-	}
-}
-
-// BenchmarkEngineFleet measures N independent robots (one sequential
-// engine each) stepped concurrently — the fleet-scale workload of the
-// ROADMAP north star, where parallelism comes from robot count rather
-// than bank width. Reported time is per fleet-wide iteration.
+// BenchmarkEngineFleet measures N independent robots (one engine each)
+// stepped concurrently — the fleet-scale workload of the ROADMAP north
+// star, where parallelism comes from robot count. Reported time is per
+// fleet-wide iteration.
 func BenchmarkEngineFleet(b *testing.B) {
 	for _, robots := range []int{1, 4, 16} {
 		robots := robots
@@ -240,9 +193,7 @@ func BenchmarkEngineFleet(b *testing.B) {
 			states := make([]mat.Vec, robots)
 			rngs := make([]*stat.RNG, robots)
 			for r := range engines {
-				cfg := core.DefaultEngineConfig()
-				cfg.Workers = 1 // fleet parallelism only
-				engines[r], err = core.NewEngine(plant, modes, x0, mat.Diag(1e-6, 1e-6, 1e-6), cfg)
+				engines[r], err = core.NewEngine(plant, modes, x0, mat.Diag(1e-6, 1e-6, 1e-6), core.DefaultEngineConfig())
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -275,9 +226,9 @@ func BenchmarkEngineFleet(b *testing.B) {
 	}
 }
 
-// reportSessionsPerCore attaches the fleet-throughput metric the ≥3x
-// batching target is stated in: session-steps per second per core.
-// Reading it directly beats deriving it from ns/op × robots ÷ cores.
+// reportSessionsPerCore attaches the fleet-throughput metric:
+// session-steps per second per core. Reading it directly beats deriving
+// it from ns/op × robots ÷ cores.
 func reportSessionsPerCore(b *testing.B, robots int) {
 	elapsed := b.Elapsed().Seconds()
 	if elapsed <= 0 {
@@ -285,66 +236,6 @@ func reportSessionsPerCore(b *testing.B, robots int) {
 	}
 	perCore := float64(robots) * float64(b.N) / elapsed / float64(runtime.GOMAXPROCS(0))
 	b.ReportMetric(perCore, "sessions/core")
-}
-
-// BenchmarkEngineFleetBatched is BenchmarkEngineFleet's workload pushed
-// through core.EngineBatch: the same per-session truth propagation and
-// readings, but all K identical-profile sessions stepped as one blocked
-// structure-of-arrays pass per mode instead of K independent engine
-// steps. The ratio of the two benchmarks' sessions/core metrics is the
-// batching speedup gated in BENCH_engine.json.
-func BenchmarkEngineFleetBatched(b *testing.B) {
-	for _, robots := range []int{1, 4, 16, 64} {
-		robots := robots
-		b.Run(fmt.Sprintf("robots=%d", robots), func(b *testing.B) {
-			plant, model, suite := benchPlant()
-			x0 := mat.VecOf(1, 1, 0.3)
-			u := model.WheelSpeeds(0.12, 0.1)
-			modes, err := core.SingleReferenceModes(model, suite, x0, u, false)
-			if err != nil {
-				b.Fatal(err)
-			}
-			engines := make([]*core.Engine, robots)
-			states := make([]mat.Vec, robots)
-			rngs := make([]*stat.RNG, robots)
-			us := make([]mat.Vec, robots)
-			readings := make([]map[string]mat.Vec, robots)
-			for r := range engines {
-				cfg := core.DefaultEngineConfig()
-				cfg.Workers = 1
-				engines[r], err = core.NewEngine(plant, modes, x0, mat.Diag(1e-6, 1e-6, 1e-6), cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				states[r] = x0.Clone()
-				rngs[r] = stat.NewRNG(int64(100 + r))
-				us[r] = u
-			}
-			eb, err := core.NewEngineBatch(engines[0], robots)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				for r := 0; r < robots; r++ {
-					states[r] = model.F(states[r], u).Add(rngs[r].GaussianVec(mat.VecOf(5e-4, 5e-4, 1e-3)))
-					m := map[string]mat.Vec{}
-					for _, s := range suite {
-						m[s.Name()] = s.H(states[r])
-					}
-					readings[r] = m
-				}
-				_, errs := eb.Step(engines, us, readings)
-				for _, err := range errs {
-					if err != nil {
-						b.Fatal(err)
-					}
-				}
-			}
-			reportSessionsPerCore(b, robots)
-		})
-	}
 }
 
 // BenchmarkFleetStep measures the per-frame overhead of the fleet
@@ -578,17 +469,13 @@ func BenchmarkIngestE2E(b *testing.B) {
 		b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "frames/s")
 	})
 
-	// The fleet16 pair measures what session coalescing buys end to end:
-	// sixteen same-profile sessions each streaming b.N binary frames
-	// concurrently under group commit, stepped scalar per session vs
-	// coalesced into blocked batched passes (Config.Batching). Identical
-	// wire traffic, identical durability contract — the frames/s ratio
-	// isolates the batching win with HTTP, WAL, and fsync costs included.
-	multi := func(b *testing.B, batching int) {
+	// fleet16: sixteen same-profile sessions each streaming b.N binary
+	// frames concurrently under group commit, each session stepped on its
+	// own — HTTP, WAL, and fsync costs included.
+	b.Run("fleet16-scalar", func(b *testing.B) {
 		const sessions = 16
 		mgr, err := fleet.NewManager(fleet.Config{
 			Build:      fleet.DefaultBuilder(),
-			Batching:   batching,
 			Durability: fleet.Durability{Dir: b.TempDir(), CommitWindow: 2 * time.Millisecond},
 		})
 		if err != nil {
@@ -651,9 +538,7 @@ func BenchmarkIngestE2E(b *testing.B) {
 			}
 		}
 		b.ReportMetric(float64(sessions)*float64(b.N)/b.Elapsed().Seconds(), "frames/s")
-	}
-	b.Run("fleet16-scalar", func(b *testing.B) { multi(b, 0) })
-	b.Run("fleet16-batched", func(b *testing.B) { multi(b, 16) })
+	})
 }
 
 func BenchmarkDetectorStep(b *testing.B) {
@@ -693,8 +578,7 @@ var replaySuite = sync.OnceValues(func() ([]*suiteMission, error) { return gener
 // BenchmarkSuiteReplay is bench/'s detect_replay workload as a Go
 // benchmark, so it can be profiled (make profile-replay): the 26
 // missions of scenario.Default(42) are generated once, and each
-// iteration replays all of them through a fresh sequential detector per
-// mission — mat, core and detect do all the timed work.
+// iteration replays all of them through a fresh detector per mission — mat, core and detect do all the timed work.
 func BenchmarkSuiteReplay(b *testing.B) {
 	missions, err := replaySuite()
 	if err != nil {
@@ -704,14 +588,11 @@ func BenchmarkSuiteReplay(b *testing.B) {
 	for _, m := range missions {
 		frames += len(m.recs)
 	}
-	ecfg := core.DefaultEngineConfig()
-	ecfg.Workers = -1
-
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, m := range missions {
-			det, err := m.prof.NewDetector(ecfg, detect.DefaultConfig())
+			det, err := m.prof.NewDetector(core.DefaultEngineConfig(), detect.DefaultConfig())
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -720,7 +601,6 @@ func BenchmarkSuiteReplay(b *testing.B) {
 					b.Fatalf("%s k=%d: %v", m.name, rec.K, err)
 				}
 			}
-			det.Close()
 		}
 	}
 	b.ReportMetric(float64(frames)*float64(b.N)/b.Elapsed().Seconds(), "frames/s")

@@ -88,13 +88,11 @@ func run(args []string) error {
 	output := fs.String("o", "", "output file (record; default stdout)")
 	input := fs.String("i", "", "input trace file (replay; default stdin)")
 	remote := fs.String("remote", "", "replay against a live `roboads serve` fleet endpoint (e.g. 127.0.0.1:8080) instead of an in-process detector")
-	workers := fs.Int("workers", 0, "mode-bank worker goroutines (run/replay/serve): 0 = GOMAXPROCS, <=1 sequential; output is identical either way")
 	telemetryAddr := fs.String("telemetry", "", "serve /metrics, /snapshot and /debug/pprof on this address during run/replay (e.g. 127.0.0.1:8080)")
 	addr := fs.String("addr", "127.0.0.1:8080", "listen address (serve)")
 	missions := fs.Int("missions", 0, "missions to run back to back (serve); 0 = loop until interrupted")
 	interval := fs.Duration("interval", 0, "sleep per control iteration (serve); 0 = full speed")
 	fleetIdle := fs.Duration("fleet-idle", 0, "evict fleet sessions idle this long (serve); 0 = 5m, negative = never")
-	fleetBatch := fs.Int("fleet-batch", 0, "coalesce up to this many same-profile fleet sessions into one blocked batched step per quantum (serve); 0 or 1 = scalar stepping, reports identical either way")
 	stateDir := fs.String("state-dir", "", "persist fleet sessions under this directory (serve); empty = no persistence")
 	snapshotEvery := fs.Int("snapshot-every", 0, "frames between automatic session checkpoints (serve); 0 = 256, negative = manual only")
 	fsyncEvery := fs.Int("fsync-every", 0, "WAL fsync cadence in frames (serve); 0 or 1 = every frame, negative = never")
@@ -114,7 +112,7 @@ func run(args []string) error {
 
 	switch sub {
 	case "run":
-		return runScenario(*scenarioID, *seed, *workers, *telemetryAddr)
+		return runScenario(*scenarioID, *seed, *telemetryAddr)
 	case "serve":
 		ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 		defer stop()
@@ -122,11 +120,9 @@ func run(args []string) error {
 			addr:       *addr,
 			scenarioID: *scenarioID,
 			seed:       *seed,
-			workers:    *workers,
 			missions:   *missions,
 			interval:   *interval,
 			fleetIdle:  *fleetIdle,
-			fleetBatch: *fleetBatch,
 			trace:      *traceFrames,
 
 			stateDir:      *stateDir,
@@ -240,7 +236,7 @@ func run(args []string) error {
 		if *remote != "" {
 			return replayRemote(*input, *remote, *wire)
 		}
-		return replayTrace(*input, *workers, *telemetryAddr)
+		return replayTrace(*input, *telemetryAddr)
 	case "related":
 		result, err := eval.RelatedWork(*trials, *seed)
 		if err != nil {
@@ -260,7 +256,7 @@ func usage() {
 	fmt.Fprintln(os.Stderr, `usage: roboads <run|table2|table3|table4|fig6|fig7|tamiya|linear|evasive|scenario|related|quality|calibrate|report|record|replay|serve|route|all> [flags]`)
 }
 
-func runScenario(id int, seed int64, workers int, telemetryAddr string) error {
+func runScenario(id int, seed int64, telemetryAddr string) error {
 	scenario, err := scenarioByID(id)
 	if err != nil {
 		return err
@@ -274,7 +270,6 @@ func runScenario(id int, seed int64, workers int, telemetryAddr string) error {
 	defer shutdown()
 
 	ecfg := core.DefaultEngineConfig()
-	ecfg.Workers = workers
 	cfg := detect.DefaultConfig()
 	if tel != nil {
 		ecfg.Observer = tel
@@ -507,7 +502,7 @@ func recordTrace(scenarioID int, seed int64, output string, binary bool) error {
 
 // replayTrace feeds a recorded Khepera trace through a fresh detector
 // and prints the condition timeline.
-func replayTrace(input string, workers int, telemetryAddr string) error {
+func replayTrace(input string, telemetryAddr string) error {
 	in := os.Stdin
 	if input != "" {
 		f, err := os.Open(input)
@@ -530,7 +525,6 @@ func replayTrace(input string, workers int, telemetryAddr string) error {
 	}
 	defer shutdown()
 	ecfg := core.DefaultEngineConfig()
-	ecfg.Workers = workers
 	cfg := detect.DefaultConfig()
 	if tel != nil {
 		ecfg.Observer = tel

@@ -28,7 +28,6 @@ func scenarioCmd(args []string) error {
 	output := fs.String("o", "", "output file (gen; default stdout)")
 	trials := fs.Int("trials", 1, "trials per scenario (run)")
 	workers := fs.Int("workers", 0, "concurrent missions (run); results identical for any value")
-	batch := fs.Int("batch", 0, "co-step up to N missions per engine batch (run); results identical for any value")
 	label := fs.String("label", "default", "leaderboard record label (run)")
 	out := fs.String("out", "", "append the leaderboard record to this BENCH_quality.json (run)")
 	if err := fs.Parse(rest); err != nil {
@@ -113,11 +112,7 @@ func scenarioCmd(args []string) error {
 			return err
 		}
 		start := time.Now()
-		res, err := scenario.RunSuite(s, scenario.RunConfig{
-			Trials:  *trials,
-			Workers: *workers,
-			Batch:   *batch,
-		})
+		res, err := scenario.RunSuite(s, scenario.RunConfig{Trials: *trials, Workers: *workers})
 		if err != nil {
 			return err
 		}

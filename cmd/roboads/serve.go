@@ -23,7 +23,6 @@ type serveOptions struct {
 	addr       string
 	scenarioID int // negative: no local mission loop (fleet-only server)
 	seed       int64
-	workers    int
 	// missions bounds the number of missions run back to back; 0 loops
 	// until the context is cancelled. Each mission uses seed+mission.
 	missions int
@@ -35,11 +34,6 @@ type serveOptions struct {
 	fleetIdle time.Duration
 	// fleetQueue bounds each session's frame queue (0: fleet default).
 	fleetQueue int
-	// fleetBatch coalesces up to this many same-profile sessions into
-	// one blocked batched step per scheduling quantum (fleet
-	// Config.Batching); 0 or 1 keeps scalar per-session stepping.
-	// Reports are bit-for-bit identical either way.
-	fleetBatch int
 	// drain bounds the fleet drain on shutdown (0: 10 seconds).
 	drain time.Duration
 	// stateDir enables fleet durability: sessions snapshot their
@@ -126,7 +120,6 @@ func serveScenario(ctx context.Context, opts serveOptions) error {
 	}
 	mgr, err := fleet.NewManager(fleet.Config{
 		QueueDepth:  opts.fleetQueue,
-		Batching:    opts.fleetBatch,
 		IdleTimeout: idle,
 		Build:       fleet.DefaultBuilder(),
 		Metrics:     tel.Registry(),
@@ -228,7 +221,6 @@ func serveScenario(ctx context.Context, opts serveOptions) error {
 	}
 
 	ecfg := core.DefaultEngineConfig()
-	ecfg.Workers = opts.workers
 	ecfg.Observer = tel
 	cfg := detect.DefaultConfig()
 	cfg.Observer = tel

@@ -1,7 +1,6 @@
 package roboads
 
 import (
-	"roboads/internal/detect"
 	"roboads/internal/fleet"
 	"roboads/internal/store"
 )
@@ -18,7 +17,7 @@ type (
 	// FleetConfig sizes the worker pool, queues, session cap, and idle
 	// eviction, and wires the telemetry registry.
 	FleetConfig = fleet.Config
-	// FleetSpec describes the session to create (robot profile, workers).
+	// FleetSpec describes the session to create (robot profile, ID).
 	FleetSpec = fleet.Spec
 	// FleetBuilder turns a spec into a hosted detector.
 	FleetBuilder = fleet.Builder
@@ -52,42 +51,6 @@ type (
 	// snapshot bytes).
 	CheckpointInfo = fleet.CheckpointInfo
 )
-
-// FleetOption mutates a FleetConfig before construction; see
-// NewFleetWith.
-type FleetOption func(*FleetConfig)
-
-// WithBatching sets FleetConfig.Batching: the maximum number of
-// same-profile sessions a shard worker coalesces into one blocked
-// batched step per scheduling quantum (DESIGN.md §13). Per-session
-// report streams are bit-for-bit unchanged — batching is purely a
-// throughput knob. 0 or 1 disables coalescing.
-func WithBatching(k int) FleetOption {
-	return func(c *FleetConfig) { c.Batching = k }
-}
-
-// NewFleetWith is NewFleet over a base configuration modified by opts:
-//
-//	mgr, err := roboads.NewFleetWith(roboads.FleetConfig{
-//		Build: roboads.DefaultFleetBuilder(),
-//	}, roboads.WithBatching(16))
-func NewFleetWith(cfg FleetConfig, opts ...FleetOption) (*Fleet, error) {
-	for _, opt := range opts {
-		opt(&cfg)
-	}
-	return fleet.NewManager(cfg)
-}
-
-// Batched stepping (DESIGN.md §13): a DetectorBatch steps up to K
-// same-profile detectors per call through one blocked engine pass,
-// bit-for-bit identical per session to scalar stepping. The fleet uses
-// this internally when FleetConfig.Batching > 1; library callers
-// driving their own detector collections can use it directly.
-type DetectorBatch = detect.DetectorBatch
-
-// NewDetectorBatch builds a batch workspace shaped after a prototype
-// detector with room for capacity sessions per Step call.
-var NewDetectorBatch = detect.NewDetectorBatch
 
 // Fleet constructors.
 var (

@@ -2,9 +2,8 @@ package roboads_test
 
 // Golden digests: the whole canonical scenario suite stepped through
 // fresh detectors, compared against digests recorded at a known-good
-// commit. Every other equivalence check in the tree (batched ≡ scalar,
-// parallel ≡ sequential, remote ≡ local, bench/'s replay agreement)
-// compares two runs of the *current* code; this is the one test that pins
+// commit. Every other equivalence check in the tree (remote ≡ local,
+// recovered ≡ uninterrupted, bench/'s replay agreement) compares two runs of the *current* code; this is the one test that pins
 // "the same bits as before" across a rewrite of core or mat.
 //
 // Re-record only for a change that is meant to move detector output
@@ -79,14 +78,11 @@ func generateSuite(seed int64) ([]*suiteMission, error) {
 // replayDigest steps the mission's frames through a fresh detector and
 // returns the FNV-1a digest of every report's wire JSON (float64 survives
 // encoding/json exactly, so equal digests mean bit-equal reports).
-func (m *suiteMission) replayDigest(workers int) (string, error) {
-	ecfg := core.DefaultEngineConfig()
-	ecfg.Workers = workers
-	det, err := m.prof.NewDetector(ecfg, detect.DefaultConfig())
+func (m *suiteMission) replayDigest() (string, error) {
+	det, err := m.prof.NewDetector(core.DefaultEngineConfig(), detect.DefaultConfig())
 	if err != nil {
 		return "", err
 	}
-	defer det.Close()
 	h := fnv.New64a()
 	enc := json.NewEncoder(h)
 	for _, rec := range m.recs {
@@ -144,28 +140,21 @@ func TestGoldenDigests(t *testing.T) {
 		}
 		for _, m := range missions {
 			key := fmt.Sprintf("seed%d/%s", seed, m.name)
-			// Sequential and fanned-out mode banks must both land on the
-			// recorded bits.
-			for _, workers := range []int{-1, 2} {
-				got, err := m.replayDigest(workers)
-				if err != nil {
-					t.Fatalf("%s workers=%d: %v", key, workers, err)
-				}
-				if *updateGolden {
-					if prev, ok := golden[key]; ok && prev != got {
-						t.Fatalf("%s: workers=%d digest %s differs from %s", key, workers, got, prev)
-					}
-					golden[key] = got
-					continue
-				}
-				want, ok := golden[key]
-				if !ok {
-					t.Errorf("%s: no recorded digest", key)
-				} else if got != want {
-					t.Errorf("%s workers=%d: digest %s, recorded %s", key, workers, got, want)
-				}
+			got, err := m.replayDigest()
+			if err != nil {
+				t.Fatalf("%s: %v", key, err)
 			}
 			checked++
+			if *updateGolden {
+				golden[key] = got
+				continue
+			}
+			want, ok := golden[key]
+			if !ok {
+				t.Errorf("%s: no recorded digest", key)
+			} else if got != want {
+				t.Errorf("%s: digest %s, recorded %s", key, got, want)
+			}
 		}
 	}
 	if *updateGolden {

@@ -67,8 +67,6 @@ type WireReport struct {
 type CreateRequest struct {
 	// Robot names the platform profile to host.
 	Robot string `json:"robot"`
-	// Workers optionally overrides the session's mode-bank worker count.
-	Workers int `json:"workers,omitempty"`
 	// ID optionally proposes the session identifier instead of letting
 	// the node assign one. The router places sessions by consistent hash
 	// of the ID, so it generates the ID first and proposes it — then the
@@ -77,8 +75,8 @@ type CreateRequest struct {
 	ID string `json:"id,omitempty"`
 	// Restore, when set, revives the named persisted session (e.g. one
 	// that was idle-evicted) under its original ID instead of creating
-	// a new one; Robot and Workers are then ignored — the session's
-	// recorded profile wins. Requires a durable node.
+	// a new one; Robot is then ignored — the session's recorded profile
+	// wins. Requires a durable node.
 	Restore string `json:"restore,omitempty"`
 }
 

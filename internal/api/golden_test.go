@@ -68,7 +68,7 @@ func samples() wireSamples {
 			ActuatorStat: 0.25, ActuatorThreshold: 6.25,
 			X: []float64{0.0}, Weights: []float64{1.0},
 		},
-		CreateRequest: CreateRequest{Robot: "khepera", Workers: 4, ID: "mn-0042"},
+		CreateRequest: CreateRequest{Robot: "khepera", ID: "mn-0042"},
 		CreateMinimal: CreateRequest{Restore: "s-000001"},
 		SessionInfo:   SessionInfo{ID: "s-000001", Robot: "khepera", Sensors: []string{"ips", "imu"}, Dt: 0.1},
 		SessionStatus: SessionStatus{

@@ -4,39 +4,23 @@ import (
 	"context"
 	"errors"
 	"testing"
-
-	"roboads/internal/mat"
 )
 
 // StepContext under a background context is pinned to the exact Step
-// outputs on both the sequential and the parallel path: the cancellation
-// plumbing must not cost a single float of determinism.
+// outputs: the cancellation plumbing must not cost a single float of
+// determinism.
 func TestEngineStepContextMatchesStep(t *testing.T) {
-	for _, workers := range []int{1, 4} {
-		rig, us, readings := recordScenario(31, 60)
-		plain := engineWithWorkers(t, rig, workers)
-		withCtx := engineWithWorkers(t, rig, workers)
-		defer plain.Close()
-		defer withCtx.Close()
-
-		for k := range us {
-			outA, errA := plain.Step(us[k], readings[k])
-			outB, errB := withCtx.StepContext(context.Background(), us[k], readings[k])
-			if (errA == nil) != (errB == nil) {
-				t.Fatalf("workers=%d k=%d: Step err %v, StepContext err %v", workers, k, errA, errB)
-			}
-			if errA != nil {
-				continue
-			}
-			if outA.Selected != outB.Selected {
-				t.Fatalf("workers=%d k=%d: selected %d vs %d", workers, k, outA.Selected, outB.Selected)
-			}
-			if !vecsEqual(mat.Vec(outA.Weights), mat.Vec(outB.Weights)) {
-				t.Fatalf("workers=%d k=%d: weights diverged", workers, k)
-			}
-			if !vecsEqual(outA.Result.X, outB.Result.X) || !outA.Result.Px.Equal(outB.Result.Px, 0) {
-				t.Fatalf("workers=%d k=%d: estimates diverged", workers, k)
-			}
+	rig, us, readings := recordScenario(31, 60)
+	plain := buildEngine(t, rig)
+	withCtx := buildEngine(t, rig)
+	for k := range us {
+		outA, errA := plain.Step(us[k], readings[k])
+		outB, errB := withCtx.StepContext(context.Background(), us[k], readings[k])
+		if (errA == nil) != (errB == nil) {
+			t.Fatalf("k=%d: Step err %v, StepContext err %v", k, errA, errB)
+		}
+		if errA == nil {
+			requireOutputsEqual(t, k, outA, outB)
 		}
 	}
 }
@@ -45,43 +29,29 @@ func TestEngineStepContextMatchesStep(t *testing.T) {
 // and leaves the engine state exactly as it was, so the mission continues
 // bit-for-bit as if the cancelled call never happened.
 func TestEngineStepContextCancelIsAllOrNothing(t *testing.T) {
-	for _, workers := range []int{1, 4} {
-		rig, us, readings := recordScenario(32, 50)
-		eng := engineWithWorkers(t, rig, workers)
-		twin := engineWithWorkers(t, rig, workers)
-		defer eng.Close()
-		defer twin.Close()
+	rig, us, readings := recordScenario(32, 50)
+	eng := buildEngine(t, rig)
+	twin := buildEngine(t, rig)
 
-		cancelled, cancel := context.WithCancel(context.Background())
-		cancel()
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
 
-		for k := range us {
-			// Halfway through the mission, inject a cancelled call before
-			// the real one; it must not advance or perturb the engine.
-			if k == 25 {
-				out, err := eng.StepContext(cancelled, us[k], readings[k])
-				if out != nil || !errors.Is(err, context.Canceled) {
-					t.Fatalf("workers=%d: cancelled StepContext = (%v, %v), want (nil, context.Canceled)", workers, out, err)
-				}
+	for k := range us {
+		// Halfway through the mission, inject a cancelled call before the
+		// real one; it must not advance or perturb the engine.
+		if k == 25 {
+			out, err := eng.StepContext(cancelled, us[k], readings[k])
+			if out != nil || !errors.Is(err, context.Canceled) {
+				t.Fatalf("cancelled StepContext = (%v, %v), want (nil, context.Canceled)", out, err)
 			}
-			outA, errA := eng.StepContext(context.Background(), us[k], readings[k])
-			outB, errB := twin.Step(us[k], readings[k])
-			if (errA == nil) != (errB == nil) {
-				t.Fatalf("workers=%d k=%d: errs %v vs %v", workers, k, errA, errB)
-			}
-			if errA != nil {
-				continue
-			}
-			if outA.Iteration != outB.Iteration {
-				t.Fatalf("workers=%d k=%d: iteration %d vs %d (cancelled call advanced the counter)",
-					workers, k, outA.Iteration, outB.Iteration)
-			}
-			if outA.Selected != outB.Selected || !vecsEqual(mat.Vec(outA.Weights), mat.Vec(outB.Weights)) {
-				t.Fatalf("workers=%d k=%d: cancelled call perturbed the bank", workers, k)
-			}
-			if !vecsEqual(outA.Result.X, outB.Result.X) {
-				t.Fatalf("workers=%d k=%d: state estimates diverged after cancellation", workers, k)
-			}
+		}
+		outA, errA := eng.StepContext(context.Background(), us[k], readings[k])
+		outB, errB := twin.Step(us[k], readings[k])
+		if (errA == nil) != (errB == nil) {
+			t.Fatalf("k=%d: errs %v vs %v", k, errA, errB)
+		}
+		if errA == nil {
+			requireOutputsEqual(t, k, outB, outA)
 		}
 	}
 }

@@ -70,16 +70,94 @@ func tamiyaMission(t *testing.T, seed int64, steps, standstill int) (Plant, []*M
 	return plant, modes, x0, us, readings
 }
 
-func tamiyaEngine(t *testing.T, plant Plant, modes []*Mode, x0 mat.Vec, workers int) *Engine {
+func tamiyaEngine(t *testing.T, plant Plant, modes []*Mode, x0 mat.Vec) *Engine {
 	t.Helper()
-	cfg := DefaultEngineConfig()
-	cfg.Workers = workers
-	eng, err := NewEngine(plant, modes, x0, mat.Diag(1e-6, 1e-6, 1e-6, 1e-6), cfg)
+	eng, err := NewEngine(plant, modes, x0, mat.Diag(1e-6, 1e-6, 1e-6, 1e-6), DefaultEngineConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(eng.Close)
 	return eng
+}
+
+// lossyScenario pre-generates inputs with an IPS bias window and periodic
+// dropped readings, so a replay exercises the mode-sits-out and
+// reference-only paths.
+func lossyScenario(seed int64, steps int) (*testRig, []mat.Vec, []map[string]mat.Vec) {
+	rig := newTestRig(seed)
+	xTrue := mat.VecOf(0.8, 0.8, 0.2)
+	u := rig.model.WheelSpeeds(0.12, 0.2)
+	us := make([]mat.Vec, 0, steps)
+	readings := make([]map[string]mat.Vec, 0, steps)
+	for k := 0; k < steps; k++ {
+		xTrue = rig.model.F(xTrue, u).Add(rig.processNoise())
+		r := rig.readings(xTrue)
+		if k >= 20 && k < 45 {
+			r["ips"] = r["ips"].Add(mat.VecOf(0.07, 0, 0))
+		}
+		if k%17 == 5 {
+			delete(r, "ips")
+		}
+		if k%23 == 7 {
+			delete(r, "lidar")
+		}
+		us = append(us, u)
+		readings = append(readings, r)
+	}
+	return rig, us, readings
+}
+
+// requireOutputsEqual fails unless two step outputs agree bit for bit:
+// selection, weights, every mode's result and the anomaly split.
+func requireOutputsEqual(t *testing.T, k int, want, got *Output) {
+	t.Helper()
+	if want.Iteration != got.Iteration || want.Selected != got.Selected {
+		t.Fatalf("k=%d: iteration/selected %d/%d vs %d/%d",
+			k, want.Iteration, want.Selected, got.Iteration, got.Selected)
+	}
+	if !vecsEqual(mat.Vec(want.Weights), mat.Vec(got.Weights)) {
+		t.Fatalf("k=%d: weights\nwant %v\ngot  %v", k, want.Weights, got.Weights)
+	}
+	for i := range want.PerMode {
+		rw, rg := want.PerMode[i], got.PerMode[i]
+		if (rw == nil) != (rg == nil) {
+			t.Fatalf("k=%d mode=%d: nil mismatch (want nil=%v)", k, i, rw == nil)
+		}
+		if rw == nil {
+			continue
+		}
+		if !vecsEqual(rw.X, rg.X) || !rw.Px.Equal(rg.Px, 0) {
+			t.Fatalf("k=%d mode=%d: state/covariance diverged", k, i)
+		}
+		if !vecsEqual(rw.Da, rg.Da) || !rw.Pa.Equal(rg.Pa, 0) {
+			t.Fatalf("k=%d mode=%d: actuator estimate diverged", k, i)
+		}
+		if (rw.Ds == nil) != (rg.Ds == nil) || (rw.Ds != nil && !vecsEqual(rw.Ds, rg.Ds)) {
+			t.Fatalf("k=%d mode=%d: Ds diverged", k, i)
+		}
+		if !rw.Ps.Equal(rg.Ps, 0) {
+			t.Fatalf("k=%d mode=%d: Ps diverged", k, i)
+		}
+		if rw.Likelihood != rg.Likelihood || rw.PValue != rg.PValue {
+			t.Fatalf("k=%d mode=%d: likelihood %v/%v vs %v/%v",
+				k, i, rw.Likelihood, rw.PValue, rg.Likelihood, rg.PValue)
+		}
+		if !vecsEqual(rw.Innovation, rg.Innovation) {
+			t.Fatalf("k=%d mode=%d: innovation diverged", k, i)
+		}
+		if rw.Implausible != rg.Implausible || rw.DaValid != rg.DaValid {
+			t.Fatalf("k=%d mode=%d: flags diverged", k, i)
+		}
+	}
+	if len(want.SensorAnomalies) != len(got.SensorAnomalies) {
+		t.Fatalf("k=%d: anomaly split length %d vs %d",
+			k, len(want.SensorAnomalies), len(got.SensorAnomalies))
+	}
+	for j := range want.SensorAnomalies {
+		aw, ag := want.SensorAnomalies[j], got.SensorAnomalies[j]
+		if aw.Sensor != ag.Sensor || !vecsEqual(aw.Ds, ag.Ds) || !aw.Ps.Equal(ag.Ps, 0) {
+			t.Fatalf("k=%d: anomaly split %d diverged", k, j)
+		}
+	}
 }
 
 // cloneOutput deep-copies everything an Output points at (SPD, the
@@ -111,7 +189,7 @@ func cloneOutput(o *Output) *Output {
 	return &c
 }
 
-// A warmed sequential engine with no observer allocates only what its
+// A warmed engine with no observer allocates only what its
 // caller receives: the Output, the Result and PerMode arrays, the slab's
 // two backing arrays and the anomaly split, plus one row-band view header
 // per state-dependent Jacobian (LiDAR) evaluated inside a multi-sensor
@@ -136,11 +214,11 @@ func TestEngineStepAllocs(t *testing.T) {
 	}
 	t.Run("khepera", func(t *testing.T) {
 		rig, us, readings := recordScenario(5, 400)
-		measure(t, engineWithWorkers(t, rig, -1), us, readings)
+		measure(t, buildEngine(t, rig), us, readings)
 	})
 	t.Run("tamiya", func(t *testing.T) {
 		plant, modes, x0, us, readings := tamiyaMission(t, 5, 400, 20)
-		measure(t, tamiyaEngine(t, plant, modes, x0, -1), us, readings)
+		measure(t, tamiyaEngine(t, plant, modes, x0), us, readings)
 	})
 }
 
@@ -148,22 +226,19 @@ func TestEngineStepAllocs(t *testing.T) {
 // arena turning over, the next slab, resyncs, dropped readings — may
 // write to it.
 func TestEngineRetainedOutputImmutable(t *testing.T) {
-	for _, workers := range []int{-1, 2} {
-		rig, us, readings := batchScenario(9, 520)
-		eng := engineWithWorkers(t, rig, workers)
-		var kept, snapshot *Output
-		for k := range us {
-			out, err := eng.Step(us[k], readings[k])
-			if err != nil {
-				t.Fatalf("workers=%d k=%d: %v", workers, k, err)
-			}
-			if k == 12 {
-				kept, snapshot = out, cloneOutput(out)
-			}
+	rig, us, readings := lossyScenario(9, 520)
+	eng := buildEngine(t, rig)
+	var kept, snapshot *Output
+	for k := range us {
+		out, err := eng.Step(us[k], readings[k])
+		if err != nil {
+			t.Fatalf("k=%d: %v", k, err)
 		}
-		requireOutputsEqual(t, 12, workers, snapshot, kept)
-		eng.Close()
+		if k == 12 {
+			kept, snapshot = out, cloneOutput(out)
+		}
 	}
+	requireOutputsEqual(t, 12, snapshot, kept)
 }
 
 // poisonedTwin steps two engines over the same frames, filling every
@@ -185,7 +260,7 @@ func poisonedTwin(t *testing.T, clean, poisoned *Engine, us []mat.Vec, readings 
 		if wantErr != nil {
 			continue
 		}
-		requireOutputsEqual(t, k, 0, want, got)
+		requireOutputsEqual(t, k, want, got)
 		for _, r := range want.PerMode {
 			switch {
 			case r == nil:
@@ -201,15 +276,15 @@ func poisonedTwin(t *testing.T, clean, poisoned *Engine, us []mat.Vec, readings 
 
 func TestEnginePoisonedArena(t *testing.T) {
 	t.Run("khepera", func(t *testing.T) {
-		rig, us, readings := batchScenario(31, 120)
-		poisonedTwin(t, engineWithWorkers(t, rig, -1), engineWithWorkers(t, rig, -1), us, readings)
+		rig, us, readings := lossyScenario(31, 120)
+		poisonedTwin(t, buildEngine(t, rig), buildEngine(t, rig), us, readings)
 	})
 	// The degrade's M2 = 0 is the one arena buffer read without being a
 	// kernel's destination.
 	t.Run("tamiya standstill", func(t *testing.T) {
 		plant, modes, x0, us, readings := tamiyaMission(t, 31, 120, 40)
 		valid, degraded := poisonedTwin(t,
-			tamiyaEngine(t, plant, modes, x0, -1), tamiyaEngine(t, plant, modes, x0, -1), us, readings)
+			tamiyaEngine(t, plant, modes, x0), tamiyaEngine(t, plant, modes, x0), us, readings)
 		if valid == 0 || degraded == 0 {
 			t.Fatalf("mission took %d valid and %d degraded steps; the test needs both", valid, degraded)
 		}
@@ -248,45 +323,25 @@ func TestEngineRefusesMalformedFrame(t *testing.T) {
 		{"NaN command", mat.VecOf(math.NaN(), 0.1), readings[at], ErrFrameNotFinite},
 		{"Inf command", mat.VecOf(0.1, math.Inf(1)), readings[at], ErrFrameNotFinite},
 	}
-	for _, workers := range []int{-1, 2} {
-		for _, tc := range cases {
-			ref := engineWithWorkers(t, rig, workers)
-			eng := engineWithWorkers(t, rig, workers)
-			for k := range us {
-				if k == at {
-					out, err := eng.Step(tc.u, tc.readings)
-					if !errors.Is(err, tc.want) || out != nil {
-						t.Fatalf("workers=%d %s: got (%v, %v), want %v", workers, tc.name, out, err, tc.want)
-					}
+	for _, tc := range cases {
+		ref := buildEngine(t, rig)
+		eng := buildEngine(t, rig)
+		for k := range us {
+			if k == at {
+				out, err := eng.Step(tc.u, tc.readings)
+				if !errors.Is(err, tc.want) || out != nil {
+					t.Fatalf("%s: got (%v, %v), want %v", tc.name, out, err, tc.want)
 				}
-				want, err := ref.Step(us[k], readings[k])
-				if err != nil {
-					t.Fatal(err)
-				}
-				got, err := eng.Step(us[k], readings[k])
-				if err != nil {
-					t.Fatalf("workers=%d %s k=%d: %v", workers, tc.name, k, err)
-				}
-				requireOutputsEqual(t, k, workers, want, got)
 			}
-			ref.Close()
-			eng.Close()
+			want, err := ref.Step(us[k], readings[k])
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := eng.Step(us[k], readings[k])
+			if err != nil {
+				t.Fatalf("%s k=%d: %v", tc.name, k, err)
+			}
+			requireOutputsEqual(t, k, want, got)
 		}
-	}
-
-	// The batched path refuses the same frame the same way, per session.
-	good := engineWithWorkers(t, rig, -1)
-	bad := engineWithWorkers(t, rig, -1)
-	eb, err := NewEngineBatch(good, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	outs, errs := eb.Step([]*Engine{good, bad},
-		[]mat.Vec{us[0], us[0]}, []map[string]mat.Vec{readings[0], cases[0].readings})
-	if errs[0] != nil || outs[0] == nil {
-		t.Fatalf("good session: (%v, %v)", outs[0], errs[0])
-	}
-	if !errors.Is(errs[1], ErrFrameShape) || outs[1] != nil {
-		t.Fatalf("bad session: (%v, %v), want ErrFrameShape", outs[1], errs[1])
 	}
 }

@@ -4,8 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
-	"sync"
 	"time"
 
 	"roboads/internal/mat"
@@ -52,22 +50,13 @@ type EngineConfig struct {
 	// iteration (see Engine.Step). It must sit above Epsilon so that
 	// floor-pinned modes stay synced.
 	ResyncWeight float64
-	// Workers bounds the goroutines that fan the mode bank out each
-	// Step. 0 (the default) resolves to runtime.GOMAXPROCS(0); 1 or any
-	// negative value runs the bank on the calling goroutine (the
-	// sequential path). The pool is created once per engine and reused
-	// across iterations, and is capped at the mode count. Parallel
-	// output is bit-for-bit identical to sequential: each mode's NUISE
-	// depends only on that mode's own state, results are gathered by
-	// mode index, and every downstream loop iterates in fixed mode
-	// order, so scheduling cannot influence a single float. On the
-	// sequential path a warmed Step allocates only what its caller
-	// receives (see Output); the fan-out adds a closure per mode.
+	// Deprecated: ignored; the mode bank always steps on the calling
+	// goroutine.
 	Workers int
 	// Observer receives instrumentation events (per-Step wall time,
-	// per-mode latency, pool queue wait, dropped readings, weight-floor
-	// hits, mode switches). Nil disables instrumentation entirely: the
-	// hot path then pays one nil check per site and takes no timestamps.
+	// per-mode latency, dropped readings, weight-floor hits, mode
+	// switches). Nil disables instrumentation entirely: the hot path then
+	// pays one nil check per site and takes no timestamps.
 	// Observation is read-only and cannot perturb engine output; see the
 	// Observer contract.
 	Observer Observer
@@ -105,14 +94,9 @@ type Engine struct {
 	k        int
 	selected int
 
-	// pool fans Step's per-mode NUISE runs out when cfg.Workers resolves
-	// to more than one; nil engines step sequentially. scratch holds one
-	// matrix arena per mode — a mode is exactly one job per Step, so
-	// per-mode ownership makes arena reuse race-free by construction and
-	// keeps each arena's shape sequence stable across iterations. z2 and
-	// z1 are each mode's stacked reference and testing readings, owned
-	// per mode for the same reason.
-	pool    *workerPool
+	// scratch holds one matrix arena per mode, which keeps each arena's
+	// shape sequence stable across iterations. z2 and z1 are each mode's
+	// stacked reference and testing readings.
 	scratch []*mat.Scratch
 	z2, z1  []mat.Vec
 
@@ -130,9 +114,7 @@ type Engine struct {
 	// Step's weight update (per-sensor anomaly blocks, Pa), so the
 	// decision layer — handed the same cache via Output.SPD — never
 	// refactors a covariance the engine already factored. Reset at the
-	// top of every Step; touched only on the calling goroutine (the
-	// weight update runs after the bank gather), so the parallel bank
-	// never sees it.
+	// top of every Step's weight update.
 	spd *mat.CholCache
 
 	// commitNext is commit's reused weight-update scratch (the
@@ -237,33 +219,12 @@ func NewEngine(plant Plant, modes []*Mode, x0 mat.Vec, p0 *mat.Mat, cfg EngineCo
 		return nil, err
 	}
 	e.sizeOutputs()
-	workers := cfg.Workers
-	if workers == 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(modes) {
-		workers = len(modes)
-	}
-	if workers > 1 {
-		e.pool = newWorkerPool(workers)
-		// Backstop for engines dropped without Close: the workers hold a
-		// reference to the pool only, never the engine, so the engine
-		// stays collectable and the finalizer releases the goroutines.
-		runtime.SetFinalizer(e, (*Engine).Close)
-	}
 	return e, nil
 }
 
-// Close releases the engine's worker-pool goroutines. It is safe to call
-// more than once and on sequential engines, and the engine must not be
-// stepped afterwards. Engines that are simply dropped are cleaned up by
-// a finalizer, but deterministic shutdown should call Close.
-func (e *Engine) Close() {
-	if e.pool != nil {
-		e.pool.close()
-		runtime.SetFinalizer(e, nil)
-	}
-}
+// Close is a no-op: an engine holds nothing beyond its memory. It is kept
+// for the callers that release their pipelines explicitly.
+func (e *Engine) Close() {}
 
 // Modes returns the engine's hypothesis set.
 func (e *Engine) Modes() []*Mode {
@@ -374,11 +335,10 @@ func (e *Engine) gather(u mat.Vec, readings map[string]mat.Vec) error {
 }
 
 // Step runs one control iteration (Algorithm 1 lines 2–9): the bank of
-// per-mode NUISE runs — fanned out over the worker pool when
-// EngineConfig.Workers resolves above one, on the calling goroutine
-// otherwise — followed by the weight update with floor ε, normalization,
-// and mode selection. readings maps each sensing workflow name to its
-// (possibly corrupted) reading z_k. A reading missing from the map (a
+// per-mode NUISE runs, in mode order on the calling goroutine, followed
+// by the weight update with floor ε, normalization, and mode selection.
+// readings maps each sensing workflow name to its (possibly corrupted)
+// reading z_k. A reading missing from the map (a
 // dropped sensor packet) degrades only the modes that depend on that
 // sensor — a mode loses the iteration when its reference is incomplete,
 // and runs reference-only (no d̂s) when only its testing block is — it
@@ -434,9 +394,7 @@ func (e *Engine) StepContext(ctx context.Context, u mat.Vec, readings map[string
 	}
 
 	// What the caller receives: the Output, the Results its PerMode points
-	// into, and one slab holding every float of both. All of it is fresh
-	// each Step and carved here, serially, so the fan-out below only fills
-	// disjoint, already-placed destinations.
+	// into, and one slab holding every float of both, all fresh each Step.
 	out := new(Output)
 	results := make([]Result, len(e.modes))
 	perMode := make([]*Result, len(e.modes))
@@ -444,57 +402,22 @@ func (e *Engine) StepContext(ctx context.Context, u mat.Vec, readings map[string
 	for i := range results {
 		e.shapes[i].carve(&e.slab, &results[i])
 	}
-
-	if e.pool == nil {
-		if obs == nil {
-			for i := range e.modes {
-				if cancellable && ctx.Err() != nil {
-					return nil, ctx.Err()
-				}
-				e.runMode(i, u, results, perMode)
+	if obs == nil {
+		for i := range e.modes {
+			if cancellable && ctx.Err() != nil {
+				return nil, ctx.Err()
 			}
-		} else {
-			for i := range e.modes {
-				if cancellable && ctx.Err() != nil {
-					return nil, ctx.Err()
-				}
-				modeStart := time.Now()
-				e.runMode(i, u, results, perMode)
-				obs.ModeStep(i, e.modes[i].Name, time.Since(modeStart).Nanoseconds(), perMode[i] != nil)
-			}
+			e.runMode(i, u, results, perMode)
 		}
 	} else {
-		var wg sync.WaitGroup
-		wg.Add(len(e.modes))
 		for i := range e.modes {
-			i := i
-			if obs == nil {
-				e.pool.submit(func() {
-					defer wg.Done()
-					// A cancelled fan-out still gathers every submitted
-					// job (the WaitGroup below), but queued jobs observe
-					// the cancellation here and skip their NUISE run, so
-					// an expensive bank drains in microseconds.
-					if cancellable && ctx.Err() != nil {
-						return
-					}
-					e.runMode(i, u, results, perMode)
-				})
-			} else {
-				submitted := time.Now()
-				e.pool.submit(func() {
-					defer wg.Done()
-					if cancellable && ctx.Err() != nil {
-						return
-					}
-					started := time.Now()
-					obs.PoolWait(started.Sub(submitted).Nanoseconds())
-					e.runMode(i, u, results, perMode)
-					obs.ModeStep(i, e.modes[i].Name, time.Since(started).Nanoseconds(), perMode[i] != nil)
-				})
+			if cancellable && ctx.Err() != nil {
+				return nil, ctx.Err()
 			}
+			modeStart := time.Now()
+			e.runMode(i, u, results, perMode)
+			obs.ModeStep(i, e.modes[i].Name, time.Since(modeStart).Nanoseconds(), perMode[i] != nil)
 		}
-		wg.Wait()
 	}
 	if cancellable && ctx.Err() != nil {
 		// Nothing has been committed: the per-call outputs, the reading
@@ -505,16 +428,13 @@ func (e *Engine) StepContext(ctx context.Context, u mat.Vec, readings map[string
 	return e.commit(out, perMode, &e.slab, stepStart, fallbacks0)
 }
 
-// commit is the serial tail of a step — belief commit, weight update,
-// selection, resync, output assembly — shared verbatim by the scalar
-// path above and the batched path (EngineBatch): both gather a full
-// perMode slice and then run this identical code, which is half of the
-// batched path's bit-for-bit guarantee. It runs after the gather (not
-// inside stepMode) so that a cancelled StepContext aborts with no
-// partial per-mode state written. out is the caller's fresh Output to
-// fill and slab the step's slab, which the weight vector and the anomaly
-// split are carved from. stepStart and fallbacks0 carry the caller's
-// instrumentation preamble and are read only when an observer is
+// commit is the tail of a step — belief commit, weight update,
+// selection, resync, output assembly. It runs after every mode has
+// stepped (not inside stepMode) so that a cancelled StepContext aborts
+// with no partial per-mode state written. out is the caller's fresh
+// Output to fill and slab the step's slab, which the weight vector and
+// the anomaly split are carved from. stepStart and fallbacks0 carry the
+// caller's instrumentation preamble and are read only when an observer is
 // attached.
 func (e *Engine) commit(out *Output, perMode []*Result, slab *mat.Slab, stepStart time.Time, fallbacks0 int64) (*Output, error) {
 	obs := e.obs
@@ -691,13 +611,12 @@ func (e *Engine) runMode(i int, u mat.Vec, results []Result, perMode []*Result) 
 // caller carved to the mode's shape, and reports whether the mode
 // produced a result. It reads the frame gather parked and the mode's
 // private belief (e.xm, e.pxm) and writes only mode i's reading stacks
-// and arena and res — disjoint per mode — so the bank fans out without
-// locks; the belief is committed serially after the gather, so an
-// aborted StepContext leaves it untouched. Failure semantics mirror the
-// weight floor: a missing reference reading or a NUISE error fails the
-// mode (it sits out this iteration and takes the floor), while a missing
-// testing reading degrades the mode to a reference-only update (no d̂s)
-// rather than failing it.
+// and arena and res; the belief is committed after the whole bank has
+// stepped, so an aborted StepContext leaves it untouched. Failure
+// semantics mirror the weight floor: a missing reference reading or a
+// NUISE error fails the mode (it sits out this iteration and takes the
+// floor), while a missing testing reading degrades the mode to a
+// reference-only update (no d̂s) rather than failing it.
 func (e *Engine) stepMode(i int, u mat.Vec, res *Result) bool {
 	m := e.modes[i]
 	z2 := e.z2[i]

@@ -11,13 +11,18 @@ import (
 
 func buildEngine(t *testing.T, rig *testRig) *Engine {
 	t.Helper()
+	return buildEngineWith(t, rig, DefaultEngineConfig())
+}
+
+func buildEngineWith(t *testing.T, rig *testRig, cfg EngineConfig) *Engine {
+	t.Helper()
 	x0 := mat.VecOf(0.8, 0.8, 0.2)
 	u0 := rig.model.WheelSpeeds(0.1, 0)
 	modes, err := SingleReferenceModes(rig.plant.Model, rig.suite, x0, u0, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := NewEngine(rig.plant, modes, x0, mat.Diag(1e-6, 1e-6, 1e-6), DefaultEngineConfig())
+	eng, err := NewEngine(rig.plant, modes, x0, mat.Diag(1e-6, 1e-6, 1e-6), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,4 +298,159 @@ func TestEngineWeightsNormalized(t *testing.T) {
 			t.Fatalf("weights sum to %v", sum)
 		}
 	}
+}
+
+// recordScenario pre-generates a full scenario (commands and readings,
+// with an IPS bias window) so two engines can replay byte-identical
+// inputs.
+func recordScenario(seed int64, steps int) (*testRig, []mat.Vec, []map[string]mat.Vec) {
+	rig := newTestRig(seed)
+	xTrue := mat.VecOf(0.8, 0.8, 0.2)
+	u := rig.model.WheelSpeeds(0.12, 0.2)
+	us := make([]mat.Vec, 0, steps)
+	readings := make([]map[string]mat.Vec, 0, steps)
+	for k := 0; k < steps; k++ {
+		xTrue = rig.model.F(xTrue, u).Add(rig.processNoise())
+		r := rig.readings(xTrue)
+		if k >= 30 && k < 70 {
+			r["ips"] = r["ips"].Add(mat.VecOf(0.07, 0, 0))
+		}
+		us = append(us, u)
+		readings = append(readings, r)
+	}
+	return rig, us, readings
+}
+
+func vecsEqual(a, b mat.Vec) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// countingObserver counts every hook invocation the way a real telemetry
+// sink would, without perturbing the engine.
+type countingObserver struct {
+	steps, modeSteps, drops int
+}
+
+func (c *countingObserver) EngineStep(*StepStats)             { c.steps++ }
+func (c *countingObserver) ModeStep(int, string, int64, bool) { c.modeSteps++ }
+func (c *countingObserver) DroppedReading(string)             { c.drops++ }
+
+// Telemetry is strictly read-only: an engine with an observer attached
+// produces bit-for-bit the weights, selections and estimates of one
+// without, over a full scenario including an attack window that exercises
+// the weight floor, hysteresis and resync, and the observer sees one
+// EngineStep per iteration and one ModeStep per mode per iteration.
+func TestEngineObserverIsReadOnly(t *testing.T) {
+	rig, us, readings := recordScenario(21, 100)
+	plain := buildEngine(t, rig)
+	obs := &countingObserver{}
+	cfg := DefaultEngineConfig()
+	cfg.Observer = obs
+	observed := buildEngineWith(t, rig, cfg)
+	for k := range us {
+		want, err := plain.Step(us[k], readings[k])
+		if err != nil {
+			t.Fatalf("k=%d: %v", k, err)
+		}
+		got, err := observed.Step(us[k], readings[k])
+		if err != nil {
+			t.Fatalf("k=%d: %v", k, err)
+		}
+		requireOutputsEqual(t, k, want, got)
+	}
+	if obs.steps != len(us) || obs.modeSteps != 3*len(us) || obs.drops != 0 {
+		t.Fatalf("observer saw %d steps, %d mode steps, %d drops; want %d, %d, 0",
+			obs.steps, obs.modeSteps, obs.drops, len(us), 3*len(us))
+	}
+}
+
+// A dropped sensor packet (reading missing from the map) must degrade
+// only the modes that depend on that sensor, not abort the bank: modes
+// referencing it sit the iteration out, modes merely testing it run
+// reference-only, and the next complete reading set restores everyone.
+func TestEngineStepMissingReadingDegradesBank(t *testing.T) {
+	rig := newTestRig(22)
+	eng := buildEngine(t, rig)
+	xTrue := mat.VecOf(0.8, 0.8, 0.2)
+	u := rig.model.WheelSpeeds(0.12, 0.1)
+	for k := 0; k < 10; k++ {
+		xTrue = rig.model.F(xTrue, u).Add(rig.processNoise())
+		if _, err := eng.Step(u, rig.readings(xTrue)); err != nil {
+			t.Fatalf("warmup k=%d: %v", k, err)
+		}
+	}
+
+	xTrue = rig.model.F(xTrue, u).Add(rig.processNoise())
+	dropped := rig.readings(xTrue)
+	delete(dropped, "ips")
+	out, err := eng.Step(u, dropped)
+	if err != nil {
+		t.Fatalf("dropped packet sank the bank: %v", err)
+	}
+	modes := eng.Modes()
+	for i, m := range modes {
+		refUsesIPS := false
+		for _, name := range m.ReferenceNames {
+			if name == "ips" {
+				refUsesIPS = true
+			}
+		}
+		if refUsesIPS {
+			if out.PerMode[i] != nil {
+				t.Fatalf("mode %s ran without its reference reading", m.Name)
+			}
+			continue
+		}
+		if out.PerMode[i] == nil {
+			t.Fatalf("mode %s failed although its reference was present", m.Name)
+		}
+		// ips sits in this mode's testing block; the testing stack is
+		// incomplete, so the mode must have run reference-only.
+		if out.PerMode[i].Ds != nil {
+			t.Fatalf("mode %s produced d̂s from an incomplete testing stack", m.Name)
+		}
+	}
+	for _, name := range out.SelectedMode.ReferenceNames {
+		if name == "ips" {
+			t.Fatalf("selected mode %s references the dropped sensor", out.SelectedMode.Name)
+		}
+	}
+
+	// Full readings next iteration: every mode recovers.
+	xTrue = rig.model.F(xTrue, u).Add(rig.processNoise())
+	out, err = eng.Step(u, rig.readings(xTrue))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, m := range modes {
+		if out.PerMode[i] == nil {
+			t.Fatalf("mode %s did not recover after the drop", m.Name)
+		}
+		if len(m.Testing) > 0 && out.PerMode[i].Ds == nil {
+			t.Fatalf("mode %s missing d̂s after recovery", m.Name)
+		}
+	}
+}
+
+// Close holds nothing since the mode bank steps in line; it stays safe to
+// call, more than once.
+func TestEngineCloseIdempotent(t *testing.T) {
+	rig := newTestRig(23)
+	eng := buildEngine(t, rig)
+	xTrue := mat.VecOf(0.8, 0.8, 0.2)
+	u := rig.model.WheelSpeeds(0.1, 0)
+	xTrue = rig.model.F(xTrue, u).Add(rig.processNoise())
+	if _, err := eng.Step(u, rig.readings(xTrue)); err != nil {
+		t.Fatal(err)
+	}
+	eng.Close()
+	eng.Close()
 }

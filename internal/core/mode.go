@@ -26,7 +26,6 @@ type Mode struct {
 
 	referenceParts []sensors.Sensor // the sensors Reference stacks, in order
 	testingStacked sensors.Sensor   // nil when len(Testing) == 0
-	testingNames   []string         // workflow names of Testing, in stacking order
 }
 
 // ErrNoModes indicates an engine constructed without modes.
@@ -58,10 +57,6 @@ func NewMode(reference []sensors.Sensor, testing []sensors.Sensor) (*Mode, error
 			return nil, err
 		}
 		m.testingStacked = stacked
-		m.testingNames = make([]string, len(testing))
-		for i, s := range testing {
-			m.testingNames[i] = s.Name()
-		}
 	}
 	return m, nil
 }

@@ -368,3 +368,17 @@ func TestPlantValidate(t *testing.T) {
 		t.Fatalf("valid plant rejected: %v", err)
 	}
 }
+
+// A negative pseudo-determinant means the PSD projection failed; the
+// density must be reported as zero (mode takes the floor), not computed
+// from |det|.
+func TestLikelihoodRejectsNegativePseudoDet(t *testing.T) {
+	nu := mat.VecOf(0.1, 0.2)
+	pinv := mat.Identity(2)
+	if density, pv := likelihoodOf(nu, pinv, 2, -1e-6); density != 0 || pv != 0 {
+		t.Fatalf("negative pseudo-det: density=%v p=%v, want 0, 0", density, pv)
+	}
+	if density, pv := likelihoodOf(nu, pinv, 2, 1.0); density <= 0 || pv <= 0 {
+		t.Fatalf("positive pseudo-det: density=%v p=%v, want > 0", density, pv)
+	}
+}

@@ -38,10 +38,9 @@ type StepStats struct {
 }
 
 // Observer receives engine instrumentation events. All methods are
-// called synchronously from Engine.Step; ModeStep and PoolWait are
-// additionally called from worker-pool goroutines when the bank runs in
-// parallel, so implementations must be safe for concurrent use.
-// Implementations must not block and must not mutate any argument:
+// called synchronously from Engine.Step, on the stepping goroutine; an
+// observer shared by engines stepped concurrently must be safe for
+// concurrent use. Implementations must not block and must not mutate any argument:
 // observation is strictly read-only, which is what keeps engine output
 // bit-for-bit identical with and without an observer attached (the
 // determinism test pins this).
@@ -55,9 +54,6 @@ type Observer interface {
 	// ModeStep reports one mode's NUISE latency; ok is false when the
 	// mode produced no result this iteration.
 	ModeStep(mode int, name string, nanos int64, ok bool)
-	// PoolWait reports the submit→start queue wait of one mode-bank job
-	// (parallel engines only).
-	PoolWait(nanos int64)
 	// DroppedReading reports a sensing workflow expected by the mode set
 	// but missing from this iteration's readings map.
 	DroppedReading(sensor string)

@@ -54,9 +54,8 @@ type ModeBelief struct {
 var ErrStateMismatch = errors.New("core: state does not match pipeline configuration")
 
 // configHash fingerprints the EngineConfig fields that influence engine
-// output. Workers and Observer are excluded: both are contractually
-// output-neutral, so a state may be restored into an engine with a
-// different worker count or instrumentation attached.
+// output. Observer is excluded: it is contractually output-neutral, so a
+// state may be restored into an engine with instrumentation attached.
 func (cfg EngineConfig) configHash() uint64 {
 	h := fnv.New64a()
 	var buf [8]byte
@@ -76,48 +75,6 @@ func (cfg EngineConfig) configHash() uint64 {
 	} else {
 		h.Write([]byte{0})
 	}
-	return h.Sum64()
-}
-
-// Fingerprint identifies the engine's batchable profile: the plant
-// model, the hypothesis mode structure (names, reference and testing
-// sensor inventories with their dimensions), and the output-relevant
-// configuration scalars (the same fields ConfigHash covers). Engines
-// with equal fingerprints are congruent for EngineBatch purposes and
-// run identical weighting dynamics, so a fleet scheduler may coalesce
-// their sessions into one batched Step; engines built from the same
-// robot profile under the same configuration always agree.
-func (e *Engine) Fingerprint() uint64 {
-	h := fnv.New64a()
-	var buf [8]byte
-	putU64 := func(v uint64) {
-		for i := 0; i < 8; i++ {
-			buf[i] = byte(v >> (8 * i))
-		}
-		h.Write(buf[:])
-	}
-	putStr := func(s string) {
-		putU64(uint64(len(s)))
-		h.Write([]byte(s))
-	}
-	putStr(e.plant.Model.Name())
-	putU64(uint64(e.plant.Model.StateDim()))
-	putU64(uint64(e.plant.Model.ControlDim()))
-	putU64(uint64(len(e.modes)))
-	for _, m := range e.modes {
-		putStr(m.Name)
-		putU64(uint64(m.Reference.Dim()))
-		putU64(uint64(len(m.ReferenceNames)))
-		for _, name := range m.ReferenceNames {
-			putStr(name)
-		}
-		putU64(uint64(len(m.Testing)))
-		for _, s := range m.Testing {
-			putStr(s.Name())
-			putU64(uint64(s.Dim()))
-		}
-	}
-	putU64(e.cfg.configHash())
 	return h.Sum64()
 }
 

@@ -362,9 +362,6 @@ func (d *Detector) StepContext(ctx context.Context, u mat.Vec, readings map[stri
 // State exposes the engine's fused state estimate.
 func (d *Detector) State() (mat.Vec, *mat.Mat) { return d.engine.State() }
 
-// Close releases the detector's engine resources (the mode-bank worker
-// pool). Safe to call more than once; the detector must not be stepped
-// afterwards. Detectors that are simply dropped are cleaned up by the
-// engine's finalizer, but deterministic shutdown — a fleet session being
-// closed, a service draining — should call Close.
-func (d *Detector) Close() { d.engine.Close() }
+// Close is a no-op, like Engine.Close; it completes the fleet's Stepper
+// interface.
+func (d *Detector) Close() {}

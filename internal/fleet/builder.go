@@ -10,19 +10,13 @@ import (
 // selects an eval.RobotProfile (the same standalone construction path
 // `roboads replay` uses, lab-mission geometry), so a trace recorded from
 // the simulator replays against a hosted session bit-for-bit.
-// Spec.Workers, when non-zero, overrides the engine worker count of that
-// session only.
 func ProfileBuilder(ecfg core.EngineConfig, dcfg detect.Config) Builder {
 	return func(spec Spec) (Stepper, SessionInfo, error) {
 		p, err := eval.RobotProfile(spec.Robot)
 		if err != nil {
 			return nil, SessionInfo{}, err
 		}
-		cfg := ecfg
-		if spec.Workers != 0 {
-			cfg.Workers = spec.Workers
-		}
-		det, err := p.NewDetector(cfg, dcfg)
+		det, err := p.NewDetector(ecfg, dcfg)
 		if err != nil {
 			return nil, SessionInfo{}, err
 		}
@@ -31,13 +25,7 @@ func ProfileBuilder(ecfg core.EngineConfig, dcfg detect.Config) Builder {
 }
 
 // DefaultBuilder is ProfileBuilder with the paper-default engine and
-// decision parameters and sequential per-session mode banks: a fleet
-// gets its parallelism from the shard workers, one frame per session at
-// a time, so fanning each session's bank out as well would oversubscribe
-// the host. Mode-bank output is bit-for-bit independent of the worker
-// count, so this is purely a scheduling choice.
+// decision parameters.
 func DefaultBuilder() Builder {
-	ecfg := core.DefaultEngineConfig()
-	ecfg.Workers = -1
-	return ProfileBuilder(ecfg, detect.DefaultConfig())
+	return ProfileBuilder(core.DefaultEngineConfig(), detect.DefaultConfig())
 }

@@ -155,7 +155,7 @@ func (m *Manager) initDurable(id string, spec Spec, stepper Stepper, info Sessio
 	if err != nil {
 		return nil, err
 	}
-	snap := &store.Snapshot{Robot: info.Robot, Workers: spec.Workers, Sensors: info.Sensors, Dt: info.Dt, State: ss.ExportState()}
+	snap := &store.Snapshot{Robot: info.Robot, Sensors: info.Sensors, Dt: info.Dt, State: ss.ExportState()}
 	if _, err := ds.WriteSnapshot(snap); err != nil {
 		ds.Close()
 		m.store.Remove(id)
@@ -172,7 +172,7 @@ func (m *Manager) persistSnapshot(s *session) (int, error) {
 	if !ok {
 		return 0, fmt.Errorf("fleet: session %s stepper %T cannot export state", s.info.ID, s.stepper)
 	}
-	snap := &store.Snapshot{Robot: s.info.Robot, Workers: s.spec.Workers, Sensors: s.info.Sensors, Dt: s.info.Dt, State: ss.ExportState()}
+	snap := &store.Snapshot{Robot: s.info.Robot, Sensors: s.info.Sensors, Dt: s.info.Dt, State: ss.ExportState()}
 	return s.ds.WriteSnapshot(snap)
 }
 
@@ -222,7 +222,7 @@ func (m *Manager) buildFromState(id string, snap *store.Snapshot, frames []*trac
 	fail := func(err error) (*session, error) {
 		return nil, fmt.Errorf("fleet: restore session %s: %w", id, err)
 	}
-	spec := Spec{Robot: snap.Robot, Workers: snap.Workers}
+	spec := Spec{Robot: snap.Robot}
 	stepper, info, err := m.cfg.Build(spec)
 	if err != nil {
 		return fail(err)

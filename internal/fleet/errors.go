@@ -34,6 +34,12 @@ var (
 	// migration: the session is draining for export. The frame was NOT
 	// accepted; retry shortly and be prepared for ErrMoved.
 	ErrMigrating = errors.New("fleet: session migrating")
+	// ErrStepPanic reports a frame whose session stepper panicked, or
+	// that was queued behind it in the same job. The panic is contained
+	// to the session: it is torn down (a durable one keeps its persisted
+	// state, so it can be restored from its acknowledged frames) and
+	// every other session carries on.
+	ErrStepPanic = errors.New("fleet: session stepper panicked")
 	// ErrMoved reports a session that migrated to another node. The
 	// concrete error is a *MovedError carrying the target's base URL;
 	// errors.As recovers it.

@@ -20,7 +20,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"log/slog"
 	"runtime"
+	"runtime/debug"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -72,6 +74,9 @@ const (
 	MetricFrameErrors = "roboads_fleet_frame_errors_total"
 	// MetricStepSeconds is the per-frame detector step latency histogram.
 	MetricStepSeconds = "roboads_fleet_frame_step_seconds"
+	// MetricStepPanics counts session steppers that panicked; each one
+	// took its session down (ErrStepPanic).
+	MetricStepPanics = "roboads_fleet_step_panics_total"
 )
 
 // Stepper is the per-session detector contract: exactly the stepping
@@ -82,16 +87,10 @@ type Stepper interface {
 	Close()
 }
 
-// Spec describes the session a client wants: which robot profile to
-// host and, optionally, how wide that session's own mode bank fans out.
+// Spec describes the session a client wants.
 type Spec struct {
 	// Robot names the platform profile ("khepera", "tamiya").
 	Robot string `json:"robot"`
-	// Workers overrides the session engine's mode-bank worker count.
-	// 0 keeps the builder's default (sequential — fleet concurrency
-	// comes from the shard pool, not from intra-session fan-out).
-	// Mode-bank output is bit-for-bit independent of this knob.
-	Workers int `json:"workers,omitempty"`
 	// ID optionally proposes the session identifier (the router places
 	// sessions by consistent hash of the ID, so it names them up front).
 	// Empty lets the manager assign "s-NNNNNN". A proposed ID that is
@@ -124,16 +123,6 @@ type Config struct {
 	// MaxSessions caps live sessions; Create beyond it returns
 	// ErrTooManySessions. Default 1024.
 	MaxSessions int
-	// Batching sets the frame-coalescing width: a shard worker serving a
-	// session additionally drains up to Batching−1 other runnable
-	// sessions with the same batch fingerprint (detect.Detector.BatchKey)
-	// from the run queue and steps their frames in lockstep through one
-	// blocked detect.DetectorBatch pass. Per-session report streams are
-	// bit-for-bit unchanged — batching is purely a throughput knob.
-	// 0 or 1 disables coalescing (the default); sessions whose steppers
-	// are not *detect.Detector, or whose profiles differ, always take the
-	// scalar path.
-	Batching int
 	// IdleTimeout evicts sessions with no frame activity for this long.
 	// 0 disables eviction.
 	IdleTimeout time.Duration
@@ -215,17 +204,12 @@ type Manager struct {
 	// WAL appends and tracks follower acks for AckFollower waits.
 	repl *replHub
 
-	// batches caches one blocked step workspace per batch fingerprint;
-	// nil when Config.Batching ≤ 1 (coalescing off).
-	batchMu sync.Mutex
-	batches map[uint64]*batchSpace
-
 	queued atomic.Int64
 
-	mLive, mQueue                *telemetry.Gauge
-	mOpened, mEvicted, mRejected *telemetry.Counter
-	mFrames, mErrors             *telemetry.Counter
-	mStepSeconds                 *telemetry.Histogram
+	mLive, mQueue                 *telemetry.Gauge
+	mOpened, mEvicted, mRejected  *telemetry.Counter
+	mFrames, mErrors, mStepPanics *telemetry.Counter
+	mStepSeconds                  *telemetry.Histogram
 	// Cause-split reject counters (MetricRejects family).
 	mRejQueueFull, mRejSessionClosed *telemetry.Counter
 	mRejShuttingDown, mRejSessionCap *telemetry.Counter
@@ -289,6 +273,7 @@ func NewManager(cfg Config) (*Manager, error) {
 		mRejected:    reg.Counter(MetricRejectedFrames, "Frames rejected with backpressure."),
 		mFrames:      reg.Counter(MetricFrames, "Frames stepped through a session detector."),
 		mErrors:      reg.Counter(MetricFrameErrors, "Frames whose detector step returned an error."),
+		mStepPanics:  reg.Counter(MetricStepPanics, "Session steppers that panicked, taking their session down."),
 		mStepSeconds: reg.Histogram(MetricStepSeconds, "Per-frame detector step latency in seconds.", telemetry.LatencyBuckets()),
 
 		mRejQueueFull:     reg.Counter(MetricRejects+`{cause="`+RejectCauseQueueFull+`"}`, "Rejections by cause."),
@@ -299,9 +284,6 @@ func NewManager(cfg Config) (*Manager, error) {
 
 		mStreamsBinary: reg.Counter(MetricStreams+`{replies="binary"}`, "/frames streams opened, by reply wire."),
 		mStreamsNDJSON: reg.Counter(MetricStreams+`{replies="ndjson"}`, "/frames streams opened, by reply wire."),
-	}
-	if cfg.Batching > 1 {
-		m.batches = make(map[uint64]*batchSpace)
 	}
 	if cfg.Durability.Dir != "" {
 		m.snapshotEvery = cfg.Durability.SnapshotEvery
@@ -569,17 +551,10 @@ func (m *Manager) Step(ctx context.Context, id string, u mat.Vec, readings map[s
 // ErrClosed; the frame a shard worker is currently stepping completes
 // first.
 func (m *Manager) Close(id string) error {
-	m.mu.Lock()
-	s, ok := m.sessions[id]
-	if !ok || s == nil {
-		m.mu.Unlock()
+	s, ch := m.unlist(id, nil)
+	if s == nil {
 		return fmt.Errorf("%w: %s", ErrSessionNotFound, id)
 	}
-	delete(m.sessions, id)
-	ch := m.markClosing(id)
-	live := len(m.sessions)
-	m.mu.Unlock()
-	m.mLive.Set(float64(live))
 	// Explicit deletion discards persisted state too: the client said
 	// the session is finished, so nothing remains to restore.
 	m.closeSession(s, false)
@@ -588,6 +563,24 @@ func (m *Manager) Close(id string) error {
 	}
 	m.doneClosing(id, ch)
 	return nil
+}
+
+// unlist takes the live session id out of the session map — only if it
+// is want, when want is not nil — and registers its teardown with
+// markClosing. It returns a nil session when there is none to take.
+func (m *Manager) unlist(id string, want *session) (*session, chan struct{}) {
+	m.mu.Lock()
+	s := m.sessions[id]
+	if s == nil || (want != nil && s != want) {
+		m.mu.Unlock()
+		return nil, nil
+	}
+	delete(m.sessions, id)
+	ch := m.markClosing(id)
+	live := len(m.sessions)
+	m.mu.Unlock()
+	m.mLive.Set(float64(live))
+	return s, ch
 }
 
 // markClosing registers an in-flight teardown for id. Caller holds m.mu.
@@ -713,10 +706,6 @@ func (m *Manager) worker() {
 // this worker's recheck sees scheduled == false and wins the schedule
 // CAS itself.
 func (m *Manager) serve(s *session) {
-	if m.batches != nil {
-		m.serveBatched(s)
-		return
-	}
 	if job, ok := m.pop(s); ok {
 		m.process(s, job)
 	}
@@ -749,28 +738,64 @@ func (m *Manager) pop(s *session) (frameJob, bool) {
 // never closed mid-step. Each frame gets its own result (a failed frame
 // does not fail its batch neighbors — exactly the sequential-submission
 // semantics); the stepped-and-appended job then goes to complete, the
-// one tail that makes it durable and answers it.
+// one tail that makes it durable and answers it. A stepper that panics
+// takes down its own session, not the process: see stepFrames and
+// dropPanicked.
 func (m *Manager) process(s *session, job frameJob) {
 	results := make([]FrameResult, len(job.frames))
 	appended := 0
+	panicked := false
 	s.stepMu.Lock()
 	if s.isClosed() {
 		failAll(results, fmt.Errorf("%w: session %s", ErrClosed, s.info.ID))
 	} else {
-		for i, fr := range job.frames {
-			// A frame deep in the job waited for its predecessors since
-			// the queue-wait lap; that batch-position wait is the
-			// coalesce stage.
-			fr.Span.Lap(telemetry.StageCoalesce)
-			start := time.Now()
-			rep, err := s.stepper.StepContext(context.Background(), fr.U, fr.Readings)
-			fr.Span.Lap(telemetry.StageStep)
-			results[i] = m.record(s, fr, rep, err, &appended)
-			m.mStepSeconds.Observe(time.Since(start).Seconds())
-		}
+		panicked = m.stepFrames(s, job.frames, results, &appended)
 	}
 	m.complete(s, job, results, appended)
 	s.stepMu.Unlock()
+	if panicked {
+		m.dropPanicked(s)
+	}
+}
+
+// stepFrames steps frames into results and reports whether the stepper
+// panicked. The frames before the panicking one keep their results —
+// appended, they complete and are answered as usual — while the
+// panicking frame and every later one are answered with ErrStepPanic.
+func (m *Manager) stepFrames(s *session, frames []BatchFrame, results []FrameResult, appended *int) (panicked bool) {
+	i := 0
+	defer func() {
+		if v := recover(); v != nil {
+			m.mStepPanics.Inc()
+			slog.Error("fleet: session stepper panicked", "session", s.info.ID, "panic", v, "stack", string(debug.Stack()))
+			failAll(results[i:], fmt.Errorf("%w: session %s: %v", ErrStepPanic, s.info.ID, v))
+			panicked = true
+		}
+	}()
+	for ; i < len(frames); i++ {
+		fr := frames[i]
+		// A frame deep in the job waited for its predecessors since the
+		// queue-wait lap; that batch-position wait is the coalesce stage.
+		fr.Span.Lap(telemetry.StageCoalesce)
+		start := time.Now()
+		rep, err := s.stepper.StepContext(context.Background(), fr.U, fr.Readings)
+		fr.Span.Lap(telemetry.StageStep)
+		results[i] = m.record(s, fr, rep, err, appended)
+		m.mStepSeconds.Observe(time.Since(start).Seconds())
+	}
+	return false
+}
+
+// dropPanicked tears down a session whose stepper panicked, the way
+// Close does except that persisted state stays: the detector may have
+// been left mid-step, so it is not snapshotted, and a durable session's
+// last snapshot and log hold every frame it acknowledged, from which a
+// restore rebuilds it.
+func (m *Manager) dropPanicked(s *session) {
+	if s, ch := m.unlist(s.info.ID, s); s != nil {
+		m.closeSession(s, false)
+		m.doneClosing(s.info.ID, ch)
+	}
 }
 
 // record books one stepped frame: counters, and for a durable session

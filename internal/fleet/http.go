@@ -96,7 +96,7 @@ func (m *Manager) handleCreate(w http.ResponseWriter, r *http.Request) {
 	if req.Restore != "" {
 		info, err = m.Restore(req.Restore)
 	} else {
-		info, err = m.Create(Spec{Robot: req.Robot, Workers: req.Workers, ID: req.ID})
+		info, err = m.Create(Spec{Robot: req.Robot, ID: req.ID})
 	}
 	switch {
 	case errors.Is(err, ErrTooManySessions), errors.Is(err, ErrClosed):
@@ -631,7 +631,7 @@ func replyCode(err error) string {
 // terminalErr reports whether a streaming-ingest error ends the session
 // from this node's point of view (ReplyLine.Closed).
 func terminalErr(err error) bool {
-	return errors.Is(err, ErrClosed) || errors.Is(err, ErrSessionNotFound) || errors.Is(err, ErrMoved)
+	return errors.Is(err, ErrClosed) || errors.Is(err, ErrSessionNotFound) || errors.Is(err, ErrMoved) || errors.Is(err, ErrStepPanic)
 }
 
 // lookupStatus is the HTTP status of a failed session lookup: 410 with

@@ -616,3 +616,24 @@ func TestHTTPFramesNDJSONRepliesPinned(t *testing.T) {
 		}
 	}
 }
+
+// The mode-bank "workers" field is gone from CreateRequest, and no
+// decoder here is strict: an old client that still sends it gets its
+// session, reporting exactly what one created without the field reports.
+func TestHTTPCreateIgnoresWorkers(t *testing.T) {
+	_, srv := newTestServer(t, Config{Workers: 2})
+	resp := doJSON(t, http.MethodPost, srv.URL+"/v1/sessions", map[string]any{"robot": "khepera", "workers": 4})
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusCreated {
+		t.Fatalf("create with workers: status %d, want 201", resp.StatusCode)
+	}
+	var old SessionInfo
+	if err := json.NewDecoder(resp.Body).Decode(&old); err != nil {
+		t.Fatal(err)
+	}
+	plain := createSession(t, srv.URL, "khepera")
+	frames := kheperaFrames(t, 33, 20)
+	if got, want := streamFrames(t, srv.URL, old.ID, frames), streamFrames(t, srv.URL, plain.ID, frames); !reflect.DeepEqual(got, want) {
+		t.Fatal("a session created with workers reports differently from one created without")
+	}
+}

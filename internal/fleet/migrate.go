@@ -112,7 +112,6 @@ func (m *Manager) exportSession(s *session) (snapshot []byte, frames []*trace.Fr
 	snap := &store.Snapshot{
 		SessionID:     id,
 		Robot:         s.info.Robot,
-		Workers:       s.spec.Workers,
 		Sensors:       s.info.Sensors,
 		Dt:            s.info.Dt,
 		FramesApplied: int(s.applied.Load()),

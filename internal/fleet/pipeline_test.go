@@ -509,12 +509,12 @@ func copyTree(src, dst string) error {
 // detector's, and the copy recovers acked ≤ recovered ≤ sent and then
 // continues the reference stream exactly. Run under -race.
 func TestPipelineHistory(t *testing.T) {
-	for _, batching := range []int{0, 4} {
-		t.Run(fmt.Sprintf("fleet-batch=%d", batching), func(t *testing.T) { pipelineHistory(t, batching) })
-	}
+	// The subtest keeps the name it had when frame coalescing was a
+	// Config option; the uncoalesced pipeline it ran is the only one left.
+	t.Run("fleet-batch=0", pipelineHistory)
 }
 
-func pipelineHistory(t *testing.T, batching int) {
+func pipelineHistory(t *testing.T) {
 	const (
 		sessions  = 16
 		perStream = 96
@@ -532,7 +532,7 @@ func pipelineHistory(t *testing.T, batching int) {
 	dir := t.TempDir()
 	reg := telemetry.NewRegistry()
 	m, err := NewManager(Config{
-		Workers: 2, QueueDepth: 2 * inFlight, Batching: batching, Build: build, Metrics: reg,
+		Workers: 2, QueueDepth: 2 * inFlight, Build: build, Metrics: reg,
 		// No automatic checkpoints: a copy taken across a rotation is a
 		// state no crash produces (files of two generations, each partial).
 		Durability: Durability{Dir: dir, CommitWindow: 2 * time.Millisecond, SnapshotEvery: -1},

@@ -13,10 +13,9 @@ import "fmt"
 // Carved memory is never reclaimed or reused — Mat and Vec both return
 // zeroed storage that the slab forgets about (beyond accounting), so
 // the results own their memory just as if mat.New had produced them.
-// When a backing array runs out a fresh one is allocated; previously
-// carved values keep pointing at the old one. FloatsUsed/MatsUsed
-// report totals so the next step's slab can be sized to carve without
-// growing.
+// When a backing array runs out a fresh one, twice what was carved so
+// far, is allocated; previously carved values keep pointing at the old
+// one.
 //
 // The Slab value itself is only a pair of cursors, so one that lives in
 // a long-lived struct (or on the stack) is pointed at fresh backing
@@ -91,9 +90,3 @@ func (s *Slab) Vec(n int) Vec {
 	}
 	return Vec(s.carve(n))
 }
-
-// FloatsUsed returns the total floats carved so far, including growth.
-func (s *Slab) FloatsUsed() int { return s.floatsUsed }
-
-// MatsUsed returns the total matrix headers carved so far.
-func (s *Slab) MatsUsed() int { return s.matsUsed }

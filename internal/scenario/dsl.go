@@ -2,8 +2,7 @@
 // item 4: a versioned JSON DSL composing worlds × robot profiles ×
 // attack schedules, a deterministic seeded generator/fuzzer sweeping the
 // DSL's parameter space, and a runner executing suites through the real
-// robot.Profile detector path — optionally batch-stepped via
-// core.EngineBatch — into BENCH_quality.json leaderboard records.
+// robot.Profile detector path into BENCH_quality.json leaderboard records.
 //
 // The DSL is deliberately flat: one Suite holds Scenarios, each naming a
 // robot, a world, and a list of Attacks whose Kind selects an

@@ -7,26 +7,21 @@ import (
 	"roboads/internal/attack"
 	"roboads/internal/core"
 	"roboads/internal/detect"
-	"roboads/internal/mat"
 	"roboads/internal/metrics"
 	"roboads/internal/robot"
 	"roboads/internal/sim"
 	"roboads/internal/world"
 )
 
-// RunConfig shapes suite execution. Every setting is throughput-only:
-// by the engine-batch and worker-determinism contracts, results are
-// bit-for-bit identical across all Workers/Batch values.
+// RunConfig shapes suite execution.
 type RunConfig struct {
 	// Trials runs each scenario this many times with seeds
 	// Seed, Seed+1, ...; 0 means 1.
 	Trials int
 	// Workers runs that many missions concurrently; 0/1 is sequential.
+	// Each mission owns its simulator and detector, so results are
+	// bit-for-bit identical for any value.
 	Workers int
-	// Batch > 1 co-steps up to that many missions' detectors through
-	// detect.DetectorBatch (core.EngineBatch underneath); mismatched
-	// profiles in a group fall back to scalar stepping per slot.
-	Batch int
 }
 
 // TargetStats is one attacked target's outcome in a scenario,
@@ -209,9 +204,9 @@ func (mr *missionRun) record(rec *sim.StepRecord, rep *detect.Report) {
 	}
 }
 
-// runScalar drives the mission to completion through the scalar
-// detector path — the exact loop of eval.RunKheperaScenario.
-func (mr *missionRun) runScalar() error {
+// run drives the mission to completion — the exact loop of
+// eval.RunKheperaScenario.
+func (mr *missionRun) run() error {
 	for !mr.finished {
 		rec, err := mr.step()
 		if err != nil {
@@ -224,53 +219,6 @@ func (mr *missionRun) runScalar() error {
 		mr.record(rec, rep)
 	}
 	return nil
-}
-
-// runGroup lockstep-steps a group of missions through one
-// detect.DetectorBatch built on the first mission's detector. Profiles
-// that don't match the prototype's batch key fall back to scalar
-// stepping inside the batch — bit-for-bit either way.
-func runGroup(group []*missionRun) error {
-	if len(group) == 1 {
-		return group[0].runScalar()
-	}
-	db, err := detect.NewDetectorBatch(group[0].det, len(group))
-	if err != nil {
-		return err
-	}
-	dets := make([]*detect.Detector, 0, len(group))
-	us := make([]mat.Vec, 0, len(group))
-	readings := make([]map[string]mat.Vec, 0, len(group))
-	recs := make([]*sim.StepRecord, 0, len(group))
-	live := make([]*missionRun, 0, len(group))
-	for {
-		dets, us, readings, recs, live = dets[:0], us[:0], readings[:0], recs[:0], live[:0]
-		for _, mr := range group {
-			if mr.finished {
-				continue
-			}
-			rec, err := mr.step()
-			if err != nil {
-				mr.finished = true // mission over
-				continue
-			}
-			live = append(live, mr)
-			dets = append(dets, mr.det)
-			us = append(us, rec.UPlanned)
-			readings = append(readings, rec.Readings)
-			recs = append(recs, rec)
-		}
-		if len(live) == 0 {
-			return nil
-		}
-		reports, errs := db.Step(dets, us, readings)
-		for i, mr := range live {
-			if errs[i] != nil {
-				return fmt.Errorf("scenario %q k=%d: %w", mr.compiled.Name, recs[i].K, errs[i])
-			}
-			mr.record(recs[i], reports[i])
-		}
-	}
 }
 
 // trialStats is one trial's measurements.
@@ -425,66 +373,50 @@ func aggregate(sc *Scenario, trials []trialStats) Result {
 
 // RunSuite executes every scenario × trial of the suite and aggregates
 // the leaderboard measurements. Results are bit-for-bit reproducible
-// from {suite, config trials} and independent of Workers and Batch.
+// from {suite, config trials} and independent of Workers.
 func RunSuite(s *Suite, cfg RunConfig) (*SuiteResult, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
 	trials := max(1, cfg.Trials)
-	group := max(1, cfg.Batch)
 	workers := max(1, cfg.Workers)
 
-	type task struct {
-		si, trial int
-	}
-	var tasks []task
-	for si := range s.Scenarios {
-		for t := 0; t < trials; t++ {
-			tasks = append(tasks, task{si, t})
-		}
-	}
-	// Chunk tasks into batch groups; workers drain groups concurrently.
-	// Each mission owns its simulator and detector, so the only shared
-	// state is the indexed stats matrix.
+	// Workers drain the missions concurrently. Each mission owns its
+	// simulator and detector, so the only shared state is the indexed
+	// stats matrix.
 	stats := make([][]trialStats, len(s.Scenarios))
+	errs := make([][]error, len(s.Scenarios))
 	for i := range stats {
 		stats[i] = make([]trialStats, trials)
+		errs[i] = make([]error, trials)
 	}
-	var groups [][]task
-	for start := 0; start < len(tasks); start += group {
-		groups = append(groups, tasks[start:min(start+group, len(tasks))])
-	}
-	errs := make([]error, len(groups))
 	var wg sync.WaitGroup
 	sem := make(chan struct{}, workers)
-	for gi, g := range groups {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(gi int, g []task) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			runs := make([]*missionRun, len(g))
-			for i, tk := range g {
-				mr, err := newMissionRun(&s.Scenarios[tk.si], s.Seed+int64(tk.trial))
+	for si := range s.Scenarios {
+		for t := 0; t < trials; t++ {
+			wg.Add(1)
+			sem <- struct{}{}
+			go func(si, t int) {
+				defer wg.Done()
+				defer func() { <-sem }()
+				mr, err := newMissionRun(&s.Scenarios[si], s.Seed+int64(t))
+				if err == nil {
+					err = mr.run()
+				}
 				if err != nil {
-					errs[gi] = err
+					errs[si][t] = err
 					return
 				}
-				runs[i] = mr
-			}
-			if err := runGroup(runs); err != nil {
-				errs[gi] = err
-				return
-			}
-			for i, tk := range g {
-				stats[tk.si][tk.trial] = runs[i].stats()
-			}
-		}(gi, g)
+				stats[si][t] = mr.stats()
+			}(si, t)
+		}
 	}
 	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
+	for _, row := range errs {
+		for _, err := range row {
+			if err != nil {
+				return nil, err
+			}
 		}
 	}
 

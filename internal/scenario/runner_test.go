@@ -70,28 +70,21 @@ func TestSuiteReproducible(t *testing.T) {
 	}
 }
 
-// TestSuiteWorkersAndBatchDeterminism pins that Workers and Batch are
-// throughput-only: concurrent and engine-batched execution produce the
-// sequential scalar result bit-for-bit.
-func TestSuiteWorkersAndBatchDeterminism(t *testing.T) {
+// TestSuiteWorkersDeterminism pins that Workers is throughput-only:
+// concurrent execution produces the sequential result bit-for-bit.
+func TestSuiteWorkersDeterminism(t *testing.T) {
 	base, err := scenario.RunSuite(smallSuite(4), scenario.RunConfig{Trials: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, cfg := range []scenario.RunConfig{
-		{Trials: 2, Workers: 4},
-		{Trials: 2, Batch: 3},
-		{Trials: 2, Workers: 2, Batch: 4},
-	} {
-		got, err := scenario.RunSuite(smallSuite(4), cfg)
-		if err != nil {
-			t.Fatalf("%+v: %v", cfg, err)
-		}
-		if !reflect.DeepEqual(base, got) {
-			b1, _ := json.Marshal(base)
-			b2, _ := json.Marshal(got)
-			t.Fatalf("%+v diverged from sequential:\n%s\n%s", cfg, b1, b2)
-		}
+	got, err := scenario.RunSuite(smallSuite(4), scenario.RunConfig{Trials: 2, Workers: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(base, got) {
+		b1, _ := json.Marshal(base)
+		b2, _ := json.Marshal(got)
+		t.Fatalf("Workers 4 diverged from sequential:\n%s\n%s", b1, b2)
 	}
 }
 

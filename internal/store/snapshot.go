@@ -93,8 +93,6 @@ type Snapshot struct {
 	SessionID string `json:"sessionId"`
 	// Robot names the platform profile the session hosts.
 	Robot string `json:"robot"`
-	// Workers is the session's mode-bank worker override (Spec.Workers).
-	Workers int `json:"workers,omitempty"`
 	// Sensors and Dt mirror the session's wire contract; recovery
 	// validates them against the freshly built detector's profile.
 	Sensors []string `json:"sensors"`

@@ -44,7 +44,6 @@ func testSnapshot(frames int) *Snapshot {
 	return &Snapshot{
 		SessionID:     "sess-1",
 		Robot:         "khepera",
-		Workers:       2,
 		Sensors:       []string{"gps", "imu"},
 		Dt:            0.02,
 		FramesApplied: frames,
@@ -71,7 +70,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("decode: %v", err)
 	}
-	if got.SessionID != snap.SessionID || got.Robot != snap.Robot || got.Workers != snap.Workers ||
+	if got.SessionID != snap.SessionID || got.Robot != snap.Robot ||
 		got.Dt != snap.Dt || got.FramesApplied != snap.FramesApplied {
 		t.Fatalf("identity fields changed: %+v", got)
 	}

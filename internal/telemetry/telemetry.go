@@ -15,7 +15,6 @@ import (
 const (
 	MetricStepSeconds      = "roboads_engine_step_seconds"
 	MetricModeSeconds      = "roboads_engine_mode_step_seconds"
-	MetricPoolWaitSeconds  = "roboads_engine_pool_wait_seconds"
 	MetricFrameGapSeconds  = "roboads_trace_frame_gap_seconds"
 	MetricStepsTotal       = "roboads_engine_steps_total"
 	MetricModeSwitches     = "roboads_engine_mode_switches_total"
@@ -63,7 +62,6 @@ type Telemetry struct {
 
 	stepSeconds     *Histogram
 	modeSeconds     *Histogram
-	poolWaitSeconds *Histogram
 	frameGapSeconds *Histogram
 
 	stepsTotal       *Counter
@@ -127,7 +125,6 @@ func New(opts Options) *Telemetry {
 	lat := LatencyBuckets()
 	t.stepSeconds = t.reg.Histogram(MetricStepSeconds, "Engine.Step wall time in seconds.", lat)
 	t.modeSeconds = t.reg.Histogram(MetricModeSeconds, "Per-mode NUISE latency in seconds.", lat)
-	t.poolWaitSeconds = t.reg.Histogram(MetricPoolWaitSeconds, "Mode-bank submit-to-start queue wait in seconds.", lat)
 	t.frameGapSeconds = t.reg.Histogram(MetricFrameGapSeconds, "Inter-frame gap of a replayed trace in seconds.", lat)
 
 	t.stepsTotal = t.reg.Counter(MetricStepsTotal, "Engine control iterations completed.")
@@ -230,11 +227,6 @@ func (t *Telemetry) EngineStep(s *core.StepStats) {
 // ModeStep implements core.Observer.
 func (t *Telemetry) ModeStep(mode int, name string, nanos int64, ok bool) {
 	t.modeSeconds.Observe(float64(nanos) * 1e-9)
-}
-
-// PoolWait implements core.Observer.
-func (t *Telemetry) PoolWait(nanos int64) {
-	t.poolWaitSeconds.Observe(float64(nanos) * 1e-9)
 }
 
 // DroppedReading implements core.Observer.

@@ -31,13 +31,6 @@ func defaultBuild() buildConfig {
 	return buildConfig{ecfg: core.DefaultEngineConfig(), dcfg: detect.DefaultConfig()}
 }
 
-// WithWorkers bounds the goroutines fanning the mode bank out each Step.
-// 0 resolves to GOMAXPROCS; 1 or negative runs sequentially. Output is
-// bit-for-bit independent of the worker count.
-func WithWorkers(n int) Option {
-	return func(b *buildConfig) { b.ecfg.Workers = n }
-}
-
 // WithEngineConfig replaces the engine configuration wholesale.
 func WithEngineConfig(cfg EngineConfig) Option {
 	return func(b *buildConfig) { b.ecfg = cfg }
@@ -117,7 +110,6 @@ func NewPipeline(plant Plant, modes []*Mode, x0 Vec, p0 *Matrix, opts ...Option)
 // recorded trace replays against this detector bit-for-bit:
 //
 //	det, err := roboads.NewRobotDetector("khepera",
-//		roboads.WithWorkers(4),
 //		roboads.WithSensorAlpha(0.005))
 func NewRobotDetector(robot string, opts ...Option) (*Detector, error) {
 	b := defaultBuild()

@@ -61,7 +61,7 @@ func stepReports(t *testing.T, det *roboads.Detector, suite []roboads.Sensor, n 
 
 // TestNewPipelineMatchesTwoStep pins the options surface to the legacy
 // construction: NewPipeline with default options is bit-for-bit the
-// NewEngine + NewDetector path, and WithWorkers does not change output.
+// NewEngine + NewDetector path.
 func TestNewPipelineMatchesTwoStep(t *testing.T) {
 	plant, modes, x0, p0, suite := kheperaComponents(t)
 	engine, err := roboads.NewEngine(plant, modes, x0, p0, roboads.DefaultEngineConfig())
@@ -70,16 +70,13 @@ func TestNewPipelineMatchesTwoStep(t *testing.T) {
 	}
 	legacy := stepReports(t, roboads.NewDetector(engine, roboads.DefaultDetectorConfig()), suite, 40)
 
-	for _, workers := range []int{-1, 4} {
-		plant, modes, x0, p0, suite := kheperaComponents(t)
-		det, err := roboads.NewPipeline(plant, modes, x0, p0, roboads.WithWorkers(workers))
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := stepReports(t, det, suite, 40)
-		if !reflect.DeepEqual(got, legacy) {
-			t.Fatalf("NewPipeline(workers=%d) diverged from two-step construction", workers)
-		}
+	plant, modes, x0, p0, suite = kheperaComponents(t)
+	det, err := roboads.NewPipeline(plant, modes, x0, p0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := stepReports(t, det, suite, 40); !reflect.DeepEqual(got, legacy) {
+		t.Fatal("NewPipeline diverged from two-step construction")
 	}
 }
 
@@ -129,7 +126,7 @@ func TestNewPipelineOptions(t *testing.T) {
 // unknown-robot error path.
 func TestNewRobotDetectorProfiles(t *testing.T) {
 	for _, robot := range []string{"khepera", "tamiya"} {
-		if _, err := roboads.NewRobotDetector(robot, roboads.WithWorkers(2)); err != nil {
+		if _, err := roboads.NewRobotDetector(robot, roboads.WithSensorAlpha(0.01)); err != nil {
 			t.Fatalf("NewRobotDetector(%q): %v", robot, err)
 		}
 	}

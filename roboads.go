@@ -38,7 +38,7 @@
 //
 // NewPipeline and NewRobotDetector are the construction surface: the
 // paper-default configuration modified by functional options
-// (WithWorkers, WithSensorAlpha, WithObserver, ...). NewRobotDetector
+// (WithSensorAlpha, WithObserver, WithEpsilon, ...). NewRobotDetector
 // builds the standard detector for a named platform with no simulator
 // attached — the same construction a hosted fleet session uses.
 //
@@ -263,7 +263,6 @@ var NewTelemetry = telemetry.New
 const (
 	MetricStepSeconds      = telemetry.MetricStepSeconds
 	MetricModeSeconds      = telemetry.MetricModeSeconds
-	MetricPoolWaitSeconds  = telemetry.MetricPoolWaitSeconds
 	MetricFrameGapSeconds  = telemetry.MetricFrameGapSeconds
 	MetricStepsTotal       = telemetry.MetricStepsTotal
 	MetricModeSwitches     = telemetry.MetricModeSwitches

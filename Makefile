@@ -62,13 +62,14 @@ fleetsoak:
 # (the helper server process inherits the instrumented binary). Then the
 # store's crash points — the shared log cut at every byte of its last
 # records, a bit flipped in every record, a snapshot past the log's end,
-# the legacy-layout upgrade, the sticky sync failure — and the fleet's
-# recovery, checkpoint and log-bounding tests over them.
+# the refusal of the per-session layout, the sticky sync failure — and the
+# fleet's recovery, checkpoint and log-bounding tests over them, plus a
+# held sync that must not hold the shard worker.
 crashsoak:
 	ROBOADS_CRASH_SESSIONS=32 $(GO) test -race -count=1 -timeout 10m \
 		-run TestServeCrashRecovery ./cmd/roboads/
-	$(GO) test -race -count=1 -run 'TestCrashPoint|TestSnapshotPastLogEnd|TestLegacyUpgrade|TestRecover|TestBoundedDisk|TestMaterialize|TestGroupCommitSyncFailure' ./internal/store/
-	$(GO) test -race -count=1 -run 'TestFleetDurable|TestFleetRecovery|TestFleetEviction|TestFleetCheckpoint|TestCheckpointDuringPendingCommit|TestLogFailureIsSticky|TestJanitorCheckpointsLaggingSession' ./internal/fleet/
+	$(GO) test -race -count=1 -run 'TestCrashPoint|TestSnapshotPastLogEnd|TestOpenRefusesPerSessionWAL|TestRecover|TestBoundedDisk|TestMaterialize|TestGroupCommitSyncFailure' ./internal/store/
+	$(GO) test -race -count=1 -run 'TestFleetDurable|TestFleetRecovery|TestFleetEviction|TestFleetCheckpoint|TestCheckpointDuringPendingCommit|TestLogFailureIsSticky|TestJanitorCheckpointsLaggingSession|TestWorkerStepsPastAHeldSync' ./internal/fleet/
 
 # LOADED prefixes a recipe's command with four busy-looping processes that
 # compete for the CPUs until the command exits.
@@ -99,7 +100,6 @@ tier1-loaded:
 fuzz:
 	$(GO) test -run xxx -fuzz FuzzDecodeSnapshot -fuzztime 15s ./internal/store/
 	$(GO) test -run xxx -fuzz FuzzDecodeWALRecord -fuzztime 15s ./internal/store/
-	$(GO) test -run xxx -fuzz FuzzReadWALTail -fuzztime 15s ./internal/store/
 	$(GO) test -run xxx -fuzz FuzzDecodeLog -fuzztime 15s ./internal/store/
 	$(GO) test -run xxx -fuzz FuzzTraceReader -fuzztime 15s ./internal/trace/
 	$(GO) test -run xxx -fuzz FuzzFrameRecord -fuzztime 15s ./internal/trace/
@@ -166,7 +166,7 @@ benchoverhead:
 		-only '^BenchmarkEngineStep(Telemetry)?$$|^BenchmarkFleetStep$$' \
 		-command "$(GO) test -run xxx -bench '^BenchmarkEngineStep(Telemetry)?$$|^BenchmarkFleetStep$$' -benchtime=20000x -count=3 ."
 
-# Serving-stack smoke (DESIGN.md §14): build the real binary, let
+# Serving-stack smoke (DESIGN.md §13): build the real binary, let
 # loadgen spawn it with tracing and group commit on, drive 8 sessions in
 # lockstep batches for ~10s with a kill -9 at half time, and require the
 # server's per-stage p50 attribution to sum within 10% of its end-to-end
@@ -184,7 +184,7 @@ loadgensmoke:
 		-check-attribution 0.10 -label smoke -out BENCH_serve.json
 	$(GO) run ./cmd/benchdiff -serve BENCH_serve.json -threshold 0.5
 
-# Multi-node smoke (DESIGN.md §15): loadgen spawns three serve nodes
+# Multi-node smoke (DESIGN.md §14): loadgen spawns three serve nodes
 # plus a router and drives 16 sessions through the router — live
 # migrations to the next-ranked node at half time plus a kill -9 of the
 # first node, with the run required to finish every session through the
@@ -201,7 +201,7 @@ multinodesmoke:
 	$(GO) run ./cmd/benchdiff -serve BENCH_serve.json -threshold 0.5
 	$(GO) test -count=1 -run TestMultinodeFailoverMigration ./cmd/roboads/
 
-# Detection-quality smoke (DESIGN.md §16): generate the default
+# Detection-quality smoke (DESIGN.md §15): generate the default
 # adversarial suite (all Table II + Tamiya scenarios, the stealthy /
 # coordinated / intermittent / ramp / environment adversaries), run it
 # through the real detector path, append a leaderboard record to

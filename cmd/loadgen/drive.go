@@ -8,7 +8,6 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
-	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -289,7 +288,6 @@ func spawnServe(cfg config, stateDir, addr string) (*serveChild, error) {
 		"-addr", addr,
 		"-scenario=-1",
 		"-state-dir", stateDir,
-		"-fsync-every", strconv.Itoa(cfg.fsyncEvery),
 		"-commit-window", cfg.commitWindow.String(),
 	})
 }

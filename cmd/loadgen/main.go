@@ -33,8 +33,7 @@ type config struct {
 	spawn      bool
 	roboadsBin string
 	stateDir   string
-	// Durability policy for the spawned server.
-	fsyncEvery   int
+	// commitWindow is the spawned server's group-commit pace.
 	commitWindow time.Duration
 
 	sessions int
@@ -85,8 +84,7 @@ func run(args []string) error {
 	fs.BoolVar(&cfg.spawn, "spawn", false, "spawn a private `roboads serve` child for the run (required for -crash)")
 	fs.StringVar(&cfg.roboadsBin, "roboads", "", "path to the roboads binary (required with -spawn; a real binary, so -crash can SIGKILL it)")
 	fs.StringVar(&cfg.stateDir, "state-dir", "", "state directory for the spawned server (default: a temp dir, removed afterwards)")
-	fs.IntVar(&cfg.fsyncEvery, "fsync-every", 0, "spawned server WAL fsync cadence (0/1 = every frame, n>1 = batched, negative = never)")
-	fs.DurationVar(&cfg.commitWindow, "commit-window", 2*time.Millisecond, "spawned server group-commit window; 0 = inline fsync per -fsync-every")
+	fs.DurationVar(&cfg.commitWindow, "commit-window", 2*time.Millisecond, "spawned server group-commit pace per session; 0 = no pace: flush when the flusher is free")
 	fs.IntVar(&cfg.sessions, "sessions", 8, "concurrent sessions to drive")
 	fs.Float64Var(&cfg.rate, "rate", 0, "frames/s per session; 0 = closed loop")
 	fs.DurationVar(&cfg.duration, "duration", 10*time.Second, "total drive time (halved around the kill with -crash)")

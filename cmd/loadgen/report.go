@@ -156,7 +156,6 @@ func buildRecord(cfg config, results []sessionResult, driveSeconds, recovery flo
 			Wire:            cfg.wire,
 			Robot:           cfg.robot,
 			DurationSeconds: cfg.duration.Seconds(),
-			FsyncEvery:      cfg.fsyncEvery,
 			CommitWindowMs:  float64(cfg.commitWindow) / float64(time.Millisecond),
 			Crash:           cfg.crash,
 			Spawned:         cfg.spawn,

@@ -115,10 +115,11 @@ func checkpointRemote(base, id string) (fleet.CheckpointInfo, error) {
 // Session count defaults to 4; `make crashsoak` raises it to 32 via
 // ROBOADS_CRASH_SESSIONS and runs under -race.
 //
-// The test runs twice: with per-frame fsync, and with group commit
-// (-commit-window), whose wider crash window (unacked frames in a
+// The test runs twice: at the default commit window (no pace; the
+// subtest keeps the name it had when that meant an inline fsync per
+// frame) and at 2 ms, whose wider crash window (unacked frames in a
 // pending commit batch die with the process) must still never lose an
-// acknowledged frame: acked ≤ recovered ≤ sent holds in both modes.
+// acknowledged frame: acked ≤ recovered ≤ sent holds at both.
 func TestServeCrashRecovery(t *testing.T) {
 	t.Run("fsync-per-frame", func(t *testing.T) { testServeCrashRecovery(t, 0) })
 	t.Run("group-commit", func(t *testing.T) { testServeCrashRecovery(t, 2*time.Millisecond) })

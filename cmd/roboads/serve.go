@@ -44,14 +44,11 @@ type serveOptions struct {
 	// snapshotEvery is the automatic checkpoint cadence in frames
 	// (fleet.Durability.SnapshotEvery; 0 = 256, negative = manual only).
 	snapshotEvery int
-	// fsyncEvery is the WAL fsync policy (fleet.Durability.FsyncEvery;
-	// 0 and 1 = every frame, n > 1 = batched, negative = never).
-	fsyncEvery int
-	// commitWindow > 0 enables cross-session group commit
+	// commitWindow paces cross-session group commit
 	// (fleet.Durability.CommitWindow): the store's flusher syncs the
 	// sessions' appends together at the pace the window sets, and a frame
-	// is acknowledged only after the group fsync covering it. Supersedes
-	// fsyncEvery.
+	// is acknowledged only after the group fsync covering it. 0 = no pace:
+	// flush when the flusher is free.
 	commitWindow time.Duration
 	// trace enables frame-lifecycle tracing: per-stage latency
 	// histograms in /metrics and reservoir-sampled span exemplars at
@@ -129,7 +126,6 @@ func serveScenario(ctx context.Context, opts serveOptions) error {
 		Durability: fleet.Durability{
 			Dir:           opts.stateDir,
 			SnapshotEvery: opts.snapshotEvery,
-			FsyncEvery:    opts.fsyncEvery,
 			CommitWindow:  opts.commitWindow,
 		},
 	})

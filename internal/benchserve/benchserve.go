@@ -43,7 +43,6 @@ type Config struct {
 	Wire            string  `json:"wire"`
 	Robot           string  `json:"robot"`
 	DurationSeconds float64 `json:"durationSeconds"`
-	FsyncEvery      int     `json:"fsyncEvery"`
 	CommitWindowMs  float64 `json:"commitWindowMs"`
 	Crash           bool    `json:"crash"`
 	Spawned         bool    `json:"spawned"`

@@ -33,19 +33,14 @@ type Durability struct {
 	// negative disables automatic checkpoints (Checkpoint still works, and
 	// the janitor still checkpoints a session that pins old log).
 	SnapshotEvery int
-	// FsyncEvery is the log fsync policy (store.Options.FsyncEvery):
-	// 0 and 1 fsync every frame — a replied frame is on stable storage;
-	// n > 1 batches; negative never fsyncs.
-	FsyncEvery int
-	// CommitWindow > 0 enables cross-session group commit
-	// (store.Options.CommitWindow): appends skip the inline fsync, shard
-	// workers enlist each stepped job with the store's flusher and move
-	// on, and the job is acknowledged by the flusher after a sync of the
-	// shared log that covers it — one fsync for every session enlisted.
-	// The value is a pace per session (its jobs are completed at most once
-	// per window), not a delay and not a store-wide limit: an idle
-	// session's job is synced at once. Reply-after-fsync is preserved;
-	// FsyncEvery is ignored.
+	// CommitWindow paces cross-session group commit
+	// (store.Options.CommitWindow): shard workers enlist each stepped job
+	// with the store's flusher and move on, and the job is acknowledged by
+	// the flusher after a sync of the shared log that covers it — one fsync
+	// for every session enlisted. The value is a pace per session (its jobs
+	// are completed at most once per window), not a delay and not a
+	// store-wide limit: an idle session's job is synced at once. 0 = no
+	// pace: flush when the flusher is free.
 	CommitWindow time.Duration
 }
 
@@ -177,13 +172,12 @@ func (m *Manager) persistSnapshot(s *session) (int, error) {
 }
 
 // logFrame write-ahead-logs one successfully stepped frame. The caller
-// holds s.stepMu, and the reply is sent only after logFrame returns —
-// under group commit, where the record is written with the rest of its
-// job by SessionStore.CommitAsync, only from that call's completion — so
-// a replied frame is on stable storage. An
-// append error is surfaced to the client in place of the report: the
-// frame was applied in memory but its durability is unknown, and
-// claiming success would break the recovery contract.
+// holds s.stepMu; the record is written with the rest of its job by
+// SessionStore.CommitAsync, and the reply is sent only from that call's
+// completion, so a replied frame is on stable storage. An append error is
+// surfaced to the client in place of the report: the frame was applied in
+// memory but its durability is unknown, and claiming success would break
+// the recovery contract.
 func (m *Manager) logFrame(s *session, fr BatchFrame, rep *detect.Report) error {
 	frame := &trace.Frame{K: rep.Decision.Iteration, U: []float64(fr.U), Readings: make(map[string][]float64, len(fr.Readings))}
 	for name, z := range fr.Readings {

@@ -117,8 +117,8 @@ func TestFleetRecoveryReplaysTornWAL(t *testing.T) {
 	const applied = 38 // snapshot-32 + log records 33..38
 	stepAll(t, m1, info.ID, frames[:applied])
 	// No shutdown: m1 is simply abandoned, like a killed process. Its
-	// log is complete on disk (FsyncEvery defaults to 1); tear the last
-	// record by hand to model a crash mid-append.
+	// log is complete on disk (every frame was acknowledged, so synced);
+	// tear the last record by hand to model a crash mid-append.
 	logs, err := filepath.Glob(filepath.Join(dir, "log-*"))
 	if err != nil || len(logs) != 1 {
 		t.Fatalf("log segments %v (%v), want one", logs, err)
@@ -383,7 +383,7 @@ func TestJanitorCheckpointsLaggingSession(t *testing.T) {
 	dir := t.TempDir()
 	m, err := NewManager(Config{
 		Workers: 1, Build: build,
-		Durability: Durability{Dir: dir, SnapshotEvery: -1, FsyncEvery: -1},
+		Durability: Durability{Dir: dir, SnapshotEvery: -1},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -291,7 +291,6 @@ func NewManager(cfg Config) (*Manager, error) {
 			m.snapshotEvery = 256
 		}
 		st, err := store.Open(cfg.Durability.Dir, store.Options{
-			FsyncEvery:   cfg.Durability.FsyncEvery,
 			CommitWindow: cfg.Durability.CommitWindow,
 			Metrics:      reg,
 		})
@@ -486,8 +485,7 @@ func (m *Manager) Submit(id string, u mat.Vec, readings map[string]mat.Vec) (*Pe
 // calls would produce. Acceptance is all-or-nothing: on any error
 // (including ErrBackpressure for a full queue) no frame of the batch
 // was accepted. With durability enabled, the batch is acknowledged only
-// after the WAL write covering every appended frame — and, under group
-// commit, the group fsync covering them — completes.
+// after the group fsync covering every appended frame completes.
 func (m *Manager) SubmitBatch(id string, frames []BatchFrame) (*PendingBatch, error) {
 	if len(frames) == 0 {
 		return nil, errors.New("fleet: empty batch")
@@ -804,20 +802,15 @@ func (m *Manager) dropPanicked(s *session) {
 func (m *Manager) record(s *session, fr BatchFrame, rep *detect.Report, err error, appended *int) FrameResult {
 	m.mFrames.Inc()
 	if err == nil && s.ds != nil {
-		// Reply-after-fsync ordering: the frame is in the WAL (and, with
-		// FsyncEvery ≤ 1, on stable storage) before the client hears
-		// success, so a replied frame survives any crash. Under group
-		// commit the inline fsync is skipped; complete enlists the job
-		// for the group sync that supplies it.
+		// Reply-after-fsync ordering: the frame is logged here, and
+		// complete enlists the job for the group sync that makes it durable
+		// before the client hears success, so a replied frame survives any
+		// crash.
 		if derr := m.logFrame(s, fr, rep); derr != nil {
 			rep, err = nil, derr
 		} else {
 			*appended++
 			fr.Span.Lap(telemetry.StageWALAppend)
-			// An inline fsync (FsyncEvery policy) ran inside the append;
-			// reattribute its share so fsync cost never hides in the
-			// append stage.
-			fr.Span.Shift(telemetry.StageWALAppend, telemetry.StageFsync, s.ds.LastSyncNanos())
 		}
 	}
 	if err != nil {
@@ -836,8 +829,7 @@ func (m *Manager) record(s *session, fr BatchFrame, rep *detect.Report, err erro
 // fsync stage and sends the reply — and the worker returns to release
 // stepMu and take the next runnable session, this session's next job
 // included. A volatile session (s.ds == nil) is answered right here on
-// the worker, as is every job when group commit is off and the appends
-// already synced inline.
+// the worker.
 //
 // The ack point is the completion callback: nothing before it tells the
 // client anything, so replied ⇒ durable holds, and the store runs one

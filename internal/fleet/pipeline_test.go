@@ -22,7 +22,7 @@ import (
 
 // Tests of the asynchronous commit pipeline: shard workers enlist a
 // stepped job with the store's flusher and move on, and the flusher
-// answers it (DESIGN.md §12).
+// answers it (DESIGN.md §11).
 
 func batchOf(frames []trace.Frame) []BatchFrame {
 	out := make([]BatchFrame, len(frames))
@@ -169,6 +169,75 @@ func TestCheckpointDuringPendingCommit(t *testing.T) {
 	}
 	if st.FramesApplied != 3 {
 		t.Fatalf("recovered %d frames of 3 acknowledged", st.FramesApplied)
+	}
+}
+
+// TestWorkerStepsPastAHeldSync: at the default commit window a durable
+// job is acknowledged by the store's flusher, never on the shard worker.
+// With one worker and session A's sync held, session B's frame is still
+// stepped; neither is answered until the sync is released, then both
+// are, in order, and a copy of the directory recovers both frames.
+func TestWorkerStepsPastAHeldSync(t *testing.T) {
+	dir := t.TempDir()
+	reg := telemetry.NewRegistry()
+	m, err := NewManager(Config{
+		Workers: 1, Build: DefaultBuilder(), Metrics: reg,
+		Durability: Durability{Dir: dir, SnapshotEvery: -1},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Shutdown(context.Background())
+	entered, release := holdSyncs(m, nil)
+	frames := kheperaFrames(t, 36, 1)
+	a := mustCreate(t, m, Spec{Robot: "khepera"})
+	b := mustCreate(t, m, Spec{Robot: "khepera"})
+	pa, err := m.SubmitBatch(a.ID, batchOf(frames))
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-entered // A's sync is in flight and held
+	pb, err := m.SubmitBatch(b.ID, batchOf(frames))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(10 * time.Second); reg.CounterValue(MetricFrames) < 2; time.Sleep(100 * time.Microsecond) {
+		if time.Now().After(deadline) {
+			close(release) // let Shutdown drain
+			t.Fatal("the only worker never stepped B's frame while A's sync was held")
+		}
+	}
+	stillBlocked(t, pa.reply, "A answered while its sync was held")
+	stillBlocked(t, pb.reply, "B answered before a sync covering it ran")
+	close(release)
+
+	rb := <-pb.reply
+	var ra []FrameResult
+	select {
+	case ra = <-pa.reply:
+	default:
+		t.Fatal("B answered before A")
+	}
+	if ra[0].Err != nil || rb[0].Err != nil {
+		t.Fatalf("after the release: A %v, B %v", ra[0].Err, rb[0].Err)
+	}
+	crashed := t.TempDir()
+	if err := copyTree(dir, crashed); err != nil {
+		t.Fatal(err)
+	}
+	m2, err := NewManager(Config{Workers: 1, Build: DefaultBuilder(), Durability: Durability{Dir: crashed}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m2.Shutdown(context.Background())
+	for _, id := range []string{a.ID, b.ID} {
+		st, err := m2.Status(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.FramesApplied != 1 {
+			t.Errorf("session %s recovered %d frames of 1 acknowledged", id, st.FramesApplied)
+		}
 	}
 }
 
@@ -432,6 +501,8 @@ func TestEvictionRacesLastReply(t *testing.T) {
 		dur  func(dir string) Durability
 	}{
 		{"volatile", func(string) Durability { return Durability{} }},
+		// Named when the default window synced inline on the worker; it is
+		// the default window through the flusher now.
 		{"inline-fsync", func(dir string) Durability { return Durability{Dir: dir} }},
 		{"group-commit", func(dir string) Durability { return Durability{Dir: dir, CommitWindow: 2 * time.Millisecond} }},
 	} {

@@ -35,17 +35,17 @@ func getTrace(t *testing.T, base string) telemetry.TraceSnapshot {
 // TestTraceThroughFleetHTTP drives real frames through both ingest
 // paths of a durable, traced fleet server and pins the span contract
 // end to end: every frame is traced, every exemplar's stage laps sum
-// exactly to its total, and the expected lifecycle stages appear — with
-// the fsync inline on the shard worker, and with group commit, where the
-// store's flusher laps the fsync stage and sends the reply.
+// exactly to its total, and the expected lifecycle stages appear — the
+// fsync stage lapped by the store's flusher, which sends the reply, with
+// and without a commit pace.
 func TestTraceThroughFleetHTTP(t *testing.T) {
+	stages := []string{"decode", "admit", "queue_wait", "step", "wal_append", "fsync", "reply"}
 	for _, tc := range []struct {
 		name   string
 		window time.Duration
-		stages []string
 	}{
-		{"inline-fsync", 0, []string{"decode", "admit", "queue_wait", "step", "wal_append", "reply"}},
-		{"group-commit", 2 * time.Millisecond, []string{"decode", "admit", "queue_wait", "step", "wal_append", "fsync", "reply"}},
+		{"inline-fsync", 0}, // named when the default window synced inline on the worker
+		{"group-commit", 2 * time.Millisecond},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			tracer := telemetry.NewTracer(nil)
@@ -82,7 +82,7 @@ func TestTraceThroughFleetHTTP(t *testing.T) {
 			if snap.Frames != int64(len(frames)) {
 				t.Fatalf("traced %d frames, want %d", snap.Frames, len(frames))
 			}
-			for _, stage := range tc.stages {
+			for _, stage := range stages {
 				if _, ok := snap.Stages[stage]; !ok {
 					t.Errorf("stage %q missing from %v", stage, snap.Stages)
 				}
@@ -101,7 +101,7 @@ func TestTraceThroughFleetHTTP(t *testing.T) {
 				if sum != ex.TotalNanos || sum <= 0 {
 					t.Errorf("frame %d: stage sum %d != total %d (%v)", ex.K, sum, ex.TotalNanos, ex.StageNanos)
 				}
-				if tc.window > 0 && ex.StageNanos["fsync"] <= 0 {
+				if ex.StageNanos["fsync"] <= 0 {
 					t.Errorf("frame %d: no fsync lap from the flusher (%v)", ex.K, ex.StageNanos)
 				}
 			}

@@ -6,15 +6,16 @@ import (
 	"time"
 )
 
-// committer is the cross-session group-commit stage: sessions write
-// their records without syncing and enlist a completion with the log
-// position it waits for; one flusher goroutine syncs the log — one fsync,
-// however many sessions — and runs, in enlistment order, the completions
-// of every enlistment the sync passed. Nothing blocks the enlisting
-// goroutine, and what enlists during one sync is covered by the next:
-// grouping needs no timer.
+// committer is the cross-session group-commit stage, the one way a
+// record becomes durable: sessions write their records without syncing
+// and enlist a completion with the log position it waits for; one flusher
+// goroutine syncs the log — one fsync, however many sessions — and runs,
+// in enlistment order, the completions of every enlistment the sync
+// passed. Nothing blocks the enlisting goroutine, and what enlists during
+// one sync is covered by the next: grouping needs no timer.
 //
-// The pace is per session. One session's commits are completed at most
+// The pace is per session, and a zero window means none: the flusher
+// flushes whenever it is free. One session's commits are completed at most
 // once per commit window, counted from when the completion was due, not
 // from when it ran, the sync running inside that time and at most one
 // window of unused pace kept. So an idle session is synced at once, and a

@@ -175,7 +175,7 @@ func TestGroupCommitGroupsBehindRunningSync(t *testing.T) {
 func reopen(t *testing.T, st *Store) (*Store, *telemetry.Registry) {
 	t.Helper()
 	reg := telemetry.NewRegistry()
-	st2, err := Open(st.Dir(), Options{CommitWindow: st.opts.CommitWindow, FsyncEvery: st.opts.FsyncEvery, Metrics: reg})
+	st2, err := Open(st.dir, Options{CommitWindow: st.committer.window, Metrics: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,10 +276,7 @@ func TestGroupCommitSyncFailureFailsWholeBatch(t *testing.T) {
 					}
 				}
 			}
-			if err := stores[2].Sync(); !errors.Is(err, ErrLogFailed) {
-				t.Errorf("Sync after a failed sync: %v", err)
-			}
-			st2, err := Open(copyDir(t, st.Dir()), Options{})
+			st2, err := Open(copyDir(t, st.dir), Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -410,25 +407,32 @@ func TestGroupCommitCompletionOrder(t *testing.T) {
 	wg.Wait()
 }
 
-// TestCommitNoopWithoutWindow pins that Commit is free when group
-// commit is disabled: inline fsyncs already made the appends durable,
-// and CommitAsync completes before it returns.
-func TestCommitNoopWithoutWindow(t *testing.T) {
-	st, err := Open(t.TempDir(), Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+// TestCommitWithoutWindowWaitsForSync pins what a zero window means: no
+// pace, not a second way to durability. The commit is enlisted with the
+// flusher like any other — CommitAsync never completes it on the caller —
+// and completes, with success, only once the sync covering it returns.
+func TestCommitWithoutWindowWaitsForSync(t *testing.T) {
+	st, reg := pacedStore(t, 0)
+	entered, release := holdSyncs(st)
 	ss := openSession(t, st, "s-0", 0)
-	if err := ss.Append(testFrame(0)); err != nil {
+	done := enlistFrames(t, ss, 1)
+	select {
+	case err := <-done:
+		t.Fatalf("CommitAsync completed inline (%v)", err)
+	default:
+	}
+	<-entered
+	select {
+	case err := <-done:
+		t.Fatalf("commit completed (%v) while its sync was held", err)
+	case <-time.After(5 * time.Millisecond):
+	}
+	release <- struct{}{}
+	if err := waitDone(t, done); err != nil {
 		t.Fatal(err)
 	}
-	if err := ss.Commit(1); err != nil {
-		t.Fatal(err)
-	}
-	called := false
-	ss.CommitAsync(1, func(err error) { called = err == nil })
-	if !called {
-		t.Fatal("CommitAsync without group commit did not complete inline")
+	if got := counterValue(t, reg, MetricWALFsyncs); got != 1 {
+		t.Fatalf("%d fsyncs, want 1", got)
 	}
 }
 
@@ -437,7 +441,8 @@ func TestCommitNoopWithoutWindow(t *testing.T) {
 // vanish as a phantom torn tail (it once did, past a 4 MiB line cap) —
 // and so must the ordinary frame after it, across the rotation.
 func TestRecoverOversizeWALRecord(t *testing.T) {
-	st, err := Open(t.TempDir(), Options{})
+	dir := t.TempDir()
+	st, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -448,16 +453,17 @@ func TestRecoverOversizeWALRecord(t *testing.T) {
 	for i := range big.Readings["lidar"] {
 		big.Readings["lidar"][i] = float64(i) * 0.001
 	}
-	if err := ss.Append(big); err != nil {
-		t.Fatal(err)
+	// One commit each: the oversize record fills the head segment, and the
+	// next write rotates past it.
+	for _, frame := range []*trace.Frame{big, testFrame(1)} {
+		if err := ss.Append(frame); err != nil {
+			t.Fatal(err)
+		}
+		if err := ss.Commit(1); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if err := ss.Append(testFrame(1)); err != nil {
-		t.Fatal(err)
-	}
-	if err := ss.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if n := len(logFiles(t, st.Dir())); n != 2 {
+	if n := len(logFiles(t, dir)); n != 2 {
 		t.Fatalf("%d log segments, want 2 (the oversize record fills the first)", n)
 	}
 

@@ -2,8 +2,6 @@ package store
 
 import (
 	"bytes"
-	"encoding/binary"
-	"hash/crc32"
 	"testing"
 
 	"roboads/internal/trace"
@@ -46,9 +44,8 @@ func FuzzDecodeSnapshot(f *testing.F) {
 	})
 }
 
-// FuzzDecodeWALRecord drives the record envelope decoder — shared by the
-// log and the legacy per-session format — with arbitrary bytes under
-// both markers: it must reject or accept, never panic, and an accepted
+// FuzzDecodeWALRecord drives the log's record envelope decoder with
+// arbitrary bytes: it must reject or accept, never panic, and an accepted
 // record's payload and length must lie within the input.
 func FuzzDecodeWALRecord(f *testing.F) {
 	rec, err := appendRecord(nil, "s-000001", 1, testFrame(0))
@@ -60,49 +57,9 @@ func FuzzDecodeWALRecord(f *testing.F) {
 	f.Add([]byte{recordMarker, 0xff, 0xff, 0xff, 0x7f})
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		for _, marker := range []byte{recordMarker, legacyMarker} {
-			payload, n := openRecord(data, marker)
-			if n == 0 {
-				continue
-			}
-			if n > len(data) || len(payload) != n-recordOverhead {
-				t.Fatalf("accepted record of %d bytes with a %d-byte payload in %d bytes of input", n, len(payload), len(data))
-			}
-		}
-	})
-}
-
-// legacyRecord renders one record of the per-session WAL format that
-// preceded the shared log (marker 0xB2, payload seq | frame).
-func legacyRecord(seq int, frame *trace.Frame) []byte {
-	payload := trace.AppendFrameBinary(binary.LittleEndian.AppendUint64(nil, uint64(seq)), frame)
-	rec := binary.LittleEndian.AppendUint32([]byte{legacyMarker}, uint32(len(payload)))
-	return binary.LittleEndian.AppendUint32(append(rec, payload...), crc32.ChecksumIEEE(payload))
-}
-
-// FuzzReadWALTail feeds arbitrary bytes to the one-shot upgrade reader
-// of legacy per-session WAL files: it must terminate with the valid
-// prefix or the JSON refusal and never panic, whatever garbage follows.
-func FuzzReadWALTail(f *testing.F) {
-	var buf bytes.Buffer
-	for seq := 1; seq <= 3; seq++ {
-		buf.Write(legacyRecord(seq, testFrame(seq-1)))
-	}
-	f.Add(buf.Bytes())
-	f.Add(append(buf.Bytes(), []byte("garbage tail\n")...))
-	f.Add([]byte("\n\n\n"))
-	f.Add([]byte(`{"seq":1,"crc":0,"frame":{}}` + "\n"))
-	f.Add(buf.Bytes()[:buf.Len()-5])
-	f.Add([]byte{legacyMarker, 0xff, 0xff, 0xff, 0x7f})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		frames, err := readLegacyWAL(data, 1)
-		if err != nil && frames != nil {
-			t.Fatalf("readLegacyWAL returned frames with an error: %v", err)
-		}
-		for i, fr := range frames {
-			if fr == nil {
-				t.Fatalf("frame %d is nil", i)
-			}
+		payload, n := openRecord(data)
+		if n != 0 && (n > len(data) || len(payload) != n-recordOverhead) {
+			t.Fatalf("accepted record of %d bytes with a %d-byte payload in %d bytes of input", n, len(payload), len(data))
 		}
 	})
 }
@@ -126,7 +83,9 @@ func FuzzDecodeLog(f *testing.F) {
 	flipped := append([]byte(nil), log...)
 	flipped[len(flipped)/2] ^= 0x20
 	f.Add(flipped)
-	f.Add(legacyRecord(1, testFrame(0)))
+	foreign := append([]byte(nil), log...)
+	foreign[0] = 0xB2 // a valid envelope under another marker
+	f.Add(foreign)
 	f.Add([]byte{recordMarker, 0xff, 0xff, 0xff, 0x7f})
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -21,12 +21,8 @@ import (
 //	payload = idLen uint8 | session ID | seq uint64 LE | frame (trace binary payload layout)
 //
 // seq is the absolute applied-frame index (1-based) within the session.
-// The per-session WAL files that preceded the shared log used the same
-// envelope under marker 0xB2 around seq | frame; readLegacyWAL reads
-// them once, at Open.
 const (
 	recordMarker   byte = 0xB3
-	legacyMarker   byte = 0xB2
 	recordOverhead      = 1 + 4 + 4 // the envelope around a payload
 	// maxRecordPayload bounds a declared payload length against corrupt or
 	// hostile length prefixes (mirrors the snapshot envelope bound).
@@ -61,8 +57,8 @@ func appendRecord(dst []byte, id string, seq int, frame *trace.Frame) ([]byte, e
 // openRecord checks the envelope of the record at the front of data —
 // marker, length, checksum — and returns its payload and encoded length,
 // or n = 0 when the record is torn, truncated or corrupt.
-func openRecord(data []byte, marker byte) (payload []byte, n int) {
-	if len(data) < 5 || data[0] != marker {
+func openRecord(data []byte) (payload []byte, n int) {
+	if len(data) < 5 || data[0] != recordMarker {
 		return nil, 0
 	}
 	plen := int(binary.LittleEndian.Uint32(data[1:5]))
@@ -83,7 +79,7 @@ func openRecord(data []byte, marker byte) (payload []byte, n int) {
 func scanLog(data []byte, visit func(off, n int, id []byte, seq int, frame []byte)) int {
 	off := 0
 	for off < len(data) {
-		p, n := openRecord(data[off:], recordMarker)
+		p, n := openRecord(data[off:])
 		if n == 0 || len(p) < 1 || p[0] == 0 || len(p) < 1+int(p[0])+8 {
 			break
 		}
@@ -96,32 +92,6 @@ func scanLog(data []byte, visit func(off, n int, id []byte, seq int, frame []byt
 		off += n
 	}
 	return off
-}
-
-// readLegacyWAL decodes a per-session WAL file of the previous layout:
-// one session's records, contiguous from firstSeq, ending — as recovery
-// always ended them — at the first torn, corrupt or out-of-sequence one.
-// A JSON record, the still older format, is an error: stopping there
-// would silently drop acknowledged frames.
-func readLegacyWAL(data []byte, firstSeq int) ([]*trace.Frame, error) {
-	var frames []*trace.Frame
-	for off := 0; off < len(data); {
-		if data[off] == '{' || data[off] == '\n' {
-			return nil, errors.New("legacy WAL segment holds JSON records, which this version no longer reads: " +
-				"start the previous release once on this directory (its next checkpoint rewrites the segment) or remove the session")
-		}
-		p, n := openRecord(data[off:], legacyMarker)
-		if n == 0 || len(p) < 8 || int(int64(binary.LittleEndian.Uint64(p))) != firstSeq+len(frames) {
-			break
-		}
-		frame, err := trace.DecodeFrameBinary(p[8:])
-		if err != nil {
-			break
-		}
-		frames = append(frames, frame)
-		off += n
-	}
-	return frames, nil
 }
 
 // segment is one file of the log; start is the LSN of its first byte.
@@ -158,8 +128,9 @@ func segmentStart(name string) (int64, bool) {
 // openLog builds the store's view of its directory: every session's
 // newest snapshot, then one scan of the log from the oldest position a
 // snapshot names, which indexes the records that count, cuts off a torn
-// tail and leaves the head segment ready for appends. WAL files of the
-// per-session layout are carried over last (a JSON one fails Open).
+// tail and leaves the head segment ready for appends. A WAL file of the
+// per-session layout that preceded the shared log fails the open: its
+// frames would otherwise be silently dropped.
 func (st *Store) openLog() error {
 	entries, err := os.ReadDir(st.dir)
 	if err != nil {
@@ -171,6 +142,10 @@ func (st *Store) openLog() error {
 		if start, ok := segmentStart(ent.Name()); ok && !ent.IsDir() {
 			starts = append(starts, start)
 		} else if ent.IsDir() {
+			if old, _ := filepath.Glob(filepath.Join(st.dir, ent.Name(), "wal-*.ndjson")); len(old) > 0 {
+				return fmt.Errorf("%s is a per-session WAL file, a layout this build no longer reads: "+
+					"open the directory once with a build at or before commit 21c2ece, which moves its frames into the shared log", old[0])
+			}
 			if _, snap, err := loadSnapshot(filepath.Join(st.dir, ent.Name())); err == nil {
 				st.sessions[ent.Name()] = &sessionLog{base: snap.FramesApplied, lsn: snap.LogLSN}
 				from, floor = min(from, snap.LogLSN), max(floor, snap.LogLSN)
@@ -233,49 +208,6 @@ func (st *Store) openLog() error {
 		}
 	}
 	st.synced = st.cursor
-	return st.upgradeLegacy()
-}
-
-// upgradeLegacy is the one-shot upgrade read: the tail of every session's
-// wal-<k>.ndjson, left by the per-session layout beside snapshot-<k>, is
-// re-appended to the log, the log synced, and only then are the files
-// removed — a crash in between repeats the upgrade, which skips what the
-// log already holds.
-func (st *Store) upgradeLegacy() error {
-	var stale []string
-	for id, e := range st.sessions {
-		path := filepath.Join(st.dir, id, "wal-"+strconv.Itoa(e.base)+".ndjson")
-		data, err := os.ReadFile(path)
-		if errors.Is(err, os.ErrNotExist) {
-			continue
-		}
-		if err != nil {
-			return err
-		}
-		stale = append(stale, path)
-		frames, err := readLegacyWAL(data, e.base+1)
-		if err != nil {
-			return fmt.Errorf("session %s: %w", id, err)
-		}
-		var buf []byte
-		for i := len(e.recs); i < len(frames); i++ {
-			if buf, err = appendRecord(buf, id, e.base+1+i, frames[i]); err != nil {
-				return err
-			}
-		}
-		if _, err := st.appendLog(buf, e); err != nil {
-			return err
-		}
-	}
-	if len(stale) == 0 {
-		return nil
-	}
-	if _, err := st.syncLog(math.MaxInt64); err != nil {
-		return err
-	}
-	for _, path := range stale {
-		os.Remove(path)
-	}
 	return nil
 }
 

@@ -1,7 +1,6 @@
 package store
 
 import (
-	"encoding/json"
 	"fmt"
 	"io/fs"
 	"os"
@@ -39,6 +38,18 @@ func copyDir(t *testing.T, src string) string {
 	return dst
 }
 
+// appendWritten appends frame to ss and writes its record to the log
+// unsynced: what a crash finds of a job whose commit had not completed.
+func appendWritten(t *testing.T, ss *SessionStore, frame *trace.Frame) {
+	t.Helper()
+	if err := ss.Append(frame); err != nil {
+		t.Fatal(err)
+	}
+	if err := ss.write(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // logEnd returns the LSN the next append lands at.
 func (st *Store) logEnd() int64 {
 	st.mu.Lock()
@@ -71,12 +82,12 @@ const crashTail = 8
 
 func newCrashRig(t *testing.T) *crashRig {
 	t.Helper()
-	st, err := Open(t.TempDir(), Options{FsyncEvery: -1})
+	rig := &crashRig{dir: t.TempDir()}
+	st, err := Open(rig.dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	st.segmentSize = 2048 // a handful of records: rotation happens mid-stream
-	rig := &crashRig{dir: st.Dir()}
 	var stores [4]*SessionStore
 	for i := range stores {
 		stores[i] = openSession(t, st, fmt.Sprintf("s-%d", i), 0)
@@ -87,9 +98,7 @@ func newCrashRig(t *testing.T) *crashRig {
 				if i == 3 && k%2 == 1 {
 					continue // uneven interleaving
 				}
-				if err := ss.Append(sessionFrame(i, ss.Applied())); err != nil {
-					t.Fatal(err)
-				}
+				appendWritten(t, ss, sessionFrame(i, ss.Applied()))
 				rig.appended[i] = ss.Applied()
 			}
 		}
@@ -100,7 +109,7 @@ func newCrashRig(t *testing.T) *crashRig {
 		t.Fatal(err)
 	}
 	appendRound(8)
-	if err := stores[0].Sync(); err != nil { // covers everyone's records so far
+	if err := stores[0].Commit(0); err != nil { // its sync covers everyone's records so far
 		t.Fatal(err)
 	}
 	rig.acked = rig.appended
@@ -154,7 +163,7 @@ func (rig *crashRig) segmentOf(lsn int64) int {
 func (rig *crashRig) check(t *testing.T, dir string, minApplied [4]int, what string) *telemetry.Registry {
 	t.Helper()
 	reg := telemetry.NewRegistry()
-	st, err := Open(dir, Options{FsyncEvery: -1, Metrics: reg})
+	st, err := Open(dir, Options{Metrics: reg})
 	if err != nil {
 		t.Fatalf("%s: open: %v", what, err)
 	}
@@ -186,7 +195,7 @@ func (rig *crashRig) check(t *testing.T, dir string, minApplied [4]int, what str
 		}
 		ss.Close()
 	}
-	st2, err := Open(dir, Options{FsyncEvery: -1})
+	st2, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatalf("%s: second open: %v", what, err)
 	}
@@ -288,27 +297,26 @@ func TestCrashPointBitFlips(t *testing.T) {
 // crash the log may end before the position a snapshot names. Appends
 // must then continue at or after that position, or they would not count.
 func TestSnapshotPastLogEnd(t *testing.T) {
-	st, err := Open(t.TempDir(), Options{FsyncEvery: -1})
+	root := t.TempDir()
+	st, err := Open(root, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	a, b := openSession(t, st, "a", 0), openSession(t, st, "b", 0)
 	for k := 0; k < 6; k++ {
-		if err := a.Append(sessionFrame(0, k)); err != nil {
-			t.Fatal(err)
-		}
+		appendWritten(t, a, sessionFrame(0, k))
 	}
 	if _, err := b.WriteSnapshot(testSnapshot(0)); err != nil { // names the position after a's six records
 		t.Fatal(err)
 	}
 	// The crash keeps b's snapshot but only two and a half of a's records.
-	dir := copyDir(t, st.Dir())
+	dir := copyDir(t, root)
 	seg := logFiles(t, dir)[0]
 	if err := os.Truncate(seg, a.log.recs[2].lsn+17); err != nil {
 		t.Fatal(err)
 	}
 	for round := 0; round < 2; round++ {
-		st2, err := Open(dir, Options{FsyncEvery: -1})
+		st2, err := Open(dir, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -323,78 +331,28 @@ func TestSnapshotPastLogEnd(t *testing.T) {
 		if len(fa) != 2+round || len(fb) != round {
 			t.Fatalf("round %d: recovered %d and %d frames, want %d and %d", round, len(fa), len(fb), 2+round, round)
 		}
-		if err := ra.Append(sessionFrame(0, ra.Applied())); err != nil {
-			t.Fatal(err)
-		}
-		if err := rb.Append(sessionFrame(1, rb.Applied())); err != nil {
-			t.Fatal(err)
-		}
+		appendWritten(t, ra, sessionFrame(0, ra.Applied()))
+		appendWritten(t, rb, sessionFrame(1, rb.Applied()))
 	}
 }
 
-// TestLegacyUpgrade: a state directory written by the per-session layout
-// (recorded at the parent commit: two sessions, one with a torn WAL tail)
-// is carried into the shared log at Open and recovers exactly the frames
-// the parent recovered — also when the upgrade is interrupted after its
-// sync and repeated.
-func TestLegacyUpgrade(t *testing.T) {
-	const fixture = "testdata/legacy-state"
-	var want map[string]struct {
-		Base   int            `json:"base"`
-		Frames []*trace.Frame `json:"frames"`
-	}
-	data, err := os.ReadFile(filepath.Join(fixture, "expected.json"))
+// TestOpenRefusesPerSessionWAL: a state directory still holding a WAL
+// file of the per-session layout that preceded the shared log fails Open
+// with an error naming the file — opening without its frames would drop
+// acknowledged ones silently.
+func TestOpenRefusesPerSessionWAL(t *testing.T) {
+	dir := t.TempDir()
+	st, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := json.Unmarshal(data, &want); err != nil {
+	openSession(t, st, "s-000001", 3).Close()
+	wal := filepath.Join(dir, "s-000001", "wal-3.ndjson")
+	if err := os.WriteFile(wal, []byte("frames of the old layout"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	dir := copyDir(t, fixture)
-	interrupted := copyDir(t, fixture)
-	for round, d := range []string{dir, interrupted, interrupted, dir} {
-		st, err := Open(d, Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if round == 1 {
-			// Crash after the log sync, before the old files went: put them back.
-			for id := range want {
-				old, _ := filepath.Glob(filepath.Join(fixture, id, "wal-*.ndjson"))
-				for _, path := range old {
-					data, _ := os.ReadFile(path)
-					if err := os.WriteFile(filepath.Join(d, id, filepath.Base(path)), data, 0o644); err != nil {
-						t.Fatal(err)
-					}
-				}
-			}
-			continue
-		}
-		if left, _ := filepath.Glob(filepath.Join(d, "*", "wal-*.ndjson")); len(left) != 0 {
-			t.Fatalf("round %d: upgrade left %v behind", round, left)
-		}
-		for id, w := range want {
-			ss, snap, frames, err := st.Recover(id)
-			if err != nil {
-				t.Fatalf("round %d: %s: %v", round, id, err)
-			}
-			if snap.FramesApplied != w.Base || !reflect.DeepEqual(frames, w.Frames) {
-				t.Fatalf("round %d: %s recovered %d+%d frames, the parent %d+%d (or different ones)",
-					round, id, snap.FramesApplied, len(frames), w.Base, len(w.Frames))
-			}
-			ss.Close()
-		}
-	}
-
-	// A JSON segment — the format before the binary one — must fail Open
-	// loudly, not recover as an empty tail.
-	jsonDir := copyDir(t, fixture)
-	line := `{"seq":4,"crc":0,"frame":{"k":3,"u":[0.1],"readings":{}}}` + "\n"
-	if err := os.WriteFile(filepath.Join(jsonDir, "s-000001", "wal-3.ndjson"), []byte(line), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Open(jsonDir, Options{}); err == nil || !strings.Contains(err.Error(), "JSON") || !strings.Contains(err.Error(), "s-000001") {
-		t.Fatalf("open over a legacy JSON segment: %v, want an error naming the session and the format", err)
+	if _, err := Open(dir, Options{}); err == nil || !strings.Contains(err.Error(), wal) {
+		t.Fatalf("open over %s: %v, want an error naming it", wal, err)
 	}
 }
 
@@ -405,21 +363,18 @@ func TestLegacyUpgrade(t *testing.T) {
 // files or fewer. Without it the idle session pins every segment.
 func TestBoundedDisk(t *testing.T) {
 	for _, janitor := range []bool{false, true} {
-		st, err := Open(t.TempDir(), Options{FsyncEvery: -1})
+		dir := t.TempDir()
+		st, err := Open(dir, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		st.segmentSize = 8 << 10
 		idle, busy := openSession(t, st, "idle", 0), openSession(t, st, "busy", 0)
 		for k := 0; k < 3; k++ {
-			if err := idle.Append(sessionFrame(0, k)); err != nil {
-				t.Fatal(err)
-			}
+			appendWritten(t, idle, sessionFrame(0, k))
 		}
 		for st.logEnd() < 5*st.segmentSize {
-			if err := busy.Append(sessionFrame(1, busy.Applied())); err != nil {
-				t.Fatal(err)
-			}
+			appendWritten(t, busy, sessionFrame(1, busy.Applied()))
 			if busy.SinceSnapshot() >= 16 {
 				if _, err := busy.WriteSnapshot(testSnapshot(0)); err != nil {
 					t.Fatal(err)
@@ -434,7 +389,7 @@ func TestBoundedDisk(t *testing.T) {
 				}
 			}
 		}
-		n := len(logFiles(t, st.Dir()))
+		n := len(logFiles(t, dir))
 		if janitor && n > 3 {
 			t.Fatalf("%d segment files with the idle session checkpointed when it lagged, want <= 3", n)
 		}
@@ -442,7 +397,7 @@ func TestBoundedDisk(t *testing.T) {
 			t.Fatalf("%d segment files with an idle session holding records in the first: its segment was deleted under it", n)
 		}
 		// Either way both sessions recover whole.
-		st2, err := Open(st.Dir(), Options{})
+		st2, err := Open(dir, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -470,6 +425,9 @@ func TestMaterializeOverDivergedCopy(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	if err := ss.Commit(5); err != nil {
+		t.Fatal(err)
+	}
 	shipped, err := src.ReplicaRead("s-1", -1)
 	if err != nil || shipped.Snapshot == nil || len(shipped.Frames) != 5 {
 		t.Fatalf("replica read: %v, %+v", err, shipped)
@@ -478,7 +436,8 @@ func TestMaterializeOverDivergedCopy(t *testing.T) {
 		t.Fatalf("replica read from cursor 3: %v, %+v", err, tail)
 	}
 
-	dst, err := Open(t.TempDir(), Options{})
+	dstDir := t.TempDir()
+	dst, err := Open(dstDir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -494,12 +453,15 @@ func TestMaterializeOverDivergedCopy(t *testing.T) {
 	if err := other.Append(sessionFrame(2, 0)); err != nil {
 		t.Fatal(err)
 	}
+	if err := other.Commit(1); err != nil {
+		t.Fatal(err)
+	}
 	if err := dst.Materialize("s-1", shipped.Snapshot, shipped.Frames); err != nil {
 		t.Fatal(err)
 	}
 	for round, st := range []*Store{dst, nil} {
 		if st == nil {
-			if st, err = Open(dst.Dir(), Options{}); err != nil {
+			if st, err = Open(dstDir, Options{}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -517,7 +479,7 @@ func TestMaterializeOverDivergedCopy(t *testing.T) {
 	if err := dst.Remove("s-1"); err != nil {
 		t.Fatal(err)
 	}
-	st, err := Open(dst.Dir(), Options{})
+	st, err := Open(dstDir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

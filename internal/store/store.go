@@ -54,21 +54,15 @@ var ErrNoSnapshot = errors.New("store: no valid snapshot")
 // Options parameterizes a Store. The zero value of every field has a
 // usable default.
 type Options struct {
-	// FsyncEvery is the log durability knob: 1 (and 0, the default)
-	// fsyncs after every appended frame — an acknowledged frame is on
-	// stable storage; n > 1 syncs after every n appends of a session,
-	// trading the tail of a crash for throughput; negative never fsyncs
-	// (benchmarks, tests).
-	FsyncEvery int
-	// CommitWindow, when positive, enables cross-session group commit:
-	// appends skip their inline fsync and SessionStore.CommitAsync (or its
-	// blocking form, Commit) enlists them with the store's flusher, whose
-	// one fsync of the shared log covers every session enlisted. The value
-	// is a pace per session, not a delay and not a store-wide limit: one
-	// session's commits are completed at most once per window, so an idle
-	// session is synced at once and one streaming without pause gets a
-	// steady rate; the store only keeps two flush starts a quarter window
-	// apart (committer.go). Supersedes FsyncEvery.
+	// CommitWindow paces group commit, the one way appended frames become
+	// durable: SessionStore.CommitAsync (or its blocking form, Commit)
+	// enlists them with the store's flusher, whose one fsync of the shared
+	// log covers every session enlisted. The value is a pace per session,
+	// not a delay and not a store-wide limit: one session's commits are
+	// completed at most once per window, so an idle session is synced at
+	// once and one streaming without pause gets a steady rate; the store
+	// only keeps two flush starts a quarter window apart (committer.go).
+	// 0 = no pace: flush when the flusher is free.
 	CommitWindow time.Duration
 	// Metrics receives the store histograms and counters; nil uses a
 	// private registry.
@@ -80,11 +74,9 @@ type Options struct {
 // concurrent use; a SessionStore is serialized by its owning session. One
 // Store at a time may have a directory open.
 type Store struct {
-	dir  string
-	opts Options
+	dir string
 
-	// committer is the group-commit coordinator; nil unless
-	// Options.CommitWindow is positive.
+	// committer is the group-commit coordinator.
 	committer *committer
 	// fsync is the one seam every sync of the log goes through, so tests
 	// can inject device errors and delays; (*os.File).Sync outside tests.
@@ -119,21 +111,12 @@ func Open(dir string, opts Options) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: open %s: %w", dir, err)
 	}
-	if opts.FsyncEvery == 0 {
-		opts.FsyncEvery = 1
-	}
-	if opts.CommitWindow > 0 {
-		// Group commit owns durability: appends never fsync inline, the
-		// flusher's sync covers every session at once.
-		opts.FsyncEvery = -1
-	}
 	reg := opts.Metrics
 	if reg == nil {
 		reg = telemetry.NewRegistry()
 	}
 	st := &Store{
 		dir:             dir,
-		opts:            opts,
 		fsync:           (*os.File).Sync,
 		segmentSize:     segmentSize,
 		sessions:        make(map[string]*sessionLog),
@@ -152,14 +135,9 @@ func Open(dir string, opts Options) (*Store, error) {
 	if err := st.openLog(); err != nil {
 		return nil, fmt.Errorf("store: open %s: %w", dir, err)
 	}
-	if opts.CommitWindow > 0 {
-		st.committer = &committer{st: st, window: opts.CommitWindow, wake: make(chan struct{}, 1)}
-	}
+	st.committer = &committer{st: st, window: opts.CommitWindow, wake: make(chan struct{}, 1)}
 	return st, nil
 }
-
-// Dir returns the store root.
-func (st *Store) Dir() string { return st.dir }
 
 // SetFsyncForTest replaces the store's sync seam so a test outside
 // this package can inject device errors and delays. Call it before any
@@ -329,12 +307,10 @@ type SessionStore struct {
 	// after Close.
 	log     *sessionLog
 	applied int // absolute index of the last appended frame
-	// buf holds encoded records not yet written: under group commit a
-	// job's records wait here and CommitAsync writes them in one go.
-	buf       []byte
-	end       int64 // LSN just past the last record this SessionStore wrote
-	sinceSync int   // appends since the last inline fsync
-	syncNanos int64 // wall time of the most recent append's inline fsync; 0 when it carried none
+	// buf holds encoded records not yet written: a job's records wait here
+	// and CommitAsync writes them in one go.
+	buf []byte
+	end int64 // LSN just past the last record this SessionStore wrote
 	// syncDue is the earliest time the flusher completes this session's
 	// commits again, and pass the flush that last did; the flusher's own.
 	syncDue time.Time
@@ -354,10 +330,9 @@ func (s *SessionStore) SinceSnapshot() int {
 	return s.applied - s.log.base
 }
 
-// Append logs one accepted frame. Without group commit the record is
-// written, and fsynced per the store policy, before Append returns; under
-// group commit it is only encoded, and goes down with the rest of its job
-// in the one write CommitAsync makes. It must follow a WriteSnapshot.
+// Append logs one accepted frame: its record is only encoded, and goes
+// down with the rest of its job in the one write CommitAsync makes. It
+// must follow a WriteSnapshot.
 func (s *SessionStore) Append(frame *trace.Frame) error {
 	if s.log == nil {
 		return errors.New("store: session has no snapshot yet (write one first)")
@@ -369,25 +344,9 @@ func (s *SessionStore) Append(frame *trace.Frame) error {
 	if err != nil {
 		return err
 	}
-	s.buf, s.syncNanos = buf, 0
+	s.buf = buf
 	s.applied++
 	s.st.mAppends.Inc()
-	if s.st.committer != nil {
-		return nil
-	}
-	if err := s.write(); err != nil {
-		return err
-	}
-	s.sinceSync++
-	if every := s.st.opts.FsyncEvery; every > 0 && s.sinceSync >= every {
-		// Timed so frame tracing can reattribute the inline fsync's share
-		// of the append out of the wal_append stage.
-		t0 := time.Now()
-		if err := s.Sync(); err != nil {
-			return err
-		}
-		s.syncNanos = time.Since(t0).Nanoseconds()
-	}
 	return nil
 }
 
@@ -399,11 +358,6 @@ func (s *SessionStore) write() (err error) {
 	}
 	return err
 }
-
-// LastSyncNanos returns the wall time of the inline fsync carried by
-// the most recent Append, or 0 when that append synced nothing. Frame
-// tracing uses it to split fsync cost out of the WAL-append stage.
-func (s *SessionStore) LastSyncNanos() int64 { return s.syncNanos }
 
 // WriteSnapshot persists a checkpoint of the session at its current
 // applied-frame count: the snapshot, stamped with the log's position, is
@@ -437,56 +391,35 @@ func (s *SessionStore) WriteSnapshot(snap *Snapshot) (int, error) {
 	return len(data), nil
 }
 
-// CommitAsync makes every frame appended so far durable under the
-// store's commit policy and then calls done — exactly once, with the
-// error if the log failed — without blocking the caller on the disk.
-// Under group commit it writes the job's buffered records and enlists
-// done with the store's flusher, which calls it after a sync that covered
-// them; one session's completions run in CommitAsync order, so the caller
-// preserves replied ⇒ durable and reply order by replying only from
-// done. Without group commit appends already synced inline and done runs
-// before CommitAsync returns. frames is the number of appends covered
-// (batch-size histogram); a commit covering none is enlisted like any
-// other, so it completes behind the session's earlier ones. The owner may
-// go on appending — or snapshot, or close — meanwhile: the flusher holds
-// only a log position. done runs on the flusher and must not block.
+// CommitAsync makes every frame appended so far durable and then calls
+// done — exactly once, with the error if the log failed — without
+// blocking the caller on the disk: it writes the job's buffered records
+// and enlists done with the store's flusher, which calls it after a sync
+// that covered them. One session's completions run in CommitAsync order,
+// so the caller preserves replied ⇒ durable and reply order by replying
+// only from done. frames is the number of appends covered (batch-size
+// histogram); a commit covering none is enlisted like any other, so it
+// completes behind the session's earlier ones. The owner may go on
+// appending — or snapshot, or close — meanwhile: the flusher holds only a
+// log position. done runs on the flusher and must not block.
 func (s *SessionStore) CommitAsync(frames int, done func(error)) {
-	c := s.st.committer
-	if c == nil || s.log == nil {
-		done(s.st.failed())
-		return
-	}
 	// A failed write is sticky in the store; the flusher reports it to
 	// this commit and every later one, in order.
 	s.write()
-	c.enlist(s, frames, done)
+	s.st.committer.enlist(s, frames, done)
 }
 
 // Commit is CommitAsync plus the wait: it returns once every frame
-// appended so far is durable under the store's commit policy.
+// appended so far is durable.
 func (s *SessionStore) Commit(frames int) error {
-	if s.st.committer == nil || s.log == nil || frames <= 0 {
-		return s.st.failed()
-	}
 	errc := make(chan error, 1)
 	s.CommitAsync(frames, func(err error) { errc <- err })
 	return <-errc
 }
 
-// Sync forces the session's records to stable storage regardless of
-// policy.
-func (s *SessionStore) Sync() error {
-	if err := s.write(); err != nil {
-		return err
-	}
-	s.sinceSync = 0
-	_, err := s.st.syncLog(s.end)
-	return err
-}
-
 // Close ends the session's use of the store, writing any records still
 // buffered. It does not sync: callers that need durability checkpoint or
-// Sync first. Commits still enlisted complete on their own.
+// Commit first. Commits still enlisted complete on their own.
 func (s *SessionStore) Close() error {
 	err := s.write()
 	s.log = nil

@@ -170,7 +170,8 @@ func TestReadWALTailStopsAtCorruption(t *testing.T) {
 
 func TestSessionStoreLifecycle(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	st, err := Open(t.TempDir(), Options{Metrics: reg})
+	dir := t.TempDir()
+	st, err := Open(dir, Options{Metrics: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,6 +193,9 @@ func TestSessionStoreLifecycle(t *testing.T) {
 	if ss.Applied() != 5 {
 		t.Fatalf("applied=%d, want 5", ss.Applied())
 	}
+	if err := ss.Commit(5); err != nil {
+		t.Fatal(err)
+	}
 	// Second checkpoint at k=5 supersedes the first and compacts.
 	if _, err := ss.WriteSnapshot(testSnapshot(0)); err != nil {
 		t.Fatal(err)
@@ -201,11 +205,14 @@ func TestSessionStoreLifecycle(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	if err := ss.Commit(3); err != nil {
+		t.Fatal(err)
+	}
 	if err := ss.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	entries, err := os.ReadDir(filepath.Join(st.Dir(), "sess-1"))
+	entries, err := os.ReadDir(filepath.Join(dir, "sess-1"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +226,7 @@ func TestSessionStoreLifecycle(t *testing.T) {
 
 	// Recovery — by a fresh store, as after a restart — sees snapshot-5
 	// plus three replayable frames.
-	if st, err = Open(st.Dir(), Options{Metrics: reg}); err != nil {
+	if st, err = Open(dir, Options{Metrics: reg}); err != nil {
 		t.Fatal(err)
 	}
 	rs, snap, frames, err := st.Recover("sess-1")
@@ -237,6 +244,9 @@ func TestSessionStoreLifecycle(t *testing.T) {
 	if err := rs.Append(testFrame(8)); err != nil {
 		t.Fatal(err)
 	}
+	if err := rs.Commit(1); err != nil {
+		t.Fatal(err)
+	}
 
 	if reg.HistogramCount(MetricSnapshotBytes) != 2 {
 		t.Fatalf("snapshot histogram count %d, want 2", reg.HistogramCount(MetricSnapshotBytes))
@@ -244,8 +254,10 @@ func TestSessionStoreLifecycle(t *testing.T) {
 	if reg.CounterValue(MetricWALAppends) != 9 {
 		t.Fatalf("append counter %d, want 9", reg.CounterValue(MetricWALAppends))
 	}
-	if reg.CounterValue(MetricWALFsyncs) != 9 {
-		t.Fatalf("fsync counter %d, want 9 (FsyncEvery defaults to 1)", reg.CounterValue(MetricWALFsyncs))
+	// Every sync of the log is counted: one per commit that had records to
+	// sync, none per append or snapshot.
+	if reg.CounterValue(MetricWALFsyncs) != 3 {
+		t.Fatalf("fsync counter %d, want 3 (one per commit)", reg.CounterValue(MetricWALFsyncs))
 	}
 }
 
@@ -260,7 +272,8 @@ func logFiles(t *testing.T, dir string) []string {
 }
 
 func TestRecoverTruncatesTornTail(t *testing.T) {
-	st, err := Open(t.TempDir(), Options{})
+	dir := t.TempDir()
+	st, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -279,7 +292,7 @@ func TestRecoverTruncatesTornTail(t *testing.T) {
 	ss.Close()
 
 	// Simulate a crash mid-append: chop bytes off the final record.
-	logPath := logFiles(t, st.Dir())[0]
+	logPath := logFiles(t, dir)[0]
 	data, err := os.ReadFile(logPath)
 	if err != nil {
 		t.Fatal(err)
@@ -288,7 +301,7 @@ func TestRecoverTruncatesTornTail(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if st, err = Open(st.Dir(), Options{}); err != nil {
+	if st, err = Open(dir, Options{}); err != nil {
 		t.Fatal(err)
 	}
 	rs, snap, frames, err := st.Recover("s")
@@ -304,7 +317,7 @@ func TestRecoverTruncatesTornTail(t *testing.T) {
 		t.Fatal(err)
 	}
 	rs.Close()
-	if st, err = Open(st.Dir(), Options{}); err != nil {
+	if st, err = Open(dir, Options{}); err != nil {
 		t.Fatal(err)
 	}
 	rs2, _, frames2, err := st.Recover("s")
@@ -318,7 +331,8 @@ func TestRecoverTruncatesTornTail(t *testing.T) {
 }
 
 func TestRecoverFallsBackToOlderSnapshot(t *testing.T) {
-	st, err := Open(t.TempDir(), Options{})
+	root := t.TempDir()
+	st, err := Open(root, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -341,7 +355,7 @@ func TestRecoverFallsBackToOlderSnapshot(t *testing.T) {
 	// to snapshot-0 and its records. The index is huge on purpose: the
 	// loader tries the snapshots that exist, not every integer below the
 	// newest (ReplicaRead's copy of it used to, a million failed opens).
-	dir := filepath.Join(st.Dir(), "s")
+	dir := filepath.Join(root, "s")
 	if err := os.WriteFile(filepath.Join(dir, snapshotName(1_000_000_000)), []byte("garbage"), 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -413,58 +427,6 @@ func TestStoreSessionsAndRemove(t *testing.T) {
 			t.Fatalf("id %q accepted", bad)
 		}
 	}
-}
-
-func TestFsyncPolicies(t *testing.T) {
-	reg := telemetry.NewRegistry()
-	st, err := Open(t.TempDir(), Options{FsyncEvery: 4, Metrics: reg})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ss, err := st.Create("s")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ss.WriteSnapshot(testSnapshot(0)); err != nil {
-		t.Fatal(err)
-	}
-	for k := 0; k < 10; k++ {
-		if err := ss.Append(testFrame(k)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := reg.CounterValue(MetricWALFsyncs); got != 2 {
-		t.Fatalf("fsync counter %d, want 2 (10 appends / every 4)", got)
-	}
-	if err := ss.Sync(); err != nil {
-		t.Fatal(err)
-	}
-	if got := reg.CounterValue(MetricWALFsyncs); got != 3 {
-		t.Fatalf("explicit Sync not counted: %d", got)
-	}
-	ss.Close()
-
-	reg2 := telemetry.NewRegistry()
-	st2, err := Open(t.TempDir(), Options{FsyncEvery: -1, Metrics: reg2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ss2, err := st2.Create("s")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ss2.WriteSnapshot(testSnapshot(0)); err != nil {
-		t.Fatal(err)
-	}
-	for k := 0; k < 10; k++ {
-		if err := ss2.Append(testFrame(k)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := reg2.CounterValue(MetricWALFsyncs); got != 0 {
-		t.Fatalf("FsyncEvery<0 still synced %d times", got)
-	}
-	ss2.Close()
 }
 
 func TestSnapshotRejectsForeignFiles(t *testing.T) {

@@ -7,7 +7,7 @@ import (
 	"time"
 )
 
-// Frame-lifecycle tracing (DESIGN.md §14): every frame accepted by the
+// Frame-lifecycle tracing (DESIGN.md §13): every frame accepted by the
 // fleet can carry a Span — a record of monotonic stage timestamps from
 // HTTP decode through reply flush. Stages are contiguous laps, so per-
 // stage attribution sums exactly to the span's end-to-end wall time:
@@ -42,14 +42,12 @@ const (
 	StageCoalesce
 	// StageStep is the detector step itself.
 	StageStep
-	// StageWALAppend is WAL encode + write, excluding any inline fsync
-	// (shifted into StageFsync so fsync policy changes move time
-	// between stages instead of hiding inside the append).
+	// StageWALAppend is the encoding of the frame's log record.
 	StageWALAppend
-	// StageFsync is durability wait: an inline per-frame fsync, or the
-	// group-commit barrier — for a frame early in a batch this includes
-	// the time its batch-mates spent stepping before the shared fsync,
-	// which is exactly the latency cost group commit trades for
+	// StageFsync is durability wait: the write of the job's records and
+	// the group-commit barrier — for a frame early in a batch this
+	// includes the time its batch-mates spent stepping before the shared
+	// fsync, which is exactly the latency cost group commit trades for
 	// throughput.
 	StageFsync
 	// StageReply is step-done-to-flushed: reply scheduling, encode, and
@@ -125,21 +123,6 @@ func (sp *Span) Lap(stage Stage) {
 	now := time.Now()
 	sp.marks[stage] += now.Sub(sp.last).Nanoseconds()
 	sp.last = now
-}
-
-// Shift moves nanos of already-lapped attribution from one stage to
-// another — e.g. the inline WAL fsync measured inside the append lap.
-// The move is clamped so no stage goes negative; the stage sum (and
-// therefore the end-to-end total) is unchanged.
-func (sp *Span) Shift(from, to Stage, nanos int64) {
-	if sp == nil || nanos <= 0 {
-		return
-	}
-	if nanos > sp.marks[from] {
-		nanos = sp.marks[from]
-	}
-	sp.marks[from] -= nanos
-	sp.marks[to] += nanos
 }
 
 // Finish closes the span: end-to-end and per-stage latencies are

@@ -12,7 +12,7 @@ import (
 
 // TestSpanLapsSumToTotal pins the span self-validation invariant: the
 // per-stage laps partition the span, so every exemplar's TotalNanos is
-// exactly the sum of its StageNanos — including after a Shift.
+// exactly the sum of its StageNanos.
 func TestSpanLapsSumToTotal(t *testing.T) {
 	tr := NewTracer(nil)
 	sp := tr.Begin("sess-1", time.Now())
@@ -23,9 +23,7 @@ func TestSpanLapsSumToTotal(t *testing.T) {
 	sp.Lap(StageStep)
 	time.Sleep(time.Millisecond)
 	sp.Lap(StageWALAppend)
-	// Shift half the WAL lap into fsync, the inline-fsync attribution
-	// move the store performs.
-	sp.Shift(StageWALAppend, StageFsync, 500_000)
+	sp.Lap(StageFsync)
 	sp.Lap(StageReply)
 	sp.Finish()
 
@@ -50,26 +48,6 @@ func TestSpanLapsSumToTotal(t *testing.T) {
 	if ex.StageNanos["queue_wait"] < int64(time.Millisecond) {
 		t.Errorf("queue_wait lap lost the sleep: %v", ex.StageNanos)
 	}
-	if ex.StageNanos["fsync"] == 0 {
-		t.Errorf("shift moved nothing into fsync: %v", ex.StageNanos)
-	}
-}
-
-// TestSpanShiftClamps pins the Shift contract: the move is bounded by
-// the source stage's attribution and never changes the stage sum.
-func TestSpanShiftClamps(t *testing.T) {
-	tr := NewTracer(nil)
-	sp := tr.Begin("s", time.Now())
-	sp.marks[StageWALAppend] = 100
-	sp.Shift(StageWALAppend, StageFsync, 1_000_000) // far more than lapped
-	if sp.marks[StageWALAppend] != 0 || sp.marks[StageFsync] != 100 {
-		t.Errorf("clamped shift: wal=%d fsync=%d, want 0/100", sp.marks[StageWALAppend], sp.marks[StageFsync])
-	}
-	sp.Shift(StageFsync, StageWALAppend, -5) // non-positive: no-op
-	if sp.marks[StageFsync] != 100 {
-		t.Errorf("negative shift moved time: %d", sp.marks[StageFsync])
-	}
-	sp.Drop()
 }
 
 // TestNilSpanZeroAllocs pins the disabled-tracing contract: a nil
@@ -84,7 +62,7 @@ func TestNilSpanZeroAllocs(t *testing.T) {
 		sp.Lap(StageAdmit)
 		sp.Lap(StageQueueWait)
 		sp.Lap(StageStep)
-		sp.Shift(StageWALAppend, StageFsync, 10)
+		sp.Lap(StageFsync)
 		sp.Lap(StageReply)
 		sp.Finish()
 		sp.Drop()
@@ -214,7 +192,7 @@ func TestTraceHTTPRace(t *testing.T) {
 				sp.SetK(i)
 				sp.Lap(StageDecode)
 				sp.Lap(StageStep)
-				sp.Shift(StageStep, StageFsync, 10)
+				sp.Lap(StageFsync)
 				sp.Lap(StageReply)
 				sp.Finish()
 			}

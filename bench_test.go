@@ -30,8 +30,9 @@ import (
 	"roboads/internal/eval"
 	"roboads/internal/fleet"
 	"roboads/internal/mat"
+	"roboads/internal/robot"
+	"roboads/internal/scenario"
 	"roboads/internal/sensors"
-	"roboads/internal/sim"
 	"roboads/internal/stat"
 	"roboads/internal/store"
 	"roboads/internal/telemetry"
@@ -255,7 +256,7 @@ func BenchmarkFleetStep(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	p, err := eval.RobotProfile("khepera")
+	p, err := robot.Named("khepera")
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -386,7 +387,7 @@ func BenchmarkWALAppend(b *testing.B) {
 // so the ratio is the pure win of batching + binary framing + fsync
 // amortization.
 func BenchmarkIngestE2E(b *testing.B) {
-	p, err := eval.RobotProfile("khepera")
+	p, err := robot.Named("khepera")
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -637,12 +638,11 @@ func BenchmarkSuiteGenerate(b *testing.B) {
 // --- Table II: one benchmark per attack/failure scenario -------------------
 
 func BenchmarkTable2(b *testing.B) {
-	for _, scenario := range attack.KheperaScenarios() {
-		scenario := scenario
-		b.Run(fmt.Sprintf("scenario%02d", scenario.ID), func(b *testing.B) {
+	for _, sc := range attack.KheperaScenarios() {
+		b.Run(fmt.Sprintf("scenario%02d", sc.ID), func(b *testing.B) {
 			var sensorFNR, actuatorFNR float64
 			for i := 0; i < b.N; i++ {
-				run, err := eval.RunKheperaScenario(scenario, 42+int64(i), detect.DefaultConfig(), eval.KheperaDetector)
+				run, err := kheperaRun(sc, 42+int64(i), scenario.DefaultDetector)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -817,8 +817,7 @@ func BenchmarkAblationDensityWeighting(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			var fpr float64
 			for i := 0; i < b.N; i++ {
-				scenario := attack.KheperaScenarios()[4]
-				run, err := runWithEngineConfig(scenario, 42, byDensity)
+				run, err := runWithEngineConfig(attack.KheperaScenarios()[4], 42, byDensity)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -829,28 +828,31 @@ func BenchmarkAblationDensityWeighting(b *testing.B) {
 	}
 }
 
-func runWithEngineConfig(scenario attack.Scenario, seed int64, byDensity bool) (*eval.Run, error) {
-	build := func(setup *sim.KheperaSetup, cfg detect.Config) (*detect.Detector, error) {
+// kheperaRun flies one Khepera lab mission through the mission runner.
+func kheperaRun(sc attack.Scenario, seed int64, build func(robot.Profile) (*detect.Detector, error)) (*scenario.Run, error) {
+	return scenario.RunMission("khepera", "lab", sc, seed, scenario.MaxIterations, build)
+}
+
+func runWithEngineConfig(sc attack.Scenario, seed int64, byDensity bool) (*scenario.Run, error) {
+	return kheperaRun(sc, seed, func(p robot.Profile) (*detect.Detector, error) {
 		plant := core.Plant{
-			Model:       setup.Model,
+			Model:       p.Model,
 			Q:           mat.Diag(2.5e-7, 2.5e-7, 1e-6),
 			AngleStates: []int{2},
-			UMax:        eval.KheperaUMax(),
+			UMax:        robot.KheperaUMax(),
 		}
-		u0 := setup.Model.WheelSpeeds(0.1, 0)
-		modes, err := core.SingleReferenceModes(setup.Model, setup.Suite, setup.X0, u0, false)
+		modes, err := core.SingleReferenceModes(p.Model, p.Suite, p.X0, p.ObsU0, false)
 		if err != nil {
 			return nil, err
 		}
 		ecfg := core.DefaultEngineConfig()
 		ecfg.WeightByDensity = byDensity
-		eng, err := core.NewEngine(plant, modes, setup.X0, mat.Diag(1e-6, 1e-6, 1e-6), ecfg)
+		eng, err := core.NewEngine(plant, modes, p.X0, mat.Diag(1e-6, 1e-6, 1e-6), ecfg)
 		if err != nil {
 			return nil, err
 		}
-		return detect.NewDetector(eng, cfg), nil
-	}
-	return eval.RunKheperaScenario(scenario, seed, detect.DefaultConfig(), build)
+		return detect.NewDetector(eng, detect.DefaultConfig()), nil
+	})
 }
 
 // BenchmarkAblationSlidingWindow compares detection with and without the
@@ -869,7 +871,9 @@ func BenchmarkAblationSlidingWindow(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			var fpr float64
 			for i := 0; i < b.N; i++ {
-				run, err := eval.RunKheperaScenario(attack.CleanScenario(), 42+int64(i), cfg, eval.KheperaDetector)
+				run, err := kheperaRun(attack.CleanScenario(), 42+int64(i), func(p robot.Profile) (*detect.Detector, error) {
+					return p.NewDetector(core.DefaultEngineConfig(), cfg)
+				})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -914,15 +918,14 @@ func BenchmarkAblationAttackPrior(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			var fpr float64
 			for i := 0; i < b.N; i++ {
-				build := func(setup *sim.KheperaSetup, cfg detect.Config) (*detect.Detector, error) {
+				build := func(p robot.Profile) (*detect.Detector, error) {
 					plant := core.Plant{
-						Model:       setup.Model,
+						Model:       p.Model,
 						Q:           mat.Diag(2.5e-7, 2.5e-7, 1e-6),
 						AngleStates: []int{2},
-						UMax:        eval.KheperaUMax(),
+						UMax:        robot.KheperaUMax(),
 					}
-					u0 := setup.Model.WheelSpeeds(0.1, 0)
-					modes, err := core.SingleReferenceModes(setup.Model, setup.Suite, setup.X0, u0, false)
+					modes, err := core.SingleReferenceModes(p.Model, p.Suite, p.X0, p.ObsU0, false)
 					if err != nil {
 						return nil, err
 					}
@@ -931,13 +934,13 @@ func BenchmarkAblationAttackPrior(b *testing.B) {
 						ecfg.AttackPrior = 0
 						ecfg.ActuatorPrior = 0
 					}
-					eng, err := core.NewEngine(plant, modes, setup.X0, mat.Diag(1e-6, 1e-6, 1e-6), ecfg)
+					eng, err := core.NewEngine(plant, modes, p.X0, mat.Diag(1e-6, 1e-6, 1e-6), ecfg)
 					if err != nil {
 						return nil, err
 					}
-					return detect.NewDetector(eng, cfg), nil
+					return detect.NewDetector(eng, detect.DefaultConfig()), nil
 				}
-				run, err := eval.RunKheperaScenario(attack.KheperaScenarios()[10], 5+int64(i), detect.DefaultConfig(), build)
+				run, err := kheperaRun(attack.KheperaScenarios()[10], 5+int64(i), build)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -959,7 +962,7 @@ func BenchmarkAblationCompensation(b *testing.B) {
 	b.Run("compensated", func(b *testing.B) {
 		var fpr float64
 		for i := 0; i < b.N; i++ {
-			run, err := eval.RunKheperaScenario(attack.KheperaScenarios()[0], 42+int64(i), detect.DefaultConfig(), eval.KheperaDetector)
+			run, err := kheperaRun(attack.KheperaScenarios()[0], 42+int64(i), scenario.DefaultDetector)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -14,8 +14,8 @@ import (
 
 	"roboads/client"
 	"roboads/internal/api"
-	"roboads/internal/eval"
 	"roboads/internal/mat"
+	"roboads/internal/robot"
 	"roboads/internal/router"
 	"roboads/internal/stat"
 	"roboads/internal/trace"
@@ -27,15 +27,15 @@ import (
 // simulator uses, minus attacks, so every frame steps cleanly and the
 // load is the nominal-mission serving cost.
 type frameGen struct {
-	p   eval.Profile
+	p   robot.Profile
 	rng *stat.RNG
 	x   mat.Vec
 	u   mat.Vec
 	k   int
 }
 
-func newFrameGen(robot string, seed int64) (*frameGen, error) {
-	p, err := eval.RobotProfile(robot)
+func newFrameGen(robotName string, seed int64) (*frameGen, error) {
+	p, err := robot.Named(robotName)
 	if err != nil {
 		return nil, err
 	}

@@ -56,6 +56,8 @@ import (
 	"roboads/internal/core"
 	"roboads/internal/detect"
 	"roboads/internal/eval"
+	"roboads/internal/robot"
+	"roboads/internal/scenario"
 	"roboads/internal/sim"
 	"roboads/internal/trace"
 )
@@ -255,11 +257,11 @@ func usage() {
 }
 
 func runScenario(id int, seed int64, telemetryAddr string) error {
-	scenario, err := scenarioByID(id)
+	sc, err := scenarioByID(id)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("scenario %v — %s\n", &scenario, scenario.Description)
+	fmt.Printf("scenario %v — %s\n", &sc, sc.Description)
 
 	tel, shutdown, err := attachTelemetry(telemetryAddr)
 	if err != nil {
@@ -273,7 +275,8 @@ func runScenario(id int, seed int64, telemetryAddr string) error {
 		ecfg.Observer = tel
 		cfg.Observer = tel
 	}
-	run, err := eval.RunKheperaScenario(scenario, seed, cfg, eval.KheperaDetectorWith(ecfg))
+	run, err := scenario.RunMission("khepera", "lab", sc, seed, scenario.MaxIterations,
+		func(p robot.Profile) (*detect.Detector, error) { return p.NewDetector(ecfg, cfg) })
 	if err != nil {
 		return err
 	}
@@ -286,14 +289,11 @@ func runScenario(id int, seed int64, telemetryAddr string) error {
 			prev = cond
 		}
 	}
-	sc := run.SensorConfusion()
-	ac := run.ActuatorConfusion()
-	fmt.Printf("\nsensor:   %v\nactuator: %v\n", sc, ac)
-	for target, d := range run.SensorDelays() {
-		fmt.Printf("delay[%s] = %.2fs\n", target, d.Seconds(run.Dt))
-	}
-	if d, ok := run.ActuatorDelay(); ok {
-		fmt.Printf("delay[actuator] = %.2fs\n", d.Seconds(run.Dt))
+	fmt.Printf("\nsensor:   %v\nactuator: %v\n", run.SensorConfusion(), run.ActuatorConfusion())
+	for _, t := range run.Targets() {
+		if t.Onset >= 0 {
+			fmt.Printf("delay[%s] = %.2fs\n", t.Name, t.Delay.Seconds(run.Dt))
+		}
 	}
 	return nil
 }
@@ -448,11 +448,11 @@ func scenarioByID(id int) (attack.Scenario, error) {
 // trace: JSON lines by default, the DESIGN.md §12 binary framing with
 // -binary. Replay negotiates by header, so either file replays the same.
 func recordTrace(scenarioID int, seed int64, output string, binary bool) error {
-	scenario, err := scenarioByID(scenarioID)
+	sc, err := scenarioByID(scenarioID)
 	if err != nil {
 		return err
 	}
-	setup, err := sim.NewKhepera(sim.LabMission(), &scenario, seed)
+	setup, err := sim.NewKhepera(sim.LabMission(), &sc, seed)
 	if err != nil {
 		return err
 	}
@@ -479,7 +479,7 @@ func recordTrace(scenarioID int, seed int64, output string, binary bool) error {
 	if binary {
 		recorder = trace.NewBinaryRecorder(out, header)
 	}
-	records, err := setup.Sim.Run(eval.MaxIterations)
+	records, err := setup.Sim.Run(scenario.MaxIterations)
 	if err != nil {
 		return err
 	}
@@ -494,7 +494,7 @@ func recordTrace(scenarioID int, seed int64, output string, binary bool) error {
 	if err := recorder.Close(); err != nil {
 		return err
 	}
-	fmt.Fprintf(os.Stderr, "recorded %d iterations of %v\n", len(records), &scenario)
+	fmt.Fprintf(os.Stderr, "recorded %d iterations of %v\n", len(records), &sc)
 	return nil
 }
 
@@ -511,9 +511,9 @@ func replayTrace(input string, telemetryAddr string) error {
 		in = f
 	}
 	// The detector needs the mission geometry for the LiDAR model; the
-	// standard lab mission is the recording context for `record`.
-	clean := attack.CleanScenario()
-	setup, err := sim.NewKhepera(sim.LabMission(), &clean, 0)
+	// standard lab mission is the recording context for `record`, and
+	// robot.Named is that mission's profile.
+	p, err := robot.Named("khepera")
 	if err != nil {
 		return err
 	}
@@ -528,7 +528,7 @@ func replayTrace(input string, telemetryAddr string) error {
 		ecfg.Observer = tel
 		cfg.Observer = tel
 	}
-	det, err := eval.KheperaDetectorWith(ecfg)(setup, cfg)
+	det, err := p.NewDetector(ecfg, cfg)
 	if err != nil {
 		return err
 	}

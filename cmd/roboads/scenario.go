@@ -4,7 +4,6 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"time"
 
@@ -117,7 +116,7 @@ func scenarioCmd(args []string) error {
 			return err
 		}
 		wall := time.Since(start).Seconds()
-		writeSuiteResult(os.Stdout, res)
+		res.Write(os.Stdout)
 		fmt.Printf("wall: %.1fs\n", wall)
 		if *out == "" {
 			return nil
@@ -136,23 +135,4 @@ func scenarioCmd(args []string) error {
 	default:
 		return fmt.Errorf("scenario: unknown verb %q (want gen, list, or run)", verb)
 	}
-}
-
-// writeSuiteResult renders the per-scenario leaderboard table.
-func writeSuiteResult(w io.Writer, res *scenario.SuiteResult) {
-	fmt.Fprintf(w, "suite %q  seed=%d  trials=%d\n", res.Suite, res.Seed, res.Trials)
-	fmt.Fprintf(w, "%-34s %-13s %8s %8s %8s %8s %9s %6s\n",
-		"name", "class", "sFPR%", "sFNR%", "aFPR%", "aFNR%", "delay(s)", "missed")
-	for i := range res.Results {
-		r := &res.Results[i]
-		fmt.Fprintf(w, "%-34s %-13s %8.2f %8.2f %8.2f %8.2f %9.2f %6d\n",
-			r.Name, r.Class,
-			100*r.SensorConfusion.FPR(), 100*r.SensorConfusion.FNR(),
-			100*r.ActuatorConfusion.FPR(), 100*r.ActuatorConfusion.FNR(),
-			r.MeanDelaySec, r.Missed)
-	}
-	fmt.Fprintf(w, "aggregate: sensor FPR %.2f%% FNR %.2f%%, actuator FPR %.2f%% FNR %.2f%%, mean delay %.2fs, missed %d\n",
-		100*res.SensorConfusion.FPR(), 100*res.SensorConfusion.FNR(),
-		100*res.ActuatorConfusion.FPR(), 100*res.ActuatorConfusion.FNR(),
-		res.AvgDelaySec, res.Missed)
 }

@@ -12,8 +12,9 @@ import (
 
 	"roboads/internal/core"
 	"roboads/internal/detect"
-	"roboads/internal/eval"
 	"roboads/internal/fleet"
+	"roboads/internal/robot"
+	"roboads/internal/scenario"
 	"roboads/internal/sim"
 	"roboads/internal/telemetry"
 )
@@ -211,7 +212,7 @@ func serveScenario(ctx context.Context, opts serveOptions) error {
 		<-ctx.Done()
 		return nil
 	}
-	scenario, err := scenarioByID(opts.scenarioID)
+	sc, err := scenarioByID(opts.scenarioID)
 	if err != nil {
 		return err
 	}
@@ -225,15 +226,16 @@ func serveScenario(ctx context.Context, opts serveOptions) error {
 		if ctx.Err() != nil {
 			return nil
 		}
-		setup, err := sim.NewKhepera(sim.LabMission(), &scenario, opts.seed+int64(mission))
+		setup, err := sim.NewKhepera(sim.LabMission(), &sc, opts.seed+int64(mission))
 		if err != nil {
 			return err
 		}
-		det, err := eval.KheperaDetectorWith(ecfg)(setup, cfg)
+		prof := robot.Khepera(setup)
+		det, err := prof.NewDetector(ecfg, cfg)
 		if err != nil {
 			return err
 		}
-		for i := 0; i < eval.MaxIterations; i++ {
+		for i := 0; i < scenario.MaxIterations; i++ {
 			if ctx.Err() != nil {
 				return nil
 			}

@@ -13,11 +13,13 @@ package roboads_test
 //	go test -run TestGoldenDigests -update .
 
 import (
+	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"hash/fnv"
+	"io"
 	"math"
 	"os"
 	"path/filepath"
@@ -25,6 +27,7 @@ import (
 
 	"roboads/internal/core"
 	"roboads/internal/detect"
+	"roboads/internal/eval"
 	"roboads/internal/fleet"
 	"roboads/internal/plan"
 	"roboads/internal/robot"
@@ -37,8 +40,9 @@ import (
 var updateGolden = flag.Bool("update", false, "re-record the testdata/ golden files of the tests that run")
 
 const (
-	goldenPath    = "testdata/golden_digests.json"
-	planPathsPath = "testdata/plan_paths.json"
+	goldenPath      = "testdata/golden_digests.json"
+	planPathsPath   = "testdata/plan_paths.json"
+	evalOutputsPath = "testdata/eval_outputs.json"
 )
 
 // goldenSeeds are the suite seeds pinned: the benchmark's documented
@@ -97,42 +101,45 @@ func (m *suiteMission) replayDigest() (string, error) {
 	return fmt.Sprintf("%d:%016x", len(m.recs), h.Sum64()), nil
 }
 
-// readGolden loads a recorded name → digest file, or returns an empty map
-// to fill when re-recording.
-func readGolden(t *testing.T, path string) map[string]string {
+// checkGolden compares name → digest results with the file at path, or
+// re-records the file under -update.
+func checkGolden(t *testing.T, path string, got map[string]string) {
 	t.Helper()
-	golden := map[string]string{}
 	if *updateGolden {
-		return golden
+		raw, err := json.MarshalIndent(got, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, append(raw, '\n'), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
 	}
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatalf("%v (record with -update at a known-good commit)", err)
 	}
-	if err := json.Unmarshal(raw, &golden); err != nil {
+	want := map[string]string{}
+	if err := json.Unmarshal(raw, &want); err != nil {
 		t.Fatal(err)
 	}
-	return golden
-}
-
-// writeGolden records a name → digest file.
-func writeGolden(t *testing.T, path string, golden map[string]string) {
-	t.Helper()
-	raw, err := json.MarshalIndent(golden, "", "  ")
-	if err != nil {
-		t.Fatal(err)
+	for key, digest := range got {
+		if w, ok := want[key]; !ok {
+			t.Errorf("%s: no recorded digest", key)
+		} else if digest != w {
+			t.Errorf("%s: digest %s, recorded %s", key, digest, w)
+		}
 	}
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, append(raw, '\n'), 0o644); err != nil {
-		t.Fatal(err)
+	if len(got) != len(want) {
+		t.Errorf("checked %d, %d recorded", len(got), len(want))
 	}
 }
 
 func TestGoldenDigests(t *testing.T) {
-	golden := readGolden(t, goldenPath)
-	checked := 0
+	got := map[string]string{}
 	for _, seed := range goldenSeeds {
 		missions, err := generateSuite(seed)
 		if err != nil {
@@ -140,30 +147,14 @@ func TestGoldenDigests(t *testing.T) {
 		}
 		for _, m := range missions {
 			key := fmt.Sprintf("seed%d/%s", seed, m.name)
-			got, err := m.replayDigest()
+			digest, err := m.replayDigest()
 			if err != nil {
 				t.Fatalf("%s: %v", key, err)
 			}
-			checked++
-			if *updateGolden {
-				golden[key] = got
-				continue
-			}
-			want, ok := golden[key]
-			if !ok {
-				t.Errorf("%s: no recorded digest", key)
-			} else if got != want {
-				t.Errorf("%s: digest %s, recorded %s", key, got, want)
-			}
+			got[key] = digest
 		}
 	}
-	if *updateGolden {
-		writeGolden(t, goldenPath, golden)
-		return
-	}
-	if checked != len(golden) {
-		t.Errorf("checked %d missions, %d recorded", checked, len(golden))
-	}
+	checkGolden(t, goldenPath, got)
 }
 
 // TestGoldenPlanPaths pins the planner alone: the waypoints plan.Plan
@@ -183,8 +174,7 @@ func TestGoldenPlanPaths(t *testing.T) {
 		// The warehouse mission of scenario.Default's suites.
 		{"warehouse", world.WarehouseArena(), world.Point{X: 0.6, Y: 0.6}, world.Point{X: 7.2, Y: 5.4}},
 	}
-	golden := readGolden(t, planPathsPath)
-	checked := 0
+	got := map[string]string{}
 	for _, mi := range missions {
 		for _, seed := range goldenSeeds {
 			key := fmt.Sprintf("%s/seed%d", mi.name, seed)
@@ -199,25 +189,62 @@ func TestGoldenPlanPaths(t *testing.T) {
 				binary.LittleEndian.PutUint64(buf[8:], math.Float64bits(p.Y))
 				h.Write(buf[:])
 			}
-			got := fmt.Sprintf("%d:%016x", len(path), h.Sum64())
-			checked++
-			if *updateGolden {
-				golden[key] = got
-				continue
-			}
-			want, ok := golden[key]
-			if !ok {
-				t.Errorf("%s: no recorded digest", key)
-			} else if got != want {
-				t.Errorf("%s: digest %s, recorded %s", key, got, want)
-			}
+			got[key] = fmt.Sprintf("%d:%016x", len(path), h.Sum64())
 		}
 	}
-	if *updateGolden {
-		writeGolden(t, planPathsPath, golden)
-		return
+	checkGolden(t, planPathsPath, got)
+}
+
+// outputDigest renders an evaluation result and returns its text's length
+// and FNV-1a digest.
+func outputDigest[R interface{ Write(io.Writer) }](r R, err error) (string, error) {
+	if err != nil {
+		return "", err
 	}
-	if checked != len(golden) {
-		t.Errorf("checked %d paths, %d recorded", checked, len(golden))
+	var buf bytes.Buffer
+	r.Write(&buf)
+	h := fnv.New64a()
+	h.Write(buf.Bytes())
+	return fmt.Sprintf("%d:%016x", buf.Len(), h.Sum64()), nil
+}
+
+// TestGoldenEvalOutputs pins the rendered text of every evaluation entry
+// point and of the default suite's leaderboard at seed 42, one trial: the
+// tables, figures and sweeps of §V all go through the one mission runner,
+// so a change to the runner or its accounting that moves any printed
+// number fails here.
+func TestGoldenEvalOutputs(t *testing.T) {
+	const seed = 42
+	runs, err := eval.Fig7Workload(1, seed)
+	if err != nil {
+		t.Fatal(err)
 	}
+	suite, err := scenario.Default(seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	outputs := map[string]func() (string, error){
+		"table2":     func() (string, error) { return outputDigest(eval.Table2(1, seed)) },
+		"table4":     func() (string, error) { return outputDigest(eval.Table4(seed)) },
+		"fig6":       func() (string, error) { return outputDigest(eval.Fig6(seed)) },
+		"fig7-roc-s": func() (string, error) { return outputDigest(eval.Fig7ROC(runs, true)) },
+		"fig7-roc-a": func() (string, error) { return outputDigest(eval.Fig7ROC(runs, false)) },
+		"fig7-f1-s":  func() (string, error) { return outputDigest(eval.Fig7F1(runs, true)) },
+		"fig7-f1-a":  func() (string, error) { return outputDigest(eval.Fig7F1(runs, false)) },
+		"tamiya":     func() (string, error) { return outputDigest(eval.Tamiya(1, seed)) },
+		"linear":     func() (string, error) { return outputDigest(eval.LinearBench(1, seed)) },
+		"related":    func() (string, error) { return outputDigest(eval.RelatedWork(1, seed)) },
+		"evasive":    func() (string, error) { return outputDigest(eval.Evasive(seed)) },
+		"quality":    func() (string, error) { return outputDigest(eval.SensorQuality(seed)) },
+		"suite":      func() (string, error) { return outputDigest(scenario.RunSuite(suite, scenario.RunConfig{})) },
+	}
+	got := map[string]string{}
+	for name, render := range outputs {
+		digest, err := render()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		got[name] = digest
+	}
+	checkGolden(t, evalOutputsPath, got)
 }

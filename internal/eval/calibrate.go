@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"roboads/internal/detect"
+	"roboads/internal/scenario"
 )
 
 // Calibration is a selected set of decision parameters with the
@@ -30,7 +31,7 @@ var calibrationAlphas = []float64{0.0005, 0.001, 0.005, 0.01, 0.05, 0.1}
 // class offline and returns the F1-optimal decision configuration. This
 // is the paper's manual Fig. 7 procedure packaged as a library call, so
 // a deployment can re-tune after changing sensors or noise floors.
-func Calibrate(runs []*Run) (*Calibration, error) {
+func Calibrate(runs []*scenario.Run) (*Calibration, error) {
 	if len(runs) == 0 {
 		return nil, errors.New("eval: empty validation workload")
 	}

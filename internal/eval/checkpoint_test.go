@@ -3,12 +3,13 @@ package eval
 import (
 	"fmt"
 	"reflect"
-	"sort"
 	"testing"
 
 	"roboads/internal/attack"
 	"roboads/internal/detect"
 	"roboads/internal/mat"
+	"roboads/internal/robot"
+	"roboads/internal/scenario"
 	"roboads/internal/sim"
 	"roboads/internal/store"
 )
@@ -39,71 +40,34 @@ func obsOf(rep *detect.Report) checkpointObs {
 	}
 }
 
-// checkpointFrame is one recorded control iteration: the detector's
-// complete input. The simulators are open loop (the mission does not
-// react to the detector), so frames recorded once replay identically
+// missionFrames steps a scenario's simulator alone, built the way the
+// mission runner builds it, and returns its frames with the profile
+// detectors are built from. The simulators are open loop (the mission does
+// not react to the detector), so frames recorded once replay identically
 // into any number of detectors.
-type checkpointFrame struct {
-	u        mat.Vec
-	readings map[string]mat.Vec
-}
-
-func recordKheperaFrames(t *testing.T, scenario attack.Scenario, seed int64) []checkpointFrame {
+func missionFrames(t *testing.T, sc attack.Scenario, robotName string, seed int64) (robot.Profile, []*sim.StepRecord) {
 	t.Helper()
-	setup, err := sim.NewKhepera(sim.LabMission(), &scenario, seed)
+	dsl, err := scenario.FromScenario(sc, robotName, "")
 	if err != nil {
-		t.Fatalf("scenario %d: %v", scenario.ID, err)
+		t.Fatal(err)
 	}
-	var frames []checkpointFrame
-	for i := 0; i < MaxIterations; i++ {
-		rec, err := setup.Sim.Step()
-		if err != nil {
-			break
-		}
-		frames = append(frames, checkpointFrame{u: rec.UPlanned, readings: rec.Readings})
-		if rec.Done {
-			break
-		}
-	}
-	return frames
-}
-
-func recordTamiyaFrames(t *testing.T, scenario attack.Scenario, seed int64) []checkpointFrame {
-	t.Helper()
-	setup, err := sim.NewTamiya(sim.LabMission(), &scenario, seed)
+	prof, frames, err := scenario.Frames(&dsl, seed)
 	if err != nil {
-		t.Fatalf("scenario %d: %v", scenario.ID, err)
+		t.Fatalf("scenario %d: %v", sc.ID, err)
 	}
-	var frames []checkpointFrame
-	for i := 0; i < MaxIterations; i++ {
-		rec, err := setup.Sim.Step()
-		if err != nil {
-			break
-		}
-		frames = append(frames, checkpointFrame{u: rec.UPlanned, readings: rec.Readings})
-		if rec.Done {
-			break
-		}
+	if len(frames) == 0 {
+		t.Fatal("no frames recorded")
 	}
-	return frames
-}
-
-func sensorNames(f checkpointFrame) []string {
-	out := make([]string, 0, len(f.readings))
-	for name := range f.readings {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
+	return prof, frames
 }
 
 // stepObs feeds frames[from:to] into det and returns one observation per
 // frame.
-func stepObs(t *testing.T, det *detect.Detector, frames []checkpointFrame, from, to int) []checkpointObs {
+func stepObs(t *testing.T, det *detect.Detector, frames []*sim.StepRecord, from, to int) []checkpointObs {
 	t.Helper()
 	out := make([]checkpointObs, 0, to-from)
 	for f := from; f < to; f++ {
-		rep, err := det.Step(frames[f].u, frames[f].readings)
+		rep, err := det.Step(frames[f].UPlanned, frames[f].Readings)
 		if err != nil {
 			t.Fatalf("frame %d: %v", f, err)
 		}
@@ -116,13 +80,13 @@ func stepObs(t *testing.T, det *detect.Detector, frames []checkpointFrame, from,
 // persistence codec — EncodeSnapshot to bytes, DecodeSnapshot back — so
 // the test covers exactly what a crash recovery replays, not just the
 // in-memory Export/Import pair.
-func roundTripState(t *testing.T, robot string, dt float64, det *detect.Detector, frames []checkpointFrame, applied int) *detect.State {
+func roundTripState(t *testing.T, prof robot.Profile, det *detect.Detector, applied int) *detect.State {
 	t.Helper()
 	blob, err := store.EncodeSnapshot(&store.Snapshot{
-		SessionID:     fmt.Sprintf("eval-%s", robot),
-		Robot:         robot,
-		Sensors:       sensorNames(frames[0]),
-		Dt:            dt,
+		SessionID:     fmt.Sprintf("eval-%s", prof.Robot),
+		Robot:         prof.Robot,
+		Sensors:       prof.SensorNames(),
+		Dt:            prof.Dt,
 		FramesApplied: applied,
 		State:         det.ExportState(),
 	})
@@ -145,11 +109,14 @@ func roundTripState(t *testing.T, robot string, dt float64, det *detect.Detector
 // remaining frames, observations bit-for-bit identical to the
 // uninterrupted reference run. Decision equality implies the Table II
 // confirm/identify code sequences are unchanged by the cut.
-func runCheckpointScenario(t *testing.T, robot string, dt float64, frames []checkpointFrame,
-	build func() *detect.Detector, cuts []int) {
+func runCheckpointScenario(t *testing.T, prof robot.Profile, frames []*sim.StepRecord, cuts []int) {
 	t.Helper()
-	if len(frames) == 0 {
-		t.Fatal("no frames recorded")
+	build := func() *detect.Detector {
+		det, err := scenario.DefaultDetector(prof)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return det
 	}
 	ref := stepObs(t, build(), frames, 0, len(frames))
 
@@ -162,7 +129,7 @@ func runCheckpointScenario(t *testing.T, robot string, dt float64, frames []chec
 		if !reflect.DeepEqual(head, ref[:k]) {
 			t.Fatalf("cut %d: pre-checkpoint run diverged from reference", k)
 		}
-		state := roundTripState(t, robot, dt, detA, frames, k)
+		state := roundTripState(t, prof, detA, k)
 		detB := build()
 		if err := detB.ImportState(state); err != nil {
 			t.Fatalf("cut %d: import: %v", k, err)
@@ -186,31 +153,18 @@ func runCheckpointScenario(t *testing.T, robot string, dt float64, frames []chec
 // confirmation holds.
 func TestCheckpointRestoreKheperaScenarios(t *testing.T) {
 	scenarios := append([]attack.Scenario{attack.CleanScenario()}, attack.KheperaScenarios()...)
-	for i, scenario := range scenarios {
-		scenario := scenario
-		t.Run(fmt.Sprintf("s%02d_%s", scenario.ID, scenario.Name), func(t *testing.T) {
+	for i, sc := range scenarios {
+		t.Run(fmt.Sprintf("s%02d_%s", sc.ID, sc.Name), func(t *testing.T) {
 			t.Parallel()
-			seed := int64(900 + i)
-			frames := recordKheperaFrames(t, scenario, seed)
-			build := func() *detect.Detector {
-				setup, err := sim.NewKhepera(sim.LabMission(), &scenario, seed)
-				if err != nil {
-					t.Fatal(err)
-				}
-				det, err := KheperaDetector(setup, detect.DefaultConfig())
-				if err != nil {
-					t.Fatal(err)
-				}
-				return det
-			}
+			prof, frames := missionFrames(t, sc, "khepera", int64(900+i))
 			n := len(frames)
 			// One rotating quarter cut per scenario bounds runtime; the
 			// clean scenario gets the full {N/4, N/2, 3N/4} sweep.
 			cuts := []int{n * (1 + i%3) / 4}
-			if scenario.ID == 0 {
+			if sc.ID == 0 {
 				cuts = []int{n / 4, n / 2, 3 * n / 4}
 			}
-			runCheckpointScenario(t, "khepera", sim.KheperaDt, frames, build, cuts)
+			runCheckpointScenario(t, prof, frames, cuts)
 		})
 	}
 }
@@ -219,25 +173,12 @@ func TestCheckpointRestoreKheperaScenarios(t *testing.T) {
 // the grouped-reference mode set and the standstill actuator abstention
 // (DaValid) must also survive a snapshot round trip unchanged.
 func TestCheckpointRestoreTamiyaScenarios(t *testing.T) {
-	for i, scenario := range attack.TamiyaScenarios() {
-		scenario := scenario
-		t.Run(fmt.Sprintf("s%03d_%s", scenario.ID, scenario.Name), func(t *testing.T) {
+	for i, sc := range attack.TamiyaScenarios() {
+		t.Run(fmt.Sprintf("s%03d_%s", sc.ID, sc.Name), func(t *testing.T) {
 			t.Parallel()
-			seed := int64(950 + i)
-			frames := recordTamiyaFrames(t, scenario, seed)
-			build := func() *detect.Detector {
-				setup, err := sim.NewTamiya(sim.LabMission(), &scenario, seed)
-				if err != nil {
-					t.Fatal(err)
-				}
-				det, err := TamiyaDetector(setup, detect.DefaultConfig())
-				if err != nil {
-					t.Fatal(err)
-				}
-				return det
-			}
+			prof, frames := missionFrames(t, sc, "tamiya", int64(950+i))
 			n := len(frames)
-			runCheckpointScenario(t, "tamiya", sim.TamiyaDt, frames, build, []int{n * (1 + i%3) / 4})
+			runCheckpointScenario(t, prof, frames, []int{n * (1 + i%3) / 4})
 		})
 	}
 }

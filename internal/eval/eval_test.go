@@ -1,14 +1,18 @@
 package eval
 
 import (
+	"maps"
 	"math"
 	"math/rand"
 	"strings"
 	"testing"
 
 	"roboads/internal/attack"
+	"roboads/internal/core"
 	"roboads/internal/detect"
 	"roboads/internal/mat"
+	"roboads/internal/robot"
+	"roboads/internal/scenario"
 )
 
 // expectedTable2 lists the paper's Table II identification sequences.
@@ -272,40 +276,6 @@ func TestTamiyaSuite(t *testing.T) {
 	}
 }
 
-func TestRunnerHelpers(t *testing.T) {
-	truth := attack.Truth{CorruptedSensors: map[string]bool{"ips": true}}
-	if !TruthSensorsEqual(truth, []string{"ips"}) {
-		t.Fatal("equal sets reported unequal")
-	}
-	if TruthSensorsEqual(truth, []string{"lidar"}) {
-		t.Fatal("different sets reported equal")
-	}
-	if TruthSensorsEqual(truth, []string{"ips", "lidar"}) {
-		t.Fatal("superset reported equal")
-	}
-	names := SortedSensorNames(map[string]bool{"z": true, "a": true})
-	if len(names) != 2 || names[0] != "a" {
-		t.Fatalf("SortedSensorNames = %v", names)
-	}
-}
-
-func TestRunConfusionDefinitions(t *testing.T) {
-	// A wrong identification while truth is positive must count FP, not
-	// TP — the paper's strict definition.
-	scenario := attack.KheperaScenarios()[2] // IPS logic bomb
-	run, err := RunKheperaScenario(scenario, 42, detect.DefaultConfig(), KheperaDetector)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := run.SensorConfusion()
-	if c.TP == 0 {
-		t.Fatal("no true positives on a detectable scenario")
-	}
-	if c.TP+c.FP+c.FN+c.TN != len(run.Trace) {
-		t.Fatal("confusion does not partition the trace")
-	}
-}
-
 func TestRelatedWorkComparison(t *testing.T) {
 	result, err := RelatedWork(1, 42)
 	if err != nil {
@@ -342,17 +312,24 @@ func TestRelatedWorkComparison(t *testing.T) {
 	}
 }
 
-func TestTireBlowoutDetected(t *testing.T) {
-	run, err := RunKheperaScenario(attack.TireBlowoutScenario(), 42, detect.DefaultConfig(), KheperaDetector)
+// kheperaRun flies one Khepera lab mission with a detector from build.
+func kheperaRun(t *testing.T, sc attack.Scenario, seed int64, build func(robot.Profile) (*detect.Detector, error)) *scenario.Run {
+	t.Helper()
+	run, err := scenario.RunMission("khepera", "lab", sc, seed, scenario.MaxIterations, build)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return run
+}
+
+func TestTireBlowoutDetected(t *testing.T) {
+	run := kheperaRun(t, attack.TireBlowoutScenario(), 42, scenario.DefaultDetector)
 	ac := run.ActuatorConfusion()
 	if ac.TPR() < 0.9 {
 		t.Fatalf("tire blowout actuator TPR = %.2f", ac.TPR())
 	}
-	if d, ok := run.ActuatorDelay(); !ok || d.Seconds(run.Dt) > 1.0 {
-		t.Fatalf("tire blowout delay = %+v", d)
+	if ts := run.Targets(); len(ts) != 1 || ts[0].Name != "actuator" || ts[0].Onset < 0 || ts[0].Delay.Seconds(run.Dt) > 1.0 {
+		t.Fatalf("tire blowout targets = %+v", ts)
 	}
 }
 
@@ -495,10 +472,9 @@ func TestCalibrateRecoversPaperParameters(t *testing.T) {
 		t.Fatalf("calibration F1 = %.3f / %.3f", cal.SensorF1, cal.ActuatorF1)
 	}
 	// The calibrated configuration must actually be usable.
-	run, err := RunKheperaScenario(attack.KheperaScenarios()[2], 99, cal.Config, KheperaDetector)
-	if err != nil {
-		t.Fatal(err)
-	}
+	run := kheperaRun(t, attack.KheperaScenarios()[2], 99, func(p robot.Profile) (*detect.Detector, error) {
+		return p.NewDetector(core.DefaultEngineConfig(), cal.Config)
+	})
 	if run.SensorConfusion().TPR() < 0.9 {
 		t.Fatalf("calibrated config TPR = %.2f", run.SensorConfusion().TPR())
 	}
@@ -549,19 +525,17 @@ func TestStealthRampBoundedImpact(t *testing.T) {
 			Win:              attack.Window{Start: 60},
 			Via:              attack.Physical,
 		}
-		scenario := attack.Scenario{
+		sc := attack.Scenario{
 			ID:            300,
 			Name:          "stealth ramp",
 			SensorAttacks: []attack.SensorAttack{ramp},
 		}
-		run, err := RunKheperaScenario(scenario, 42, detect.DefaultConfig(), KheperaDetector)
-		if err != nil {
-			t.Fatal(err)
-		}
-		d, ok := run.SensorDelays()[detect.SensorIPS]
-		if !ok || d.Detected < 0 {
+		run := kheperaRun(t, sc, 42, scenario.DefaultDetector)
+		ts := run.Targets()
+		if len(ts) != 1 || ts[0].Delay.Detected < 0 {
 			t.Fatalf("rate %v never detected", rate)
 		}
+		d := ts[0].Delay
 		magnitude := ramp.OffsetAt(d.Detected)[0]
 		magnitudes = append(magnitudes, magnitude)
 		// Detection must fire before the ramp does scenario-scale damage.
@@ -607,11 +581,11 @@ func TestPropertyRandomScenarioIdentification(t *testing.T) {
 			targets = append(targets, sensorsAvailable[idx])
 		}
 
-		scenario := attack.Scenario{ID: 400, Name: "fuzz"}
+		sc := attack.Scenario{ID: 400, Name: "fuzz"}
 		for i, target := range targets {
 			offset := mat.NewVec(3)
 			offset[rng.IntN(2)] = 0.05 + 0.1*rng.Float64() // 5–15 cm on x or y
-			scenario.SensorAttacks = append(scenario.SensorAttacks, &attack.Bias{
+			sc.SensorAttacks = append(sc.SensorAttacks, &attack.Bias{
 				Sensor: target,
 				Offset: offset,
 				Win:    attack.Window{Start: 60 + 40*i},
@@ -619,17 +593,18 @@ func TestPropertyRandomScenarioIdentification(t *testing.T) {
 			})
 		}
 
-		run, err := RunKheperaScenario(scenario, seed, detect.DefaultConfig(), KheperaDetector)
-		if err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
-		}
+		run := kheperaRun(t, sc, seed, scenario.DefaultDetector)
 		// Steady state: last 50 iterations must identify the full set
 		// most of the time.
 		correct, total := 0, 0
 		for i := len(run.Trace) - 50; i < len(run.Trace); i++ {
 			tr := run.Trace[i]
 			total++
-			if TruthSensorsEqual(tr.Truth, tr.Decision.Condition.Sensors) {
+			confirmed := map[string]bool{}
+			for _, s := range tr.Decision.Condition.Sensors {
+				confirmed[s] = true
+			}
+			if maps.Equal(confirmed, tr.Truth.CorruptedSensors) {
 				correct++
 			}
 		}

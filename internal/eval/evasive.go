@@ -56,9 +56,7 @@ var EvasiveActuatorUnits = []float64{150, 300, 600, 900, 1500, 2250, 3000, 4500,
 // Evasive runs the §V-H sweeps. Each sweep point is a one-scenario DSL
 // suite driven through the scenario runner — the same mission loop,
 // detector construction, and post-onset accounting as every leaderboard
-// scenario — rather than a bespoke evaluation loop. The runner's
-// per-target alarm fraction and delay replicate this file's historical
-// definitions exactly, so the sweep output is bit-for-bit unchanged.
+// scenario — rather than a bespoke evaluation loop.
 func Evasive(seed int64) (*EvasiveResult, error) {
 	out := &EvasiveResult{}
 

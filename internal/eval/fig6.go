@@ -7,6 +7,7 @@ import (
 	"roboads/internal/attack"
 	"roboads/internal/detect"
 	"roboads/internal/mat"
+	"roboads/internal/scenario"
 )
 
 // Fig6Point is one control iteration of the Fig. 6 raw-output time
@@ -42,8 +43,8 @@ type Fig6Result struct {
 // Fig6 runs scenario #8 (wheel controller & IPS logic bomb) once and
 // extracts the eight raw-output series of Fig. 6.
 func Fig6(seed int64) (*Fig6Result, error) {
-	scenario := attack.KheperaScenarios()[7] // #8
-	run, err := RunKheperaScenario(scenario, seed, detect.DefaultConfig(), KheperaDetector)
+	run, err := scenario.RunMission("khepera", "lab", attack.KheperaScenarios()[7], // #8
+		seed, scenario.MaxIterations, scenario.DefaultDetector)
 	if err != nil {
 		return nil, err
 	}

@@ -7,6 +7,7 @@ import (
 	"roboads/internal/attack"
 	"roboads/internal/detect"
 	"roboads/internal/metrics"
+	"roboads/internal/scenario"
 	"roboads/internal/stat"
 )
 
@@ -61,18 +62,14 @@ type Fig7F1Result struct {
 // decision-parameter sweeps then re-threshold and re-window these traces
 // offline, which is exact because the estimation engine does not depend
 // on the decision parameters.
-func Fig7Workload(trials int, baseSeed int64) ([]*Run, error) {
-	scenarios := append([]attack.Scenario{attack.CleanScenario()}, attack.KheperaScenarios()...)
-	cfg := detect.DefaultConfig()
-	var runs []*Run
-	for trial := 0; trial < trials; trial++ {
-		for _, sc := range scenarios {
-			run, err := RunKheperaScenario(sc, baseSeed+int64(trial), cfg, KheperaDetector)
-			if err != nil {
-				return nil, err
-			}
-			runs = append(runs, run)
+func Fig7Workload(trials int, baseSeed int64) ([]*scenario.Run, error) {
+	var runs []*scenario.Run
+	for _, sc := range append([]attack.Scenario{attack.CleanScenario()}, attack.KheperaScenarios()...) {
+		scRuns, err := trialsOf("khepera", sc, trials, baseSeed, scenario.DefaultDetector)
+		if err != nil {
+			return nil, err
 		}
+		runs = append(runs, scRuns...)
 	}
 	return runs, nil
 }
@@ -80,7 +77,7 @@ func Fig7Workload(trials int, baseSeed int64) ([]*Run, error) {
 // reEvaluate computes the binary detection confusion over the cached
 // traces at decision parameters (alpha, w, c). sensorSide selects the
 // sensor or actuator statistic.
-func reEvaluate(runs []*Run, alpha float64, w, c int, sensorSide bool) (metrics.Confusion, error) {
+func reEvaluate(runs []*scenario.Run, alpha float64, w, c int, sensorSide bool) (metrics.Confusion, error) {
 	var conf metrics.Confusion
 	quantiles := make(map[int]float64)
 	threshold := func(dof int) (float64, error) {
@@ -129,7 +126,7 @@ func reEvaluate(runs []*Run, alpha float64, w, c int, sensorSide bool) (metrics.
 // Fig7ROC reproduces Fig. 7(a) (sensorSide=true) or 7(b): the ROC of
 // misbehavior detection across the confidence-level sweep for each
 // window setting.
-func Fig7ROC(runs []*Run, sensorSide bool) (*Fig7ROCResult, error) {
+func Fig7ROC(runs []*scenario.Run, sensorSide bool) (*Fig7ROCResult, error) {
 	out := &Fig7ROCResult{Side: sideName(sensorSide)}
 	for _, setting := range Fig7WindowSettings {
 		curve := Fig7Curve{C: setting.C, W: setting.W}
@@ -153,7 +150,7 @@ func Fig7ROC(runs []*Run, sensorSide bool) (*Fig7ROCResult, error) {
 
 // Fig7F1 reproduces Fig. 7(c) (sensor, α=0.005, w,c = 1..6) or 7(d)
 // (actuator, α=0.05, w,c = 1..7).
-func Fig7F1(runs []*Run, sensorSide bool) (*Fig7F1Result, error) {
+func Fig7F1(runs []*scenario.Run, sensorSide bool) (*Fig7F1Result, error) {
 	alpha, maxW := 0.005, 6
 	if !sensorSide {
 		alpha, maxW = 0.05, 7

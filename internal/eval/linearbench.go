@@ -5,8 +5,11 @@ import (
 	"io"
 
 	"roboads/internal/attack"
+	"roboads/internal/baseline"
 	"roboads/internal/detect"
 	"roboads/internal/metrics"
+	"roboads/internal/robot"
+	"roboads/internal/scenario"
 )
 
 // LinearBenchResult reproduces §V-G: the Table II scenario suite run
@@ -32,26 +35,21 @@ func LinearBench(trials int, baseSeed int64) (*LinearBenchResult, error) {
 	if trials < 1 {
 		trials = 1
 	}
-	cfg := detect.DefaultConfig()
-	scenarios := append([]attack.Scenario{attack.CleanScenario()}, attack.KheperaScenarios()...)
-
 	var linS, linA, adsS, adsA metrics.Confusion
-	for trial := 0; trial < trials; trial++ {
-		seed := baseSeed + int64(trial)
-		for _, sc := range scenarios {
-			linRun, err := RunKheperaScenario(sc, seed, cfg, LinearKheperaDetector)
-			if err != nil {
-				return nil, fmt.Errorf("linear baseline: %w", err)
-			}
-			linS.Merge(linRun.SensorConfusion())
-			linA.Merge(linRun.ActuatorConfusion())
-
-			adsRun, err := RunKheperaScenario(sc, seed, cfg, KheperaDetector)
-			if err != nil {
-				return nil, err
-			}
-			adsS.Merge(adsRun.SensorConfusion())
-			adsA.Merge(adsRun.ActuatorConfusion())
+	for _, sc := range append([]attack.Scenario{attack.CleanScenario()}, attack.KheperaScenarios()...) {
+		lin, err := trialsOf("khepera", sc, trials, baseSeed, linearDetector)
+		if err != nil {
+			return nil, fmt.Errorf("linear baseline: %w", err)
+		}
+		ads, err := trialsOf("khepera", sc, trials, baseSeed, scenario.DefaultDetector)
+		if err != nil {
+			return nil, err
+		}
+		for t := range lin {
+			linS.Merge(lin[t].SensorConfusion())
+			linA.Merge(lin[t].ActuatorConfusion())
+			adsS.Merge(ads[t].SensorConfusion())
+			adsA.Merge(ads[t].ActuatorConfusion())
 		}
 	}
 	return &LinearBenchResult{
@@ -64,6 +62,14 @@ func LinearBench(trials int, baseSeed int64) (*LinearBenchResult, error) {
 		RoboADSActuatorFPR: adsA.FPR(),
 		RoboADSActuatorFNR: adsA.FNR(),
 	}, nil
+}
+
+// linearDetector builds the §V-G baseline: the profile's model and
+// sensors linearized once, at the mission start.
+func linearDetector(p robot.Profile) (*detect.Detector, error) {
+	p.Model = baseline.FreezeModel(p.Model, p.X0, p.ObsU0)
+	p.Suite = baseline.FreezeSuite(p.Suite, p.X0)
+	return scenario.DefaultDetector(p)
 }
 
 // Write renders the comparison.

@@ -8,6 +8,8 @@ import (
 	"roboads/internal/attack"
 	"roboads/internal/core"
 	"roboads/internal/mat"
+	"roboads/internal/robot"
+	"roboads/internal/scenario"
 	"roboads/internal/sensors"
 	"roboads/internal/sim"
 	"roboads/internal/stat"
@@ -45,7 +47,7 @@ func SensorQuality(seed int64) (*QualityResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	records, err := setup.Sim.Run(MaxIterations)
+	records, err := setup.Sim.Run(scenario.MaxIterations)
 	if err != nil {
 		return nil, err
 	}
@@ -58,7 +60,7 @@ func SensorQuality(seed int64) (*QualityResult, error) {
 
 		plant := core.Plant{
 			Model:       setup.Model,
-			Q:           diagFromStd(setup.ProcessStd),
+			Q:           robot.ProcessNoise(setup.ProcessStd),
 			AngleStates: []int{2},
 		}
 		mode, err := core.NewMode([]sensors.Sensor{scaled}, nil)
@@ -70,7 +72,7 @@ func SensorQuality(seed int64) (*QualityResult, error) {
 		// the scaled measurement model.
 		rng := stat.NewRNG(seed).Fork(fmt.Sprintf("quality-%.2f", scale))
 		x := setup.X0.Clone()
-		px := initialP(3)
+		px := robot.InitialCovariance(3)
 		var sumVar float64
 		n := 0
 		for _, rec := range records {

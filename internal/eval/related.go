@@ -6,9 +6,9 @@ import (
 
 	"roboads/internal/attack"
 	"roboads/internal/baseline"
-	"roboads/internal/detect"
 	"roboads/internal/mat"
 	"roboads/internal/metrics"
+	"roboads/internal/scenario"
 	"roboads/internal/sim"
 )
 
@@ -41,8 +41,6 @@ func RelatedWork(trials int, baseSeed int64) (*RelatedWorkResult, error) {
 	if trials < 1 {
 		trials = 1
 	}
-	cfg := detect.DefaultConfig()
-
 	// Train the learning model on clean data.
 	learner := baseline.NewLearningBased(0.005)
 	trainScenario := attack.CleanScenario()
@@ -50,7 +48,7 @@ func RelatedWork(trials int, baseSeed int64) (*RelatedWorkResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	trainRecords, err := trainSetup.Sim.Run(MaxIterations)
+	trainRecords, err := trainSetup.Sim.Run(scenario.MaxIterations)
 	if err != nil {
 		return nil, err
 	}
@@ -66,25 +64,23 @@ func RelatedWork(trials int, baseSeed int64) (*RelatedWorkResult, error) {
 		return nil, err
 	}
 
-	scenarios := append([]attack.Scenario{attack.CleanScenario()}, attack.KheperaScenarios()...)
 	var adsS, adsA, linS, linA, timeS, learnS metrics.Confusion
 	timeA, learnA := metrics.Confusion{}, metrics.Confusion{}
 
-	for trial := 0; trial < trials; trial++ {
-		seed := baseSeed + int64(trial)
-		for _, sc := range scenarios {
-			// RoboADS and the linear baseline reuse the full pipeline.
-			adsRun, err := RunKheperaScenario(sc, seed, cfg, KheperaDetector)
-			if err != nil {
-				return nil, err
-			}
-			accumulateBinary(&adsS, &adsA, adsRun)
-
-			linRun, err := RunKheperaScenario(sc, seed, cfg, LinearKheperaDetector)
-			if err != nil {
-				return nil, err
-			}
-			accumulateBinary(&linS, &linA, linRun)
+	for _, sc := range append([]attack.Scenario{attack.CleanScenario()}, attack.KheperaScenarios()...) {
+		// RoboADS and the linear baseline reuse the full pipeline.
+		ads, err := trialsOf("khepera", sc, trials, baseSeed, scenario.DefaultDetector)
+		if err != nil {
+			return nil, err
+		}
+		lin, err := trialsOf("khepera", sc, trials, baseSeed, linearDetector)
+		if err != nil {
+			return nil, err
+		}
+		for trial := range ads {
+			seed := baseSeed + int64(trial)
+			accumulateBinary(&adsS, &adsA, ads[trial])
+			accumulateBinary(&linS, &linA, lin[trial])
 
 			// Time-based and learning-based run on the raw reading
 			// stream (same seed → identical simulation).
@@ -92,7 +88,7 @@ func RelatedWork(trials int, baseSeed int64) (*RelatedWorkResult, error) {
 			if err != nil {
 				return nil, err
 			}
-			records, err := setup.Sim.Run(MaxIterations)
+			records, err := setup.Sim.Run(scenario.MaxIterations)
 			if err != nil {
 				return nil, err
 			}
@@ -132,7 +128,7 @@ func RelatedWork(trials int, baseSeed int64) (*RelatedWorkResult, error) {
 }
 
 // accumulateBinary folds a run into binary sensor/actuator confusions.
-func accumulateBinary(sensor, actuator *metrics.Confusion, run *Run) {
+func accumulateBinary(sensor, actuator *metrics.Confusion, run *scenario.Run) {
 	for _, tr := range run.Trace {
 		sensor.Add(len(tr.Truth.CorruptedSensors) > 0, tr.Decision.SensorAlarm, true)
 		if tr.DaValid {

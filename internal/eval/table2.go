@@ -9,6 +9,7 @@ import (
 	"roboads/internal/attack"
 	"roboads/internal/detect"
 	"roboads/internal/metrics"
+	"roboads/internal/scenario"
 	"roboads/internal/sim"
 )
 
@@ -48,64 +49,55 @@ type Table2Result struct {
 }
 
 // Table2 reproduces Table II: every Khepera scenario is run `trials`
-// times and the detection results aggregated.
+// times and the detection results aggregated. A target whose attack
+// never becomes active within its mission has no delay to list.
 func Table2(trials int, baseSeed int64) (*Table2Result, error) {
-	return table2With(trials, baseSeed, KheperaDetector)
-}
-
-func table2With(trials int, baseSeed int64,
-	build func(*sim.KheperaSetup, detect.Config) (*detect.Detector, error)) (*Table2Result, error) {
 	if trials < 1 {
 		trials = 1
 	}
-	cfg := detect.DefaultConfig()
 	out := &Table2Result{}
 	var totalS, totalA metrics.Confusion
 	var sensorDelays, actuatorDelays []metrics.Delay
 
-	for _, scenario := range attack.KheperaScenarios() {
+	for _, sc := range attack.KheperaScenarios() {
+		runs, err := trialsOf("khepera", sc, trials, baseSeed, scenario.DefaultDetector)
+		if err != nil {
+			return nil, err
+		}
 		row := Table2Row{
-			ID:           scenario.ID,
-			Name:         scenario.Name,
-			Description:  scenario.Description,
-			DelaySeconds: make(map[string]float64),
-			Trials:       trials,
+			ID:             sc.ID,
+			Name:           sc.Name,
+			Description:    sc.Description,
+			SensorResult:   arrowJoin(runs[0].SensorCodeSequence(3)),
+			ActuatorResult: arrowJoin(runs[0].ActuatorCodeSequence(3)),
+			DelaySeconds:   make(map[string]float64),
+			Trials:         trials,
 		}
-		var sc, ac metrics.Confusion
+		var sConf, aConf metrics.Confusion
 		delayAcc := make(map[string][]metrics.Delay)
-		var sensorSeq, actuatorSeq string
-
-		for trial := 0; trial < trials; trial++ {
-			run, err := RunKheperaScenario(scenario, baseSeed+int64(trial), cfg, build)
-			if err != nil {
-				return nil, err
-			}
-			sc.Merge(run.SensorConfusion())
-			ac.Merge(run.ActuatorConfusion())
-			for target, d := range run.SensorDelays() {
-				delayAcc[target] = append(delayAcc[target], d)
-				sensorDelays = append(sensorDelays, d)
-			}
-			if d, ok := run.ActuatorDelay(); ok {
-				delayAcc["actuator"] = append(delayAcc["actuator"], d)
-				actuatorDelays = append(actuatorDelays, d)
-			}
-			if trial == 0 {
-				sensorSeq = arrowJoin(run.SensorCodeSequence(3))
-				actuatorSeq = arrowJoin(run.ActuatorCodeSequence(3))
+		for _, run := range runs {
+			sConf.Merge(run.SensorConfusion())
+			aConf.Merge(run.ActuatorConfusion())
+			for _, t := range run.Targets() {
+				if t.Onset < 0 {
+					continue
+				}
+				delayAcc[t.Name] = append(delayAcc[t.Name], t.Delay)
+				if t.Name == "actuator" {
+					actuatorDelays = append(actuatorDelays, t.Delay)
+				} else {
+					sensorDelays = append(sensorDelays, t.Delay)
+				}
 			}
 		}
-
-		row.SensorResult = sensorSeq
-		row.ActuatorResult = actuatorSeq
-		row.SensorFPR, row.SensorFNR = sc.FPR(), sc.FNR()
-		row.ActuatorFPR, row.ActuatorFNR = ac.FPR(), ac.FNR()
+		row.SensorFPR, row.SensorFNR = sConf.FPR(), sConf.FNR()
+		row.ActuatorFPR, row.ActuatorFNR = aConf.FPR(), aConf.FNR()
 		for target, ds := range delayAcc {
 			row.DelaySeconds[target] = metrics.MeanDelaySeconds(ds, sim.KheperaDt)
 		}
 		out.Rows = append(out.Rows, row)
-		totalS.Merge(sc)
-		totalA.Merge(ac)
+		totalS.Merge(sConf)
+		totalA.Merge(aConf)
 	}
 	var merged metrics.Confusion
 	merged.Merge(totalS)

@@ -7,6 +7,8 @@ import (
 	"roboads/internal/attack"
 	"roboads/internal/core"
 	"roboads/internal/mat"
+	"roboads/internal/robot"
+	"roboads/internal/scenario"
 	"roboads/internal/sensors"
 	"roboads/internal/sim"
 )
@@ -39,7 +41,7 @@ func Table4(seed int64) (*Table4Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	records, err := setup.Sim.Run(MaxIterations)
+	records, err := setup.Sim.Run(scenario.MaxIterations)
 	if err != nil {
 		return nil, err
 	}
@@ -57,9 +59,9 @@ func Table4(seed int64) (*Table4Result, error) {
 
 	plant := core.Plant{
 		Model:       setup.Model,
-		Q:           diagFromStd(setup.ProcessStd),
+		Q:           robot.ProcessNoise(setup.ProcessStd),
 		AngleStates: []int{2},
-		UMax:        KheperaUMax(),
+		UMax:        robot.KheperaUMax(),
 	}
 
 	out := &Table4Result{}
@@ -74,7 +76,7 @@ func Table4(seed int64) (*Table4Result, error) {
 		}
 
 		x := setup.X0.Clone()
-		px := initialP(3)
+		px := robot.InitialCovariance(3)
 		var sumVl, sumVr float64
 		n := 0
 		for _, rec := range records {

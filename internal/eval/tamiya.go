@@ -5,8 +5,8 @@ import (
 	"io"
 
 	"roboads/internal/attack"
-	"roboads/internal/detect"
 	"roboads/internal/metrics"
+	"roboads/internal/scenario"
 	"roboads/internal/sim"
 )
 
@@ -36,41 +36,39 @@ func Tamiya(trials int, baseSeed int64) (*TamiyaResult, error) {
 	if trials < 1 {
 		trials = 1
 	}
-	cfg := detect.DefaultConfig()
 	out := &TamiyaResult{}
 	var totalS, totalA metrics.Confusion
 	var allDelays []metrics.Delay
 
-	for _, scenario := range attack.TamiyaScenarios() {
-		var sc, ac metrics.Confusion
+	for _, sc := range attack.TamiyaScenarios() {
+		runs, err := trialsOf("tamiya", sc, trials, baseSeed, scenario.DefaultDetector)
+		if err != nil {
+			return nil, err
+		}
+		var sConf, aConf metrics.Confusion
 		var delays []metrics.Delay
-		for trial := 0; trial < trials; trial++ {
-			run, err := RunTamiyaScenario(scenario, baseSeed+int64(trial), cfg)
-			if err != nil {
-				return nil, err
-			}
-			sc.Merge(run.SensorConfusion())
-			ac.Merge(run.ActuatorConfusion())
-			for _, d := range run.SensorDelays() {
-				delays = append(delays, d)
-			}
-			if d, ok := run.ActuatorDelay(); ok {
-				delays = append(delays, d)
+		for _, run := range runs {
+			sConf.Merge(run.SensorConfusion())
+			aConf.Merge(run.ActuatorConfusion())
+			for _, t := range run.Targets() {
+				if t.Onset >= 0 {
+					delays = append(delays, t.Delay)
+				}
 			}
 		}
 		row := TamiyaRow{
-			ID:          scenario.ID,
-			Name:        scenario.Name,
-			SensorFPR:   sc.FPR(),
-			SensorFNR:   sc.FNR(),
-			ActuatorFPR: ac.FPR(),
-			ActuatorFNR: ac.FNR(),
+			ID:          sc.ID,
+			Name:        sc.Name,
+			SensorFPR:   sConf.FPR(),
+			SensorFNR:   sConf.FNR(),
+			ActuatorFPR: aConf.FPR(),
+			ActuatorFNR: aConf.FNR(),
 			DelaySec:    metrics.MeanDelaySeconds(delays, sim.TamiyaDt),
 		}
 		out.Rows = append(out.Rows, row)
 		allDelays = append(allDelays, delays...)
-		totalS.Merge(sc)
-		totalA.Merge(ac)
+		totalS.Merge(sConf)
+		totalA.Merge(aConf)
 	}
 	var merged metrics.Confusion
 	merged.Merge(totalS)

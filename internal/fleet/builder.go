@@ -3,16 +3,16 @@ package fleet
 import (
 	"roboads/internal/core"
 	"roboads/internal/detect"
-	"roboads/internal/eval"
+	"roboads/internal/robot"
 )
 
 // ProfileBuilder returns the standard session Builder: Spec.Robot
-// selects an eval.RobotProfile (the same standalone construction path
+// selects a robot.Named profile (the same standalone construction path
 // `roboads replay` uses, lab-mission geometry), so a trace recorded from
 // the simulator replays against a hosted session bit-for-bit.
 func ProfileBuilder(ecfg core.EngineConfig, dcfg detect.Config) Builder {
 	return func(spec Spec) (Stepper, SessionInfo, error) {
-		p, err := eval.RobotProfile(spec.Robot)
+		p, err := robot.Named(spec.Robot)
 		if err != nil {
 			return nil, SessionInfo{}, err
 		}

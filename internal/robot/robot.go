@@ -3,10 +3,8 @@
 // plausibility envelope, and mode-building strategy for one robot, and
 // Profile.NewDetector assembles the full RoboADS pipeline from it.
 //
-// The package sits below eval so that both the evaluation harness and
-// the scenario engine can build detectors without importing each other;
-// eval re-exports Profile and the platform builders under their
-// historical names (eval.Profile, eval.KheperaProfile, ...).
+// The package sits below the mission runner (internal/scenario), the
+// fleet session service and the CLI, which all build detectors here.
 package robot
 
 import (
@@ -23,10 +21,10 @@ import (
 // Profile is the one construction surface behind every robot-specific
 // detector builder: it bundles the kinematic model, the sensor suite,
 // the noise statistics, the plausibility envelope, and the mode-building
-// strategy for one platform. KheperaDetector, TamiyaDetector, and the
-// fleet session service all reduce to Profile.NewDetector, so a new
-// robot is supported by writing one Profile function rather than a new
-// builder per entry point.
+// strategy for one platform. The mission runner, the fleet session service
+// and the CLI all reduce to Profile.NewDetector, so a new robot is
+// supported by writing one Profile function rather than a new builder per
+// entry point.
 type Profile struct {
 	// Robot names the platform ("khepera", "tamiya"); it doubles as the
 	// trace-header robot string and the fleet session robot model.
@@ -70,7 +68,7 @@ func (p *Profile) SensorNames() []string {
 func (p *Profile) NewDetector(ecfg core.EngineConfig, dcfg detect.Config) (*detect.Detector, error) {
 	plant := core.Plant{
 		Model:       p.Model,
-		Q:           diagFromStd(p.ProcessStd),
+		Q:           ProcessNoise(p.ProcessStd),
 		AngleStates: append([]int(nil), p.AngleStates...),
 		UMax:        p.UMax,
 	}
@@ -91,7 +89,7 @@ func (p *Profile) NewDetector(ecfg core.EngineConfig, dcfg detect.Config) (*dete
 	if err != nil {
 		return nil, err
 	}
-	eng, err := core.NewEngine(plant, modes, p.X0, initialP(len(p.X0)), ecfg)
+	eng, err := core.NewEngine(plant, modes, p.X0, InitialCovariance(len(p.X0)), ecfg)
 	if err != nil {
 		return nil, err
 	}
@@ -218,7 +216,9 @@ func tamiyaSuite(mission sim.Mission) []sensors.Sensor {
 	}
 }
 
-func diagFromStd(std mat.Vec) *mat.Mat {
+// ProcessNoise is the diagonal process-noise covariance of per-state
+// standard deviations.
+func ProcessNoise(std mat.Vec) *mat.Mat {
 	d := make([]float64, std.Len())
 	for i, s := range std {
 		d[i] = s * s
@@ -226,7 +226,9 @@ func diagFromStd(std mat.Vec) *mat.Mat {
 	return mat.Diag(d...)
 }
 
-func initialP(n int) *mat.Mat {
+// InitialCovariance is the n-state belief covariance every detector starts
+// from.
+func InitialCovariance(n int) *mat.Mat {
 	d := make([]float64, n)
 	for i := range d {
 		d[i] = 1e-6

@@ -4,6 +4,11 @@
 // DSL's parameter space, and a runner executing suites through the real
 // robot.Profile detector path into BENCH_quality.json leaderboard records.
 //
+// RunMission is the one mission loop of the tree — it steps a simulator
+// into a detector and returns the trace as a Run — and Run's methods are
+// the one accounting of a trace. The suite runner and every table and
+// figure of internal/eval are reductions of Runs.
+//
 // The DSL is deliberately flat: one Suite holds Scenarios, each naming a
 // robot, a world, and a list of Attacks whose Kind selects an
 // internal/attack primitive and whose Envelope shapes onset, duration,
@@ -25,8 +30,8 @@ import (
 // Version is the current scenario DSL version.
 const Version = 1
 
-// MaxIterations is the default per-mission iteration cap, matching the
-// evaluation harness (eval.MaxIterations).
+// MaxIterations is the default per-mission iteration cap: attacks that
+// divert the robot can prevent mission completion, so runs are clipped.
 const MaxIterations = 700
 
 // Suite is one scenario-suite document.

@@ -2,15 +2,12 @@ package scenario
 
 import (
 	"fmt"
+	"io"
 	"sync"
 
-	"roboads/internal/attack"
-	"roboads/internal/core"
-	"roboads/internal/detect"
 	"roboads/internal/metrics"
 	"roboads/internal/robot"
 	"roboads/internal/sim"
-	"roboads/internal/world"
 )
 
 // RunConfig shapes suite execution.
@@ -28,7 +25,8 @@ type RunConfig struct {
 // aggregated over trials. The target is a sensor workflow name or
 // "actuator".
 type TargetStats struct {
-	// Onset is the attack-onset iteration (trial 0).
+	// Onset is the attack-onset iteration (trial 0), −1 when the target's
+	// window never opens within the mission.
 	Onset int `json:"onset"`
 	// DelaySec is the mean onset-to-confirmation delay over detected
 	// trials, −1 when no trial detected it.
@@ -37,7 +35,7 @@ type TargetStats struct {
 	// this target confirmed.
 	AlarmFraction float64 `json:"alarmFraction"`
 	// Missed counts trials where the target was never confirmed
-	// post-onset.
+	// post-onset, or its window never opened.
 	Missed int `json:"missed"`
 }
 
@@ -79,92 +77,12 @@ type SuiteResult struct {
 	Missed      int     `json:"missed"`
 }
 
-// missionFor maps a DSL world name to its mission. The warehouse mission
-// matches the long-route shape exercised by the simulator tests.
-func missionFor(w string) sim.Mission {
-	if w == "warehouse" {
-		return sim.Mission{
-			Map:          world.WarehouseArena(),
-			Start:        world.Point{X: 0.6, Y: 0.6},
-			StartHeading: 0.4,
-			Goal:         world.Point{X: 7.2, Y: 5.4},
-		}
+// maxIterations is the scenario's iteration cap.
+func (sc *Scenario) maxIterations() int {
+	if sc.Iterations > 0 {
+		return sc.Iterations
 	}
-	return sim.LabMission()
-}
-
-// iterRec is the per-iteration evidence the stats need — a compact
-// subset of eval.IterationTrace.
-type iterRec struct {
-	truth         attack.Truth
-	condSensors   []string
-	sensorAlarm   bool
-	actuatorAlarm bool
-	daValid       bool
-}
-
-// missionRun is one (scenario, trial) mission in flight.
-type missionRun struct {
-	compiled attack.Scenario
-	step     func() (*sim.StepRecord, error)
-	prof     robot.Profile
-	det      *detect.Detector
-	dt       float64
-	cap      int
-	trace    []iterRec
-	finished bool
-}
-
-// newMissionSim builds the simulator of one trial, mirroring
-// eval.RunKheperaScenario's construction exactly — the same mission and
-// the same seed handling — and the robot profile its detectors are built
-// from. No detector is attached yet.
-func newMissionSim(sc *Scenario, seed int64) (*missionRun, error) {
-	compiled, err := sc.Compile(1000)
-	if err != nil {
-		return nil, err
-	}
-	mr := &missionRun{compiled: compiled, cap: sc.Iterations}
-	if mr.cap <= 0 {
-		mr.cap = MaxIterations
-	}
-	mission := missionFor(sc.World)
-	switch sc.Robot {
-	case "khepera":
-		setup, err := sim.NewKhepera(mission, &mr.compiled, seed)
-		if err != nil {
-			return nil, fmt.Errorf("scenario %q seed %d: %w", sc.Name, seed, err)
-		}
-		mr.prof = robot.Khepera(setup)
-		mr.step = setup.Sim.Step
-		mr.dt = sim.KheperaDt
-	case "tamiya":
-		setup, err := sim.NewTamiya(mission, &mr.compiled, seed)
-		if err != nil {
-			return nil, fmt.Errorf("scenario %q seed %d: %w", sc.Name, seed, err)
-		}
-		mr.prof = robot.Tamiya(setup)
-		mr.step = setup.Sim.Step
-		mr.dt = sim.TamiyaDt
-	default:
-		return nil, fmt.Errorf("scenario %q: unknown robot %q", sc.Name, sc.Robot)
-	}
-	return mr, nil
-}
-
-// newMissionRun is newMissionSim plus the trial's detector:
-// Profile.NewDetector with the default engine and §V-F decision
-// parameters.
-func newMissionRun(sc *Scenario, seed int64) (*missionRun, error) {
-	mr, err := newMissionSim(sc, seed)
-	if err != nil {
-		return nil, err
-	}
-	mr.det, err = mr.prof.NewDetector(core.DefaultEngineConfig(), detect.DefaultConfig())
-	if err != nil {
-		return nil, err
-	}
-	return mr, nil
+	return MaxIterations
 }
 
 // Frames steps one trial's simulator alone to the end of its mission (or
@@ -172,13 +90,17 @@ func newMissionRun(sc *Scenario, seed int64) (*missionRun, error) {
 // feed a detector, with the profile that detector is built from — for
 // tests and benchmarks that replay one frame set through many detectors.
 func Frames(sc *Scenario, seed int64) (robot.Profile, []*sim.StepRecord, error) {
-	mr, err := newMissionSim(sc, seed)
+	compiled, err := sc.Compile(1000)
+	if err != nil {
+		return robot.Profile{}, nil, err
+	}
+	prof, step, err := newSim(sc.Robot, sc.World, &compiled, seed)
 	if err != nil {
 		return robot.Profile{}, nil, err
 	}
 	var recs []*sim.StepRecord
-	for len(recs) < mr.cap {
-		rec, err := mr.step()
+	for len(recs) < sc.maxIterations() {
+		rec, err := step()
 		if err != nil {
 			break // mission over
 		}
@@ -187,147 +109,23 @@ func Frames(sc *Scenario, seed int64) (robot.Profile, []*sim.StepRecord, error) 
 			break
 		}
 	}
-	return mr.prof, recs, nil
+	return prof, recs, nil
 }
 
-// record appends one stepped iteration.
-func (mr *missionRun) record(rec *sim.StepRecord, rep *detect.Report) {
-	mr.trace = append(mr.trace, iterRec{
-		truth:         rec.Truth,
-		condSensors:   rep.Decision.Condition.Sensors,
-		sensorAlarm:   rep.Decision.SensorAlarm,
-		actuatorAlarm: rep.Decision.ActuatorAlarm,
-		daValid:       rep.Engine.Result.DaValid,
-	})
-	if rec.Done || len(mr.trace) >= mr.cap {
-		mr.finished = true
-	}
+// trialScore is what aggregate reads of one trial: the results of its
+// Run's accounting. A suite keeps these rather than the Runs, so it holds
+// no more traces than it has missions in flight.
+type trialScore struct {
+	iterations       int
+	sensor, actuator metrics.Confusion
+	targets          []Target
+	dt               float64
 }
 
-// run drives the mission to completion — the exact loop of
-// eval.RunKheperaScenario.
-func (mr *missionRun) run() error {
-	for !mr.finished {
-		rec, err := mr.step()
-		if err != nil {
-			break // mission over
-		}
-		rep, err := mr.det.Step(rec.UPlanned, rec.Readings)
-		if err != nil {
-			return fmt.Errorf("scenario %q k=%d: %w", mr.compiled.Name, rec.K, err)
-		}
-		mr.record(rec, rep)
-	}
-	return nil
-}
-
-// trialStats is one trial's measurements.
-type trialStats struct {
-	iterations int
-	sensor     metrics.Confusion
-	actuator   metrics.Confusion
-	onsets     map[string]int // target → onset iteration (-1: never active)
-	delays     map[string]metrics.Delay
-	fractions  map[string]float64
-	dt         float64
-}
-
-func truthEqual(truth attack.Truth, detected []string) bool {
-	if len(truth.CorruptedSensors) != len(detected) {
-		return false
-	}
-	for _, s := range detected {
-		if !truth.CorruptedSensors[s] {
-			return false
-		}
-	}
-	return true
-}
-
-// stats reduces a finished mission to its measurements, replicating
-// eval.Run's identification-aware definitions exactly: SensorConfusion,
-// ActuatorConfusion (skipping unobservable iterations), SensorDelays
-// (first window per target), ActuatorDelay, and the post-onset alarm
-// fraction of the §V-H sweep.
-func (mr *missionRun) stats() trialStats {
-	ts := trialStats{
-		iterations: len(mr.trace),
-		onsets:     make(map[string]int),
-		delays:     make(map[string]metrics.Delay),
-		fractions:  make(map[string]float64),
-		dt:         mr.dt,
-	}
-	for _, tr := range mr.trace {
-		truthPos := len(tr.truth.CorruptedSensors) > 0
-		detPos := tr.sensorAlarm
-		correct := detPos && truthEqual(tr.truth, tr.condSensors)
-		if detPos && len(tr.condSensors) == 0 {
-			detPos = false
-		}
-		ts.sensor.Add(truthPos, detPos, correct)
-		if tr.daValid {
-			ts.actuator.Add(tr.truth.ActuatorCorrupted, tr.actuatorAlarm, true)
-		}
-	}
-	for _, a := range mr.compiled.SensorAttacks {
-		target := a.Target()
-		if _, seen := ts.onsets[target]; seen {
-			continue // first window only
-		}
-		ts.onsets[target] = -1
-		for k := range mr.trace {
-			if a.Active(k) {
-				ts.onsets[target] = k
-				break
-			}
-		}
-	}
-	if len(mr.compiled.ActuatorAttacks) > 0 {
-		onset := -1
-		for _, a := range mr.compiled.ActuatorAttacks {
-			for k := range mr.trace {
-				if a.Active(k) {
-					if onset < 0 || k < onset {
-						onset = k
-					}
-					break
-				}
-			}
-		}
-		ts.onsets["actuator"] = onset
-	}
-	for target, onset := range ts.onsets {
-		if onset < 0 {
-			ts.delays[target] = metrics.Delay{Onset: -1, Detected: -1}
-			ts.fractions[target] = 0
-			continue
-		}
-		flags := make([]bool, len(mr.trace))
-		hits := 0
-		for i, tr := range mr.trace {
-			if target == "actuator" {
-				flags[i] = tr.actuatorAlarm
-			} else {
-				for _, s := range tr.condSensors {
-					if s == target {
-						flags[i] = true
-					}
-				}
-			}
-			if i >= onset && flags[i] {
-				hits++
-			}
-		}
-		ts.delays[target] = metrics.FirstDetection(onset, flags)
-		if total := len(mr.trace) - onset; total > 0 {
-			ts.fractions[target] = float64(hits) / float64(total)
-		}
-	}
-	return ts
-}
-
-// aggregate folds one scenario's trials into a Result.
-func aggregate(sc *Scenario, trials []trialStats) Result {
+// aggregate reduces one scenario's trials to a Result. Every trial lists
+// the same targets in the same order (Run.Targets), so sums over them
+// repeat to the last bit.
+func aggregate(sc *Scenario, trials []trialScore) Result {
 	r := Result{
 		Name:         sc.Name,
 		Class:        sc.Class,
@@ -341,29 +139,25 @@ func aggregate(sc *Scenario, trials []trialStats) Result {
 		r.SensorConfusion.Merge(ts.sensor)
 		r.ActuatorConfusion.Merge(ts.actuator)
 	}
-	if len(trials) == 0 {
-		return r
-	}
-	for target := range trials[0].onsets {
-		stats := TargetStats{Onset: trials[0].onsets[target], DelaySec: -1}
-		var delays []metrics.Delay
-		for _, ts := range trials {
-			delays = append(delays, ts.delays[target])
-			stats.AlarmFraction += ts.fractions[target]
-			if ts.delays[target].Detected < 0 {
+	dt := trials[0].dt
+	for i, first := range trials[0].targets {
+		stats := TargetStats{Onset: first.Onset}
+		delays := make([]metrics.Delay, len(trials))
+		for t := range trials {
+			target := trials[t].targets[i]
+			delays[t] = target.Delay
+			stats.AlarmFraction += target.AlarmFraction
+			if target.Delay.Detected < 0 {
 				stats.Missed++
-			}
-		}
-		stats.AlarmFraction /= float64(len(trials))
-		stats.DelaySec = metrics.MeanDelaySeconds(delays, trials[0].dt)
-		for _, d := range delays {
-			if d.Detected >= 0 {
-				r.delaySum += d.Seconds(trials[0].dt)
+			} else {
+				r.delaySum += target.Delay.Seconds(dt)
 				r.detected++
 			}
 		}
+		stats.AlarmFraction /= float64(len(trials))
+		stats.DelaySec = metrics.MeanDelaySeconds(delays, dt)
 		r.Missed += stats.Missed
-		r.Targets[target] = stats
+		r.Targets[first.Name] = stats
 	}
 	if r.detected > 0 {
 		r.MeanDelaySec = r.delaySum / float64(r.detected)
@@ -383,40 +177,32 @@ func RunSuite(s *Suite, cfg RunConfig) (*SuiteResult, error) {
 
 	// Workers drain the missions concurrently. Each mission owns its
 	// simulator and detector, so the only shared state is the indexed
-	// stats matrix.
-	stats := make([][]trialStats, len(s.Scenarios))
-	errs := make([][]error, len(s.Scenarios))
-	for i := range stats {
-		stats[i] = make([]trialStats, trials)
-		errs[i] = make([]error, trials)
-	}
+	// score and error slices: scenario si's trial t is at si*trials+t.
+	scores := make([]trialScore, len(s.Scenarios)*trials)
+	errs := make([]error, len(scores))
 	var wg sync.WaitGroup
 	sem := make(chan struct{}, workers)
-	for si := range s.Scenarios {
-		for t := 0; t < trials; t++ {
-			wg.Add(1)
-			sem <- struct{}{}
-			go func(si, t int) {
-				defer wg.Done()
-				defer func() { <-sem }()
-				mr, err := newMissionRun(&s.Scenarios[si], s.Seed+int64(t))
-				if err == nil {
-					err = mr.run()
-				}
-				if err != nil {
-					errs[si][t] = err
-					return
-				}
-				stats[si][t] = mr.stats()
-			}(si, t)
-		}
+	for i := range scores {
+		wg.Add(1)
+		sem <- struct{}{}
+		go func() {
+			defer wg.Done()
+			defer func() { <-sem }()
+			sc := &s.Scenarios[i/trials]
+			compiled, err := sc.Compile(1000)
+			var run *Run
+			if err == nil {
+				run, err = RunMission(sc.Robot, sc.World, compiled, s.Seed+int64(i%trials), sc.maxIterations(), DefaultDetector)
+			}
+			if errs[i] = err; err == nil {
+				scores[i] = trialScore{len(run.Trace), run.SensorConfusion(), run.ActuatorConfusion(), run.Targets(), run.Dt}
+			}
+		}()
 	}
 	wg.Wait()
-	for _, row := range errs {
-		for _, err := range row {
-			if err != nil {
-				return nil, err
-			}
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
 		}
 	}
 
@@ -424,7 +210,7 @@ func RunSuite(s *Suite, cfg RunConfig) (*SuiteResult, error) {
 	var delaySum float64
 	detected := 0
 	for si := range s.Scenarios {
-		r := aggregate(&s.Scenarios[si], stats[si])
+		r := aggregate(&s.Scenarios[si], scores[si*trials:(si+1)*trials])
 		out.SensorConfusion.Merge(r.SensorConfusion)
 		out.ActuatorConfusion.Merge(r.ActuatorConfusion)
 		delaySum += r.delaySum
@@ -448,4 +234,23 @@ func RunOne(sc Scenario, seed int64, cfg RunConfig) (*Result, error) {
 		return nil, err
 	}
 	return &res.Results[0], nil
+}
+
+// Write renders the per-scenario leaderboard table.
+func (r *SuiteResult) Write(w io.Writer) {
+	fmt.Fprintf(w, "suite %q  seed=%d  trials=%d\n", r.Suite, r.Seed, r.Trials)
+	fmt.Fprintf(w, "%-34s %-13s %8s %8s %8s %8s %9s %6s\n",
+		"name", "class", "sFPR%", "sFNR%", "aFPR%", "aFNR%", "delay(s)", "missed")
+	for i := range r.Results {
+		res := &r.Results[i]
+		fmt.Fprintf(w, "%-34s %-13s %8.2f %8.2f %8.2f %8.2f %9.2f %6d\n",
+			res.Name, res.Class,
+			100*res.SensorConfusion.FPR(), 100*res.SensorConfusion.FNR(),
+			100*res.ActuatorConfusion.FPR(), 100*res.ActuatorConfusion.FNR(),
+			res.MeanDelaySec, res.Missed)
+	}
+	fmt.Fprintf(w, "aggregate: sensor FPR %.2f%% FNR %.2f%%, actuator FPR %.2f%% FNR %.2f%%, mean delay %.2fs, missed %d\n",
+		100*r.SensorConfusion.FPR(), 100*r.SensorConfusion.FNR(),
+		100*r.ActuatorConfusion.FPR(), 100*r.ActuatorConfusion.FNR(),
+		r.AvgDelaySec, r.Missed)
 }

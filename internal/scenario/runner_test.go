@@ -7,7 +7,7 @@ import (
 
 	"roboads/internal/attack"
 	"roboads/internal/detect"
-	"roboads/internal/eval"
+	"roboads/internal/metrics"
 	"roboads/internal/scenario"
 )
 
@@ -88,37 +88,179 @@ func TestSuiteWorkersDeterminism(t *testing.T) {
 	}
 }
 
-// TestRunnerMatchesEvalHarness pins the runner against the historical
-// evaluation harness: a Table II scenario lifted through the DSL must
-// reproduce eval.RunKheperaScenario's confusion counts and delay
-// exactly.
-func TestRunnerMatchesEvalHarness(t *testing.T) {
-	orig := attack.KheperaScenarios()[2] // #3 IPS logic bomb
+// TestDSLLiftMatchesRunMission pins the DSL lift as the identity through
+// the one mission runner: every Table II and Tamiya scenario, lifted
+// through FromScenario and run by RunOne, reduces to what its hardcoded
+// form flown by RunMission does — confusions, per-target delays and
+// iterations.
+func TestDSLLiftMatchesRunMission(t *testing.T) {
 	const seed = 21
-	run, err := eval.RunKheperaScenario(orig, seed, detect.DefaultConfig(), eval.KheperaDetector)
+	cases := []struct {
+		robot     string
+		scenarios []attack.Scenario
+	}{
+		{"khepera", attack.KheperaScenarios()},
+		{"tamiya", attack.TamiyaScenarios()},
+	}
+	for _, c := range cases {
+		for _, orig := range c.scenarios {
+			run, err := scenario.RunMission(c.robot, "lab", orig, seed, scenario.MaxIterations, scenario.DefaultDetector)
+			if err != nil {
+				t.Fatal(err)
+			}
+			dsl, err := scenario.FromScenario(orig, c.robot, "table2")
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := scenario.RunOne(dsl, seed, scenario.RunConfig{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.SensorConfusion != run.SensorConfusion() {
+				t.Errorf("%s: sensor confusion %v != %v", orig.Name, res.SensorConfusion, run.SensorConfusion())
+			}
+			if res.ActuatorConfusion != run.ActuatorConfusion() {
+				t.Errorf("%s: actuator confusion %v != %v", orig.Name, res.ActuatorConfusion, run.ActuatorConfusion())
+			}
+			targets := run.Targets()
+			if len(res.Targets) != len(targets) {
+				t.Errorf("%s: %d targets != %d", orig.Name, len(res.Targets), len(targets))
+			}
+			for _, target := range targets {
+				if got, want := res.Targets[target.Name].DelaySec, target.Delay.Seconds(run.Dt); got != want {
+					t.Errorf("%s: delay[%s] %v != %v", orig.Name, target.Name, got, want)
+				}
+			}
+			if res.Iterations != len(run.Trace) {
+				t.Errorf("%s: iterations %d != %d", orig.Name, res.Iterations, len(run.Trace))
+			}
+		}
+	}
+}
+
+// TestRunConfusionDefinitions checks the identification-aware sensor
+// confusion on a real mission: it partitions the trace, and a detectable
+// attack yields true positives.
+func TestRunConfusionDefinitions(t *testing.T) {
+	run, err := scenario.RunMission("khepera", "lab", attack.KheperaScenarios()[2], // #3 IPS logic bomb
+		42, scenario.MaxIterations, scenario.DefaultDetector)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dsl, err := scenario.FromScenario(orig, "khepera", "table2")
+	c := run.SensorConfusion()
+	if c.TP == 0 {
+		t.Fatal("no true positives on a detectable scenario")
+	}
+	if c.TP+c.FP+c.FN+c.TN != len(run.Trace) {
+		t.Fatal("confusion does not partition the trace")
+	}
+}
+
+// TestRunnerHelpers pins the paper's strict sensor definitions on a
+// synthetic trace: an alarm is a true positive only when the confirmed
+// set is exactly the corrupted one, and an alarm confirming no sensor is
+// no alarm.
+func TestRunnerHelpers(t *testing.T) {
+	ips := attack.Truth{CorruptedSensors: map[string]bool{detect.SensorIPS: true}}
+	iter := func(truth attack.Truth, confirmed ...string) scenario.IterationTrace {
+		return scenario.IterationTrace{Truth: truth, Decision: &detect.Decision{
+			SensorAlarm: true, Condition: detect.Condition{Sensors: confirmed},
+		}}
+	}
+	run := &scenario.Run{Trace: []scenario.IterationTrace{
+		iter(ips, detect.SensorIPS),
+		iter(ips, detect.SensorLidar),
+		iter(ips, detect.SensorIPS, detect.SensorLidar),
+		iter(ips),
+		iter(attack.Truth{}),
+	}}
+	if got, want := run.SensorConfusion(), (metrics.Confusion{TP: 1, FP: 2, FN: 1, TN: 1}); got != want {
+		t.Fatalf("sensor confusion %+v, want %+v", got, want)
+	}
+}
+
+// TestRunTargets pins the per-target accounting on a synthetic trace:
+// only a target's first window counts, a window that never opens gives
+// onset −1 and no detection, and the order is the sensors by name, then
+// the actuator. A suite counts such a target as missed.
+func TestRunTargets(t *testing.T) {
+	iter := func(actuatorAlarm bool, confirmed ...string) scenario.IterationTrace {
+		return scenario.IterationTrace{Decision: &detect.Decision{
+			ActuatorAlarm: actuatorAlarm, Condition: detect.Condition{Sensors: confirmed},
+		}}
+	}
+	run := &scenario.Run{
+		Dt: 0.1,
+		Scenario: attack.Scenario{
+			SensorAttacks: []attack.SensorAttack{
+				&attack.Bias{Sensor: detect.SensorLidar, Win: attack.Window{Start: 2}},
+				&attack.Bias{Sensor: detect.SensorLidar, Win: attack.Window{Start: 0}},
+				&attack.Bias{Sensor: detect.SensorIPS, Win: attack.Window{Start: 9}},
+			},
+			ActuatorAttacks: []attack.ActuatorAttack{
+				&attack.ActuatorBias{Win: attack.Window{Start: 3}},
+				&attack.ActuatorBias{Win: attack.Window{Start: 1}},
+			},
+		},
+		Trace: []scenario.IterationTrace{
+			iter(false, detect.SensorLidar),
+			iter(true),
+			iter(false),
+			iter(true, detect.SensorLidar),
+		},
+	}
+	want := []scenario.Target{
+		{Name: detect.SensorIPS, Onset: -1, Delay: metrics.Delay{Onset: -1, Detected: -1}},
+		{Name: detect.SensorLidar, Onset: 2, Delay: metrics.Delay{Onset: 2, Detected: 3}, AlarmFraction: 0.5},
+		{Name: "actuator", Onset: 1, Delay: metrics.Delay{Onset: 1, Detected: 1}, AlarmFraction: 2.0 / 3},
+	}
+	if got := run.Targets(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("targets\n%+v, want\n%+v", got, want)
+	}
+
+	late := scenario.Scenario{Name: "late", Robot: "khepera", Iterations: 40,
+		Attacks: []scenario.Attack{{
+			Kind: "bias", Sensor: detect.SensorIPS, Offset: []float64{0.07, 0, 0},
+			Via: "cyber", Envelope: scenario.Envelope{Start: 100},
+		}}}
+	res, err := scenario.RunOne(late, 1, scenario.RunConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := scenario.RunOne(dsl, seed, scenario.RunConfig{})
+	if got := res.Targets[detect.SensorIPS]; res.Missed != 1 || got.Onset != -1 || got.DelaySec != -1 {
+		t.Fatalf("never-opening window: missed %d, target %+v", res.Missed, got)
+	}
+}
+
+// TestSuiteBitsRepeat pins a suite result to the last bit across runs.
+// The coordinated campaign detects three targets, so its mean delay sums
+// three float delays: summed in a fixed order it repeats, summed in map
+// order it read one of two values at seed 2.
+func TestSuiteBitsRepeat(t *testing.T) {
+	s, err := scenario.Default(2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.SensorConfusion != run.SensorConfusion() {
-		t.Errorf("sensor confusion %v != eval %v", res.SensorConfusion, run.SensorConfusion())
+	for _, sc := range s.Scenarios {
+		if sc.Name == "coordinated-campaign" {
+			s.Scenarios = []scenario.Scenario{sc}
+		}
 	}
-	if res.ActuatorConfusion != run.ActuatorConfusion() {
-		t.Errorf("actuator confusion %v != eval %v", res.ActuatorConfusion, run.ActuatorConfusion())
+	if len(s.Scenarios) != 1 {
+		t.Fatal("no coordinated-campaign scenario in the default suite")
 	}
-	wantDelay := run.SensorDelays()[detect.SensorIPS].Seconds(run.Dt)
-	if got := res.Targets[detect.SensorIPS].DelaySec; got != wantDelay {
-		t.Errorf("delay %v != eval %v", got, wantDelay)
+	first, err := scenario.RunSuite(s, scenario.RunConfig{})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if res.Iterations != len(run.Trace) {
-		t.Errorf("iterations %d != eval %d", res.Iterations, len(run.Trace))
+	for i := 1; i < 30; i++ {
+		got, err := scenario.RunSuite(s, scenario.RunConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, first) {
+			t.Fatalf("run %d: mean delay %v, first run %v", i, got.Results[0].MeanDelaySec, first.Results[0].MeanDelaySec)
+		}
 	}
 }
 

@@ -105,17 +105,41 @@ func (c *committer) run() {
 		}
 		c.mu.Unlock()
 		if w := c.due.Sub(now); need >= 0 && w > 0 {
-			time.Sleep(w) // what enlists meanwhile joins the flush
+			sleepUntil(c.due, nil) // what enlists meanwhile joins the flush
 			continue
 		}
 		if need < 0 {
-			select {
-			case <-c.wake:
-			case <-time.After(wait):
-			}
+			sleepUntil(now.Add(wait), c.wake)
 			continue
 		}
 		c.flush(now, need)
+	}
+}
+
+const coarseSlack, fineStep = 1100 * time.Microsecond, 250 * time.Microsecond
+
+// sleepUntil blocks until t, or until a value arrives on wake (nil: never).
+// Runtime timers of an idle Go process wake on whole milliseconds on Linux
+// (the netpoller's epoll timeout), which made a lone lockstep session's
+// replies alternate between two latencies a millisecond apart, the median
+// flipping between runs; so the timer takes the wait to within coarseSlack
+// and fine sleeps of at most fineStep, wake checked between them, the rest.
+func sleepUntil(t time.Time, wake <-chan struct{}) {
+	for d := time.Until(t); d > 0; d = time.Until(t) {
+		if d > coarseSlack {
+			select {
+			case <-wake:
+				return
+			case <-time.After(d - coarseSlack):
+			}
+			continue
+		}
+		sleepFine(min(d, fineStep))
+		select {
+		case <-wake:
+			return
+		default:
+		}
 	}
 }
 

@@ -233,6 +233,32 @@ func TestGroupCommitPace(t *testing.T) {
 	}
 }
 
+// TestSleepUntil pins the pace's wait on both of its paths, the runtime
+// timer and the fine steps: it never ends before its deadline unless woken,
+// and a wake ends it at once. How close to the deadline it ends depends on
+// the machine and is not asserted.
+func TestSleepUntil(t *testing.T) {
+	for _, d := range []time.Duration{0, 100 * time.Microsecond, coarseSlack / 2, 3 * coarseSlack} {
+		deadline := time.Now().Add(d)
+		sleepUntil(deadline, nil)
+		if early := time.Until(deadline); early > 0 {
+			t.Errorf("sleepUntil(now+%v) returned %v early", d, early)
+		}
+	}
+	for _, d := range []time.Duration{coarseSlack / 2, time.Minute} {
+		wake := make(chan struct{}, 1)
+		wake <- struct{}{}
+		start := time.Now()
+		sleepUntil(start.Add(d), wake)
+		if got := time.Since(start); d == time.Minute && got > d/2 {
+			t.Errorf("a woken sleepUntil(now+%v) took %v", d, got)
+		}
+		if len(wake) != 0 {
+			t.Errorf("sleepUntil(now+%v) left the wake unread", d)
+		}
+	}
+}
+
 // TestGroupCommitSyncFailureFailsWholeBatch injects one device error
 // into the log's sync: every job the flush covered must complete with
 // the error, none with success — and the failure is STICKY. On Linux a

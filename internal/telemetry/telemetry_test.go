@@ -13,7 +13,8 @@ import (
 	"roboads/internal/attack"
 	"roboads/internal/core"
 	"roboads/internal/detect"
-	"roboads/internal/eval"
+	"roboads/internal/robot"
+	"roboads/internal/scenario"
 )
 
 // Run the clean Table II scenario (S0) with telemetry attached and check
@@ -27,7 +28,8 @@ func TestCleanScenarioMetrics(t *testing.T) {
 	cfg := detect.DefaultConfig()
 	cfg.Observer = tel
 
-	run, err := eval.RunKheperaScenario(attack.CleanScenario(), 3, cfg, eval.KheperaDetectorWith(ecfg))
+	run, err := scenario.RunMission("khepera", "lab", attack.CleanScenario(), 3, scenario.MaxIterations,
+		func(p robot.Profile) (*detect.Detector, error) { return p.NewDetector(ecfg, cfg) })
 	if err != nil {
 		t.Fatal(err)
 	}

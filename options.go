@@ -3,7 +3,7 @@ package roboads
 import (
 	"roboads/internal/core"
 	"roboads/internal/detect"
-	"roboads/internal/eval"
+	"roboads/internal/robot"
 )
 
 // PipelineObserver is the union of the engine and decision observer
@@ -111,12 +111,12 @@ func NewPipeline(plant Plant, modes []*Mode, x0 Vec, p0 *Matrix, opts ...Option)
 //
 //	det, err := roboads.NewRobotDetector("khepera",
 //		roboads.WithSensorAlpha(0.005))
-func NewRobotDetector(robot string, opts ...Option) (*Detector, error) {
+func NewRobotDetector(robotName string, opts ...Option) (*Detector, error) {
 	b := defaultBuild()
 	for _, opt := range opts {
 		opt(&b)
 	}
-	p, err := eval.RobotProfile(robot)
+	p, err := robot.Named(robotName)
 	if err != nil {
 		return nil, err
 	}

@@ -63,6 +63,8 @@ import (
 	"roboads/internal/mat"
 	"roboads/internal/metrics"
 	"roboads/internal/plan"
+	"roboads/internal/robot"
+	"roboads/internal/scenario"
 	"roboads/internal/sensors"
 	"roboads/internal/sim"
 	"roboads/internal/stat"
@@ -133,8 +135,10 @@ type (
 	ActuatorAttack = attack.ActuatorAttack
 	// Confusion accumulates TP/FP/FN/TN per the paper's definitions.
 	Confusion = metrics.Confusion
-	// MissionRun is a full recorded mission with detector trace.
-	MissionRun = eval.Run
+	// MissionRun is a full recorded mission with detector trace, flown
+	// by the one mission runner; its methods are the accounting every
+	// table and leaderboard of the evaluation is computed with.
+	MissionRun = scenario.Run
 	// StepRecord is one simulator iteration's ground truth and readings.
 	StepRecord = sim.StepRecord
 )
@@ -310,12 +314,12 @@ func NewKheperaSystem(scenario Scenario, seed int64) (*System, error) {
 
 // NewKheperaSystemWithMission is NewKheperaSystem with a custom arena and
 // start/goal.
-func NewKheperaSystemWithMission(mission Mission, scenario Scenario, seed int64) (*System, error) {
-	setup, err := sim.NewKhepera(mission, &scenario, seed)
+func NewKheperaSystemWithMission(mission Mission, sc Scenario, seed int64) (*System, error) {
+	setup, err := sim.NewKhepera(mission, &sc, seed)
 	if err != nil {
 		return nil, err
 	}
-	det, err := eval.KheperaDetector(setup, detect.DefaultConfig())
+	det, err := scenario.DefaultDetector(robot.Khepera(setup))
 	if err != nil {
 		return nil, err
 	}
@@ -323,12 +327,12 @@ func NewKheperaSystemWithMission(mission Mission, scenario Scenario, seed int64)
 }
 
 // NewTamiyaSystem is the RC-car counterpart of NewKheperaSystem (§V-D).
-func NewTamiyaSystem(scenario Scenario, seed int64) (*System, error) {
-	setup, err := sim.NewTamiya(sim.LabMission(), &scenario, seed)
+func NewTamiyaSystem(sc Scenario, seed int64) (*System, error) {
+	setup, err := sim.NewTamiya(sim.LabMission(), &sc, seed)
 	if err != nil {
 		return nil, err
 	}
-	det, err := eval.TamiyaDetector(setup, detect.DefaultConfig())
+	det, err := scenario.DefaultDetector(robot.Tamiya(setup))
 	if err != nil {
 		return nil, err
 	}
@@ -380,10 +384,12 @@ var (
 	CalibrateDecisionParameters = eval.Calibrate
 )
 
-// RunScenario executes one full Khepera mission under the scenario and
-// returns the recorded run for metric extraction.
-func RunScenario(scenario Scenario, seed int64) (*MissionRun, error) {
-	return eval.RunKheperaScenario(scenario, seed, detect.DefaultConfig(), eval.KheperaDetector)
+// RunScenario flies one full Khepera mission on the lab map under the
+// scenario, with the standard detector attached, through the same mission
+// runner as every evaluation table, and returns the recorded run for
+// metric extraction.
+func RunScenario(sc Scenario, seed int64) (*MissionRun, error) {
+	return scenario.RunMission("khepera", "lab", sc, seed, scenario.MaxIterations, scenario.DefaultDetector)
 }
 
 // ErrNoPath re-exports the planner's failure sentinel.

@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet fmtcheck staticcheck runcheck test tier1-loaded race fleetsoak crashsoak flakehunt fuzz bench profile-replay profile-generate benchsmoke benchdiff benchoverhead loadgensmoke multinodesmoke scenariosmoke ci
+.PHONY: build vet fmtcheck staticcheck runcheck test tier1-loaded race fleetsoak crashsoak flakehunt fuzz bench profile-replay profile-generate benchsmoke benchdiff benchoverhead loadgensmoke multinodesmoke scenariosmoke sizes ci
 
 build:
 	$(GO) build ./...
@@ -39,6 +39,13 @@ runcheck:
 
 test:
 	$(GO) test ./...
+
+# The size ratchet (ROADMAP standing rules): non-test Go lines in the core
+# four packages, non-test Go lines outside bench/, and DESIGN.md in bytes.
+sizes:
+	@echo "internal/{core,mat,fleet,store} non-test Go lines: $$(find internal/core internal/mat internal/fleet internal/store -name '*.go' ! -name '*_test.go' | xargs cat | wc -l)"
+	@echo "non-test Go lines outside bench/: $$(find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' | xargs cat | wc -l)"
+	@echo "DESIGN.md bytes: $$(wc -c < DESIGN.md)"
 
 # The engine and the decision windows (stepped from many goroutines by
 # a fleet), the lock-free telemetry registry, the store's group-commit

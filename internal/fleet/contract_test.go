@@ -360,6 +360,14 @@ func TestContractMoved(t *testing.T) {
 			t.Fatalf("%s %s: location = %q, want %q", c.method, c.path, e.Location, dst.URL)
 		}
 	}
+
+	// A refused create of the migrated ID leaves the redirect in place.
+	wantEnvelope(t, doJSON(t, http.MethodPost, src.URL+"/v1/sessions", CreateRequest{Robot: "nope", ID: info.ID}),
+		http.StatusBadRequest, api.CodeBadRequest)
+	e := wantEnvelope(t, doJSON(t, http.MethodGet, src.URL+"/v1/sessions/"+info.ID, nil), http.StatusGone, api.CodeMoved)
+	if e.Location != dst.URL {
+		t.Fatalf("after a refused create: location = %q, want %q", e.Location, dst.URL)
+	}
 }
 
 // TestContractNotReady pins the readiness gate: an unready node answers

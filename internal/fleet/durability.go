@@ -87,76 +87,31 @@ func (m *Manager) Restore(id string) (SessionInfo, error) {
 	if m.store == nil {
 		return SessionInfo{}, ErrDurabilityDisabled
 	}
-	m.gate.RLock()
-	running := m.state.Load() == stateRunning
-	m.gate.RUnlock()
-	if !running {
-		return SessionInfo{}, ErrClosed
-	}
-	m.mu.Lock()
-	if _, live := m.sessions[id]; live {
-		m.mu.Unlock()
-		return SessionInfo{}, fmt.Errorf("%w: %s", ErrSessionLive, id)
-	}
-	if len(m.sessions) >= m.cfg.MaxSessions {
-		m.mu.Unlock()
-		return SessionInfo{}, ErrTooManySessions
-	}
-	closing := m.closing[id]
-	m.sessions[id] = nil // reserved
-	m.mu.Unlock()
-	if closing != nil {
-		// The session was just evicted or deleted and its teardown (final
-		// snapshot, store close) is still running; recovering it now could
-		// read a snapshot teardown is about to replace. Wait it out.
-		<-closing
-	}
-
-	s, _, err := m.rebuildSession(id)
-	if err != nil {
-		m.mu.Lock()
-		delete(m.sessions, id)
-		m.mu.Unlock()
+	return m.admit(id, func(id string) (*session, error) {
+		s, _, err := m.rebuildSession(id)
 		if errors.Is(err, store.ErrNoSnapshot) || errors.Is(err, os.ErrNotExist) {
-			return SessionInfo{}, fmt.Errorf("%w: no persisted state for %s", ErrSessionNotFound, id)
+			return nil, fmt.Errorf("%w: no persisted state for %s", ErrSessionNotFound, id)
 		}
-		return SessionInfo{}, err
-	}
-	m.mu.Lock()
-	if m.state.Load() != stateRunning {
-		delete(m.sessions, id)
-		m.mu.Unlock()
-		s.ds.Close()
-		s.stepper.Close()
-		return SessionInfo{}, ErrClosed
-	}
-	m.sessions[id] = s
-	live := len(m.sessions)
-	m.mu.Unlock()
-	m.mLive.Set(float64(live))
-	return s.info, nil
+		return s, err
+	})
 }
 
 // initDurable makes a freshly built session durable before it becomes
 // visible: its store directory is created and an initial snapshot made
 // stable, so from the instant Create returns, a crash recovers the
-// session. Called from Create with the stepper not yet shared.
-func (m *Manager) initDurable(id string, spec Spec, stepper Stepper, info SessionInfo) (*store.SessionStore, error) {
-	ss, ok := stepper.(StateStepper)
-	if !ok {
-		return nil, fmt.Errorf("fleet: durability requires a StateStepper, Builder returned %T", stepper)
-	}
-	ds, err := m.store.Create(id)
+// session. Called from Create with the session not yet shared.
+func (m *Manager) initDurable(s *session) error {
+	ds, err := m.store.Create(s.info.ID)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	snap := &store.Snapshot{Robot: info.Robot, Sensors: info.Sensors, Dt: info.Dt, State: ss.ExportState()}
-	if _, err := ds.WriteSnapshot(snap); err != nil {
+	s.ds = ds
+	if _, err := m.persistSnapshot(s); err != nil {
 		ds.Close()
-		m.store.Remove(id)
-		return nil, err
+		m.store.Remove(s.info.ID)
+		return err
 	}
-	return ds, nil
+	return nil
 }
 
 // persistSnapshot checkpoints s. The caller holds s.stepMu. It waits on
@@ -235,11 +190,7 @@ func (m *Manager) buildFromState(id string, snap *store.Snapshot, frames []*trac
 		return fail(err)
 	}
 	for i, fr := range frames {
-		readings := make(map[string]mat.Vec, len(fr.Readings))
-		for name, z := range fr.Readings {
-			readings[name] = mat.Vec(z)
-		}
-		if _, err := stepper.StepContext(context.Background(), mat.Vec(fr.U), readings); err != nil {
+		if _, err := stepper.StepContext(context.Background(), mat.Vec(fr.U), frameReadings(fr)); err != nil {
 			stepper.Close()
 			return fail(fmt.Errorf("replay WAL frame %d/%d: %w", i+1, len(frames), err))
 		}

@@ -204,6 +204,43 @@ func TestFleetEvictionPersistsAndRestores(t *testing.T) {
 	}
 }
 
+// TestFleetRestoreRefusedAtCap pins that a restore is an admission like
+// any other: refused at MaxSessions with ErrTooManySessions and counted
+// as a session_cap reject, and counted as opened once admitted.
+func TestFleetRestoreRefusedAtCap(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	m, err := NewManager(Config{
+		Workers: 1, MaxSessions: 1, IdleTimeout: time.Hour, Build: DefaultBuilder(),
+		Durability: Durability{Dir: t.TempDir()}, Metrics: reg,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Shutdown(context.Background())
+	clock := time.Now()
+	m.now = func() time.Time { return clock }
+
+	a := mustCreate(t, m, Spec{Robot: "khepera"})
+	clock = clock.Add(2 * time.Hour)
+	m.evictIdle()
+	b := mustCreate(t, m, Spec{Robot: "khepera"})
+	if _, err := m.Restore(a.ID); !errors.Is(err, ErrTooManySessions) {
+		t.Fatalf("restore at the cap = %v, want ErrTooManySessions", err)
+	}
+	if n := reg.CounterValue(MetricRejects + `{cause="` + RejectCauseSessionCap + `"}`); n != 1 {
+		t.Fatalf("session_cap = %d, want 1", n)
+	}
+	if err := m.Close(b.ID); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.Restore(a.ID); err != nil {
+		t.Fatalf("restore below the cap: %v", err)
+	}
+	if n := reg.CounterValue(MetricSessionsOpened); n != 3 {
+		t.Fatalf("sessions opened = %d, want 3 (create, create, restore)", n)
+	}
+}
+
 // TestFleetCheckpointEvictionRace is the regression test for the
 // janitor-vs-checkpoint race: concurrent Checkpoint, eviction, Close,
 // and Restore on the same session must never evict or double-close the

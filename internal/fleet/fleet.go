@@ -42,7 +42,8 @@ const (
 	MetricSessionsLive = "roboads_fleet_sessions_live"
 	// MetricQueueDepth gauges the total frames queued across sessions.
 	MetricQueueDepth = "roboads_fleet_queue_depth"
-	// MetricSessionsOpened counts sessions ever created.
+	// MetricSessionsOpened counts sessions admitted: created, restored
+	// or imported.
 	MetricSessionsOpened = "roboads_fleet_sessions_opened_total"
 	// MetricEvictions counts idle-evicted sessions.
 	MetricEvictions = "roboads_fleet_evictions_total"
@@ -54,7 +55,7 @@ const (
 	// MetricRejectedFrames, kept for compat), session_closed counts
 	// frames aimed at a closing session, shutting_down counts frames
 	// refused because the manager is draining, and session_cap counts
-	// Create calls refused at MaxSessions.
+	// admissions (Create, Restore, ImportSession) refused at MaxSessions.
 	MetricRejects = "roboads_fleet_rejects_total"
 	// RejectCauseQueueFull .. RejectCauseMigrating are the cause label
 	// values of MetricRejects. migrating counts frames bounced off a
@@ -120,8 +121,8 @@ type Config struct {
 	// is one queue admission and one scheduling quantum, so the cap
 	// bounds how long a deep batch can hold a shard worker. Default 64.
 	MaxBatch int
-	// MaxSessions caps live sessions; Create beyond it returns
-	// ErrTooManySessions. Default 1024.
+	// MaxSessions caps live sessions; an admission (Create, Restore,
+	// ImportSession) beyond it returns ErrTooManySessions. Default 1024.
 	MaxSessions int
 	// IdleTimeout evicts sessions with no frame activity for this long.
 	// 0 disables eviction.
@@ -183,8 +184,8 @@ type Manager struct {
 	mu       sync.Mutex
 	sessions map[string]*session
 	// closing marks sessions removed from the map whose teardown (final
-	// snapshot, store close) is still running; Restore waits on the entry
-	// so it never reads a snapshot mid-teardown.
+	// snapshot, store close) is still running; an admission of the same ID
+	// waits on the entry so it never touches persisted files mid-teardown.
 	closing map[string]chan struct{}
 	// tombstones maps migrated-away session IDs to the base URL of the
 	// node that took them; lookups answer ErrMoved with the target until
@@ -268,7 +269,7 @@ func NewManager(cfg Config) (*Manager, error) {
 
 		mLive:        reg.Gauge(MetricSessionsLive, "Live fleet sessions."),
 		mQueue:       reg.Gauge(MetricQueueDepth, "Frames queued across all sessions."),
-		mOpened:      reg.Counter(MetricSessionsOpened, "Sessions ever created."),
+		mOpened:      reg.Counter(MetricSessionsOpened, "Sessions admitted: created, restored or imported."),
 		mEvicted:     reg.Counter(MetricEvictions, "Sessions evicted for idleness."),
 		mRejected:    reg.Counter(MetricRejectedFrames, "Frames rejected with backpressure."),
 		mFrames:      reg.Counter(MetricFrames, "Frames stepped through a session detector."),
@@ -327,89 +328,91 @@ func NewManager(cfg Config) (*Manager, error) {
 
 // Create builds a new session from spec and returns its identity.
 func (m *Manager) Create(spec Spec) (SessionInfo, error) {
+	return m.admit(spec.ID, func(id string) (*session, error) {
+		stepper, info, err := m.cfg.Build(spec)
+		if err != nil {
+			return nil, err
+		}
+		info.ID = id
+		s := &session{info: info, spec: spec, stepper: stepper, frames: make(chan frameJob, m.cfg.QueueDepth)}
+		s.touch(m.now())
+		if m.store != nil {
+			// The initial snapshot becomes durable before the session is
+			// visible: once Create returns, a crash recovers the session.
+			if err := m.initDurable(s); err != nil {
+				stepper.Close()
+				return nil, err
+			}
+		}
+		return s, nil
+	})
+}
+
+// admit is the one way a session enters the manager: Create, Restore
+// and ImportSession differ only in build. It refuses at MaxSessions
+// (a session_cap reject), validates a proposed ID or allocates one when
+// id is empty, refuses an ID that is live, waits out a teardown of the
+// same ID that is still running (its persisted files must not be
+// touched until it finishes), and reserves the ID, so that concurrent
+// admissions respect the cap without serializing their builds. build
+// runs outside every lock and returns an unregistered session; one
+// built while Shutdown won the race is torn down here. Only a
+// registered session clears the ID's migration tombstone: a refused
+// admission leaves the redirect standing.
+func (m *Manager) admit(id string, build func(id string) (*session, error)) (SessionInfo, error) {
 	m.gate.RLock()
 	running := m.state.Load() == stateRunning
 	m.gate.RUnlock()
 	if !running {
 		return SessionInfo{}, ErrClosed
 	}
-	// Reserve the slot and the ID before the comparatively slow
-	// detector build, so concurrent Creates respect MaxSessions without
-	// serializing their builds.
 	m.mu.Lock()
 	if len(m.sessions) >= m.cfg.MaxSessions {
 		m.mu.Unlock()
 		m.mRejSessionCap.Inc()
 		return SessionInfo{}, ErrTooManySessions
 	}
-	id := spec.ID
-	var closing chan struct{}
-	if id != "" {
-		if err := validateProposedID(id); err != nil {
-			m.mu.Unlock()
-			return SessionInfo{}, err
-		}
-		if _, live := m.sessions[id]; live {
-			m.mu.Unlock()
-			return SessionInfo{}, fmt.Errorf("%w: %s", ErrSessionLive, id)
-		}
-		closing = m.closing[id]
-		// A fresh create supersedes any old migration redirect.
-		delete(m.tombstones, id)
-	} else {
+	if id == "" {
 		m.nextID++
 		id = fmt.Sprintf("s-%06d", m.nextID)
-	}
-	m.sessions[id] = nil // reserved: counts toward the cap, not yet steppable
-	m.mu.Unlock()
-	if closing != nil {
-		// A prior holder of this ID is mid-teardown; its persisted files
-		// must not be touched until the teardown finishes.
-		<-closing
-	}
-
-	stepper, info, err := m.cfg.Build(spec)
-	if err != nil {
-		m.mu.Lock()
-		delete(m.sessions, id)
+	} else if err := validateProposedID(id); err != nil {
 		m.mu.Unlock()
 		return SessionInfo{}, err
 	}
-	info.ID = id
-	s := &session{info: info, spec: spec, stepper: stepper, frames: make(chan frameJob, m.cfg.QueueDepth)}
-	if m.store != nil {
-		// The initial snapshot becomes durable before the session is
-		// visible: once Create returns, a crash recovers the session.
-		ds, err := m.initDurable(id, spec, stepper, info)
-		if err != nil {
-			m.mu.Lock()
-			delete(m.sessions, id)
-			m.mu.Unlock()
-			stepper.Close()
-			return SessionInfo{}, err
-		}
-		s.ds = ds
+	if _, live := m.sessions[id]; live {
+		m.mu.Unlock()
+		return SessionInfo{}, fmt.Errorf("%w: %s", ErrSessionLive, id)
 	}
-	s.touch(m.now())
+	closing := m.closing[id]
+	m.sessions[id] = nil // reserved: counts toward the cap, not yet steppable
+	m.mu.Unlock()
+	if closing != nil {
+		<-closing
+	}
 
+	s, err := build(id)
 	m.mu.Lock()
-	if m.state.Load() != stateRunning {
-		// Shutdown won the race while the detector was building; it has
-		// already collected the session map, so close this one here.
+	if err == nil && m.state.Load() != stateRunning {
+		// Shutdown's sweep of the session map may already have run.
+		err = ErrClosed
+	}
+	if err != nil {
 		delete(m.sessions, id)
 		m.mu.Unlock()
-		if s.ds != nil {
-			s.ds.Close()
+		if s != nil {
+			m.closeSession(s, false)
 		}
-		stepper.Close()
-		return SessionInfo{}, ErrClosed
+		return SessionInfo{}, err
 	}
 	m.sessions[id] = s
-	live := len(m.sessions)
+	delete(m.tombstones, id)
+	if num, ok := sessionNum(id); ok && num > m.nextID {
+		m.nextID = num
+	}
+	m.mLive.Set(float64(len(m.sessions)))
 	m.mu.Unlock()
 	m.mOpened.Inc()
-	m.mLive.Set(float64(live))
-	return info, nil
+	return s.info, nil
 }
 
 // Info returns the identity of a live session.
@@ -547,38 +550,55 @@ func (m *Manager) Step(ctx context.Context, id string, u mat.Vec, readings map[s
 
 // Close tears one session down. Frames already queued are answered with
 // ErrClosed; the frame a shard worker is currently stepping completes
-// first.
+// first. Explicit deletion discards persisted state too: the client said
+// the session is finished, so nothing remains to restore.
 func (m *Manager) Close(id string) error {
-	s, ch := m.unlist(id, nil)
-	if s == nil {
+	m.mu.Lock()
+	s := m.sessions[id]
+	m.mu.Unlock()
+	if s == nil || !m.retire(s, diskRemove, "") {
 		return fmt.Errorf("%w: %s", ErrSessionNotFound, id)
 	}
-	// Explicit deletion discards persisted state too: the client said
-	// the session is finished, so nothing remains to restore.
-	m.closeSession(s, false)
-	if m.store != nil {
-		m.store.Remove(id)
-	}
-	m.doneClosing(id, ch)
 	return nil
 }
 
-// unlist takes the live session id out of the session map — only if it
-// is want, when want is not nil — and registers its teardown with
-// markClosing. It returns a nil session when there is none to take.
-func (m *Manager) unlist(id string, want *session) (*session, chan struct{}) {
+// diskFate is what retire does with a retired session's persisted state.
+type diskFate int
+
+const (
+	diskKeep    diskFate = iota // left as it is
+	diskPersist                 // a final snapshot written
+	diskRemove                  // deleted
+)
+
+// retire is the one way a session leaves the manager: Close removes its
+// state, idle eviction persists it, a panicked stepper keeps it, and the
+// Migrate cutover removes it and sets the tombstone to movedTo under the
+// same lock as the unlist, so a lookup finds the session or the
+// redirect, never neither. It unlists s — or does nothing and returns
+// false if s is no longer the session listed under its ID — and holds
+// the ID's closing latch, which an admission of the same ID waits on,
+// until closeSession and the disk work are done.
+func (m *Manager) retire(s *session, disk diskFate, movedTo string) bool {
+	id := s.info.ID
 	m.mu.Lock()
-	s := m.sessions[id]
-	if s == nil || (want != nil && s != want) {
+	if m.sessions[id] != s {
 		m.mu.Unlock()
-		return nil, nil
+		return false
 	}
 	delete(m.sessions, id)
+	if movedTo != "" {
+		m.tombstones[id] = movedTo
+	}
 	ch := m.markClosing(id)
-	live := len(m.sessions)
+	m.mLive.Set(float64(len(m.sessions)))
 	m.mu.Unlock()
-	m.mLive.Set(float64(live))
-	return s, ch
+	m.closeSession(s, disk == diskPersist)
+	if disk == diskRemove && m.store != nil {
+		m.store.Remove(id)
+	}
+	m.doneClosing(id, ch)
+	return true
 }
 
 // markClosing registers an in-flight teardown for id. Caller holds m.mu.
@@ -737,8 +757,7 @@ func (m *Manager) pop(s *session) (frameJob, bool) {
 // does not fail its batch neighbors — exactly the sequential-submission
 // semantics); the stepped-and-appended job then goes to complete, the
 // one tail that makes it durable and answers it. A stepper that panics
-// takes down its own session, not the process: see stepFrames and
-// dropPanicked.
+// takes down its own session, not the process: see stepFrames.
 func (m *Manager) process(s *session, job frameJob) {
 	results := make([]FrameResult, len(job.frames))
 	appended := 0
@@ -752,7 +771,10 @@ func (m *Manager) process(s *session, job frameJob) {
 	m.complete(s, job, results, appended)
 	s.stepMu.Unlock()
 	if panicked {
-		m.dropPanicked(s)
+		// The detector may have been left mid-step, so it is not
+		// snapshotted: a durable session's last snapshot and log hold
+		// every frame it acknowledged, and a restore rebuilds it from them.
+		m.retire(s, diskKeep, "")
 	}
 }
 
@@ -782,18 +804,6 @@ func (m *Manager) stepFrames(s *session, frames []BatchFrame, results []FrameRes
 		m.mStepSeconds.Observe(time.Since(start).Seconds())
 	}
 	return false
-}
-
-// dropPanicked tears down a session whose stepper panicked, the way
-// Close does except that persisted state stays: the detector may have
-// been left mid-step, so it is not snapshotted, and a durable session's
-// last snapshot and log hold every frame it acknowledged, from which a
-// restore rebuilds it.
-func (m *Manager) dropPanicked(s *session) {
-	if s, ch := m.unlist(s.info.ID, s); s != nil {
-		m.closeSession(s, false)
-		m.doneClosing(s.info.ID, ch)
-	}
 }
 
 // record books one stepped frame: counters, and for a durable session
@@ -1003,38 +1013,28 @@ func (m *Manager) checkpointLagging() {
 	}
 }
 
-// evictIdle closes sessions whose last activity predates IdleTimeout.
-// Sessions with an unanswered job — queued, mid-step, or enlisted and
-// awaiting its sync — are never evicted.
+// evictIdle retires the sessions whose last activity predates
+// IdleTimeout, keeping their persisted state: clients see
+// ErrSessionNotFound, and Restore revives a session from its final
+// snapshot. Sessions with an unanswered job — queued, mid-step, or
+// enlisted and awaiting its sync — and sessions draining for migration
+// are never evicted.
 func (m *Manager) evictIdle() {
 	cutoff := m.now().Add(-m.cfg.IdleTimeout).UnixNano()
 	m.mu.Lock()
-	var victims []*session
-	var chans []chan struct{}
-	for id, s := range m.sessions {
-		if s == nil {
-			continue
-		}
-		if s.lastActive.Load() <= cutoff && s.outstanding.Load() == 0 {
-			delete(m.sessions, id)
-			victims = append(victims, s)
-			chans = append(chans, m.markClosing(id))
+	listed := make([]*session, 0, len(m.sessions))
+	for _, s := range m.sessions {
+		if s != nil {
+			listed = append(listed, s)
 		}
 	}
-	live := len(m.sessions)
 	m.mu.Unlock()
-	if len(victims) == 0 {
-		return
+	for _, s := range listed {
+		if s.lastActive.Load() <= cutoff && s.outstanding.Load() == 0 && !s.migrating.Load() &&
+			m.retire(s, diskPersist, "") {
+			m.mEvicted.Inc()
+		}
 	}
-	for i, s := range victims {
-		// Eviction keeps persisted state: the session disappears from
-		// the live map (clients see ErrSessionNotFound) but Restore can
-		// revive it from its final snapshot.
-		m.closeSession(s, true)
-		m.doneClosing(s.info.ID, chans[i])
-		m.mEvicted.Inc()
-	}
-	m.mLive.Set(float64(live))
 }
 
 // BatchFrame is one frame of a batch submission: the control input and

@@ -136,7 +136,10 @@ func (f *Follower) consume(ctx context.Context, stream *client.ReplStream, promo
 		case "sessions":
 			f.prune(rec.Sessions)
 		case "snapshot":
-			if _, err := f.Manager.replaceSession(rec.Snapshot, nil); err != nil {
+			// The shipped state replaces any local copy, whose state on
+			// disk goes with it.
+			f.Manager.Close(rec.Session)
+			if _, err := f.Manager.ImportSession(rec.Snapshot, nil); err != nil {
 				return fmt.Errorf("apply snapshot %s@%d: %w", rec.Session, rec.Seq, err)
 			}
 			stream.Ack(rec.Session, rec.Seq)
@@ -192,37 +195,18 @@ var errNoBuffered = errors.New("no buffered record")
 func (f *Follower) apply(ctx context.Context, id string, frames []*trace.Frame) error {
 	batch := make([]BatchFrame, len(frames))
 	for i, fr := range frames {
-		readings := make(map[string]mat.Vec, len(fr.Readings))
-		for name, z := range fr.Readings {
-			readings[name] = mat.Vec(z)
-		}
-		batch[i] = BatchFrame{U: mat.Vec(fr.U), Readings: readings}
+		batch[i] = BatchFrame{U: mat.Vec(fr.U), Readings: frameReadings(fr)}
 	}
-	for {
-		b, err := f.Manager.SubmitBatch(id, batch)
-		if err != nil {
-			var bp *BackpressureError
-			if errors.As(err, &bp) {
-				select {
-				case <-ctx.Done():
-					return ctx.Err()
-				case <-time.After(bp.RetryAfter):
-				}
-				continue
-			}
-			return err
-		}
-		results, err := b.Wait(ctx)
-		if err != nil {
-			return err
-		}
-		for i, res := range results {
-			if res.Err != nil {
-				return fmt.Errorf("frame %d: %w", frames[i].K, res.Err)
-			}
-		}
-		return nil
+	results, err := f.Manager.submitBatchRetrying(ctx, id, batch)
+	if err != nil {
+		return err
 	}
+	for i, res := range results {
+		if res.Err != nil {
+			return fmt.Errorf("frame %d: %w", frames[i].K, res.Err)
+		}
+	}
+	return nil
 }
 
 // prune closes local sessions the primary no longer has (deleted or

@@ -98,27 +98,28 @@ func (m *Manager) handleCreate(w http.ResponseWriter, r *http.Request) {
 	} else {
 		info, err = m.Create(Spec{Robot: req.Robot, ID: req.ID})
 	}
+	if err != nil {
+		admitError(w, err)
+		return
+	}
+	writeJSON(w, http.StatusCreated, info)
+}
+
+// admitError answers a refused admission: a create, restore or import.
+func admitError(w http.ResponseWriter, err error) {
+	status := http.StatusBadRequest
 	switch {
 	case errors.Is(err, ErrTooManySessions), errors.Is(err, ErrClosed):
 		w.Header().Set("Retry-After", "1")
-		httpError(w, http.StatusServiceUnavailable, err)
-		return
+		status = http.StatusServiceUnavailable
 	case errors.Is(err, ErrSessionNotFound):
-		httpError(w, http.StatusNotFound, err)
-		return
+		status = http.StatusNotFound
 	case errors.Is(err, ErrSessionLive):
-		httpError(w, http.StatusConflict, err)
-		return
+		status = http.StatusConflict
 	case errors.Is(err, ErrDurabilityDisabled):
-		httpError(w, http.StatusNotImplemented, err)
-		return
-	case err != nil:
-		httpError(w, http.StatusBadRequest, err)
-		return
+		status = http.StatusNotImplemented
 	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusCreated)
-	json.NewEncoder(w).Encode(info)
+	httpError(w, status, err)
 }
 
 func (m *Manager) handleList(w http.ResponseWriter, r *http.Request) {
@@ -180,16 +181,8 @@ func (m *Manager) handleImport(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	info, err := m.ImportSession(req.Snapshot, req.Frames)
-	switch {
-	case errors.Is(err, ErrSessionLive):
-		httpError(w, http.StatusConflict, err)
-		return
-	case errors.Is(err, ErrTooManySessions), errors.Is(err, ErrClosed):
-		w.Header().Set("Retry-After", "1")
-		httpError(w, http.StatusServiceUnavailable, err)
-		return
-	case err != nil:
-		httpError(w, http.StatusBadRequest, err)
+	if err != nil {
+		admitError(w, err)
 		return
 	}
 	writeJSON(w, http.StatusCreated, info)
@@ -534,12 +527,12 @@ func (f *frameBatchReader) readFrame() (*trace.Frame, error) {
 
 // submitBatchRetrying submits one batch, absorbing backpressure with
 // the hinted delay: the streaming endpoint promises in-order per-frame
-// replies, so a full queue (other writers sharing the session) is
-// waited out rather than surfaced. One timer is reused across retries —
-// a session under sustained backpressure costs a Reset per attempt, not
-// a fresh timer allocation — and any non-backpressure error (the
-// session closing mid-retry, the request context ending) returns
-// immediately.
+// replies, and a replication follower must not drop frames, so a full
+// queue (other writers sharing the session) is waited out rather than
+// surfaced. One timer is reused across retries — a session under
+// sustained backpressure costs a Reset per attempt, not a fresh timer
+// allocation — and any non-backpressure error (the session closing
+// mid-retry, the request context ending) returns immediately.
 func (m *Manager) submitBatchRetrying(ctx context.Context, id string, frames []BatchFrame) ([]FrameResult, error) {
 	var timer *time.Timer
 	defer func() {

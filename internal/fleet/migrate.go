@@ -75,19 +75,8 @@ func (m *Manager) Migrate(ctx context.Context, id, target string) (api.MigrateRe
 
 	// Cutover: the target owns the session now. Local state is torn down
 	// without a final persist (the authoritative copy just shipped) and
-	// the on-disk directory removed; the tombstone redirects stragglers.
-	m.mu.Lock()
-	delete(m.sessions, id)
-	m.tombstones[id] = target
-	ch := m.markClosing(id)
-	live := len(m.sessions)
-	m.mu.Unlock()
-	m.mLive.Set(float64(live))
-	m.closeSession(s, false)
-	if m.store != nil {
-		m.store.Remove(id)
-	}
-	m.doneClosing(id, ch)
+	// removed from disk; the tombstone redirects stragglers.
+	m.retire(s, diskRemove, target)
 	return api.MigrateResponse{SessionID: id, Target: target, FramesApplied: applied}, nil
 }
 
@@ -132,91 +121,26 @@ func (m *Manager) exportSession(s *session) (snapshot []byte, frames []*trace.Fr
 // ErrSessionLive.
 func (m *Manager) ImportSession(snapshot []byte, frames []*trace.Frame) (SessionInfo, error) {
 	snap, err := store.DecodeSnapshot(snapshot)
+	if err == nil && snap.SessionID == "" {
+		err = errors.New("snapshot names no session")
+	}
 	if err != nil {
 		return SessionInfo{}, fmt.Errorf("fleet: import: %w", err)
 	}
-	id := snap.SessionID
-	if err := validateProposedID(id); err != nil {
-		return SessionInfo{}, err
-	}
-	m.gate.RLock()
-	running := m.state.Load() == stateRunning
-	m.gate.RUnlock()
-	if !running {
-		return SessionInfo{}, ErrClosed
-	}
-	m.mu.Lock()
-	if _, live := m.sessions[id]; live {
-		m.mu.Unlock()
-		return SessionInfo{}, fmt.Errorf("%w: %s", ErrSessionLive, id)
-	}
-	if len(m.sessions) >= m.cfg.MaxSessions {
-		m.mu.Unlock()
-		m.mRejSessionCap.Inc()
-		return SessionInfo{}, ErrTooManySessions
-	}
-	closing := m.closing[id]
-	// The session arriving here supersedes any old redirect away.
-	delete(m.tombstones, id)
-	m.sessions[id] = nil // reserved
-	m.mu.Unlock()
-	if closing != nil {
-		<-closing
-	}
-
-	var s *session
-	if m.store != nil {
-		err = m.store.Materialize(id, snapshot, frames)
+	return m.admit(snap.SessionID, func(id string) (*session, error) {
+		if m.store == nil {
+			return m.buildFromState(id, snap, frames)
+		}
+		var s *session
+		err := m.store.Materialize(id, snapshot, frames)
 		if err == nil {
-			s, _, err = m.rebuildSession(id)
-			if err != nil {
+			if s, _, err = m.rebuildSession(id); err != nil {
 				m.store.Remove(id)
 			}
 		}
 		if err != nil {
-			err = fmt.Errorf("fleet: import session %s: %w", id, err)
+			return nil, fmt.Errorf("fleet: import session %s: %w", id, err)
 		}
-	} else {
-		s, err = m.buildFromState(id, snap, frames)
-	}
-	if err != nil {
-		m.mu.Lock()
-		delete(m.sessions, id)
-		m.mu.Unlock()
-		return SessionInfo{}, err
-	}
-
-	m.mu.Lock()
-	if m.state.Load() != stateRunning {
-		delete(m.sessions, id)
-		m.mu.Unlock()
-		if s.ds != nil {
-			s.ds.Close()
-		}
-		s.stepper.Close()
-		return SessionInfo{}, ErrClosed
-	}
-	m.sessions[id] = s
-	if num, ok := sessionNum(id); ok && num > m.nextID {
-		m.nextID = num
-	}
-	live := len(m.sessions)
-	m.mu.Unlock()
-	m.mOpened.Inc()
-	m.mLive.Set(float64(live))
-	return s.info, nil
-}
-
-// replaceSession is ImportSession with replace semantics for the
-// replication follower: a live local copy of the session is closed
-// (local disk state discarded) before the shipped state installs.
-func (m *Manager) replaceSession(snapshot []byte, frames []*trace.Frame) (SessionInfo, error) {
-	snap, err := store.DecodeSnapshot(snapshot)
-	if err != nil {
-		return SessionInfo{}, fmt.Errorf("fleet: replace: %w", err)
-	}
-	if err := m.Close(snap.SessionID); err != nil && !errors.Is(err, ErrSessionNotFound) {
-		return SessionInfo{}, err
-	}
-	return m.ImportSession(snapshot, frames)
+		return s, nil
+	})
 }

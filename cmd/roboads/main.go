@@ -97,7 +97,7 @@ func run(args []string) error {
 	fleetIdle := fs.Duration("fleet-idle", 0, "evict fleet sessions idle this long (serve); 0 = 5m, negative = never")
 	stateDir := fs.String("state-dir", "", "persist fleet sessions under this directory (serve); empty = no persistence")
 	snapshotEvery := fs.Int("snapshot-every", 0, "frames between automatic session checkpoints (serve); 0 = 256, negative = manual only")
-	commitWindow := fs.Duration("commit-window", 0, "group commit pace (serve): a shard worker writes a job's frames to the one log all sessions share and enlists the reply with the store's flusher, whose single fsync covers every session that enlisted; a frame is acknowledged only after a covering fsync. The value is a pace per session, not a delay and not a store-wide limit: one session's jobs are completed at most once per window, so an idle session's frame is synced at once and a lone client streaming without pause settles at one reply per window. 0 = no pace: flush when the flusher is free")
+	commitWindow := fs.Duration("commit-window", 0, "group commit pace (serve): the quantum that steps a job writes its frames to the one log all sessions share and enlists the reply with the store's flusher, whose single fsync covers every session that enlisted; a frame is acknowledged only after a covering fsync. The value is a pace per session, not a delay and not a store-wide limit: one session's jobs are completed at most once per window, so an idle session's frame is synced at once and a lone client streaming without pause settles at one reply per window. 0 = no pace: flush when the flusher is free")
 	traceFrames := fs.Bool("trace", true, "frame-lifecycle tracing (serve): per-stage latency histograms in /metrics and span exemplars at /v1/debug/trace; false = zero span work on the frame path")
 	wire := fs.String("wire", "binary", "frame wire format for replay -remote: binary|json (replies are identical either way)")
 	binary := fs.Bool("binary", false, "record in the binary trace format (smaller, faster to replay; replay auto-detects either)")

@@ -34,7 +34,7 @@ type Durability struct {
 	// the janitor still checkpoints a session that pins old log).
 	SnapshotEvery int
 	// CommitWindow paces cross-session group commit
-	// (store.Options.CommitWindow): shard workers enlist each stepped job
+	// (store.Options.CommitWindow): each quantum enlists its stepped job
 	// with the store's flusher and move on, and the job is acknowledged by
 	// the flusher after a sync of the shared log that covers it — one fsync
 	// for every session enlisted. The value is a pace per session (its jobs

@@ -1,13 +1,15 @@
 // Package fleet hosts many concurrent RoboADS detectors behind one
 // session manager — the §II-A deployment where the monitor runs remotely
 // from its robots, serving a whole fleet from one process. Each session
-// owns a private detector pipeline; frames submitted to a session are
-// queued in a bounded per-session buffer and stepped in order by a fixed
-// pool of shard workers, one frame per scheduling quantum, so a noisy
-// session cannot starve the rest. A full queue rejects the frame with an
-// explicit retry hint (ErrBackpressure) rather than buffering without
-// bound; idle sessions are evicted; shutdown drains every accepted frame
-// before closing a single detector.
+// owns a private detector pipeline; jobs (a frame or a bounded batch)
+// submitted to a session are queued in a bounded per-session buffer and
+// stepped in order, one job per scheduling quantum, so a noisy session
+// cannot starve the rest. A quantum runs on a shard worker, or on a
+// caller that waits for the reply anyway; at most Config.Workers run at
+// once. A full queue rejects the frame with an explicit retry hint
+// (ErrBackpressure) rather than buffering without bound; idle sessions
+// are evicted; shutdown drains every accepted frame before closing a
+// single detector.
 //
 // Determinism carries over from the engine: a session's report stream is
 // bit-for-bit the stream an in-process Detector would produce for the
@@ -78,6 +80,9 @@ const (
 	// MetricStepPanics counts session steppers that panicked; each one
 	// took its session down (ErrStepPanic).
 	MetricStepPanics = "roboads_fleet_step_panics_total"
+	// metricQuanta counts quanta that stepped a job by who ran them:
+	// {runner="caller"}, the submitter waiting for the reply, or "worker".
+	metricQuanta = "roboads_fleet_quanta_total"
 )
 
 // Stepper is the per-session detector contract: exactly the stepping
@@ -111,15 +116,16 @@ type Builder func(spec Spec) (Stepper, SessionInfo, error)
 // Config parameterizes a Manager. The zero value of every field has a
 // usable default except Build, which is required.
 type Config struct {
-	// Workers is the shard worker count — the number of frames the
-	// whole fleet steps concurrently. 0 resolves to GOMAXPROCS.
+	// Workers is the shard worker count and the bound on quanta stepping
+	// at once: a caller running its session's quantum while it waits for
+	// the reply (Step) takes one of the same slots. 0 resolves to GOMAXPROCS.
 	Workers int
 	// QueueDepth bounds each session's frame backlog; a frame arriving
 	// at a full queue is rejected with ErrBackpressure. Default 32.
 	QueueDepth int
 	// MaxBatch caps the frames one batch submission may carry — a batch
 	// is one queue admission and one scheduling quantum, so the cap
-	// bounds how long a deep batch can hold a shard worker. Default 64.
+	// bounds how long a deep batch can hold a stepping slot. Default 64.
 	MaxBatch int
 	// MaxSessions caps live sessions; an admission (Create, Restore,
 	// ImportSession) beyond it returns ErrTooManySessions. Default 1024.
@@ -171,6 +177,11 @@ const (
 type Manager struct {
 	cfg  Config
 	runq chan *session // capacity MaxSessions; ≤1 entry per session, so sends never block
+	// slots holds a token per running quantum (capacity Workers): a worker
+	// blocks for one, so it gets the next one freed; a caller only tries.
+	slots chan struct{}
+	// quit stops the workers; runq is never closed (see schedule).
+	quit chan struct{}
 	wg   sync.WaitGroup
 
 	// gate orders frame acceptance against the shutdown state flip:
@@ -211,6 +222,7 @@ type Manager struct {
 	mOpened, mEvicted, mRejected  *telemetry.Counter
 	mFrames, mErrors, mStepPanics *telemetry.Counter
 	mStepSeconds                  *telemetry.Histogram
+	mRunCaller, mRunWorker        *telemetry.Counter
 	// Cause-split reject counters (MetricRejects family).
 	mRejQueueFull, mRejSessionClosed *telemetry.Counter
 	mRejShuttingDown, mRejSessionCap *telemetry.Counter
@@ -262,6 +274,8 @@ func NewManager(cfg Config) (*Manager, error) {
 	m := &Manager{
 		cfg:        cfg,
 		runq:       make(chan *session, cfg.MaxSessions),
+		slots:      make(chan struct{}, cfg.Workers),
+		quit:       make(chan struct{}),
 		sessions:   make(map[string]*session),
 		closing:    make(map[string]chan struct{}),
 		tombstones: make(map[string]string),
@@ -276,6 +290,8 @@ func NewManager(cfg Config) (*Manager, error) {
 		mErrors:      reg.Counter(MetricFrameErrors, "Frames whose detector step returned an error."),
 		mStepPanics:  reg.Counter(MetricStepPanics, "Session steppers that panicked, taking their session down."),
 		mStepSeconds: reg.Histogram(MetricStepSeconds, "Per-frame detector step latency in seconds.", telemetry.LatencyBuckets()),
+		mRunCaller:   reg.Counter(metricQuanta+`{runner="caller"}`, "Quanta that stepped a job, by the goroutine that ran them."),
+		mRunWorker:   reg.Counter(metricQuanta+`{runner="worker"}`, "Quanta that stepped a job, by the goroutine that ran them."),
 
 		mRejQueueFull:     reg.Counter(MetricRejects+`{cause="`+RejectCauseQueueFull+`"}`, "Rejections by cause."),
 		mRejSessionClosed: reg.Counter(MetricRejects+`{cause="`+RejectCauseSessionClosed+`"}`, "Rejections by cause."),
@@ -488,24 +504,35 @@ func (m *Manager) Submit(id string, u mat.Vec, readings map[string]mat.Vec) (*Pe
 // calls would produce. Acceptance is all-or-nothing: on any error
 // (including ErrBackpressure for a full queue) no frame of the batch
 // was accepted. With durability enabled, the batch is acknowledged only
-// after the group fsync covering every appended frame completes.
+// after the group fsync covering every appended frame completes. Its
+// quantum runs on a shard worker: this caller never promised to wait.
 func (m *Manager) SubmitBatch(id string, frames []BatchFrame) (*PendingBatch, error) {
+	s, b, err := m.accept(id, frames)
+	if err == nil {
+		m.schedule(s, false)
+	}
+	return b, err
+}
+
+// accept admits one batch to its session's queue, or refuses all of it.
+// The caller schedules the session.
+func (m *Manager) accept(id string, frames []BatchFrame) (*session, *PendingBatch, error) {
 	if len(frames) == 0 {
-		return nil, errors.New("fleet: empty batch")
+		return nil, nil, errors.New("fleet: empty batch")
 	}
 	if len(frames) > m.cfg.MaxBatch {
-		return nil, fmt.Errorf("fleet: batch of %d frames exceeds MaxBatch %d", len(frames), m.cfg.MaxBatch)
+		return nil, nil, fmt.Errorf("fleet: batch of %d frames exceeds MaxBatch %d", len(frames), m.cfg.MaxBatch)
 	}
 	m.gate.RLock()
 	if m.state.Load() != stateRunning {
 		m.gate.RUnlock()
 		m.mRejShuttingDown.Add(int64(len(frames)))
-		return nil, ErrClosed
+		return nil, nil, ErrClosed
 	}
 	s, err := m.lookup(id)
 	if err != nil {
 		m.gate.RUnlock()
-		return nil, err
+		return nil, nil, err
 	}
 	job := frameJob{frames: frames, reply: make(chan []FrameResult, 1)}
 	m.inflight.Add(1)
@@ -521,7 +548,7 @@ func (m *Manager) SubmitBatch(id string, frames []BatchFrame) (*PendingBatch, er
 		} else if errors.Is(err, ErrMigrating) {
 			m.mRejMigrating.Add(int64(len(frames)))
 		}
-		return nil, err
+		return nil, nil, err
 	}
 	if m.cfg.Trace != nil {
 		// The admit lap closes here — it absorbs submit-path work and,
@@ -533,25 +560,60 @@ func (m *Manager) SubmitBatch(id string, frames []BatchFrame) (*PendingBatch, er
 	}
 	s.touch(m.now())
 	m.mQueue.Set(float64(m.queued.Add(int64(len(frames)))))
-	m.schedule(s)
-	return &PendingBatch{reply: job.reply, n: len(frames)}, nil
+	return s, &PendingBatch{reply: job.reply}, nil
 }
 
-// Step submits one frame and waits for its report. A ctx expiry abandons
-// the wait only: the frame was accepted and still steps (the session
-// stays consistent); its report is discarded.
+// Step submits one frame and waits for its report, stepping it itself if
+// it can (submitWait). A ctx expiry abandons the wait only, and cannot cut
+// short a quantum Step runs: the frame was accepted and still steps (the
+// session stays consistent); its report is discarded.
 func (m *Manager) Step(ctx context.Context, id string, u mat.Vec, readings map[string]mat.Vec) (*detect.Report, error) {
-	p, err := m.Submit(id, u, readings)
+	res, err := m.submitWait(ctx, id, []BatchFrame{{U: u, Readings: readings}}, false)
 	if err != nil {
 		return nil, err
 	}
-	return p.Wait(ctx)
+	return res[0].Report, res[0].Err
+}
+
+// submitWait is SubmitBatch plus the wait, for every caller that blocks
+// on its reply anyway (Step, /step, /frames, a follower's apply): such a
+// caller may run the quantum itself (schedule). With retry, backpressure
+// is waited out with the hinted delay on one reused timer — /frames
+// promises in-order per-frame replies, and a follower must not drop
+// frames. Any other rejection returns at once with the frames' spans
+// dropped, since nothing was accepted; a ctx expiry leaves them unfinished.
+func (m *Manager) submitWait(ctx context.Context, id string, frames []BatchFrame, retry bool) ([]FrameResult, error) {
+	var timer *time.Timer
+	for {
+		s, b, err := m.accept(id, frames)
+		if err == nil {
+			m.schedule(s, true)
+			return b.Wait(ctx)
+		}
+		var bp *BackpressureError
+		if !retry || !errors.As(err, &bp) {
+			for i := range frames {
+				frames[i].Span.Drop()
+			}
+			return nil, err
+		}
+		if timer == nil {
+			timer = time.NewTimer(bp.RetryAfter)
+		} else {
+			timer.Reset(bp.RetryAfter)
+		}
+		select {
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		case <-timer.C:
+		}
+	}
 }
 
 // Close tears one session down. Frames already queued are answered with
-// ErrClosed; the frame a shard worker is currently stepping completes
-// first. Explicit deletion discards persisted state too: the client said
-// the session is finished, so nothing remains to restore.
+// ErrClosed; the job a quantum is currently stepping completes first.
+// Explicit deletion discards persisted state too: the client said the
+// session is finished, so nothing remains to restore.
 func (m *Manager) Close(id string) error {
 	m.mu.Lock()
 	s := m.sessions[id]
@@ -657,10 +719,10 @@ func (m *Manager) Shutdown(ctx context.Context) error {
 		m.closeSession(s, true)
 	}
 	// Now finite even on a timed-out drain: queued frames were answered
-	// by closeSession, and each worker finishes at most one step.
+	// by closeSession, and each running quantum finishes at most one step.
 	m.inflight.Wait()
 	m.state.Store(stateClosed)
-	close(m.runq)
+	close(m.quit)
 	m.wg.Wait()
 	m.mLive.Set(0)
 	return drainErr
@@ -700,36 +762,61 @@ func validateProposedID(id string) error {
 	return nil
 }
 
-// schedule puts a session on the run queue unless it is already there.
-// The CAS keeps the invariant of at most one queue entry per session,
-// which in turn keeps runq (capacity MaxSessions) send-nonblocking.
-func (m *Manager) schedule(s *session) {
-	if s.scheduled.CompareAndSwap(false, true) {
-		m.runq <- s
+// schedule gives a session its next quantum unless one is queued or
+// running; the CAS keeps runq (capacity MaxSessions) at ≤1 entry per
+// session, so sends never block. A waiting caller runs the quantum itself
+// when a slot is free, sparing a hand-off to a worker and back. runq is
+// never closed: the quantum that answered Shutdown's last job may still be
+// rescheduling its session; after quit the entry is dropped, with nothing
+// left to step.
+func (m *Manager) schedule(s *session, waiting bool) {
+	if !s.scheduled.CompareAndSwap(false, true) {
+		return
+	}
+	if waiting {
+		select {
+		case m.slots <- struct{}{}:
+			m.serve(s, m.mRunCaller)
+			<-m.slots
+			return
+		default:
+		}
+	}
+	select {
+	case m.runq <- s:
+	case <-m.quit:
 	}
 }
 
 func (m *Manager) worker() {
 	defer m.wg.Done()
-	for s := range m.runq {
-		m.serve(s)
+	for {
+		select {
+		case s := <-m.runq:
+			m.slots <- struct{}{}
+			m.serve(s, m.mRunWorker)
+			<-m.slots
+		case <-m.quit:
+			return
+		}
 	}
 }
 
-// serve steps at most one queued job — a single frame or one bounded
-// batch, the scheduling quantum that keeps a deep-backlog session from
-// starving the others — then reschedules the session if its queue is
-// still non-empty. The Store(false)-then-recheck order closes the
-// missed-wakeup race with a concurrent Submit: any push that misses
-// this worker's recheck sees scheduled == false and wins the schedule
-// CAS itself.
-func (m *Manager) serve(s *session) {
+// serve is one scheduling quantum, run by a worker or a waiting caller
+// holding the session's run token and a slot: it steps at most one
+// queued job — a single frame or one bounded batch, so a deep-backlog
+// session cannot starve the others — then reschedules the session if its
+// queue is still non-empty. The Store(false)-then-recheck order closes
+// the missed-wakeup race with a concurrent submit: any push that misses
+// this recheck sees scheduled == false and wins the CAS itself.
+func (m *Manager) serve(s *session, quanta *telemetry.Counter) {
 	if job, ok := m.pop(s); ok {
+		quanta.Inc()
 		m.process(s, job)
 	}
 	s.scheduled.Store(false)
 	if len(s.frames) > 0 {
-		m.schedule(s)
+		m.schedule(s, false)
 	}
 }
 
@@ -833,13 +920,13 @@ func (m *Manager) record(s *session, fr BatchFrame, rep *detect.Report, err erro
 
 // complete is the tail every job takes after its frames were stepped
 // and appended: checkpoint cadence → commit → follower ack → reply. The
-// caller is the shard worker holding s.stepMu, and complete never blocks
-// it on the disk: a durable job is enlisted with the store's flusher —
-// which, after the one sync covering the job's last append, laps the
-// fsync stage and sends the reply — and the worker returns to release
-// stepMu and take the next runnable session, this session's next job
-// included. A volatile session (s.ds == nil) is answered right here on
-// the worker.
+// caller runs the quantum (a worker, or a caller in submitWait) and holds
+// s.stepMu, and complete never blocks it on the disk: a durable job is
+// enlisted with the store's flusher — which, after the one sync covering
+// the job's last append, laps the fsync stage and sends the reply — and
+// the quantum ends, releasing stepMu and its slot for the next runnable
+// session, this session's next job included. A volatile session
+// (s.ds == nil) is answered right here, in the quantum.
 //
 // The ack point is the completion callback: nothing before it tells the
 // client anything, so replied ⇒ durable holds, and the store runs one
@@ -856,7 +943,7 @@ func (m *Manager) complete(s *session, job frameJob, results []FrameResult, appe
 		return
 	}
 	if appended > 0 && m.snapshotEvery > 0 && s.ds.SinceSnapshot() >= m.snapshotEvery {
-		// Checkpoint cadence, on the worker because it needs the detector
+		// Checkpoint cadence, in the quantum because it needs the detector
 		// under stepMu. It waits for nothing: the snapshot is itself a
 		// durable copy of every applied frame, and commits this session
 		// still has enlisted complete against the log on their own. A
@@ -1075,7 +1162,6 @@ func (p *Pending) Wait(ctx context.Context) (*detect.Report, error) {
 // PendingBatch is an accepted batch's pending results.
 type PendingBatch struct {
 	reply chan []FrameResult
-	n     int
 }
 
 // Wait blocks until the batch's results are ready or ctx expires. The
@@ -1092,11 +1178,11 @@ func (b *PendingBatch) Wait(ctx context.Context) ([]FrameResult, error) {
 
 type frameJob struct {
 	frames []BatchFrame
-	reply  chan []FrameResult // buffered (cap 1): the worker's reply never blocks on an abandoned waiter
+	reply  chan []FrameResult // buffered (cap 1): the reply never blocks on an abandoned waiter
 }
 
 // session is one hosted detector. closeMu orders frame pushes against
-// the closed flag; stepMu serializes detector use (one shard worker at a
+// the closed flag; stepMu serializes detector use (one quantum at a
 // time, and never concurrently with Stepper.Close).
 type session struct {
 	info      SessionInfo

@@ -197,7 +197,7 @@ func (f *Follower) apply(ctx context.Context, id string, frames []*trace.Frame) 
 	for i, fr := range frames {
 		batch[i] = BatchFrame{U: mat.Vec(fr.U), Readings: frameReadings(fr)}
 	}
-	results, err := f.Manager.submitBatchRetrying(ctx, id, batch)
+	results, err := f.Manager.submitWait(ctx, id, batch, true)
 	if err != nil {
 		return err
 	}

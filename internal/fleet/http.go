@@ -280,13 +280,7 @@ func (m *Manager) handleStep(w http.ResponseWriter, r *http.Request) {
 // with the still-stepping frame — both cases nil *sp so the caller
 // cannot touch a span it no longer owns.
 func (m *Manager) stepSpanned(ctx context.Context, id string, frame *trace.Frame, sp **telemetry.Span) (*detect.Report, error) {
-	b, err := m.SubmitBatch(id, []BatchFrame{{U: mat.Vec(frame.U), Readings: frameReadings(frame), Span: *sp}})
-	if err != nil {
-		(*sp).Drop()
-		*sp = nil
-		return nil, err
-	}
-	res, err := b.Wait(ctx)
+	res, err := m.submitWait(ctx, id, []BatchFrame{{U: mat.Vec(frame.U), Readings: frameReadings(frame), Span: *sp}}, false)
 	if err != nil {
 		*sp = nil
 		return nil, err
@@ -346,12 +340,12 @@ func (m *Manager) handleFrames(w http.ResponseWriter, r *http.Request) {
 					batch[i].Span = spans[i]
 				}
 			}
-			results, err := m.submitBatchRetrying(r.Context(), id, batch)
+			results, err := m.submitWait(r.Context(), id, batch, true)
 			if err != nil {
 				// The whole batch failed before stepping (closed session,
 				// canceled request): one terminal line, like the
 				// sequential path's first failing frame. Span ownership
-				// was settled inside submitBatchRetrying.
+				// was settled inside submitWait.
 				out.add(&ReplyLine{K: frames[0].K, Error: err.Error(), Code: replyCode(err), Closed: terminalErr(err)})
 				out.flush()
 				return
@@ -523,50 +517,6 @@ func (f *frameBatchReader) readFrame() (*trace.Frame, error) {
 		return nil, jerr
 	}
 	return &frame, nil
-}
-
-// submitBatchRetrying submits one batch, absorbing backpressure with
-// the hinted delay: the streaming endpoint promises in-order per-frame
-// replies, and a replication follower must not drop frames, so a full
-// queue (other writers sharing the session) is waited out rather than
-// surfaced. One timer is reused across retries — a session under
-// sustained backpressure costs a Reset per attempt, not a fresh timer
-// allocation — and any non-backpressure error (the session closing
-// mid-retry, the request context ending) returns immediately.
-func (m *Manager) submitBatchRetrying(ctx context.Context, id string, frames []BatchFrame) ([]FrameResult, error) {
-	var timer *time.Timer
-	defer func() {
-		if timer != nil {
-			timer.Stop()
-		}
-	}()
-	for {
-		b, err := m.SubmitBatch(id, frames)
-		if err == nil {
-			// On a ctx expiry here the frames (and their spans) are
-			// still in flight; the spans are simply never finished.
-			return b.Wait(ctx)
-		}
-		var bp *BackpressureError
-		if !errors.As(err, &bp) {
-			// Terminal rejection: nothing was accepted, so the spans
-			// come back to us — drop them unobserved.
-			for i := range frames {
-				frames[i].Span.Drop()
-			}
-			return nil, err
-		}
-		if timer == nil {
-			timer = time.NewTimer(bp.RetryAfter)
-		} else {
-			timer.Reset(bp.RetryAfter)
-		}
-		select {
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		case <-timer.C:
-		}
-	}
 }
 
 func frameReadings(frame *trace.Frame) map[string]mat.Vec {

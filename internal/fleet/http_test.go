@@ -457,12 +457,10 @@ func TestSubmitBatchRetryingBackpressure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer m.Shutdown(context.Background())
-	info := mustCreate(t, m, Spec{Robot: "fake"})
-
 	// Release every step as it starts: the queue drains, slowly.
-	stop := make(chan struct{})
+	stop, stopped := make(chan struct{}), make(chan struct{})
 	go func() {
+		defer close(stopped)
 		for {
 			select {
 			case <-st.started:
@@ -472,6 +470,20 @@ func TestSubmitBatchRetryingBackpressure(t *testing.T) {
 			}
 		}
 	}()
+	stopReleasing := sync.OnceFunc(func() { close(stop); <-stopped })
+	defer func() {
+		// A step left waiting holds the session's step lock, which Close
+		// and Shutdown wait on: a closed release channel lets every step
+		// through, and a bounded Shutdown fails instead of hanging.
+		stopReleasing()
+		close(st.release)
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		if err := m.Shutdown(ctx); err != nil {
+			t.Errorf("shutdown: %v", err)
+		}
+	}()
+	info := mustCreate(t, m, Spec{Robot: "fake"})
 
 	const writers, batches = 4, 8
 	var wg sync.WaitGroup
@@ -482,7 +494,7 @@ func TestSubmitBatchRetryingBackpressure(t *testing.T) {
 			defer wg.Done()
 			frames := []BatchFrame{{U: mat.VecOf(0), Readings: map[string]mat.Vec{"fake": mat.VecOf(0)}}}
 			for i := 0; i < batches; i++ {
-				results, err := m.submitBatchRetrying(context.Background(), info.ID, frames)
+				results, err := m.submitWait(context.Background(), info.ID, frames, true)
 				if err != nil {
 					errs[w] = err
 					return
@@ -497,7 +509,7 @@ func TestSubmitBatchRetryingBackpressure(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	close(stop)
+	stopReleasing()
 	for w, err := range errs {
 		if err != nil {
 			t.Fatalf("writer %d under backpressure: %v", w, err)
@@ -506,6 +518,10 @@ func TestSubmitBatchRetryingBackpressure(t *testing.T) {
 
 	// Prompt bailout: wedge the worker and the queue, start a retry loop,
 	// close the session mid-retry.
+	s, err := m.lookup(info.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if _, err := submitDummy(t, m, info.ID); err != nil {
 		t.Fatal(err)
 	}
@@ -515,17 +531,20 @@ func TestSubmitBatchRetryingBackpressure(t *testing.T) {
 	}
 	done := make(chan error, 1)
 	go func() {
-		_, err := m.submitBatchRetrying(context.Background(), info.ID,
-			[]BatchFrame{{U: mat.VecOf(0), Readings: map[string]mat.Vec{"fake": mat.VecOf(0)}}})
+		_, err := m.submitWait(context.Background(), info.ID,
+			[]BatchFrame{{U: mat.VecOf(0), Readings: map[string]mat.Vec{"fake": mat.VecOf(0)}}}, true)
 		done <- err
 	}()
 	time.Sleep(5 * time.Millisecond) // let it enter the retry loop
-	go func() {
-		// Close drains the queued frame; the in-flight step needs its
-		// release to finish.
-		st.release <- struct{}{}
-		m.Close(info.ID)
-	}()
+	go m.Close(info.ID)
+	// Close answers the queued frame and then waits for the in-flight
+	// step. Release that step only once the session refuses pushes:
+	// released earlier, it frees the queue, and the retry loop's frame
+	// could be accepted (and answered ErrClosed in its result) first.
+	for !s.isClosed() {
+		time.Sleep(time.Millisecond)
+	}
+	st.release <- struct{}{}
 	select {
 	case err := <-done:
 		if !errors.Is(err, ErrClosed) && !errors.Is(err, ErrSessionNotFound) {

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"roboads/internal/detect"
 	"roboads/internal/mat"
 	"roboads/internal/store"
 	"roboads/internal/telemetry"
@@ -176,3 +177,79 @@ func TestAdmissionRacesRetirement(t *testing.T) {
 		t.Fatalf("%d detectors alive after shutdown", n)
 	}
 }
+
+// TestShutdownRacesQuanta races Shutdown against quanta that are still
+// answering and rescheduling their sessions: many sessions with queued
+// async jobs, callers stepping their own, and a drain cut short, so that
+// closeSession answers queued jobs while workers and callers step others
+// — the schedule in which a quantum used to answer its job, see the
+// queue non-empty, and send its session on a run queue that Shutdown had
+// just closed. Every accepted job must be answered, and nothing may
+// panic or race. Run under -race.
+func TestShutdownRacesQuanta(t *testing.T) {
+	const rounds, sessions, jobs = 100, 16, 4
+	frame := func() (mat.Vec, map[string]mat.Vec) {
+		return mat.VecOf(0), map[string]mat.Vec{"fake": mat.VecOf(0)}
+	}
+	for r := 0; r < rounds; r++ {
+		m, err := NewManager(Config{
+			Workers: 2, QueueDepth: jobs,
+			Build: func(spec Spec) (Stepper, SessionInfo, error) {
+				return instantStepper{}, SessionInfo{Robot: spec.Robot, Sensors: []string{"fake"}, Dt: 0.1}, nil
+			},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids := make([]string, sessions)
+		for i := range ids {
+			ids[i] = mustCreate(t, m, Spec{Robot: "fake"}).ID
+		}
+		var pending []*Pending
+		for j := 0; j < jobs; j++ {
+			for _, id := range ids {
+				u, readings := frame()
+				if p, err := m.Submit(id, u, readings); err == nil {
+					pending = append(pending, p)
+				}
+			}
+		}
+		var callers sync.WaitGroup
+		for _, id := range ids[:4] {
+			callers.Add(1)
+			go func() {
+				defer callers.Done()
+				for {
+					u, readings := frame()
+					_, err := m.Step(context.Background(), id, u, readings)
+					if errors.Is(err, ErrClosed) || errors.Is(err, ErrSessionNotFound) {
+						return
+					}
+				}
+			}()
+		}
+		ctx, cancel := context.WithCancel(context.Background())
+		cancel() // no drain: every session is closed while its quanta run
+		if err := m.Shutdown(ctx); err != nil && !errors.Is(err, context.Canceled) {
+			t.Fatalf("round %d: shutdown: %v", r, err)
+		}
+		callers.Wait()
+		for i, p := range pending {
+			wait, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+			_, err := p.Wait(wait)
+			cancel()
+			if err != nil && !errors.Is(err, ErrClosed) {
+				t.Fatalf("round %d: accepted frame %d: %v", r, i, err)
+			}
+		}
+	}
+}
+
+// instantStepper steps at once and reports nothing of interest.
+type instantStepper struct{}
+
+func (instantStepper) StepContext(ctx context.Context, u mat.Vec, readings map[string]mat.Vec) (*detect.Report, error) {
+	return &detect.Report{}, nil
+}
+
+func (instantStepper) Close() {}

@@ -141,7 +141,7 @@ func (h *replHub) ack(session string, seq int) {
 // or timeout expires (error: the frame must NOT be acked). This is the
 // Config.AckPolicy == AckFollower wait after a successful local commit;
 // it runs on the job's own completion goroutine (Manager.complete),
-// never on a shard worker or the store's flusher, and holds no lock.
+// never in a quantum or on the store's flusher, and holds no lock.
 func (h *replHub) waitAcked(session string, seq int, timeout time.Duration) error {
 	h.mu.Lock()
 	if !h.connected {

@@ -34,7 +34,7 @@ const (
 	// any server-side backpressure retry wait on the streaming path.
 	StageAdmit
 	// StageQueueWait is queued-to-dequeued: time the frame sat in the
-	// session's bounded queue before a shard worker picked its job up.
+	// session's bounded queue before a quantum picked its job up.
 	StageQueueWait
 	// StageCoalesce is dequeue-to-step-start: batch position wait (a
 	// frame deep in a batch steps after its predecessors) plus any

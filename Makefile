@@ -49,10 +49,12 @@ sizes:
 
 # The engine and the decision windows (stepped from many goroutines by
 # a fleet), the lock-free telemetry registry, the store's group-commit
-# flusher, and the fleet session manager are the concurrency-sensitive
-# surfaces; run them under the race detector.
+# flusher, the fleet session manager, and the client's streams (a
+# reader, a writer and a ctx-triggered close on one connection, also
+# through the router) are the concurrency-sensitive surfaces; run them
+# under the race detector.
 race:
-	$(GO) test -race ./internal/core/... ./internal/detect/... ./internal/telemetry/... ./internal/store/... ./internal/fleet/...
+	$(GO) test -race ./internal/core/... ./internal/detect/... ./internal/telemetry/... ./internal/store/... ./internal/fleet/... ./client/ ./internal/router/
 
 # Fleet soak: the multi-session service suite under the race detector —
 # N concurrent sessions bit-for-bit equal to N sequential detectors,

@@ -5,17 +5,28 @@
 // absorbs backpressure on Step with the server's exact millisecond
 // retry hint. Everything in cmd/ that talks /v1 goes through this
 // package; raw net/http /v1 calls live only here and in the router.
+//
+// Unary calls go through an *http.Client. A stream (Stream, Replicate)
+// dials the node itself and opens with an HTTP/1.1 POST of a chunked
+// body, bounded by the ctx deadline and the header timeout; then each
+// Send or Ack writes one chunk on the caller's goroutine, and ctx's end
+// closes the connection. Streams speak plain http only, bypassing the
+// HTTP client's transport and any HTTP_PROXY.
 package client
 
 import (
 	"bufio"
 	"bytes"
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
+	"net/url"
+	"os"
 	"strconv"
 	"strings"
 	"sync"
@@ -37,18 +48,20 @@ type Client struct {
 // Option configures a Client.
 type Option func(*Client)
 
-// WithHTTPClient substitutes the underlying *http.Client (timeouts,
-// transports, test doubles). The default is http.DefaultClient.
+// WithHTTPClient substitutes the *http.Client of the unary calls
+// (timeouts, transports, test doubles). The default is
+// http.DefaultClient. Streams do not use it: they dial the node
+// themselves, so neither its transport nor HTTP_PROXY applies to them.
 func WithHTTPClient(hc *http.Client) Option { return func(c *Client) { c.hc = hc } }
 
 // WithRetryHook observes every backpressure pause Step is about to
 // take, e.g. to count retries or cap total wait in tests.
 func WithRetryHook(f func(time.Duration)) Option { return func(c *Client) { c.retryHook = f } }
 
-// WithHeaderTimeout bounds how long a streaming open (Stream, Replicate)
-// may wait for the server's response headers before the attempt is
-// failed. 0 restores the default (30s); it cannot be disabled, because
-// an unbounded wait can never return: see doStream.
+// WithHeaderTimeout bounds a streaming open (Stream, Replicate): dial,
+// request and response headers, unless the ctx deadline comes first. 0
+// restores the default (30s); it cannot be disabled, so a peer that
+// accepts and never answers cannot hold a reconnect forever.
 func WithHeaderTimeout(d time.Duration) Option { return func(c *Client) { c.headerTimeout = d } }
 
 // New builds a client for base, which may omit the scheme
@@ -66,37 +79,6 @@ func New(base string, opts ...Option) *Client {
 		c.headerTimeout = 30 * time.Second
 	}
 	return c
-}
-
-// errHeaderTimeout fails a streaming open whose response headers did not
-// arrive within the client's header timeout.
-var errHeaderTimeout = errors.New("client: timed out waiting for response headers")
-
-// doStream issues a streaming request whose body is an open-ended pipe
-// (Stream's frames, Replicate's acks) and waits for response headers.
-//
-// The watchdog is load-bearing, not a courtesy. If the peer dies after
-// the TCP connect but before its response headers, net/http cannot fail
-// the round trip until its write loop returns — and the write loop is
-// blocked reading our pipe, which produces nothing until the caller has
-// a stream to send on. Left alone, Do blocks forever (transport.go
-// mapRoundTripError waits on writeLoopDone unconditionally). Closing the
-// pipe writer from a timer is the only lever that unblocks the write
-// loop and turns the wedged open into an error the caller can retry.
-func (c *Client) doStream(req *http.Request, pw *io.PipeWriter) (*http.Response, error) {
-	watchdog := time.AfterFunc(c.headerTimeout, func() {
-		pw.CloseWithError(errHeaderTimeout)
-	})
-	resp, err := c.hc.Do(req)
-	// A fire racing a successful Do leaves a stream whose sends fail
-	// with errHeaderTimeout; callers already treat a broken stream as a
-	// reconnect, so the race costs one retry, never a hang.
-	watchdog.Stop()
-	if err != nil {
-		pw.CloseWithError(err)
-		return nil, err
-	}
-	return resp, nil
 }
 
 // Base returns the normalized base URL the client targets.
@@ -237,36 +219,28 @@ func (c *Client) Step(ctx context.Context, id string, frame *trace.Frame) (api.R
 		if err != nil {
 			return api.ReplyLine{}, err
 		}
-		if resp.StatusCode == http.StatusTooManyRequests {
-			var line api.ReplyLine
-			derr := json.NewDecoder(resp.Body).Decode(&line)
-			header := resp.Header
-			resp.Body.Close()
-			if derr != nil {
-				return api.ReplyLine{}, derr
-			}
-			d := retryDelay(header, line.RetryAfterMs)
-			if c.retryHook != nil {
-				c.retryHook(d)
-			}
-			select {
-			case <-ctx.Done():
-				return api.ReplyLine{}, ctx.Err()
-			case <-time.After(d):
-			}
-			continue
-		}
-		if resp.StatusCode != http.StatusOK {
+		if resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusTooManyRequests {
 			defer resp.Body.Close()
 			return api.ReplyLine{}, decodeError(resp)
 		}
 		var line api.ReplyLine
-		derr := json.NewDecoder(resp.Body).Decode(&line)
+		err = json.NewDecoder(resp.Body).Decode(&line)
 		resp.Body.Close()
-		if derr != nil {
-			return api.ReplyLine{}, derr
+		if err != nil {
+			return api.ReplyLine{}, err
 		}
-		return line, nil
+		if resp.StatusCode == http.StatusOK {
+			return line, nil
+		}
+		d := retryDelay(resp.Header, line.RetryAfterMs)
+		if c.retryHook != nil {
+			c.retryHook(d)
+		}
+		select {
+		case <-ctx.Done():
+			return api.ReplyLine{}, ctx.Err()
+		case <-time.After(d):
+		}
 	}
 }
 
@@ -282,80 +256,177 @@ func retryDelay(header http.Header, hintMs int64) time.Duration {
 	return 25 * time.Millisecond
 }
 
-// Stream is one full-duplex /frames ingest: Send ships frames, Recv
-// reads the in-order reply lines. Send and Recv may run concurrently
-// (one goroutine each); CloseSend ends the frame stream so Recv drains
-// the remaining replies to io.EOF.
-type Stream struct {
-	pw     *io.PipeWriter
-	resp   *http.Response
-	sc     *bufio.Scanner   // NDJSON replies
-	rr     *api.ReplyReader // reply records; set instead of sc
-	binary bool
+// duplex is a stream's own connection: request-body chunks written on
+// the sender's goroutine out, the response body in.
+type duplex struct {
+	conn net.Conn
+	resp *http.Response
+	sc   *bufio.Scanner // NDJSON response lines, unless nil
+	ctx  context.Context
+	stop func() bool // unregisters the close on ctx's end
 
-	sendMu sync.Mutex
-	buf    []byte
+	mu    sync.Mutex // one chunk at a time; guards buf and ended
+	buf   []byte
+	ended bool
 }
 
-// Stream opens the streaming ingest for a session. With binary true the
-// frames travel as binary frame records (the compact wire) and the
-// request asks for binary reply records too (api.ContentTypeBinaryReplies);
-// otherwise both directions are NDJSON. The reply decoder follows the
-// response's Content-Type, so a server that predates reply records (or
-// a proxy that drops the Accept header) is read as NDJSON and Recv
-// returns the same ReplyLines either way.
+// openStream dials the node, POSTs to path a chunked body that stays
+// open, its first chunk (if any) sent before the answer, and reads the
+// response headers under a deadline on the connection: the earlier of
+// ctx's and the header timeout. Connection: close (true: the connection
+// carries this one exchange) makes a Go server refuse an open (404, 410)
+// at once instead of first draining a body that has no end.
+func (c *Client) openStream(ctx context.Context, path, contentType, accept string, first []byte) (*duplex, error) {
+	u, err := url.Parse(c.base + path)
+	if err != nil {
+		return nil, err
+	}
+	if u.Scheme != "http" {
+		return nil, fmt.Errorf("client: cannot stream over %s: streams speak plain http only", u.Scheme)
+	}
+	deadline := time.Now().Add(c.headerTimeout)
+	ctxDeadline, byCtx := ctx.Deadline()
+	if byCtx = byCtx && ctxDeadline.Before(deadline); byCtx {
+		deadline = ctxDeadline
+	}
+	addr := net.JoinHostPort(u.Hostname(), cmp.Or(u.Port(), "80"))
+	d := &duplex{ctx: ctx}
+	conn, err := (&net.Dialer{Deadline: deadline}).DialContext(ctx, "tcp", addr)
+	if err != nil {
+		return nil, d.openErr(byCtx, err)
+	}
+	d.conn, d.stop = conn, context.AfterFunc(ctx, func() { conn.Close() })
+	conn.SetDeadline(deadline)
+	req := fmt.Appendf(nil, "POST %s HTTP/1.1\r\nHost: %s\r\nUser-Agent: Go-http-client/1.1\r\nConnection: close\r\n"+
+		"Transfer-Encoding: chunked\r\nContent-Type: %s\r\n", u.RequestURI(), u.Host, contentType)
+	if accept != "" {
+		req = fmt.Appendf(req, "Accept: %s\r\n", accept)
+	}
+	if _, err = conn.Write(append(req, "\r\n"...)); err == nil && first != nil {
+		err = d.send(first)
+	}
+	if err == nil {
+		d.resp, err = http.ReadResponse(bufio.NewReader(conn), &http.Request{Method: http.MethodPost, URL: u})
+	}
+	switch {
+	case err != nil:
+		err = d.openErr(byCtx, err)
+	case d.resp.StatusCode != http.StatusOK:
+		err = decodeError(d.resp)
+	default:
+		conn.SetDeadline(time.Time{})
+		return d, nil
+	}
+	d.Close()
+	return nil, err
+}
+
+// openErr names why an open failed: ctx's end if it ended (its close may
+// be what broke the open), else which deadline fell, if one did.
+func (d *duplex) openErr(byCtx bool, err error) error {
+	if d.ctx.Err() == nil && errors.Is(err, os.ErrDeadlineExceeded) {
+		err = errors.New("timed out waiting for response headers")
+		if byCtx {
+			err = context.DeadlineExceeded
+		}
+	}
+	return fmt.Errorf("client: open stream: %w", d.err(err))
+}
+
+// send writes record as one chunk, in one Write on the caller's
+// goroutine. The caller holds mu.
+func (d *duplex) send(record []byte) error {
+	if err := d.ctx.Err(); err != nil {
+		return err
+	}
+	if d.ended {
+		return errors.New("client: send after CloseSend")
+	}
+	d.buf = append(strconv.AppendInt(d.buf[:0], int64(len(record)), 16), "\r\n"...)
+	d.buf = append(append(d.buf, record...), "\r\n"...)
+	_, err := d.conn.Write(d.buf)
+	return d.err(err)
+}
+
+// err reports a connection error as ctx's end, which closed it, if ctx ended.
+func (d *duplex) err(err error) error {
+	if err != nil && d.ctx.Err() != nil {
+		return fmt.Errorf("%w (%v)", d.ctx.Err(), err)
+	}
+	return err
+}
+
+// Close tears the stream down, both directions.
+func (d *duplex) Close() error {
+	d.stop()
+	return d.conn.Close()
+}
+
+// Stream is one full-duplex /frames ingest: Send ships frames, Recv
+// reads the in-order reply lines, and each may run on its own goroutine.
+// CloseSend ends the frame stream so Recv drains the remaining replies
+// to io.EOF; ctx's end closes the stream, failing Send and Recv with it.
+type Stream struct {
+	*duplex
+	rr     *api.ReplyReader // reply records; set instead of sc
+	binary bool
+	record []byte // guarded by mu
+}
+
+// Stream opens the streaming ingest for a session (see the package doc).
+// With binary true the frames travel as binary frame records (the
+// compact wire) and the request asks for binary reply records too
+// (api.ContentTypeBinaryReplies); otherwise both directions are NDJSON.
+// The reply decoder follows the response's Content-Type, so a server
+// that predates reply records (or a proxy that drops the Accept header)
+// is read as NDJSON and Recv returns the same ReplyLines either way.
 func (c *Client) Stream(ctx context.Context, id string, binary bool) (*Stream, error) {
-	pr, pw := io.Pipe()
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base+"/v1/sessions/"+id+"/frames", pr)
-	if err != nil {
-		pw.Close()
-		return nil, err
-	}
+	contentType, accept := api.ContentTypeNDJSON, ""
 	if binary {
-		req.Header.Set("Content-Type", api.ContentTypeBinaryFrames)
-		req.Header.Set("Accept", api.ContentTypeBinaryReplies)
-	} else {
-		req.Header.Set("Content-Type", api.ContentTypeNDJSON)
+		contentType, accept = api.ContentTypeBinaryFrames, api.ContentTypeBinaryReplies
 	}
-	resp, err := c.doStream(req, pw)
+	d, err := c.openStream(ctx, "/v1/sessions/"+id+"/frames", contentType, accept, nil)
 	if err != nil {
 		return nil, err
 	}
-	if resp.StatusCode != http.StatusOK {
-		pw.Close()
-		defer resp.Body.Close()
-		return nil, decodeError(resp)
-	}
-	s := &Stream{pw: pw, resp: resp, binary: binary}
-	if resp.Header.Get("Content-Type") == api.ContentTypeBinaryReplies {
-		s.rr = api.NewReplyReader(resp.Body)
+	s := &Stream{duplex: d, binary: binary}
+	if d.resp.Header.Get("Content-Type") == api.ContentTypeBinaryReplies {
+		s.rr = api.NewReplyReader(d.resp.Body)
 	} else {
-		s.sc = bufio.NewScanner(resp.Body)
-		s.sc.Buffer(make([]byte, 0, 1<<16), 1<<22)
+		d.sc = bufio.NewScanner(d.resp.Body)
+		d.sc.Buffer(make([]byte, 0, 1<<16), 1<<22)
 	}
 	return s, nil
 }
 
 // Send ships one frame. Safe for one sender goroutine at a time.
 func (s *Stream) Send(frame *trace.Frame) error {
-	s.sendMu.Lock()
-	defer s.sendMu.Unlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	if s.binary {
-		s.buf = trace.AppendFrameRecord(s.buf[:0], frame)
+		s.record = trace.AppendFrameRecord(s.record[:0], frame)
 	} else {
 		data, err := json.Marshal(frame)
 		if err != nil {
 			return err
 		}
-		s.buf = append(append(s.buf[:0], data...), '\n')
+		s.record = append(append(s.record[:0], data...), '\n')
 	}
-	_, err := s.pw.Write(s.buf)
-	return err
+	return s.send(s.record)
 }
 
 // CloseSend ends the frame stream; the server finishes replying to
 // every accepted frame and closes the response.
-func (s *Stream) CloseSend() error { return s.pw.Close() }
+func (s *Stream) CloseSend() error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.ended {
+		return nil
+	}
+	s.ended = true
+	_, err := io.WriteString(s.conn, "0\r\n\r\n")
+	return s.err(err)
+}
 
 // Recv returns the next reply line; io.EOF after the final reply of a
 // closed stream.
@@ -363,41 +434,36 @@ func (s *Stream) Recv() (api.ReplyLine, error) {
 	if s.rr != nil {
 		line, err := s.rr.Read()
 		if err != nil && !errors.Is(err, io.EOF) {
-			err = fmt.Errorf("reply record: %w", err)
+			err = s.err(fmt.Errorf("reply record: %w", err))
 		}
 		return line, err
 	}
-	for s.sc.Scan() {
-		if len(bytes.TrimSpace(s.sc.Bytes())) == 0 {
-			continue
-		}
-		var line api.ReplyLine
-		if err := json.Unmarshal(s.sc.Bytes(), &line); err != nil {
-			return api.ReplyLine{}, fmt.Errorf("reply line: %w", err)
-		}
-		return line, nil
-	}
-	if err := s.sc.Err(); err != nil {
-		return api.ReplyLine{}, err
-	}
-	return api.ReplyLine{}, io.EOF
+	return recvJSON[api.ReplyLine](s.duplex, "reply line")
 }
 
-// Close tears the stream down (both directions).
-func (s *Stream) Close() error {
-	s.pw.Close()
-	return s.resp.Body.Close()
+// recvJSON decodes the next non-blank NDJSON line of the response; what
+// names the line in a decode error.
+func recvJSON[T any](d *duplex, what string) (T, error) {
+	var v, zero T
+	for d.sc.Scan() {
+		if len(bytes.TrimSpace(d.sc.Bytes())) == 0 {
+			continue
+		}
+		if err := json.Unmarshal(d.sc.Bytes(), &v); err != nil {
+			return zero, fmt.Errorf("%s: %w", what, err)
+		}
+		return v, nil
+	}
+	if err := d.sc.Err(); err != nil {
+		return zero, d.err(err)
+	}
+	return zero, io.EOF
 }
 
 // ReplStream is the follower side of a /v1/internal/replicate stream:
 // Recv reads the primary's records, Ack confirms durable application.
-type ReplStream struct {
-	pw   *io.PipeWriter
-	resp *http.Response
-	sc   *bufio.Scanner
-
-	ackMu sync.Mutex
-}
+// Like Stream, it has a connection of its own that ctx's end closes.
+type ReplStream struct{ *duplex }
 
 // Replicate opens a replication stream, announcing the follower's
 // durable cursor per session (absent = needs a snapshot).
@@ -406,47 +472,19 @@ func (c *Client) Replicate(ctx context.Context, cursors map[string]int) (*ReplSt
 	if err != nil {
 		return nil, err
 	}
-	hello = append(hello, '\n')
-	pr, pw := io.Pipe()
-	// The hello line precedes the (open-ended) ack pipe on one body.
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base+"/v1/internal/replicate",
-		io.MultiReader(bytes.NewReader(hello), pr))
-	if err != nil {
-		pw.Close()
-		return nil, err
-	}
-	req.Header.Set("Content-Type", api.ContentTypeNDJSON)
-	resp, err := c.doStream(req, pw)
+	d, err := c.openStream(ctx, "/v1/internal/replicate", api.ContentTypeNDJSON, "", append(hello, '\n'))
 	if err != nil {
 		return nil, err
 	}
-	if resp.StatusCode != http.StatusOK {
-		pw.Close()
-		defer resp.Body.Close()
-		return nil, decodeError(resp)
-	}
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 0, 1<<16), 1<<26)
-	return &ReplStream{pw: pw, resp: resp, sc: sc}, nil
+	d.sc = bufio.NewScanner(d.resp.Body)
+	d.sc.Buffer(make([]byte, 0, 1<<16), 1<<26)
+	return &ReplStream{d}, nil
 }
 
 // Recv returns the primary's next replication record; io.EOF when the
 // stream ends.
 func (r *ReplStream) Recv() (api.ReplRecord, error) {
-	for r.sc.Scan() {
-		if len(bytes.TrimSpace(r.sc.Bytes())) == 0 {
-			continue
-		}
-		var rec api.ReplRecord
-		if err := json.Unmarshal(r.sc.Bytes(), &rec); err != nil {
-			return api.ReplRecord{}, fmt.Errorf("replication record: %w", err)
-		}
-		return rec, nil
-	}
-	if err := r.sc.Err(); err != nil {
-		return api.ReplRecord{}, err
-	}
-	return api.ReplRecord{}, io.EOF
+	return recvJSON[api.ReplRecord](r.duplex, "replication record")
 }
 
 // Ack tells the primary the follower has made session durable through
@@ -456,17 +494,9 @@ func (r *ReplStream) Ack(session string, seq int) error {
 	if err != nil {
 		return err
 	}
-	data = append(data, '\n')
-	r.ackMu.Lock()
-	defer r.ackMu.Unlock()
-	_, err = r.pw.Write(data)
-	return err
-}
-
-// Close tears the stream down.
-func (r *ReplStream) Close() error {
-	r.pw.Close()
-	return r.resp.Body.Close()
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.send(append(data, '\n'))
 }
 
 // IsCode reports whether err is an *api.Error carrying the given code —

@@ -4,9 +4,11 @@ import (
 	"context"
 	"errors"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"sync"
 	"testing"
 	"time"
 
@@ -137,7 +139,8 @@ func requireSameLines(t *testing.T, what string, got, want []api.ReplyLine) {
 // stream and a binary stream yields DeepEqual reply lines — directly,
 // through a router in front of the node, and against a server that never
 // sees the Accept header (an old server, a header-dropping proxy), where
-// the same Stream call falls back to NDJSON replies. The node's
+// the same Stream call falls back to NDJSON replies; and pipelined, from
+// a sender goroutine, through a base URL with a path prefix. The node's
 // roboads_fleet_streams_total says which reply wire each stream got.
 func TestStreamWiresAgree(t *testing.T) {
 	frames := mission(t, 21, 40)
@@ -188,6 +191,51 @@ func TestStreamWiresAgree(t *testing.T) {
 	if b, j := deaf.streams(); b != 0 || j != 1 {
 		t.Fatalf("Accept dropped: binary=%d ndjson=%d, want 0 and 1", b, j)
 	}
+
+	prefixed := newNode(t, func(h http.Handler) http.Handler { return http.StripPrefix("/fleet", h) })
+	pc := client.New(prefixed.srv.URL + "/fleet/")
+	requireSameLines(t, "pipelined binary stream under a path prefix", pipelined(t, pc, true, frames), want)
+	requireSameLines(t, "pipelined NDJSON stream under a path prefix", pipelined(t, pc, false, frames), want)
+	if b, j := prefixed.streams(); b != 1 || j != 1 {
+		t.Fatalf("path prefix: binary=%d ndjson=%d, want 1 and 1", b, j)
+	}
+}
+
+// pipelined streams frames into a fresh session as replay -remote does:
+// one goroutine sends every frame and then CloseSend while this one
+// reads the replies to io.EOF.
+func pipelined(t *testing.T, c *client.Client, binary bool, frames []*trace.Frame) []api.ReplyLine {
+	t.Helper()
+	s, err := c.Stream(ctx, createSession(t, c), binary)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	sent := make(chan error, 1)
+	go func() {
+		for _, f := range frames {
+			if err := s.Send(f); err != nil {
+				sent <- err
+				return
+			}
+		}
+		sent <- s.CloseSend()
+	}()
+	var lines []api.ReplyLine
+	for {
+		line, err := s.Recv()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			t.Fatalf("reply %d: %v", len(lines), err)
+		}
+		lines = append(lines, line)
+	}
+	if err := <-sent; err != nil {
+		t.Fatal(err)
+	}
+	return lines
 }
 
 // TestStreamErrorsArriveAsLines: a refused frame mid-stream and the
@@ -293,5 +341,134 @@ func TestStreamDamagedReplyRecord(t *testing.T) {
 		}
 		s.Close()
 		srv.Close()
+	}
+}
+
+var errStillRunning = errors.New("still running")
+
+// within runs f and returns its error, or errStillRunning when f has not
+// returned after d (f is then left running).
+func within(d time.Duration, f func() error) error {
+	done := make(chan error, 1)
+	go func() { done <- f() }()
+	select {
+	case err := <-done:
+		return err
+	case <-time.After(d):
+		return errStillRunning
+	}
+}
+
+// TestStreamOpenBounded: a peer that accepts the connection and never
+// answers holds neither streaming open past the caller's ctx deadline,
+// nor, under a ctx that never ends, past the client's header timeout —
+// the bound on a follower's reconnect before it promotes.
+func TestStreamOpenBounded(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var mu sync.Mutex
+	var held []net.Conn
+	go func() {
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			mu.Lock()
+			held = append(held, conn)
+			mu.Unlock()
+		}
+	}()
+	t.Cleanup(func() {
+		ln.Close()
+		mu.Lock()
+		defer mu.Unlock()
+		for _, conn := range held {
+			conn.Close()
+		}
+	})
+	opens := map[string]func(context.Context, *client.Client) error{
+		"Stream": func(ctx context.Context, c *client.Client) error {
+			_, err := c.Stream(ctx, "s-000001", true)
+			return err
+		},
+		"Replicate": func(ctx context.Context, c *client.Client) error {
+			_, err := c.Replicate(ctx, map[string]int{"s-000001": 3})
+			return err
+		},
+	}
+	for name, open := range opens {
+		dctx, cancel := context.WithTimeout(ctx, 300*time.Millisecond)
+		err := within(2*time.Second, func() error { return open(dctx, client.New(ln.Addr().String())) })
+		cancel()
+		if !errors.Is(err, context.DeadlineExceeded) {
+			t.Errorf("%s under a 300ms ctx: %v, want context.DeadlineExceeded within 2s", name, err)
+		}
+		c := client.New(ln.Addr().String(), client.WithHeaderTimeout(200*time.Millisecond))
+		if err := within(2*time.Second, func() error { return open(ctx, c) }); err == nil || err == errStillRunning {
+			t.Errorf("%s with a 200ms header timeout: %v, want an error within 2s", name, err)
+		}
+	}
+}
+
+// TestStreamCancel: cancelling the ctx a stream was opened with ends the
+// stream in both directions. Send and Recv each fail with an error
+// wrapping context.Canceled; neither drops a frame in silence.
+func TestStreamCancel(t *testing.T) {
+	frames := mission(t, 23, 2)
+	n := newNode(t, nil)
+	c := client.New(n.srv.URL)
+	for _, binary := range []bool{false, true} {
+		sctx, cancel := context.WithCancel(ctx)
+		s, err := c.Stream(sctx, createSession(t, c), binary)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Send(frames[0]); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Recv(); err != nil {
+			t.Fatal(err)
+		}
+		cancel()
+		if err := within(time.Second, func() error { return s.Send(frames[1]) }); !errors.Is(err, context.Canceled) {
+			t.Errorf("binary=%v Send after cancel: %v, want context.Canceled within 1s", binary, err)
+		}
+		if err := within(time.Second, func() error { _, err := s.Recv(); return err }); !errors.Is(err, context.Canceled) {
+			t.Errorf("binary=%v Recv after cancel: %v, want context.Canceled within 1s", binary, err)
+		}
+		s.Close()
+	}
+}
+
+// TestStreamOpenRefused: a stream opened on a session the node does not
+// host fails with the node's *api.Error — not_found for one it never
+// had, moved with the new owner's base URL for one that migrated away.
+func TestStreamOpenRefused(t *testing.T) {
+	src, dst := newNode(t, nil), newNode(t, nil)
+	c := client.New(src.srv.URL)
+	moved := createSession(t, c)
+	if _, err := c.Migrate(ctx, moved, dst.srv.URL); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct{ id, code, location string }{
+		{"s-nope", api.CodeNotFound, ""},
+		{moved, api.CodeMoved, dst.srv.URL},
+	} {
+		for _, binary := range []bool{false, true} {
+			err := within(5*time.Second, func() error {
+				s, err := c.Stream(ctx, tc.id, binary)
+				if err == nil {
+					s.Close()
+				}
+				return err
+			})
+			var e *api.Error
+			if !errors.As(err, &e) || e.Code != tc.code || e.Location != tc.location {
+				t.Errorf("%s binary=%v: %v, want code %q location %q", tc.id, binary, err, tc.code, tc.location)
+			}
+		}
 	}
 }

@@ -472,3 +472,66 @@ func TestStreamOpenRefused(t *testing.T) {
 		}
 	}
 }
+
+// TestRefusedStreamAnswersPromptly: a streaming endpoint that refuses a
+// request answers at once, while the client's body is still open, and
+// the server shuts down cleanly afterwards. The client is plain net/http
+// without Connection: close, which leaves the server to decide what to
+// do with the unread body; a handler that answered before it enabled
+// full duplex had net/http drain up to 256 KB of it first, so the
+// refusal waited on frames that never came.
+func TestRefusedStreamAnswersPromptly(t *testing.T) {
+	volatile := newNode(t, nil)
+	m, err := fleet.NewManager(fleet.Config{Workers: 1, Build: fleet.DefaultBuilder(), Durability: fleet.Durability{Dir: t.TempDir()}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	durable := httptest.NewServer(m.Handler())
+	defer m.Shutdown(ctx)
+	rt, err := router.New(router.Config{Nodes: []string{volatile.srv.URL}, HealthInterval: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Close()
+	front := httptest.NewServer(rt.Handler())
+
+	for _, tc := range []struct {
+		name, url, hello string
+		status           int
+	}{
+		{"node frames, unknown session", volatile.srv.URL + "/v1/sessions/s-nope/frames", "", http.StatusNotFound},
+		{"replicate, volatile node", volatile.srv.URL + "/v1/internal/replicate", "", http.StatusNotImplemented},
+		{"replicate, bad hello", durable.URL + "/v1/internal/replicate", "not a hello\n", http.StatusBadRequest},
+		{"router frames, failed locate", front.URL + "/v1/sessions/s-nope/frames", "", http.StatusNotFound},
+	} {
+		pr, pw := io.Pipe()
+		if tc.hello != "" {
+			go pw.Write([]byte(tc.hello))
+		}
+		req, err := http.NewRequest(http.MethodPost, tc.url, pr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hc := &http.Client{Transport: &http.Transport{}}
+		var resp *http.Response
+		err = within(2*time.Second, func() (err error) {
+			resp, err = hc.Do(req)
+			return err
+		})
+		pw.Close()
+		if err != nil {
+			t.Errorf("%s: %v, want status %d within 2s", tc.name, err, tc.status)
+			continue
+		}
+		resp.Body.Close()
+		hc.CloseIdleConnections()
+		if resp.StatusCode != tc.status {
+			t.Errorf("%s: status %d, want %d", tc.name, resp.StatusCode, tc.status)
+		}
+	}
+	for _, srv := range []*httptest.Server{front, durable, volatile.srv} {
+		if err := within(2*time.Second, func() error { srv.Close(); return nil }); err != nil {
+			t.Errorf("closing %s: %v", srv.URL, err)
+		}
+	}
+}

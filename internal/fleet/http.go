@@ -305,6 +305,9 @@ func (m *Manager) stepSpanned(ctx context.Context, id string, frame *trace.Frame
 // never deadlocked; a pipelining client gets amortized queue admission,
 // fsync, and flush for free.
 func (m *Manager) handleFrames(w http.ResponseWriter, r *http.Request) {
+	// Before any answer: else net/http drains the open body before a refusal.
+	out := &replyWriter{w: w, rc: http.NewResponseController(w)}
+	out.rc.EnableFullDuplex() // best-effort; serial clients work regardless
 	id := r.PathValue("id")
 	if _, err := m.Info(id); err != nil {
 		httpError(w, lookupStatus(err), err)
@@ -317,8 +320,6 @@ func (m *Manager) handleFrames(w http.ResponseWriter, r *http.Request) {
 		tr:      m.cfg.Trace,
 		session: id,
 	}
-	out := &replyWriter{w: w, rc: http.NewResponseController(w)}
-	out.rc.EnableFullDuplex() // best-effort; serial clients work regardless
 	if fbr.binary && r.Header.Get("Accept") == api.ContentTypeBinaryReplies {
 		m.mStreamsBinary.Inc()
 		w.Header().Set("Content-Type", api.ContentTypeBinaryReplies)

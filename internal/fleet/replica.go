@@ -202,6 +202,10 @@ func (m *Manager) replNotify() {
 // body, and the response streams NDJSON ReplRecords until the follower
 // drops, a newer follower supersedes this one, or the server stops.
 func (m *Manager) handleReplicate(w http.ResponseWriter, r *http.Request) {
+	// Full duplex before any answer: acks ride the request body while
+	// records flow out, and a refusal must not wait for net/http to
+	// drain a body that stays open.
+	http.NewResponseController(w).EnableFullDuplex()
 	if m.store == nil {
 		httpError(w, http.StatusNotImplemented, ErrDurabilityDisabled)
 		return
@@ -218,10 +222,6 @@ func (m *Manager) handleReplicate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	flusher, _ := w.(http.Flusher)
-	// Ack lines arrive on the request body for as long as records flow
-	// out; without full duplex the HTTP/1 server stops body reads at the
-	// first response write and every ack would be lost.
-	http.NewResponseController(w).EnableFullDuplex()
 	w.Header().Set("Content-Type", api.ContentTypeNDJSON)
 	w.WriteHeader(http.StatusOK)
 

@@ -82,3 +82,32 @@ func BenchmarkCholesky4x4(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkMulInto7x3x3 is the product mat.mul_ns times: the Khepera's
+// stacked testing readings (7 rows) times the 3×3 state covariance.
+func BenchmarkMulInto7x3x3(b *testing.B) {
+	c := randomMat(newQuickRNG(1), 7, 3)
+	p := benchMatrix(3, 2)
+	dst := New(7, 3)
+	for i := 0; i < b.N; i++ {
+		MulInto(dst, c, p)
+	}
+}
+
+func BenchmarkMulTInto3x3(b *testing.B) {
+	a := benchMatrix(3, 1)
+	c := benchMatrix(3, 2)
+	dst := New(3, 3)
+	for i := 0; i < b.N; i++ {
+		MulTInto(dst, a, c)
+	}
+}
+
+func BenchmarkMulInto4x4(b *testing.B) {
+	a := benchMatrix(4, 1)
+	c := benchMatrix(4, 2)
+	dst := New(4, 4)
+	for i := 0; i < b.N; i++ {
+		MulInto(dst, a, c)
+	}
+}

@@ -37,9 +37,8 @@ func CholFactorInto(dst, m *Mat) bool {
 	return cholFactorRaw(dst.data, m.data, m.rows)
 }
 
-// cholFactorRaw is CholFactorInto's loop body on raw storage; the
-// batched kernels sweep it with the shape checks hoisted, so both
-// paths share one body and one pivot tolerance.
+// cholFactorRaw is CholFactorInto's loop body on raw storage: the
+// lower Cholesky factor of the n×n m into dst.
 func cholFactorRaw(dst, m []float64, n int) bool {
 	var scale float64
 	for i := 0; i < n; i++ {

@@ -29,11 +29,23 @@ func MulInto(dst, a, b *Mat) *Mat {
 }
 
 // mulRaw is MulInto's loop body on raw storage: a (ar×ac) times
-// b (ac×bc) into dst. The batched kernels sweep it directly with the
-// shape checks hoisted out of the per-block loop; keeping one body
-// keeps the summation order — and therefore the bits — identical on
-// both paths.
+// b (ac×bc) into dst. The robots' state widths, 3 and 4, take
+// straight-line paths that keep a row's sums in locals instead of dst.
+// They are bit-exact with the generic loop: each element still starts
+// at +0 and adds av·b[k][j] for ascending k, skipping the k where
+// av == 0, one rounded multiply and one rounded add at a time.
 func mulRaw(dst, a, b []float64, ar, ac, bc int) {
+	switch {
+	case bc == 3 && ac == 3:
+		mulRaw33(dst, a, b, ar)
+		return
+	case bc == 3:
+		mulRaw3(dst, a, b, ar, ac)
+		return
+	case bc == 4:
+		mulRaw4(dst, a, b, ar, ac)
+		return
+	}
 	clear(dst)
 	for i := 0; i < ar; i++ {
 		rowOut := dst[i*bc : (i+1)*bc]
@@ -50,6 +62,69 @@ func mulRaw(dst, a, b []float64, ar, ac, bc int) {
 	}
 }
 
+// mulRaw33 is mulRaw for a 3×3 b: b in locals, the k loop unrolled.
+func mulRaw33(dst, a, b []float64, ar int) {
+	b = b[:9]
+	b00, b01, b02 := b[0], b[1], b[2]
+	b10, b11, b12 := b[3], b[4], b[5]
+	b20, b21, b22 := b[6], b[7], b[8]
+	for i := 0; i < ar; i++ {
+		rowA := a[i*3 : i*3+3 : i*3+3]
+		var s0, s1, s2 float64
+		if av := rowA[0]; av != 0 {
+			s0 += av * b00
+			s1 += av * b01
+			s2 += av * b02
+		}
+		if av := rowA[1]; av != 0 {
+			s0 += av * b10
+			s1 += av * b11
+			s2 += av * b12
+		}
+		if av := rowA[2]; av != 0 {
+			s0 += av * b20
+			s1 += av * b21
+			s2 += av * b22
+		}
+		dst[i*3], dst[i*3+1], dst[i*3+2] = s0, s1, s2
+	}
+}
+
+// mulRaw3 is mulRaw for an output width of 3.
+func mulRaw3(dst, a, b []float64, ar, ac int) {
+	for i := 0; i < ar; i++ {
+		var s0, s1, s2 float64
+		for k, av := range a[i*ac : (i+1)*ac] {
+			if av == 0 {
+				continue
+			}
+			rowB := b[k*3 : k*3+3 : k*3+3]
+			s0 += av * rowB[0]
+			s1 += av * rowB[1]
+			s2 += av * rowB[2]
+		}
+		dst[i*3], dst[i*3+1], dst[i*3+2] = s0, s1, s2
+	}
+}
+
+// mulRaw4 is mulRaw for an output width of 4.
+func mulRaw4(dst, a, b []float64, ar, ac int) {
+	for i := 0; i < ar; i++ {
+		var s0, s1, s2, s3 float64
+		for k, av := range a[i*ac : (i+1)*ac] {
+			if av == 0 {
+				continue
+			}
+			rowB := b[k*4 : k*4+4 : k*4+4]
+			s0 += av * rowB[0]
+			s1 += av * rowB[1]
+			s2 += av * rowB[2]
+			s3 += av * rowB[3]
+		}
+		dst[i*4], dst[i*4+1], dst[i*4+2], dst[i*4+3] = s0, s1, s2, s3
+	}
+}
+
 // MulTInto stores a·bᵀ into dst and returns dst.
 func MulTInto(dst, a, b *Mat) *Mat {
 	if a.cols != b.cols {
@@ -62,8 +137,18 @@ func MulTInto(dst, a, b *Mat) *Mat {
 }
 
 // mulTRaw is MulTInto's loop body on raw storage: a (ar×ac) times the
-// transpose of b (br×ac) into dst (ar×br).
+// transpose of b (br×ac) into dst (ar×br). Inner widths 3 and 4 hold a's
+// row in locals and write each dot product out term by term, from the
+// same +0 start in the same order as the loop: bit-exact with it.
 func mulTRaw(dst, a, b []float64, ar, ac, br int) {
+	switch ac {
+	case 3:
+		mulTRaw3(dst, a, b, ar, br)
+		return
+	case 4:
+		mulTRaw4(dst, a, b, ar, br)
+		return
+	}
 	for i := 0; i < ar; i++ {
 		rowA := a[i*ac : (i+1)*ac]
 		rowOut := dst[i*br : (i+1)*br]
@@ -73,6 +158,41 @@ func mulTRaw(dst, a, b []float64, ar, ac, br int) {
 			for k, av := range rowA {
 				sum += av * rowB[k]
 			}
+			rowOut[j] = sum
+		}
+	}
+}
+
+// mulTRaw3 is mulTRaw for an inner width of 3.
+func mulTRaw3(dst, a, b []float64, ar, br int) {
+	for i := 0; i < ar; i++ {
+		rowA := a[i*3 : i*3+3 : i*3+3]
+		a0, a1, a2 := rowA[0], rowA[1], rowA[2]
+		rowOut := dst[i*br : (i+1)*br]
+		for j := range rowOut {
+			rowB := b[j*3 : j*3+3 : j*3+3]
+			var sum float64
+			sum += a0 * rowB[0]
+			sum += a1 * rowB[1]
+			sum += a2 * rowB[2]
+			rowOut[j] = sum
+		}
+	}
+}
+
+// mulTRaw4 is mulTRaw for an inner width of 4.
+func mulTRaw4(dst, a, b []float64, ar, br int) {
+	for i := 0; i < ar; i++ {
+		rowA := a[i*4 : i*4+4 : i*4+4]
+		a0, a1, a2, a3 := rowA[0], rowA[1], rowA[2], rowA[3]
+		rowOut := dst[i*br : (i+1)*br]
+		for j := range rowOut {
+			rowB := b[j*4 : j*4+4 : j*4+4]
+			var sum float64
+			sum += a0 * rowB[0]
+			sum += a1 * rowB[1]
+			sum += a2 * rowB[2]
+			sum += a3 * rowB[3]
 			rowOut[j] = sum
 		}
 	}

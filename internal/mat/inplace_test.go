@@ -3,6 +3,7 @@ package mat
 import (
 	"errors"
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -53,7 +54,7 @@ func TestIntoVariantsMatchAllocating(t *testing.T) {
 		got := MulVecInto(make(Vec, 3), a, v)
 		want := a.MulVec(v)
 		for i := range got {
-			if got[i] != want[i] {
+			if !sameBits(got[i], want[i]) {
 				return false
 			}
 		}
@@ -78,16 +79,120 @@ func newQuickRNG(seed int64) func() float64 {
 	}
 }
 
+// bitEqual reports whether a and b have the same shape and entries that
+// are sameBits.
 func bitEqual(a, b *Mat) bool {
 	if a.rows != b.rows || a.cols != b.cols {
 		return false
 	}
 	for i := range a.data {
-		if a.data[i] != b.data[i] {
+		if !sameBits(a.data[i], b.data[i]) {
 			return false
 		}
 	}
 	return true
+}
+
+// sameBits reports whether x and y have the same bits (so −0 is not +0),
+// counting any two NaNs as the same: when both operands of an add are NaN,
+// the result carries one of their payloads, and which one follows the
+// operand order the compiler picks for a commutative operation, which
+// neither IEEE 754 nor Go fixes.
+func sameBits(x, y float64) bool {
+	return math.Float64bits(x) == math.Float64bits(y) || (math.IsNaN(x) && math.IsNaN(y))
+}
+
+// specials are the operand values the product kernels must treat exactly
+// as the generic loop does: the zero skip (0 and −0), the signed zero a
+// sum of them produces, and the non-finite values a skip changes.
+var specials = []float64{0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), math.NaN()}
+
+// specialMat is a random r×c matrix with about one entry in three drawn
+// from specials.
+func specialMat(rng *rand.Rand, r, c int) *Mat {
+	m := New(r, c)
+	for i := range m.data {
+		if rng.Intn(3) == 0 {
+			m.data[i] = specials[rng.Intn(len(specials))]
+		} else {
+			m.data[i] = rng.NormFloat64()
+		}
+	}
+	return m
+}
+
+// mulTRef is a·bᵀ as the textbook loop: every term summed from +0 in
+// ascending k, no term skipped. Mul(b.T()) skips the k where a's entry is
+// zero, so the two part where that zero meets an infinity or a NaN.
+func mulTRef(a, b *Mat) *Mat {
+	out := New(a.rows, b.rows)
+	for i := 0; i < a.rows; i++ {
+		for j := 0; j < b.rows; j++ {
+			var sum float64
+			for k := 0; k < a.cols; k++ {
+				sum += a.At(i, k) * b.At(j, k)
+			}
+			out.Set(i, j, sum)
+		}
+	}
+	return out
+}
+
+// checkProducts compares MulInto with Mul, MulTInto with the textbook
+// loop and TMulInto with T().Mul, bit for bit, on a (r×k) and operands
+// of the widths each product needs.
+func checkProducts(t *testing.T, a, b, bt, at *Mat) {
+	t.Helper()
+	r, k, c := a.rows, a.cols, b.cols
+	if got, want := MulInto(New(r, c), a, b), a.Mul(b); !bitEqual(got, want) {
+		t.Errorf("MulInto %dx%d·%dx%d = %v, Mul = %v", r, k, k, c, got, want)
+	}
+	if got, want := MulTInto(New(r, c), a, bt), mulTRef(a, bt); !bitEqual(got, want) {
+		t.Errorf("MulTInto %dx%d·(%dx%d)ᵀ = %v, want %v", r, k, c, k, got, want)
+	}
+	if got, want := TMulInto(New(k, c), at, b), at.T().Mul(b); !bitEqual(got, want) {
+		t.Errorf("TMulInto (%dx%d)ᵀ·%dx%d = %v, T().Mul = %v", k, k, k, c, got, want)
+	}
+}
+
+// TestProductKernelsBitExact sweeps every shape with sides 1…6, so the
+// width-3, width-4 and generic paths of each product all run, over
+// operands seeded with zeros of both signs, infinities and NaN.
+func TestProductKernelsBitExact(t *testing.T) {
+	rng := rand.New(rand.NewSource(38))
+	for r := 1; r <= 6; r++ {
+		for k := 1; k <= 6; k++ {
+			for c := 1; c <= 6; c++ {
+				for trial := 0; trial < 8; trial++ {
+					checkProducts(t, specialMat(rng, r, k), specialMat(rng, k, c), specialMat(rng, c, k), specialMat(rng, k, k))
+				}
+			}
+		}
+	}
+}
+
+// TestProductZeroSkip pins where the zero skip applies: Mul and MulInto
+// skip a zero entry of a, so 0·Inf never enters the sum; MulTInto skips
+// nothing, so it does.
+func TestProductZeroSkip(t *testing.T) {
+	inf := math.Inf(1)
+	for _, w := range []int{2, 3, 4, 5} {
+		a := New(2, w)
+		a.Set(1, 0, 1)
+		b := New(w, w)
+		for j := 0; j < w; j++ {
+			b.Set(0, j, inf)
+			b.Set(1, j, 2)
+		}
+		got := MulInto(New(2, w), a, b)
+		if !bitEqual(got, a.Mul(b)) || got.At(0, 0) != 0 || got.At(1, 0) != inf {
+			t.Errorf("width %d: MulInto = %v, want row 0 zero (0·Inf skipped), row 1 Inf", w, got)
+		}
+		bt := b.T()
+		if got := MulTInto(New(2, w), a, bt); !math.IsNaN(got.At(0, 0)) || got.At(1, 0) != inf {
+			t.Errorf("width %d: MulTInto = %v, want row 0 NaN (0·Inf summed), row 1 Inf", w, got)
+		}
+	}
 }
 
 func TestIntoAliasingElementwise(t *testing.T) {

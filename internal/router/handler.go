@@ -301,6 +301,11 @@ func (rt *Router) roundTrip(r *http.Request, node string, body []byte) (*proxied
 // every write so reply lines reach the client as they are produced.
 func (rt *Router) handleFrames(w http.ResponseWriter, r *http.Request) {
 	rt.mProxied.Inc()
+	rc := http.NewResponseController(w)
+	// Full duplex before any answer, as on the node's /frames: the frame
+	// stream stays readable while replies flow back, and a refusal does
+	// not wait for net/http to drain it.
+	rc.EnableFullDuplex()
 	id := r.PathValue("id")
 	owner, err := rt.locate(r.Context(), id)
 	if err != nil {
@@ -312,11 +317,6 @@ func (rt *Router) handleFrames(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadGateway, api.Error{Message: "router: bad node url " + owner, Code: api.CodeInternal})
 		return
 	}
-	rc := http.NewResponseController(w)
-	// The proxied request body (the client's frame stream) must stay
-	// readable while reply lines flow back out — the same full-duplex
-	// contract the node's own /frames handler declares.
-	rc.EnableFullDuplex()
 	proxy := &httputil.ReverseProxy{
 		Rewrite:       func(pr *httputil.ProxyRequest) { pr.SetURL(target) },
 		FlushInterval: -1, // reply lines stream: flush every write

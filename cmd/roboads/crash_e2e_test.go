@@ -34,7 +34,7 @@ func TestServeHelperProcess(t *testing.T) {
 	promoteAfter, _ := time.ParseDuration(os.Getenv("ROBOADS_PROMOTE_AFTER"))
 	addrFile := os.Getenv("ROBOADS_ADDR_FILE")
 	err := serveScenario(context.Background(), serveOptions{
-		addr:          "127.0.0.1:0",
+		addr:          cmp.Or(os.Getenv("ROBOADS_ADDR"), "127.0.0.1:0"),
 		scenarioID:    -1,
 		quiet:         os.Getenv("ROBOADS_HELPER_VERBOSE") != "1",
 		stateDir:      os.Getenv("ROBOADS_STATE_DIR"),
@@ -58,7 +58,7 @@ func TestServeHelperProcess(t *testing.T) {
 // spawnServeHelper starts the helper process and waits for its bound
 // address. The returned process is running until explicitly killed.
 // extraEnv entries ("KEY=value") layer additional serve options on —
-// ROBOADS_FOLLOW, ROBOADS_ACK_POLICY, ROBOADS_PROMOTE_AFTER.
+// ROBOADS_FOLLOW, ROBOADS_ACK_POLICY, ROBOADS_PROMOTE_AFTER, ROBOADS_ADDR.
 func spawnServeHelper(t *testing.T, stateDir, addrFile string, snapshotEvery int, commitWindow time.Duration, extraEnv ...string) (*exec.Cmd, string) {
 	t.Helper()
 	os.Remove(addrFile)

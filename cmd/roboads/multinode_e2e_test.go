@@ -4,16 +4,22 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
+	"os/exec"
 	"path/filepath"
 	"reflect"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"roboads/client"
 	"roboads/internal/api"
+	"roboads/internal/fleet"
 	"roboads/internal/router"
+	"roboads/internal/trace"
 )
 
 // waitGaugeAtLeast polls a node's /metrics until the named series
@@ -200,4 +206,153 @@ func TestMultinodeFailoverMigration(t *testing.T) {
 	for f := postMig; f < total; f++ {
 		step(migID, f)
 	}
+}
+
+// TestMultinodeRoutedStreams: eight sessions stream their recorded
+// missions over binary /frames streams through a router (run as `roboads
+// route` runs it) in front of three durable nodes, in lockstep batches of
+// four, every reply bit-for-bit the in-process reference. At half time
+// every other session migrates to its next-ranked node and node 0 is
+// SIGKILLed and restarted on its address and state dir; then acked ≤
+// recovered ≤ sent holds and every session resumes to the end.
+func TestMultinodeRoutedStreams(t *testing.T) {
+	if testing.Short() {
+		t.Skip("multinode e2e in -short mode")
+	}
+	const sessions, total, half, batch = 8, 96, 48, 4
+	missions := [][]trace.Frame{recordedFrames(t, 401, total), recordedFrames(t, 402, total)}
+	refs := [][]fleet.WireReport{localWireReports(t, missions[0]), localWireReports(t, missions[1])}
+
+	tmp := t.TempDir()
+	dirs, cmds, nodes := make([]string, 3), make([]*exec.Cmd, 3), make([]string, 3)
+	for i := range nodes {
+		dirs[i] = filepath.Join(tmp, fmt.Sprint("node", i))
+		var addr string
+		cmds[i], addr = spawnServeHelper(t, dirs[i], dirs[i]+".addr", 32, 2*time.Millisecond)
+		nodes[i] = "http://" + addr
+	}
+	defer func() {
+		for _, cmd := range cmds {
+			cmd.Process.Kill()
+			cmd.Wait()
+		}
+	}()
+
+	ctx, cancel := context.WithCancel(context.Background())
+	ready, routed := make(chan net.Addr, 1), make(chan error, 1)
+	go func() {
+		routed <- runRoute(ctx, routeOptions{addr: "127.0.0.1:0", nodes: nodes,
+			healthInterval: 50 * time.Millisecond, quiet: true, onReady: func(a net.Addr) { ready <- a }})
+	}()
+	var rc *client.Client
+	select {
+	case a := <-ready:
+		rc = client.New("http://" + a.String())
+	case err := <-routed:
+		t.Fatalf("route exited before ready: %v", err)
+	}
+	defer func() {
+		cancel()
+		if err := <-routed; err != nil {
+			t.Errorf("route: %v", err)
+		}
+	}()
+
+	// Propose IDs whose owners take turns over the nodes, so node 0 owns
+	// sessions that stay on it and sessions that migrate away.
+	var ids []string
+	for i := 0; len(ids) < sessions; i++ {
+		if id := fmt.Sprintf("rs-%04d", i); router.Rank(id, nodes)[0] == nodes[len(ids)%len(nodes)] {
+			if _, err := rc.Create(ctx, api.CreateRequest{Robot: "khepera", ID: id}); err != nil {
+				t.Fatalf("create %s through router: %v", id, err)
+			}
+			ids = append(ids, id)
+		}
+	}
+
+	// drive streams frames [from, to) of session i through the router and
+	// returns how many replies matched the reference before any failure.
+	drive := func(i, from, to int) (acked int, err error) {
+		stream, err := rc.Stream(ctx, ids[i], true)
+		if err != nil {
+			return 0, err
+		}
+		defer stream.Close()
+		frames, ref := missions[i%2], refs[i%2]
+		for f := from; f < to; f += batch {
+			for g := f; g < min(f+batch, to); g++ {
+				if err := stream.Send(&frames[g]); err != nil {
+					return acked, err
+				}
+			}
+			for g := f; g < min(f+batch, to); g++ {
+				line, err := stream.Recv()
+				if err != nil {
+					return acked, err
+				}
+				if line.Report == nil || !reflect.DeepEqual(*line.Report, ref[g]) {
+					return acked, fmt.Errorf("reply %d diverged from the reference: %+v", g, line)
+				}
+				acked++
+			}
+		}
+		stream.CloseSend()
+		if line, err := stream.Recv(); err != io.EOF {
+			return acked, fmt.Errorf("stream end: %+v, %v", line, err)
+		}
+		return acked, nil
+	}
+	driveAll := func(from []int, to int) []int {
+		acked := make([]int, sessions)
+		var wg sync.WaitGroup
+		for i := range ids {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				var err error
+				if acked[i], err = drive(i, from[i], to); err != nil {
+					t.Errorf("session %s, frames %d..%d: %v", ids[i], from[i], to, err)
+				}
+			}(i)
+		}
+		if wg.Wait(); t.Failed() {
+			t.FailNow()
+		}
+		return acked
+	}
+
+	acked := driveAll(make([]int, sessions), half)
+	for i := 0; i < sessions; i += 2 {
+		if mr, err := rc.Migrate(ctx, ids[i], router.Rank(ids[i], nodes)[1]); err != nil || mr.FramesApplied != half {
+			t.Fatalf("migrate %s to its next-ranked node: %+v, %v", ids[i], mr, err)
+		}
+	}
+	cmds[0].Process.Kill()
+	cmds[0].Wait()
+	cmds[0], _ = spawnServeHelper(t, dirs[0], dirs[0]+".addr", 32, 2*time.Millisecond,
+		"ROBOADS_ADDR="+strings.TrimPrefix(nodes[0], "http://"))
+
+	// Only our eight IDs were ever created, so eight distinct listed IDs
+	// are ours, each listed once.
+	listed := map[string]int{}
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(20 * time.Millisecond) {
+		list, err := rc.List(ctx)
+		clear(listed)
+		for _, st := range list {
+			listed[st.ID] = st.FramesApplied
+		}
+		if err == nil && len(list) == sessions && len(listed) == sessions {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("router lists %d sessions, want %d (err %v)", len(list), sessions, err)
+		}
+	}
+	recovered := make([]int, sessions)
+	for i, id := range ids {
+		if recovered[i] = listed[id]; recovered[i] < acked[i] || recovered[i] > half {
+			t.Fatalf("session %s: recovered %d frames with %d acked, %d sent", id, recovered[i], acked[i], half)
+		}
+	}
+	driveAll(recovered, total)
 }

@@ -1,11 +1,10 @@
 // Package benchquality defines the BENCH_quality.json leaderboard format
 // — the detection-quality record `roboads scenario run` appends and
-// `cmd/benchdiff -quality` gates. It is the adversarial counterpart of
-// BENCH_serve.json: where that file tracks serving capacity, this one
-// tracks how well the detector holds up against a scenario suite —
-// per-scenario detection delay, false-positive/missed-detection rates,
-// and alarm fractions — so every perf PR also proves it didn't regress
-// detection quality.
+// `cmd/benchdiff -quality` gates. Where bench/ measures serving speed,
+// this record tracks how well the detector holds up against a scenario
+// suite — per-scenario detection delay, false-positive/missed-detection
+// rates, and alarm fractions — so every perf PR also proves it didn't
+// regress detection quality.
 package benchquality
 
 import (

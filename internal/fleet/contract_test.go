@@ -17,9 +17,9 @@ import (
 
 // The API contract tests pin the /v1 error surface: every fleet
 // sentinel's HTTP status, machine-readable code, and envelope extras
-// (retry hints, redirect locations). Clients — the typed client, the
-// router, loadgen — dispatch on exactly these, so a drifted mapping is
-// a silent cross-version break. Change a case here only together with a
+// (retry hints, redirect locations). Clients — the typed client and
+// the router — dispatch on exactly these, so a drifted mapping is a
+// silent cross-version break. Change a case here only together with a
 // documented wire-contract change.
 
 // doJSON issues one request with an optional JSON body and returns the

@@ -100,15 +100,28 @@ func (f *Follower) consume(ctx context.Context, stream *client.ReplStream, promo
 		err error
 	}
 	recv := make(chan recvResult, 64)
+	// Closed when consume returns, so no reader outlives its stream.
+	done := make(chan struct{})
+	defer close(done)
 	go func() {
 		for {
 			rec, err := stream.Recv()
-			recv <- recvResult{rec, err}
+			select {
+			case recv <- recvResult{rec, err}:
+			case <-done:
+				return
+			}
 			if err != nil {
 				return
 			}
 		}
 	}()
+	// One silence timer per stream. A wait for the next record lasts
+	// promoteAfter from waitStart; a timer armed for an earlier wait is
+	// re-armed, once it has fired, for the rest of the current one.
+	idle := time.NewTimer(promoteAfter)
+	defer idle.Stop()
+	waitStart := time.Now()
 	var pending *api.ReplRecord
 	for {
 		var rec api.ReplRecord
@@ -126,7 +139,11 @@ func (f *Follower) consume(ctx context.Context, stream *client.ReplStream, promo
 					return r.err
 				}
 				rec = r.rec
-			case <-time.After(promoteAfter):
+			case <-idle.C:
+				if rest := promoteAfter - time.Since(waitStart); rest > 0 {
+					idle.Reset(rest)
+					continue
+				}
 				return nil
 			}
 		}
@@ -150,16 +167,8 @@ func (f *Follower) consume(ctx context.Context, stream *client.ReplStream, promo
 			frames := []*trace.Frame{rec.Frame}
 			last := rec.Seq
 			var streamErr error
-			for len(frames) < f.Manager.cfg.MaxBatch && streamErr == nil {
-				var r recvResult
-				select {
-				case r = <-recv:
-				default:
-					r.err = errNoBuffered
-				}
-				if errors.Is(r.err, errNoBuffered) {
-					break
-				}
+			for len(frames) < f.Manager.cfg.MaxBatch && streamErr == nil && len(recv) > 0 {
+				r := <-recv // this goroutine is recv's one receiver: never blocks
 				if r.err != nil {
 					// Apply what we have, then surface the break below.
 					streamErr = r.err
@@ -183,10 +192,9 @@ func (f *Follower) consume(ctx context.Context, stream *client.ReplStream, promo
 				return streamErr
 			}
 		}
+		waitStart = time.Now()
 	}
 }
-
-var errNoBuffered = errors.New("no buffered record")
 
 // apply steps a run of replicated frames through the local session. The
 // batch reply arrives only after the local WAL commit barrier

@@ -52,9 +52,11 @@ sizes:
 # flusher, the fleet session manager, and the client's streams (a
 # reader, a writer and a ctx-triggered close on one connection, also
 # through the router) are the concurrency-sensitive surfaces; run them
-# under the race detector.
+# under the race detector. So is the scenario suite runner, which steps
+# missions on Workers goroutines into indexed slots.
 race:
 	$(GO) test -race ./internal/core/... ./internal/detect/... ./internal/telemetry/... ./internal/store/... ./internal/fleet/... ./client/ ./internal/router/
+	$(GO) test -race -run 'TestSuiteWorkersDeterminism' ./internal/scenario/
 
 # Fleet soak: the multi-session service suite under the race detector —
 # N concurrent sessions bit-for-bit equal to N sequential detectors,

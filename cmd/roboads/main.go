@@ -24,7 +24,9 @@
 //	related  [-trials N] [-seed S]   compare against the §II-C detector families
 //	quality  [-seed S]               §V-E sensor-quality sweep
 //	calibrate [-trials N] [-seed S]  auto-select decision parameters (§V-F as a tool)
-//	report   [-o FILE] [-trials N]   regenerate the full markdown reproduction report
+//	report   [-o FILE] [-trials N]   regenerate the full markdown reproduction report:
+//	                                 every single-result subcommand's output
+//	                                 under a heading (stdout without -o)
 //	record   -scenario N [-o FILE]   record a mission's monitor inputs as a trace
 //	replay   [-i FILE] [-remote A]   replay a trace through a fresh detector,
 //	                                 or stream it to a live serve fleet endpoint
@@ -36,7 +38,6 @@
 //	route    -nodes A,B,C [-addr A]  front N serve nodes as one fleet:
 //	                                 consistent-hash placement, failover,
 //	                                 migration redirect chasing
-//	all      [-trials N] [-seed S]   run everything above (except fig6 TSV)
 //
 // run and replay also accept -telemetry ADDR to expose the same HTTP
 // surface for the duration of the command.
@@ -47,6 +48,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"strings"
@@ -87,7 +89,7 @@ func run(args []string) error {
 	seed := fs.Int64("seed", 42, "base random seed")
 	scenarioID := fs.Int("scenario", 4, "Table II scenario number (run/record)")
 	plot := fs.String("plot", "a", "fig7 plot: a|b|c|d")
-	output := fs.String("o", "", "output file (record; default stdout)")
+	output := fs.String("o", "", "output file (record, report; default stdout)")
 	input := fs.String("i", "", "input trace file (replay; default stdin)")
 	remote := fs.String("remote", "", "replay against a live `roboads serve` fleet endpoint (e.g. 127.0.0.1:8080) instead of an in-process detector")
 	telemetryAddr := fs.String("telemetry", "", "serve /metrics, /snapshot and /debug/pprof on this address during run/replay (e.g. 127.0.0.1:8080)")
@@ -152,60 +154,22 @@ func run(args []string) error {
 			nodes:          list,
 			healthInterval: *healthInterval,
 		})
-	case "table2":
-		result, err := eval.Table2(*trials, *seed)
-		if err != nil {
-			return err
-		}
-		result.Write(os.Stdout)
-	case "table3":
-		printTable3()
-	case "table4":
-		result, err := eval.Table4(*seed)
-		if err != nil {
-			return err
-		}
-		result.Write(os.Stdout)
-		if err := result.Shape(); err != nil {
-			return err
-		}
-		fmt.Println("shape check: OK")
 	case "fig6":
 		result, err := eval.Fig6(*seed)
 		if err != nil {
 			return err
 		}
-		result.Write(os.Stdout)
+		return eval.Render(os.Stdout, result.Write)
 	case "fig7":
-		return runFig7(*plot, *trials, *seed)
-	case "tamiya":
-		result, err := eval.Tamiya(*trials, *seed)
+		i := strings.Index("abcd", strings.ToLower(*plot))
+		if len(*plot) != 1 || i < 0 {
+			return fmt.Errorf("unknown fig7 plot %q (want a|b|c|d)", *plot)
+		}
+		result, err := eval.Fig7(*trials, *seed)
 		if err != nil {
 			return err
 		}
-		result.Write(os.Stdout)
-	case "linear":
-		result, err := eval.LinearBench(*trials, *seed)
-		if err != nil {
-			return err
-		}
-		result.Write(os.Stdout)
-	case "evasive":
-		result, err := eval.Evasive(*seed)
-		if err != nil {
-			return err
-		}
-		result.Write(os.Stdout)
-	case "quality":
-		result, err := eval.SensorQuality(*seed)
-		if err != nil {
-			return err
-		}
-		result.Write(os.Stdout)
-		if err := result.Shape(); err != nil {
-			return err
-		}
-		fmt.Println("shape check: OK")
+		return eval.Render(os.Stdout, func(w io.Writer) { result.WritePlot(w, i) })
 	case "calibrate":
 		runs, err := eval.Fig7Workload(*trials, *seed)
 		if err != nil {
@@ -215,21 +179,20 @@ func run(args []string) error {
 		if err != nil {
 			return err
 		}
-		fmt.Printf("calibrated decision parameters (validation F1 sensor %.4f / actuator %.4f):\n", cal.SensorF1, cal.ActuatorF1)
-		fmt.Printf("  sensor:   alpha=%g  c/w=%d/%d\n", cal.Config.SensorAlpha, cal.Config.SensorCriteria, cal.Config.SensorWindow)
-		fmt.Printf("  actuator: alpha=%g  c/w=%d/%d\n", cal.Config.ActuatorAlpha, cal.Config.ActuatorCriteria, cal.Config.ActuatorWindow)
-		fmt.Println("paper selects: sensor alpha=0.005 c/w=2/2, actuator alpha=0.05 c/w=3/6")
+		return eval.Render(os.Stdout, cal.Write)
 	case "report":
-		out := os.Stdout
-		if *output != "" {
-			f, err := os.Create(*output)
-			if err != nil {
-				return err
-			}
-			defer f.Close()
-			out = f
+		if *output == "" {
+			return eval.Report(os.Stdout, *trials, *seed)
 		}
-		return eval.Report(out, *trials, *seed)
+		f, err := os.Create(*output)
+		if err != nil {
+			return err
+		}
+		err = eval.Report(f, *trials, *seed)
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+		return err
 	case "record":
 		return recordTrace(*scenarioID, *seed, *output, *binary)
 	case "replay":
@@ -237,23 +200,18 @@ func run(args []string) error {
 			return replayRemote(*input, *remote, *wire)
 		}
 		return replayTrace(*input, *telemetryAddr)
-	case "related":
-		result, err := eval.RelatedWork(*trials, *seed)
-		if err != nil {
-			return err
-		}
-		result.Write(os.Stdout)
-	case "all":
-		return runAll(*trials, *seed)
-	default:
-		usage()
-		return fmt.Errorf("unknown subcommand %q", sub)
 	}
-	return nil
+	for _, a := range eval.Artifacts {
+		if a.Name == sub {
+			return a.Run(os.Stdout, *trials, *seed)
+		}
+	}
+	usage()
+	return fmt.Errorf("unknown subcommand %q", sub)
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, `usage: roboads <run|table2|table3|table4|fig6|fig7|tamiya|linear|evasive|scenario|related|quality|calibrate|report|record|replay|serve|route|all> [flags]`)
+	fmt.Fprintln(os.Stderr, `usage: roboads <run|table2|table3|table4|fig6|fig7|tamiya|linear|evasive|scenario|related|quality|calibrate|report|record|replay|serve|route> [flags]`)
 }
 
 func runScenario(id int, seed int64, telemetryAddr string) error {
@@ -295,140 +253,6 @@ func runScenario(id int, seed int64, telemetryAddr string) error {
 			fmt.Printf("delay[%s] = %.2fs\n", t.Name, t.Delay.Seconds(run.Dt))
 		}
 	}
-	return nil
-}
-
-func printTable3() {
-	fmt.Println("Table III — sensor and actuator mode definitions")
-	rows := []struct{ code, condition string }{
-		{"S0", "under no sensor misbehavior"},
-		{"S1", "under IPS sensor misbehavior"},
-		{"S2", "under wheel encoder sensor misbehavior"},
-		{"S3", "under LiDAR sensor misbehavior"},
-		{"S4", "under wheel encoder and LiDAR sensor misbehavior"},
-		{"S5", "under IPS and LiDAR sensor misbehavior"},
-		{"S6", "under IPS and wheel encoder sensor misbehavior"},
-		{"A0", "under no actuator misbehavior"},
-		{"A1", "under actuator misbehavior"},
-	}
-	for _, r := range rows {
-		fmt.Printf("  %-4s %s\n", r.code, r.condition)
-	}
-}
-
-func runFig7(plot string, trials int, seed int64) error {
-	plot = strings.ToLower(plot)
-	switch plot {
-	case "a", "b", "c", "d":
-	default:
-		return fmt.Errorf("unknown fig7 plot %q (want a|b|c|d)", plot)
-	}
-	runs, err := eval.Fig7Workload(trials, seed)
-	if err != nil {
-		return err
-	}
-	switch plot {
-	case "a":
-		result, err := eval.Fig7ROC(runs, true)
-		if err != nil {
-			return err
-		}
-		result.Write(os.Stdout)
-	case "b":
-		result, err := eval.Fig7ROC(runs, false)
-		if err != nil {
-			return err
-		}
-		result.Write(os.Stdout)
-	case "c":
-		result, err := eval.Fig7F1(runs, true)
-		if err != nil {
-			return err
-		}
-		result.Write(os.Stdout)
-		best := result.Best()
-		fmt.Printf("best: w=%d c=%d F1=%.4f (paper selects c/w=2/2)\n", best.W, best.C, best.F1)
-	case "d":
-		result, err := eval.Fig7F1(runs, false)
-		if err != nil {
-			return err
-		}
-		result.Write(os.Stdout)
-		best := result.Best()
-		fmt.Printf("best: w=%d c=%d F1=%.4f (paper selects c/w=3/6)\n", best.W, best.C, best.F1)
-	}
-	return nil
-}
-
-func runAll(trials int, seed int64) error {
-	fmt.Println("=== Table II ===")
-	t2, err := eval.Table2(trials, seed)
-	if err != nil {
-		return err
-	}
-	t2.Write(os.Stdout)
-
-	fmt.Println("\n=== Table III ===")
-	printTable3()
-
-	fmt.Println("\n=== Table IV ===")
-	t4, err := eval.Table4(seed)
-	if err != nil {
-		return err
-	}
-	t4.Write(os.Stdout)
-	if err := t4.Shape(); err != nil {
-		return err
-	}
-
-	fmt.Println("\n=== Fig 7 ===")
-	runs, err := eval.Fig7Workload(trials, seed)
-	if err != nil {
-		return err
-	}
-	for _, side := range []bool{true, false} {
-		roc, err := eval.Fig7ROC(runs, side)
-		if err != nil {
-			return err
-		}
-		for _, curve := range roc.Curves {
-			fmt.Printf("%s ROC c/w=%d/%d: AUC %.4f\n", roc.Side, curve.C, curve.W, curve.AUC)
-		}
-		f1, err := eval.Fig7F1(runs, side)
-		if err != nil {
-			return err
-		}
-		best := f1.Best()
-		fmt.Printf("%s best F1 %.4f at w=%d c=%d\n", f1.Side, best.F1, best.W, best.C)
-	}
-
-	fmt.Println("\n=== Tamiya (§V-D) ===")
-	tm, err := eval.Tamiya(trials, seed)
-	if err != nil {
-		return err
-	}
-	tm.Write(os.Stdout)
-
-	fmt.Println("\n=== Linear baseline (§V-G) ===")
-	lb, err := eval.LinearBench(trials, seed)
-	if err != nil {
-		return err
-	}
-	lb.Write(os.Stdout)
-
-	fmt.Println("\n=== Evasive attacks (§V-H) ===")
-	ev, err := eval.Evasive(seed)
-	if err != nil {
-		return err
-	}
-	ev.Write(os.Stdout)
-
-	fmt.Println("\n=== Related-work comparison (§II-C) ===")
-	rel, err := eval.RelatedWork(trials, seed)
-	if err != nil {
-		return err
-	}
-	rel.Write(os.Stdout)
 	return nil
 }
 

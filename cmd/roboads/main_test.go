@@ -1,6 +1,7 @@
 package main
 
 import (
+	"os"
 	"strings"
 	"testing"
 )
@@ -83,5 +84,14 @@ func TestRecordBadScenario(t *testing.T) {
 func TestReplayMissingFile(t *testing.T) {
 	if err := run([]string{"replay", "-i", "/nonexistent/trace.jsonl"}); err == nil {
 		t.Fatal("missing file accepted")
+	}
+}
+
+func TestRunReportWriteError(t *testing.T) {
+	if _, err := os.Stat("/dev/full"); err != nil {
+		t.Skip("no /dev/full on this system")
+	}
+	if err := run([]string{"report", "-o", "/dev/full"}); err == nil {
+		t.Fatal("report into a full device succeeded")
 	}
 }

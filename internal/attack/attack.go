@@ -86,16 +86,19 @@ type ActuatorAttack interface {
 
 // --- sensor attacks --------------------------------------------------------
 
-// Bias adds a constant offset vector to a sensor's readings — the model
-// behind IPS logic bombs (scenario #3), IPS spoofing (#4), and any other
-// constant-shift corruption.
+// Bias adds an offset vector to a sensor's readings — the model behind
+// IPS logic bombs (scenario #3), IPS spoofing (#4), and any other
+// constant-shift corruption. The offset is scaled by Env.Gain(k); an
+// envelope with no ramp and no period holds the gain at exactly 1, the
+// constant shift of Table II, and a ramp or duty cycle makes it the §V-H
+// stealthy or intermittent attacker of the scenario engine.
 type Bias struct {
 	// Sensor is the target workflow name.
 	Sensor string
-	// Offset is added to every reading component-wise.
+	// Offset is the full-magnitude offset, added component-wise.
 	Offset mat.Vec
-	// Win is the activation window.
-	Win Window
+	// Env shapes the magnitude over time.
+	Env Envelope
 	// Via is the originating channel.
 	Via Channel
 }
@@ -106,14 +109,15 @@ var _ SensorAttack = (*Bias)(nil)
 func (a *Bias) Target() string { return a.Sensor }
 
 // Active implements SensorAttack.
-func (a *Bias) Active(k int) bool { return a.Win.Contains(k) }
+func (a *Bias) Active(k int) bool { return a.Env.On(k) }
 
 // Apply implements SensorAttack.
 func (a *Bias) Apply(k int, reading mat.Vec) mat.Vec {
-	if !a.Active(k) {
+	g := a.Env.Gain(k)
+	if g == 0 {
 		return reading
 	}
-	return reading.Add(a.Offset)
+	return reading.Add(scaled(a.Offset, g))
 }
 
 // Channel implements SensorAttack.
@@ -121,7 +125,7 @@ func (a *Bias) Channel() Channel { return a.Via }
 
 // Describe implements SensorAttack.
 func (a *Bias) Describe() string {
-	return fmt.Sprintf("bias %v on %s (%s)", a.Offset, a.Sensor, a.Via)
+	return fmt.Sprintf("bias %v on %s %s (%s)", a.Offset, a.Sensor, a.Env.describe(), a.Via)
 }
 
 // Zero forces a sensor's entire reading vector to zero — the LiDAR DoS of
@@ -263,14 +267,17 @@ func (a *EncoderTicks) Describe() string {
 
 // --- actuator attacks ------------------------------------------------------
 
-// ActuatorBias adds a constant offset to the executed control command —
-// the wheel controller logic bomb of scenario #1 ("−6000 speed units on
-// vL, +6000 on vR") and the unintended-acceleration class of Table I.
+// ActuatorBias adds an offset to the executed control command — the
+// wheel controller logic bomb of scenario #1 ("−6000 speed units on vL,
+// +6000 on vR") and the unintended-acceleration class of Table I, and,
+// under a ramp or duty cycle, the actuator-side §V-H stealth attacker.
+// The offset is scaled by Env.Gain(k), as in Bias.
 type ActuatorBias struct {
-	// Offset is added to the planned command component-wise.
+	// Offset is the full-magnitude offset, added to the planned command
+	// component-wise.
 	Offset mat.Vec
-	// Win is the activation window.
-	Win Window
+	// Env shapes the magnitude over time.
+	Env Envelope
 	// Via is the originating channel.
 	Via Channel
 }
@@ -278,14 +285,15 @@ type ActuatorBias struct {
 var _ ActuatorAttack = (*ActuatorBias)(nil)
 
 // Active implements ActuatorAttack.
-func (a *ActuatorBias) Active(k int) bool { return a.Win.Contains(k) }
+func (a *ActuatorBias) Active(k int) bool { return a.Env.On(k) }
 
 // Apply implements ActuatorAttack.
 func (a *ActuatorBias) Apply(k int, u mat.Vec) mat.Vec {
-	if !a.Active(k) {
+	g := a.Env.Gain(k)
+	if g == 0 {
 		return u
 	}
-	return u.Add(a.Offset)
+	return u.Add(scaled(a.Offset, g))
 }
 
 // Channel implements ActuatorAttack.
@@ -293,7 +301,7 @@ func (a *ActuatorBias) Channel() Channel { return a.Via }
 
 // Describe implements ActuatorAttack.
 func (a *ActuatorBias) Describe() string {
-	return fmt.Sprintf("actuator bias %v (%s)", a.Offset, a.Via)
+	return fmt.Sprintf("actuator bias %v %s (%s)", a.Offset, a.Env.describe(), a.Via)
 }
 
 // ActuatorScale multiplies one control component of the executed command

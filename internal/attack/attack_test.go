@@ -20,7 +20,7 @@ func TestWindowContains(t *testing.T) {
 }
 
 func TestBias(t *testing.T) {
-	a := &Bias{Sensor: "ips", Offset: mat.VecOf(0.07, 0, 0), Win: Window{Start: 5}, Via: Cyber}
+	a := &Bias{Sensor: "ips", Offset: mat.VecOf(0.07, 0, 0), Env: Envelope{Win: Window{Start: 5}}, Via: Cyber}
 	reading := mat.VecOf(1, 2, 3)
 	if got := a.Apply(4, reading); got[0] != 1 {
 		t.Fatalf("inactive bias applied: %v", got)
@@ -93,7 +93,7 @@ func TestEncoderTicksPerIteration(t *testing.T) {
 }
 
 func TestActuatorBias(t *testing.T) {
-	a := &ActuatorBias{Offset: mat.VecOf(-6000*SpeedUnit, 6000*SpeedUnit), Win: Window{Start: 2}, Via: Cyber}
+	a := &ActuatorBias{Offset: mat.VecOf(-6000*SpeedUnit, 6000*SpeedUnit), Env: Envelope{Win: Window{Start: 2}}, Via: Cyber}
 	u := mat.VecOf(0.15, 0.15)
 	got := a.Apply(2, u)
 	if math.Abs(got[0]-(0.15-0.04)) > 1e-12 || math.Abs(got[1]-(0.15+0.04)) > 1e-12 {

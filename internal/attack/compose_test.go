@@ -31,7 +31,7 @@ func foldActuators(attacks []attack.ActuatorAttack, k int, u mat.Vec) mat.Vec {
 func TestStackedActuatorOrderDeterministic(t *testing.T) {
 	win := attack.Window{Start: 10, End: 50}
 	scale := &attack.ActuatorScale{Index: 0, Factor: 0.5, Win: win, Via: attack.Physical}
-	bias := &attack.ActuatorBias{Offset: mat.VecOf(1, 0), Win: win, Via: attack.Cyber}
+	bias := &attack.ActuatorBias{Offset: mat.VecOf(1, 0), Env: attack.Envelope{Win: win}, Via: attack.Cyber}
 	u := mat.VecOf(0.4, 0.4)
 
 	scaleFirst := foldActuators([]attack.ActuatorAttack{scale, bias}, 20, u.Clone())
@@ -62,7 +62,7 @@ func TestStackedActuatorOrderDeterministic(t *testing.T) {
 // component to the override value; override-then-bias shifts it.
 func TestStackedSensorOrderDeterministic(t *testing.T) {
 	win := attack.Window{Start: 0, End: 100}
-	bias := &attack.Bias{Sensor: "ips", Offset: mat.VecOf(0.1, 0, 0), Win: win, Via: attack.Cyber}
+	bias := &attack.Bias{Sensor: "ips", Offset: mat.VecOf(0.1, 0, 0), Env: attack.Envelope{Win: win}, Via: attack.Cyber}
 	override := &attack.Override{Sensor: "ips", Index: 0, Value: 9, Win: win, Via: attack.Cyber}
 	reading := mat.VecOf(1, 2, 3)
 
@@ -133,7 +133,7 @@ func runFrames(t *testing.T, sc *attack.Scenario, seed int64, iters int) []byte 
 
 // TestZeroMagnitudeScheduleIsNoOp pins the no-op property: a schedule
 // whose every attack has zero magnitude (zero bias, zero ticks, unit
-// scale, zero slip, zero shaped bias) produces a frame stream
+// scale, zero slip, zero ramped bias) produces a frame stream
 // byte-identical to the clean run at the same seed — windows alone
 // must not touch the stream.
 func TestZeroMagnitudeScheduleIsNoOp(t *testing.T) {
@@ -141,13 +141,13 @@ func TestZeroMagnitudeScheduleIsNoOp(t *testing.T) {
 	zero := &attack.Scenario{
 		ID: 990, Name: "zero-magnitude stack",
 		SensorAttacks: []attack.SensorAttack{
-			&attack.Bias{Sensor: "ips", Offset: mat.VecOf(0, 0, 0), Win: win, Via: attack.Cyber},
+			&attack.Bias{Sensor: "ips", Offset: mat.VecOf(0, 0, 0), Env: attack.Envelope{Win: win}, Via: attack.Cyber},
 			&attack.EncoderTicks{Wheel: 0, Ticks: 0, Win: win, Via: attack.Cyber},
-			&attack.ShapedBias{Sensor: "lidar", Offset: mat.VecOf(0, 0, 0, 0),
+			&attack.Bias{Sensor: "lidar", Offset: mat.VecOf(0, 0, 0, 0),
 				Env: attack.Envelope{Win: win, Ramp: 40}, Via: attack.Cyber},
 		},
 		ActuatorAttacks: []attack.ActuatorAttack{
-			&attack.ActuatorBias{Offset: mat.VecOf(0, 0), Win: win, Via: attack.Cyber},
+			&attack.ActuatorBias{Offset: mat.VecOf(0, 0), Env: attack.Envelope{Win: win}, Via: attack.Cyber},
 			&attack.ActuatorScale{Index: 0, Factor: 1, Win: win, Via: attack.Physical},
 			&attack.WheelSlip{Slip: 0, Wheels: []int{0}, Env: attack.Envelope{Win: win}, Via: attack.Environment},
 		},
@@ -169,8 +169,8 @@ func TestOverlappingBiasesSumInOrder(t *testing.T) {
 	stacked := &attack.Scenario{
 		ID: 991, Name: "overlapping biases",
 		SensorAttacks: []attack.SensorAttack{
-			&attack.Bias{Sensor: "ips", Offset: o1, Win: attack.Window{Start: 40, End: 160}, Via: attack.Cyber},
-			&attack.Bias{Sensor: "ips", Offset: o2, Win: attack.Window{Start: 100, End: 220}, Via: attack.Physical},
+			&attack.Bias{Sensor: "ips", Offset: o1, Env: attack.Envelope{Win: attack.Window{Start: 40, End: 160}}, Via: attack.Cyber},
+			&attack.Bias{Sensor: "ips", Offset: o2, Env: attack.Envelope{Win: attack.Window{Start: 100, End: 220}}, Via: attack.Physical},
 		},
 	}
 	const seed, iters = 23, 260

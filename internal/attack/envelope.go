@@ -13,8 +13,8 @@ import (
 // starve the decision layer's sliding window). Gain is 0 outside the
 // window and in the off-phase of a duty cycle, ramps linearly to 1 over
 // Ramp iterations from onset, and is exactly 1 once fully on — so an
-// envelope with no ramp and no period reduces bit-for-bit to the plain
-// windowed attack it wraps.
+// envelope with no ramp and no period is the plain activation window,
+// bit for bit.
 type Envelope struct {
 	// Win is the activation window.
 	Win Window
@@ -62,78 +62,14 @@ func (e Envelope) describe() string {
 	return s
 }
 
-// ShapedBias is Bias with an envelope-shaped magnitude: the offset is
-// scaled by Env.Gain(k). With gain pinned at 1 it is bit-for-bit the
-// plain Bias (x·1.0 is an IEEE-754 identity), so the DSL can compile
-// every bias through this type without perturbing Table II results.
-type ShapedBias struct {
-	// Sensor is the target workflow name.
-	Sensor string
-	// Offset is the full-magnitude offset vector.
-	Offset mat.Vec
-	// Env shapes the magnitude over time.
-	Env Envelope
-	// Via is the originating channel.
-	Via Channel
-}
-
-var _ SensorAttack = (*ShapedBias)(nil)
-
-// Target implements SensorAttack.
-func (a *ShapedBias) Target() string { return a.Sensor }
-
-// Active implements SensorAttack.
-func (a *ShapedBias) Active(k int) bool { return a.Env.On(k) }
-
-// Apply implements SensorAttack.
-func (a *ShapedBias) Apply(k int, reading mat.Vec) mat.Vec {
-	g := a.Env.Gain(k)
-	if g == 0 {
-		return reading
+// scaled returns v at gain g. At full magnitude it returns v itself:
+// x·1.0 is an IEEE-754 identity, so skipping the product changes no bit
+// and saves a copy per active iteration.
+func scaled(v mat.Vec, g float64) mat.Vec {
+	if g == 1 {
+		return v
 	}
-	return reading.Add(a.Offset.Scale(g))
-}
-
-// Channel implements SensorAttack.
-func (a *ShapedBias) Channel() Channel { return a.Via }
-
-// Describe implements SensorAttack.
-func (a *ShapedBias) Describe() string {
-	return fmt.Sprintf("shaped bias %v on %s %s (%s)", a.Offset, a.Sensor, a.Env.describe(), a.Via)
-}
-
-// ShapedActuatorBias is ActuatorBias with an envelope-shaped magnitude —
-// the actuator-side §V-H stealth attacker, and the ramp/intermittent
-// actuator campaigns of the scenario engine.
-type ShapedActuatorBias struct {
-	// Offset is the full-magnitude command offset.
-	Offset mat.Vec
-	// Env shapes the magnitude over time.
-	Env Envelope
-	// Via is the originating channel.
-	Via Channel
-}
-
-var _ ActuatorAttack = (*ShapedActuatorBias)(nil)
-
-// Active implements ActuatorAttack.
-func (a *ShapedActuatorBias) Active(k int) bool { return a.Env.On(k) }
-
-// Apply implements ActuatorAttack.
-func (a *ShapedActuatorBias) Apply(k int, u mat.Vec) mat.Vec {
-	g := a.Env.Gain(k)
-	if g == 0 {
-		return u
-	}
-	return u.Add(a.Offset.Scale(g))
-}
-
-// Channel implements ActuatorAttack.
-func (a *ShapedActuatorBias) Channel() Channel { return a.Via }
-
-// Describe implements ActuatorAttack.
-func (a *ShapedActuatorBias) Describe() string {
-	return fmt.Sprintf("shaped actuator bias %v %s (%s)", a.Offset, a.Env.describe(), a.Via)
+	return v.Scale(g)
 }
 
 // Occlusion models an environmental occluder at Distance meters in front

@@ -127,7 +127,7 @@ func KheperaScenarios() []Scenario {
 			ActuatorAttacks: []ActuatorAttack{
 				&ActuatorBias{
 					Offset: mat.VecOf(-6000*SpeedUnit, +6000*SpeedUnit),
-					Win:    Window{Start: onsetA},
+					Env:    Envelope{Win: Window{Start: onsetA}},
 					Via:    Cyber,
 				},
 			},
@@ -145,7 +145,7 @@ func KheperaScenarios() []Scenario {
 			Name:        "IPS logic bomb",
 			Description: "logic bomb in IPS data processing lib shifts +0.07 m on X axis (sensor/cyber)",
 			SensorAttacks: []SensorAttack{
-				&Bias{Sensor: "ips", Offset: mat.VecOf(0.07, 0, 0), Win: Window{Start: onsetA}, Via: Cyber},
+				&Bias{Sensor: "ips", Offset: mat.VecOf(0.07, 0, 0), Env: Envelope{Win: Window{Start: onsetA}}, Via: Cyber},
 			},
 		},
 		{
@@ -153,7 +153,7 @@ func KheperaScenarios() []Scenario {
 			Name:        "IPS spoofing",
 			Description: "fake IPS signal overpowers authentic source: shift -0.1 m on X axis (sensor/physical)",
 			SensorAttacks: []SensorAttack{
-				&Bias{Sensor: "ips", Offset: mat.VecOf(-0.1, 0, 0), Win: Window{Start: onsetA}, Via: Physical},
+				&Bias{Sensor: "ips", Offset: mat.VecOf(-0.1, 0, 0), Env: Envelope{Win: Window{Start: onsetA}}, Via: Physical},
 			},
 		},
 		{
@@ -185,12 +185,12 @@ func KheperaScenarios() []Scenario {
 			Name:        "Wheel controller & IPS logic bomb",
 			Description: "∓6000 units on vL/vR and +0.07 m shift on IPS X axis (sensor&actuator/cyber)",
 			SensorAttacks: []SensorAttack{
-				&Bias{Sensor: "ips", Offset: mat.VecOf(0.07, 0, 0), Win: Window{Start: onsetA}, Via: Cyber},
+				&Bias{Sensor: "ips", Offset: mat.VecOf(0.07, 0, 0), Env: Envelope{Win: Window{Start: onsetA}}, Via: Cyber},
 			},
 			ActuatorAttacks: []ActuatorAttack{
 				&ActuatorBias{
 					Offset: mat.VecOf(-6000*SpeedUnit, +6000*SpeedUnit),
-					Win:    Window{Start: onsetB},
+					Env:    Envelope{Win: Window{Start: onsetB}},
 					Via:    Cyber,
 				},
 			},
@@ -210,7 +210,7 @@ func KheperaScenarios() []Scenario {
 			Description: "0 m LiDAR readings, then +0.07 m IPS shift; LiDAR returns to normal mid-mission (sensor/physical)",
 			SensorAttacks: []SensorAttack{
 				&Zero{Sensor: "lidar", Win: Window{Start: onsetA, End: endB}, Via: Physical},
-				&Bias{Sensor: "ips", Offset: mat.VecOf(0.07, 0, 0), Win: Window{Start: onsetB}, Via: Physical},
+				&Bias{Sensor: "ips", Offset: mat.VecOf(0.07, 0, 0), Env: Envelope{Win: Window{Start: onsetB}}, Via: Physical},
 			},
 		},
 		{
@@ -219,7 +219,7 @@ func KheperaScenarios() []Scenario {
 			Description: "increment 100 steps on left wheel encoder, then +0.1 m IPS shift on X axis (sensor/cyber)",
 			SensorAttacks: []SensorAttack{
 				&EncoderTicks{Wheel: 0, Ticks: 100, Win: Window{Start: onsetA}, Via: Cyber},
-				&Bias{Sensor: "ips", Offset: mat.VecOf(0.1, 0, 0), Win: Window{Start: onsetB}, Via: Cyber},
+				&Bias{Sensor: "ips", Offset: mat.VecOf(0.1, 0, 0), Env: Envelope{Win: Window{Start: onsetB}}, Via: Cyber},
 			},
 		},
 	}
@@ -249,7 +249,7 @@ func TamiyaScenarios() []Scenario {
 			Name:        "Throttle logic bomb",
 			Description: "logic bomb biases commanded acceleration by +0.6 m/s² (actuator/cyber)",
 			ActuatorAttacks: []ActuatorAttack{
-				&ActuatorBias{Offset: mat.VecOf(0.6, 0), Win: Window{Start: onsetA}, Via: Cyber},
+				&ActuatorBias{Offset: mat.VecOf(0.6, 0), Env: Envelope{Win: Window{Start: onsetA}}, Via: Cyber},
 			},
 		},
 		{
@@ -257,7 +257,7 @@ func TamiyaScenarios() []Scenario {
 			Name:        "Steering takeover",
 			Description: "injected packets bias the steering angle by +0.2 rad (actuator/cyber)",
 			ActuatorAttacks: []ActuatorAttack{
-				&ActuatorBias{Offset: mat.VecOf(0, 0.2), Win: Window{Start: onsetA}, Via: Cyber},
+				&ActuatorBias{Offset: mat.VecOf(0, 0.2), Env: Envelope{Win: Window{Start: onsetA}}, Via: Cyber},
 			},
 		},
 		{
@@ -265,7 +265,7 @@ func TamiyaScenarios() []Scenario {
 			Name:        "IPS spoofing",
 			Description: "fake IPS signal shifts -0.1 m on X axis (sensor/physical)",
 			SensorAttacks: []SensorAttack{
-				&Bias{Sensor: "ips", Offset: mat.VecOf(-0.1, 0, 0), Win: Window{Start: onsetA}, Via: Physical},
+				&Bias{Sensor: "ips", Offset: mat.VecOf(-0.1, 0, 0), Env: Envelope{Win: Window{Start: onsetA}}, Via: Physical},
 			},
 		},
 		{
@@ -281,7 +281,7 @@ func TamiyaScenarios() []Scenario {
 			Name:        "IMU bias",
 			Description: "resonant-sound injection biases the IMU heading by +0.15 rad (sensor/physical)",
 			SensorAttacks: []SensorAttack{
-				&Bias{Sensor: "imu", Offset: mat.VecOf(0.15, 0), Win: Window{Start: onsetA}, Via: Physical},
+				&Bias{Sensor: "imu", Offset: mat.VecOf(0.15, 0), Env: Envelope{Win: Window{Start: onsetA}}, Via: Physical},
 			},
 		},
 	}

@@ -3,6 +3,7 @@ package eval
 import (
 	"errors"
 	"fmt"
+	"io"
 
 	"roboads/internal/detect"
 	"roboads/internal/scenario"
@@ -76,4 +77,12 @@ func Calibrate(runs []*scenario.Run) (*Calibration, error) {
 	}
 	out.SensorF1, out.ActuatorF1 = sf1, af1
 	return out, nil
+}
+
+// Write renders the selected parameters beside the paper's.
+func (c *Calibration) Write(w io.Writer) {
+	fmt.Fprintf(w, "calibrated decision parameters (validation F1 sensor %.4f / actuator %.4f):\n", c.SensorF1, c.ActuatorF1)
+	fmt.Fprintf(w, "  sensor:   alpha=%g  c/w=%d/%d\n", c.Config.SensorAlpha, c.Config.SensorCriteria, c.Config.SensorWindow)
+	fmt.Fprintf(w, "  actuator: alpha=%g  c/w=%d/%d\n", c.Config.ActuatorAlpha, c.Config.ActuatorCriteria, c.Config.ActuatorWindow)
+	fmt.Fprintln(w, "paper selects: sensor alpha=0.005 c/w=2/2, actuator alpha=0.05 c/w=3/6")
 }

@@ -588,7 +588,7 @@ func TestPropertyRandomScenarioIdentification(t *testing.T) {
 			sc.SensorAttacks = append(sc.SensorAttacks, &attack.Bias{
 				Sensor: target,
 				Offset: offset,
-				Win:    attack.Window{Start: 60 + 40*i},
+				Env:    attack.Envelope{Win: attack.Window{Start: 60 + 40*i}},
 				Via:    attack.Cyber,
 			})
 		}

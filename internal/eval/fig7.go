@@ -196,6 +196,58 @@ func (f *Fig7F1Result) Write(w io.Writer) {
 	}
 }
 
+// Fig7Result is Fig. 7's four plots over one workload: the ROC curves
+// (a) sensor and (b) actuator, and the F1 grids (c) sensor and
+// (d) actuator.
+type Fig7Result struct {
+	ROC [2]*Fig7ROCResult
+	F1  [2]*Fig7F1Result
+}
+
+// fig7PaperCW is the c/w the paper selects on each side (§V-F).
+var fig7PaperCW = [2]string{"2/2", "3/6"}
+
+// Fig7 runs Fig7Workload and sweeps it on both sides.
+func Fig7(trials int, seed int64) (*Fig7Result, error) {
+	runs, err := Fig7Workload(trials, seed)
+	if err != nil {
+		return nil, err
+	}
+	out := &Fig7Result{}
+	for i, side := range []bool{true, false} {
+		if out.ROC[i], err = Fig7ROC(runs, side); err != nil {
+			return nil, err
+		}
+		if out.F1[i], err = Fig7F1(runs, side); err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
+}
+
+// WritePlot renders plot 0 to 3, (a) to (d). An F1 plot ends with its
+// best point beside the paper's choice.
+func (f *Fig7Result) WritePlot(w io.Writer, plot int) {
+	side := plot % 2
+	if plot < 2 {
+		f.ROC[side].Write(w)
+		return
+	}
+	f.F1[side].Write(w)
+	best := f.F1[side].Best()
+	fmt.Fprintf(w, "best: w=%d c=%d F1=%.4f (paper selects c/w=%s)\n", best.W, best.C, best.F1, fig7PaperCW[side])
+}
+
+// Write renders the four plots in order, a blank line apart.
+func (f *Fig7Result) Write(w io.Writer) {
+	for plot := 0; plot < 4; plot++ {
+		if plot > 0 {
+			fmt.Fprintln(w)
+		}
+		f.WritePlot(w, plot)
+	}
+}
+
 // Best returns the (w, c) with the highest F1.
 func (f *Fig7F1Result) Best() Fig7F1Point {
 	best := Fig7F1Point{F1: -1}

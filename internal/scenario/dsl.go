@@ -336,17 +336,11 @@ func (sc *Scenario) Compile(id int) (attack.Scenario, error) {
 		a := &sc.Attacks[i]
 		win := attack.Window{Start: a.Envelope.Start, End: a.Envelope.End}
 		env := attack.Envelope{Win: win, Ramp: a.Envelope.Ramp, Period: a.Envelope.Period, Duty: a.Envelope.Duty}
-		shaped := a.Envelope.Ramp > 1 || a.Envelope.Period > 1
 		via := channelOf(a.Via, a.Kind)
 		switch a.Kind {
 		case "bias":
-			if shaped {
-				out.SensorAttacks = append(out.SensorAttacks,
-					&attack.ShapedBias{Sensor: a.Sensor, Offset: mat.Vec(a.Offset).Clone(), Env: env, Via: via})
-			} else {
-				out.SensorAttacks = append(out.SensorAttacks,
-					&attack.Bias{Sensor: a.Sensor, Offset: mat.Vec(a.Offset).Clone(), Win: win, Via: via})
-			}
+			out.SensorAttacks = append(out.SensorAttacks,
+				&attack.Bias{Sensor: a.Sensor, Offset: mat.Vec(a.Offset).Clone(), Env: env, Via: via})
 		case "ramp-bias":
 			out.SensorAttacks = append(out.SensorAttacks,
 				&attack.RampBias{Sensor: a.Sensor, RatePerIteration: mat.Vec(a.Offset).Clone(), Win: win, Via: via})
@@ -363,13 +357,8 @@ func (sc *Scenario) Compile(id int) (attack.Scenario, error) {
 			out.SensorAttacks = append(out.SensorAttacks,
 				&attack.Occlusion{Sensor: a.Sensor, Beams: append([]int(nil), a.Beams...), Distance: a.Distance, Env: env, Via: via})
 		case "actuator-bias":
-			if shaped {
-				out.ActuatorAttacks = append(out.ActuatorAttacks,
-					&attack.ShapedActuatorBias{Offset: mat.Vec(a.Offset).Clone(), Env: env, Via: via})
-			} else {
-				out.ActuatorAttacks = append(out.ActuatorAttacks,
-					&attack.ActuatorBias{Offset: mat.Vec(a.Offset).Clone(), Win: win, Via: via})
-			}
+			out.ActuatorAttacks = append(out.ActuatorAttacks,
+				&attack.ActuatorBias{Offset: mat.Vec(a.Offset).Clone(), Env: env, Via: via})
 		case "actuator-scale":
 			out.ActuatorAttacks = append(out.ActuatorAttacks,
 				&attack.ActuatorScale{Index: a.Index, Factor: a.Factor, Win: win, Via: via})
@@ -395,8 +384,7 @@ func FromScenario(s attack.Scenario, robotName, class string) (Scenario, error) 
 		var d Attack
 		switch t := a.(type) {
 		case *attack.Bias:
-			d = Attack{Kind: "bias", Sensor: t.Sensor, Offset: t.Offset,
-				Envelope: Envelope{Start: t.Win.Start, End: t.Win.End}, Via: channelName(t.Via)}
+			d = Attack{Kind: "bias", Sensor: t.Sensor, Offset: t.Offset, Envelope: envelopeOf(t.Env), Via: channelName(t.Via)}
 		case *attack.RampBias:
 			d = Attack{Kind: "ramp-bias", Sensor: t.Sensor, Offset: t.RatePerIteration,
 				Envelope: Envelope{Start: t.Win.Start, End: t.Win.End}, Via: channelName(t.Via)}
@@ -409,10 +397,6 @@ func FromScenario(s attack.Scenario, robotName, class string) (Scenario, error) 
 		case *attack.EncoderTicks:
 			d = Attack{Kind: "encoder-ticks", Wheel: t.Wheel, Ticks: t.Ticks, PerIteration: t.PerIteration,
 				Envelope: Envelope{Start: t.Win.Start, End: t.Win.End}, Via: channelName(t.Via)}
-		case *attack.ShapedBias:
-			d = Attack{Kind: "bias", Sensor: t.Sensor, Offset: t.Offset,
-				Envelope: Envelope{Start: t.Env.Win.Start, End: t.Env.Win.End, Ramp: t.Env.Ramp, Period: t.Env.Period, Duty: t.Env.Duty},
-				Via:      channelName(t.Via)}
 		case *attack.Occlusion:
 			d = Attack{Kind: "occlusion", Sensor: t.Sensor, Beams: t.Beams, Distance: t.Distance,
 				Envelope: Envelope{Start: t.Env.Win.Start, End: t.Env.Win.End, Period: t.Env.Period, Duty: t.Env.Duty},
@@ -426,28 +410,26 @@ func FromScenario(s attack.Scenario, robotName, class string) (Scenario, error) 
 		var d Attack
 		switch t := a.(type) {
 		case *attack.ActuatorBias:
-			d = Attack{Kind: "actuator-bias", Offset: t.Offset,
-				Envelope: Envelope{Start: t.Win.Start, End: t.Win.End}, Via: channelName(t.Via)}
+			d = Attack{Kind: "actuator-bias", Offset: t.Offset, Envelope: envelopeOf(t.Env), Via: channelName(t.Via)}
 		case *attack.ActuatorScale:
 			d = Attack{Kind: "actuator-scale", Index: t.Index, Factor: t.Factor,
 				Envelope: Envelope{Start: t.Win.Start, End: t.Win.End}, Via: channelName(t.Via)}
 		case *attack.ActuatorOverride:
 			d = Attack{Kind: "actuator-override", Index: t.Index, Value: t.Value,
 				Envelope: Envelope{Start: t.Win.Start, End: t.Win.End}, Via: channelName(t.Via)}
-		case *attack.ShapedActuatorBias:
-			d = Attack{Kind: "actuator-bias", Offset: t.Offset,
-				Envelope: Envelope{Start: t.Env.Win.Start, End: t.Env.Win.End, Ramp: t.Env.Ramp, Period: t.Env.Period, Duty: t.Env.Duty},
-				Via:      channelName(t.Via)}
 		case *attack.WheelSlip:
-			d = Attack{Kind: "wheel-slip", Slip: t.Slip, Wheels: t.Wheels,
-				Envelope: Envelope{Start: t.Env.Win.Start, End: t.Env.Win.End, Ramp: t.Env.Ramp, Period: t.Env.Period, Duty: t.Env.Duty},
-				Via:      channelName(t.Via)}
+			d = Attack{Kind: "wheel-slip", Slip: t.Slip, Wheels: t.Wheels, Envelope: envelopeOf(t.Env), Via: channelName(t.Via)}
 		default:
 			return Scenario{}, fmt.Errorf("scenario %q: no DSL form for actuator attack %T", s.Name, a)
 		}
 		out.Attacks = append(out.Attacks, d)
 	}
 	return out, nil
+}
+
+// envelopeOf lifts a compiled envelope back into the DSL.
+func envelopeOf(e attack.Envelope) Envelope {
+	return Envelope{Start: e.Win.Start, End: e.Win.End, Ramp: e.Ramp, Period: e.Period, Duty: e.Duty}
 }
 
 // Encode renders the suite as the canonical indented JSON document.

@@ -193,13 +193,13 @@ func TestRunTargets(t *testing.T) {
 		Dt: 0.1,
 		Scenario: attack.Scenario{
 			SensorAttacks: []attack.SensorAttack{
-				&attack.Bias{Sensor: detect.SensorLidar, Win: attack.Window{Start: 2}},
-				&attack.Bias{Sensor: detect.SensorLidar, Win: attack.Window{Start: 0}},
-				&attack.Bias{Sensor: detect.SensorIPS, Win: attack.Window{Start: 9}},
+				&attack.Bias{Sensor: detect.SensorLidar, Env: attack.Envelope{Win: attack.Window{Start: 2}}},
+				&attack.Bias{Sensor: detect.SensorLidar, Env: attack.Envelope{Win: attack.Window{Start: 0}}},
+				&attack.Bias{Sensor: detect.SensorIPS, Env: attack.Envelope{Win: attack.Window{Start: 9}}},
 			},
 			ActuatorAttacks: []attack.ActuatorAttack{
-				&attack.ActuatorBias{Win: attack.Window{Start: 3}},
-				&attack.ActuatorBias{Win: attack.Window{Start: 1}},
+				&attack.ActuatorBias{Env: attack.Envelope{Win: attack.Window{Start: 3}}},
+				&attack.ActuatorBias{Env: attack.Envelope{Win: attack.Window{Start: 1}}},
 			},
 		},
 		Trace: []scenario.IterationTrace{

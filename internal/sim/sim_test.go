@@ -38,7 +38,7 @@ func TestBasicWorkflowNoiseStatistics(t *testing.T) {
 func TestBasicWorkflowAppliesAttack(t *testing.T) {
 	ips := sensors.NewIPS(3)
 	w := NewBasicWorkflow(ips, stat.NewRNG(2))
-	w.Attach(&attack.Bias{Sensor: "ips", Offset: mat.VecOf(0.5, 0, 0), Win: attack.Window{Start: 10}})
+	w.Attach(&attack.Bias{Sensor: "ips", Offset: mat.VecOf(0.5, 0, 0), Env: attack.Envelope{Win: attack.Window{Start: 10}}})
 	x := mat.VecOf(1, 2, 0.3)
 	before := w.Sense(5, x, nil)
 	after := w.Sense(10, x, nil)
@@ -200,7 +200,7 @@ func TestSimulatorRejectsUnknownTarget(t *testing.T) {
 		ID:   999,
 		Name: "bad",
 		SensorAttacks: []attack.SensorAttack{
-			&attack.Bias{Sensor: "nonexistent", Offset: mat.VecOf(1), Win: attack.Window{Start: 0}},
+			&attack.Bias{Sensor: "nonexistent", Offset: mat.VecOf(1), Env: attack.Envelope{Win: attack.Window{Start: 0}}},
 		},
 	}
 	if _, err := NewKhepera(LabMission(), &bad, 1); err == nil {
@@ -307,7 +307,7 @@ func TestCollisionFlagUnderAttack(t *testing.T) {
 		ActuatorAttacks: []attack.ActuatorAttack{
 			&attack.ActuatorBias{
 				Offset: mat.VecOf(-0.2, 0.2),
-				Win:    attack.Window{Start: 30},
+				Env:    attack.Envelope{Win: attack.Window{Start: 30}},
 				Via:    attack.Cyber,
 			},
 		},

@@ -53,9 +53,10 @@ sizes:
 # reader, a writer and a ctx-triggered close on one connection, also
 # through the router) are the concurrency-sensitive surfaces; run them
 # under the race detector. So is the scenario suite runner, which steps
-# missions on Workers goroutines into indexed slots.
+# missions on Workers goroutines into indexed slots, and the simulator's
+# plan memo, which those goroutines share.
 race:
-	$(GO) test -race ./internal/core/... ./internal/detect/... ./internal/telemetry/... ./internal/store/... ./internal/fleet/... ./client/ ./internal/router/
+	$(GO) test -race ./internal/core/... ./internal/detect/... ./internal/telemetry/... ./internal/store/... ./internal/fleet/... ./client/ ./internal/router/ ./internal/sim/
 	$(GO) test -race -run 'TestSuiteWorkersDeterminism' ./internal/scenario/
 
 # Fleet soak: the multi-session service suite under the race detector —
@@ -139,8 +140,9 @@ profile-replay:
 	@echo "profiles in $(PROFILE_DIR)"
 
 # The same for generating the suite's missions (BenchmarkSuiteGenerate:
-# the RRT* planner, then the simulator), what detect_replay reports as
-# setup_s. Profiles are named gen-*.prof beside profile-replay's.
+# one cold trial an iteration, its two RRT* plans and then 26 simulator
+# runs), what detect_replay reports as setup_s. Profiles are named
+# gen-*.prof beside profile-replay's.
 profile-generate:
 	mkdir -p $(PROFILE_DIR)
 	$(GO) test -run xxx -bench '^BenchmarkSuiteGenerate$$' -benchtime=10x \

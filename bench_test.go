@@ -613,16 +613,23 @@ func BenchmarkSuiteReplay(b *testing.B) {
 	b.ReportMetric(float64(frames)*float64(b.N)/b.Elapsed().Seconds(), "frames/s")
 }
 
+// generateSeed is the seed of BenchmarkSuiteGenerate's next trial. It
+// counts across the benchmark's runs, since b.N restarts from 1 for each.
+var generateSeed int64 = 42
+
 // BenchmarkSuiteGenerate is the other half of an evaluation trial, what
 // bench/'s detect_replay pays as setup_s before it can replay anything:
-// generating the 26 missions of scenario.Default(42) — one RRT* plan each,
-// then the closed-loop simulator stepped to completion with no detector
-// attached.
+// generating the 26 missions of scenario.Default — the trial's two plans
+// (lab and warehouse; the other scenarios reuse them through sim's plan
+// memo), then the closed-loop simulator stepped to completion with no
+// detector attached. Each iteration takes a seed of its own (42, 43, …),
+// so it times one cold trial, as make profile-generate profiles it.
 func BenchmarkSuiteGenerate(b *testing.B) {
 	b.ReportAllocs()
 	missions, frames := 0, 0
 	for i := 0; i < b.N; i++ {
-		suite, err := generateSuite(42)
+		suite, err := generateSuite(generateSeed)
+		generateSeed++
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -954,11 +961,11 @@ func BenchmarkAblationAttackPrior(b *testing.B) {
 // BenchmarkAblationCompensation measures challenge 2 of §IV-B: without
 // compensating the state prediction with d̂a, an active actuator attack
 // corrupts the state estimate and the testing sensors get falsely
-// blamed. The "uncompensated" variant zeroes the compensation by running
-// the plain-EKF path (AttackPrior machinery left intact). Reported
-// metric: scenario #1 sensor FPR (should be ≈0 with compensation).
+// blamed. It has one arm, the compensated production path; there is no
+// switch to turn the compensation off yet, so the uncompensated arm the
+// ablation needs is missing. Reported metric: scenario #1 sensor FPR
+// (should be ≈0 with compensation).
 func BenchmarkAblationCompensation(b *testing.B) {
-	// The compensated variant is the production path.
 	b.Run("compensated", func(b *testing.B) {
 		var fpr float64
 		for i := 0; i < b.N; i++ {

@@ -275,14 +275,8 @@ func TestKheperaIPSSpoofDeviatesMission(t *testing.T) {
 }
 
 func TestWarehouseMission(t *testing.T) {
-	mission := Mission{
-		Map:          world.WarehouseArena(),
-		Start:        world.Point{X: 0.6, Y: 0.6},
-		StartHeading: 0.4,
-		Goal:         world.Point{X: 7.2, Y: 5.4},
-	}
 	clean := attack.CleanScenario()
-	setup, err := NewKhepera(mission, &clean, 21)
+	setup, err := NewKhepera(warehouseMission(), &clean, 21)
 	if err != nil {
 		t.Fatal(err)
 	}

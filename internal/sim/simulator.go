@@ -1,8 +1,12 @@
 package sim
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
+	"slices"
+	"sync"
 
 	"roboads/internal/attack"
 	"roboads/internal/control"
@@ -250,7 +254,7 @@ func NewKhepera(mission Mission, scenario *attack.Scenario, seed int64) (*Kheper
 	rng := stat.NewRNG(seed)
 	model := dynamics.NewKhepera(KheperaDt)
 
-	path, err := planToGoal(mission, rng.Fork("planner"))
+	path, err := planToGoal(mission, seed, rng.Fork("planner"))
 	if err != nil {
 		return nil, fmt.Errorf("khepera mission: %w", err)
 	}
@@ -288,7 +292,21 @@ func NewKhepera(mission Mission, scenario *attack.Scenario, seed int64) (*Kheper
 // planToGoal runs RRT* and extends the path from the goal-region entry to
 // the exact goal point when the final hop is collision-free, so missions
 // terminate at the goal rather than anywhere in the goal region.
-func planToGoal(mission Mission, rng *stat.RNG) ([]world.Point, error) {
+//
+// rng must be stat.NewRNG(seed).Fork("planner"), forked by the caller on
+// every call so that the root generator's later draws do not depend on
+// whether the path was memoised. The plan is then a function of the seed,
+// the map's content and the endpoints alone (the config is the constant
+// plan.DefaultConfig()), so each such path is planned once and kept in
+// plans; rng is read only on a miss.
+func planToGoal(mission Mission, seed int64, rng *stat.RNG) ([]world.Point, error) {
+	if mission.Map == nil {
+		return nil, errors.New("sim: mission has no map")
+	}
+	key := planKey(mission, seed)
+	if path, ok := plans.get(key); ok {
+		return path, nil
+	}
 	cfg := plan.DefaultConfig()
 	path, err := plan.Plan(mission.Map, mission.Start, mission.Goal, cfg, rng)
 	if err != nil {
@@ -299,7 +317,69 @@ func planToGoal(mission Mission, rng *stat.RNG) ([]world.Point, error) {
 		mission.Map.SegmentFree(world.Segment{A: last, B: mission.Goal}, cfg.Margin, 0) {
 		path = append(path, mission.Goal)
 	}
+	plans.put(key, path)
 	return path, nil
+}
+
+// planKey identifies a plan by value: the seed, then the bits of the
+// endpoints, the map's bounds and each obstacle. A caller that edits its
+// map afterwards therefore misses rather than getting a stale path.
+func planKey(mission Mission, seed int64) string {
+	m := mission.Map
+	fs := []float64{mission.Start.X, mission.Start.Y, mission.Goal.X, mission.Goal.Y,
+		m.Bounds.Min.X, m.Bounds.Min.Y, m.Bounds.Max.X, m.Bounds.Max.Y}
+	for _, o := range m.Obstacles {
+		fs = append(fs, o.Min.X, o.Min.Y, o.Max.X, o.Max.Y)
+	}
+	b := binary.LittleEndian.AppendUint64(make([]byte, 0, 8*(1+len(fs))), uint64(seed))
+	for _, f := range fs {
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(f))
+	}
+	return string(b)
+}
+
+// planMemoCap bounds the plan memo at about 160 KB. scenario.RunSuite
+// runs its jobs scenario-major, so its working set is trials × worlds
+// keys (20 for ten trials of the default suite); serve's demo loop, which
+// plans a new seed per mission for as long as it runs, cycles through it.
+const planMemoCap = 256
+
+// planMemo maps planKey to a planned path, copying on the way in and out.
+// Once full, each new path replaces the oldest. Two callers that miss the
+// same key at once both plan; the paths are identical, so the second put
+// keeps the first. Errors are not memoised.
+type planMemo struct {
+	mu    sync.Mutex
+	paths map[string][]world.Point
+	keys  [planMemoCap]string // a ring; once full, keys[next] is the oldest
+	next  int
+}
+
+// plans is the memo planToGoal consults; RunSuite's workers share it.
+var plans planMemo
+
+func (m *planMemo) get(key string) ([]world.Point, bool) {
+	m.mu.Lock()
+	path, ok := m.paths[key]
+	m.mu.Unlock()
+	return slices.Clone(path), ok
+}
+
+func (m *planMemo) put(key string, path []world.Point) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if _, ok := m.paths[key]; ok {
+		return
+	}
+	if m.paths == nil {
+		m.paths = make(map[string][]world.Point, planMemoCap)
+	}
+	if len(m.paths) == planMemoCap {
+		delete(m.paths, m.keys[m.next])
+	}
+	m.paths[key] = slices.Clone(path)
+	m.keys[m.next] = key
+	m.next = (m.next + 1) % planMemoCap
 }
 
 // TamiyaSetup bundles the assembled Tamiya simulator for §V-D.
@@ -330,7 +410,7 @@ func NewTamiya(mission Mission, scenario *attack.Scenario, seed int64) (*TamiyaS
 	rng := stat.NewRNG(seed)
 	model := dynamics.NewTamiya(TamiyaDt)
 
-	path, err := planToGoal(mission, rng.Fork("planner"))
+	path, err := planToGoal(mission, seed, rng.Fork("planner"))
 	if err != nil {
 		return nil, fmt.Errorf("tamiya mission: %w", err)
 	}

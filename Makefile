@@ -106,10 +106,10 @@ flakehunt:
 tier1-loaded:
 	@$(LOADED) GOMAXPROCS=2 $(GO) test -count=1 ./...
 
-# Fuzz smoke: each decoder target, and the matrix product kernels against
-# their generic reference, gets a short native-fuzzing burst (go test
-# -fuzz accepts one target per invocation). The corpus grows in
-# testdata/fuzz and regressions replay as ordinary seed tests.
+# Fuzz smoke: each decoder target, and the matrix product and Cholesky
+# kernels against their generic reference, gets a short native-fuzzing
+# burst (go test -fuzz accepts one target per invocation). The corpus
+# grows in testdata/fuzz and regressions replay as ordinary seed tests.
 fuzz:
 	$(GO) test -run xxx -fuzz FuzzDecodeSnapshot -fuzztime 15s ./internal/store/
 	$(GO) test -run xxx -fuzz FuzzDecodeWALRecord -fuzztime 15s ./internal/store/
@@ -121,6 +121,7 @@ fuzz:
 	$(GO) test -run xxx -fuzz FuzzFrameBatch -fuzztime 15s ./internal/fleet/
 	$(GO) test -run xxx -fuzz FuzzScenarioDecode -fuzztime 15s ./internal/scenario/
 	$(GO) test -run xxx -fuzz FuzzMulKernels -fuzztime 15s ./internal/mat/
+	$(GO) test -run xxx -fuzz FuzzCholKernels -fuzztime 15s ./internal/mat/
 
 bench:
 	$(GO) test -run xxx -bench 'EngineFleet|FleetStep|NUISEStep' -benchtime=1500x .

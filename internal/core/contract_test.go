@@ -160,8 +160,7 @@ func requireOutputsEqual(t *testing.T, k int, want, got *Output) {
 	}
 }
 
-// cloneOutput deep-copies everything an Output points at (SPD, the
-// engine-owned factor cache, aside).
+// cloneOutput deep-copies everything an Output points at.
 func cloneOutput(o *Output) *Output {
 	c := *o
 	c.Weights = append([]float64(nil), o.Weights...)

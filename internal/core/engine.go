@@ -110,21 +110,15 @@ type Engine struct {
 	slab                 mat.Slab
 	slabFloats, slabMats int
 
-	// spd caches Cholesky factors of the covariances tested during one
-	// Step's weight update (per-sensor anomaly blocks, Pa), so the
-	// decision layer — handed the same cache via Output.SPD — never
-	// refactors a covariance the engine already factored. Reset at the
-	// top of every Step's weight update.
-	spd *mat.CholCache
-
 	// commitNext is commit's reused weight-update scratch (the
 	// un-normalized next weights); evCovs holds one reusable d×d scratch
-	// matrix per (mode, testing sensor) that the evidence terms factor
-	// block copies through — distinct pointers per slot, so the per-step
-	// SPD cache never confuses two blocks. Both are sized lazily on the
+	// matrix per (mode, testing sensor) that the evidence terms copy a Ps
+	// block into, and quadBuf the factor and substitution buffer their χ²
+	// statistics share (mat.SPDInvQuadForm). All are sized lazily on the
 	// first Step.
 	commitNext []float64
 	evCovs     [][]*mat.Mat
+	quadBuf    []float64
 
 	// sensorNames is the union of every mode's reference and testing
 	// workflow names and sensorDims their reading lengths. Each Step looks
@@ -147,8 +141,7 @@ type Engine struct {
 // Output is one control iteration's engine result. It is the caller's to
 // keep: the Output, the Results it points at and every vector and matrix
 // in them are fresh each Step (one slab and a few headers, see
-// Engine.slab) and the engine never writes to them again. SPD is the one
-// exception, as its comment says.
+// Engine.slab) and the engine never writes to them again.
 type Output struct {
 	// Iteration is the control iteration index k.
 	Iteration int
@@ -166,12 +159,6 @@ type Output struct {
 	// SensorAnomalies is the per-testing-sensor split of the selected
 	// mode's d̂s.
 	SensorAnomalies []SensorAnomaly
-	// SPD caches Cholesky factorizations of the covariances in this
-	// output (per-sensor Ps blocks, Pa). The decision layer reuses it so
-	// each covariance is factored at most once per control iteration.
-	// The cache is owned by the engine and reset on its next Step (stale
-	// use is safe but recomputes); it is not safe for concurrent use.
-	SPD *mat.CholCache
 }
 
 // NewEngine builds an engine with the given hypothesis set and initial
@@ -212,7 +199,6 @@ func NewEngine(plant Plant, modes []*Mode, x0 mat.Vec, p0 *mat.Mat, cfg EngineCo
 		pxm:     pxm,
 		cfg:     cfg,
 		scratch: scratch,
-		spd:     mat.NewCholCache(),
 		obs:     cfg.Observer,
 	}
 	if err := e.indexSensors(); err != nil {
@@ -455,15 +441,17 @@ func (e *Engine) commit(out *Output, perMode []*Result, slab *mat.Slab, stepStar
 	// the floor from erasing relative mode history: likelihood weights
 	// below 1 (p-values always are) would otherwise drag every mode to
 	// ε within tens of iterations and reset the bank each step.
-	e.spd.Reset()
 	if e.commitNext == nil {
 		e.commitNext = make([]float64, len(e.weights))
 		e.evCovs = make([][]*mat.Mat, len(e.modes))
+		widest := e.plant.Model.ControlDim()
 		for i, m := range e.modes {
 			for _, s := range m.Testing {
 				e.evCovs[i] = append(e.evCovs[i], mat.New(s.Dim(), s.Dim()))
+				widest = max(widest, s.Dim())
 			}
 		}
+		e.quadBuf = make([]float64, widest*(widest+1))
 	}
 	next := e.commitNext
 	var sum float64
@@ -563,14 +551,10 @@ func (e *Engine) commit(out *Output, perMode []*Result, slab *mat.Slab, stepStar
 		Weights:      weights,
 		PerMode:      perMode,
 		Result:       res,
-		SPD:          e.spd,
 	}
 	if res.Ds != nil {
 		// Only the selected mode's split is materialized (it escapes into
-		// the Output); the weight update's evidence terms factored scratch
-		// copies of the same block values, so the decision layer's tests
-		// on these fresh copies agree bit-for-bit — the factorization is a
-		// pure function of the block values.
+		// the Output).
 		out.SensorAnomalies = e.modes[selected].splitDs(res.Ds, res.Ps, slab)
 	}
 	if obs != nil {
@@ -662,23 +646,22 @@ func (e *Engine) testingEvidence(i int, res *Result) float64 {
 		for j, s := range e.modes[i].Testing {
 			d := s.Dim()
 			cov := res.Ps.SubmatrixInto(e.evCovs[i][j], off, off)
-			evidence *= flooredPValue(e.spd, cov, res.Ds[off:off+d], e.cfg.AttackPrior)
+			evidence *= flooredPValue(cov, res.Ds[off:off+d], e.quadBuf, e.cfg.AttackPrior)
 			off += d
 		}
 	}
 	if e.cfg.ActuatorPrior > 0 && res.Da != nil {
-		evidence *= flooredPValue(e.spd, res.Pa, res.Da, e.cfg.ActuatorPrior)
+		evidence *= flooredPValue(res.Pa, res.Da, e.quadBuf, e.cfg.ActuatorPrior)
 	}
 	return evidence
 }
 
 // flooredPValue returns max(P(χ²_n > vᵀcov⁻¹v), floor), degrading to the
-// floor when the covariance is singular. The quad form goes through the
-// SPD factor cache: covariances tested again later in the iteration
-// (e.g. by the decision maker) reuse the factor.
-func flooredPValue(spd *mat.CholCache, cov *mat.Mat, v mat.Vec, floor float64) float64 {
+// floor when the covariance is singular. buf is the factor buffer
+// mat.SPDInvQuadForm needs.
+func flooredPValue(cov *mat.Mat, v mat.Vec, buf []float64, floor float64) float64 {
 	pv := 0.0
-	if quad, err := spd.InvQuadForm(cov, v); err == nil && quad >= 0 {
+	if quad, err := mat.SPDInvQuadForm(cov, v, buf); err == nil && quad >= 0 {
 		if cdf, err := stat.ChiSquareCDF(quad, v.Len()); err == nil {
 			pv = 1 - cdf
 		}

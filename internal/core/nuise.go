@@ -520,6 +520,9 @@ func likelihoodOf(nu mat.Vec, pinv *mat.Mat, rank int, pseudoDet float64) (densi
 	return likelihoodFromLog(pinv.QuadForm(nu), rank, math.Log(pseudoDet))
 }
 
+// log2Pi is log(2π), with the bits of math.Log(2*math.Pi).
+const log2Pi = 1.8378770664093453
+
 // likelihoodFromLog evaluates the Gaussian density and chi-square
 // p-value from the Mahalanobis statistic, its rank, and the
 // (pseudo-)log-determinant of the innovation covariance. The
@@ -535,7 +538,7 @@ func likelihoodFromLog(quad float64, rank int, logDet float64) (density, pValue 
 	if cdf, err := stat.ChiSquareCDF(quad, rank); err == nil {
 		pValue = 1 - cdf
 	}
-	logDensity := -quad/2 - float64(rank)/2*math.Log(2*math.Pi) - logDet/2
+	logDensity := -quad/2 - float64(rank)/2*log2Pi - logDet/2
 	if math.IsNaN(logDensity) || math.IsInf(logDensity, 1) {
 		// +Inf can only come from a zero (pseudo-)determinant: a
 		// singular covariance has no density; keep the p-value.

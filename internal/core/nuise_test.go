@@ -382,3 +382,11 @@ func TestLikelihoodRejectsNegativePseudoDet(t *testing.T) {
 		t.Fatalf("positive pseudo-det: density=%v p=%v, want > 0", density, pv)
 	}
 }
+
+// log2Pi stands in for math.Log(2*math.Pi) in every likelihood, so it
+// must carry the same bits.
+func TestLog2PiConstant(t *testing.T) {
+	if want := math.Log(2 * math.Pi); math.Float64bits(log2Pi) != math.Float64bits(want) {
+		t.Fatalf("log2Pi = %v, math.Log(2π) = %v", log2Pi, want)
+	}
+}

@@ -12,9 +12,9 @@ import (
 // EngineState is the complete cross-iteration state of an Engine: the
 // portion of the recursive filter that must survive a process restart
 // for the next Step to be bit-for-bit identical to an uninterrupted run.
-// Everything else the engine holds (scratch arenas, the SPD factor
-// cache, observer bookkeeping) is reconstructed within a single Step and
-// is deliberately excluded. The field encoding is plain float64 slices,
+// Everything else the engine holds (scratch arenas, observer
+// bookkeeping) is reconstructed within a single Step and is deliberately
+// excluded. The field encoding is plain float64 slices,
 // so any exact-float64 codec (encoding/json included) round-trips it
 // without loss.
 type EngineState struct {
@@ -106,11 +106,7 @@ func (e *Engine) ExportState() *EngineState {
 // order), same state dimension, same configuration fingerprint, and
 // finite values throughout. On success the next Step continues the
 // recorded mission bit-for-bit; on error the engine is unchanged. The
-// SPD factor cache is reset rather than restored — it is rebuilt within
-// one Step and holds pointers into the covariances being replaced, so
-// dropping it preserves the CholCache invariant that cached factors only
-// ever describe live matrices. The engine must not be stepped
-// concurrently.
+// engine must not be stepped concurrently.
 func (e *Engine) ImportState(st *EngineState) error {
 	if st == nil {
 		return fmt.Errorf("%w: nil engine state", ErrStateMismatch)
@@ -157,7 +153,6 @@ func (e *Engine) ImportState(st *EngineState) error {
 		e.xm[i] = beliefs[i].x
 		e.pxm[i] = beliefs[i].px
 	}
-	e.spd.Reset()
 	return nil
 }
 

@@ -108,7 +108,8 @@ type Decision struct {
 	// Condition is the confirmed misbehavior condition.
 	Condition Condition
 	// Da is the actuator anomaly estimate (per-actuator quantification,
-	// Algorithm 1 lines 22–24).
+	// Algorithm 1 lines 22–24): the selected Result's Da, which, like
+	// every vector of an engine Output, no later Step writes.
 	Da mat.Vec
 	// SensorAnomalies are the per-sensor anomaly estimates of the
 	// selected mode.
@@ -124,10 +125,8 @@ type Decider struct {
 	perSensor      map[string]*SlidingWindow
 	thresholds     map[int]float64 // sensor-side quantiles by dof
 	actThresholds  map[int]float64 // actuator-side quantiles by dof
-	// spd is the fallback SPD factor cache for the χ² statistics when
-	// the engine output does not carry one (Output.SPD); it is reset
-	// every Decide so entries never outlive their covariances.
-	spd *mat.CholCache
+	// quadBuf is the factor buffer of the χ² statistics (see quad).
+	quadBuf []float64
 
 	// obs is Config.Observer; nil when instrumentation is off. stats is
 	// the reused DecisionStats record handed to it, and prevCond the
@@ -148,7 +147,6 @@ func NewDecider(cfg Config) *Decider {
 		perSensor:      make(map[string]*SlidingWindow),
 		thresholds:     make(map[int]float64),
 		actThresholds:  make(map[int]float64),
-		spd:            mat.NewCholCache(),
 		obs:            cfg.Observer,
 	}
 }
@@ -192,27 +190,13 @@ func (d *Decider) Decide(out *core.Output) (*Decision, error) {
 		Iteration:       out.Iteration,
 		Mode:            out.SelectedMode.Name,
 		PerSensorStats:  make(map[string]float64, len(out.SensorAnomalies)),
-		Da:              out.Result.Da.Clone(),
+		Da:              out.Result.Da,
 		SensorAnomalies: out.SensorAnomalies,
-	}
-
-	// Every χ² statistic below is vᵀ·cov⁻¹·v against an SPD covariance.
-	// The engine already factored most of them during its weight update
-	// and hands the cache along in Output.SPD; reuse it so each
-	// covariance is factored at most once per control iteration.
-	spd := out.SPD
-	if spd == nil {
-		d.spd.Reset()
-		spd = d.spd
 	}
 
 	// Aggregate sensor test (line 10).
 	if ds := out.Result.Ds; ds != nil && ds.Len() > 0 {
-		quad, err := spd.InvQuadForm(out.Result.Ps, ds)
-		if err != nil {
-			// Singular Ps: treat as non-informative rather than alarming.
-			quad = 0
-		}
+		quad := d.quad(out.Result.Ps, ds)
 		dec.SensorStat = quad
 		threshold, err := d.sensorThreshold(ds.Len())
 		if err != nil {
@@ -233,10 +217,7 @@ func (d *Decider) Decide(out *core.Output) (*Decision, error) {
 	actuatorHeld := true
 	if da := out.Result.Da; da.Len() > 0 && out.Result.DaValid {
 		actuatorHeld = false
-		quad, err := spd.InvQuadForm(out.Result.Pa, da)
-		if err != nil {
-			quad = 0
-		}
+		quad := d.quad(out.Result.Pa, da)
 		dec.ActuatorStat = quad
 		threshold, err := d.actuatorThreshold(da.Len())
 		if err != nil {
@@ -253,25 +234,20 @@ func (d *Decider) Decide(out *core.Output) (*Decision, error) {
 	// Per-sensor identification (lines 13–18). Every testing sensor's
 	// statistic feeds its own c-of-w window; the reference sensors of the
 	// selected mode are hypothesized clean and push a negative.
-	tested := make(map[string]bool, len(out.SensorAnomalies))
 	for _, sa := range out.SensorAnomalies {
-		quad, err := spd.InvQuadForm(sa.Ps, sa.Ds)
-		if err != nil {
-			quad = 0
-		}
+		quad := d.quad(sa.Ps, sa.Ds)
 		dec.PerSensorStats[sa.Sensor] = quad
 		threshold, err := d.sensorThreshold(sa.Ds.Len())
 		if err != nil {
 			return nil, err
 		}
 		confirmed := d.windowFor(sa.Sensor).Push(quad > threshold)
-		tested[sa.Sensor] = true
 		if dec.SensorAlarm && confirmed {
 			dec.Condition.Sensors = append(dec.Condition.Sensors, sa.Sensor)
 		}
 	}
 	for _, name := range out.SelectedMode.ReferenceNames {
-		if !tested[name] {
+		if !tested(out.SensorAnomalies, name) {
 			d.windowFor(name).Push(false)
 		}
 	}
@@ -301,6 +277,31 @@ func (d *Decider) Decide(out *core.Output) (*Decision, error) {
 		d.obs.Decision(&d.stats)
 	}
 	return dec, nil
+}
+
+// quad returns the χ² statistic vᵀ·cov⁻¹·v, or 0 when cov is singular:
+// a singular covariance is treated as non-informative rather than
+// alarming.
+func (d *Decider) quad(cov *mat.Mat, v mat.Vec) float64 {
+	if n := v.Len(); len(d.quadBuf) < n*(n+1) {
+		d.quadBuf = make([]float64, n*(n+1))
+	}
+	quad, err := mat.SPDInvQuadForm(cov, v, d.quadBuf)
+	if err != nil {
+		return 0
+	}
+	return quad
+}
+
+// tested reports whether sensor has an entry in the anomaly split (at
+// most a few, so a scan beats a map).
+func tested(split []core.SensorAnomaly, sensor string) bool {
+	for _, sa := range split {
+		if sa.Sensor == sensor {
+			return true
+		}
+	}
+	return false
 }
 
 // Reset clears all sliding-window state.

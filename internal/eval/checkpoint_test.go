@@ -18,8 +18,8 @@ import (
 // bit-for-bit across a checkpoint cut. It covers the full decision (so
 // Table II confirm/identify sequences are pinned transitively) plus the
 // selected mode's estimates and the mode weights — everything a consumer
-// of a Report can see, without the engine-internal pointers (SelectedMode,
-// SPD cache) that are identity- rather than value-comparable.
+// of a Report can see, without the engine-internal SelectedMode pointer,
+// which is identity- rather than value-comparable.
 type checkpointObs struct {
 	Decision detect.Decision
 	X        mat.Vec

@@ -38,8 +38,22 @@ func CholFactorInto(dst, m *Mat) bool {
 }
 
 // cholFactorRaw is CholFactorInto's loop body on raw storage: the
-// lower Cholesky factor of the n×n m into dst.
+// lower Cholesky factor of the n×n m into dst. Sizes 2, 3 and 4 take the
+// straight-line kernels of cholsmall.go.
 func cholFactorRaw(dst, m []float64, n int) bool {
+	switch n {
+	case 2:
+		return cholFactor2(dst, m)
+	case 3:
+		return cholFactor3(dst, m)
+	case 4:
+		return cholFactor4(dst, m)
+	}
+	return cholFactorLoop(dst, m, n)
+}
+
+// cholFactorLoop is cholFactorRaw at any n.
+func cholFactorLoop(dst, m []float64, n int) bool {
 	var scale float64
 	for i := 0; i < n; i++ {
 		if d := m[i*n+i]; d > scale {
@@ -127,7 +141,24 @@ func CholSolveMatInto(dst, l, b *Mat) *Mat {
 
 // cholSolveMatRaw is CholSolveMatInto's loop body on raw storage; dst
 // must already hold B on entry (the caller copies when they differ).
+// Sizes 2, 3 and 4 take the straight-line kernels of cholsmall.go.
 func cholSolveMatRaw(dst, l []float64, n, c int) {
+	switch n {
+	case 2:
+		cholSolveMat2(dst, l, c)
+		return
+	case 3:
+		cholSolveMat3(dst, l, c)
+		return
+	case 4:
+		cholSolveMat4(dst, l, c)
+		return
+	}
+	cholSolveMatLoop(dst, l, n, c)
+}
+
+// cholSolveMatLoop is cholSolveMatRaw at any n.
+func cholSolveMatLoop(dst, l []float64, n, c int) {
 	// Forward: L·Y = B, all columns in lockstep (row-major friendly).
 	for i := 0; i < n; i++ {
 		rowI := dst[i*c : (i+1)*c]
@@ -180,18 +211,59 @@ func CholInvQuadForm(l *Mat, v, work Vec) float64 {
 	if len(work) != n {
 		work = make(Vec, n)
 	}
+	return cholQuadRaw(l.data, v, work, n)
+}
+
+// cholQuadRaw is CholInvQuadForm's loop body on raw storage. Sizes 2, 3
+// and 4 take the straight-line kernels of cholsmall.go, which keep y in
+// locals and leave work untouched.
+func cholQuadRaw(l []float64, v, work Vec, n int) float64 {
+	switch n {
+	case 2:
+		return cholQuad2(l, v)
+	case 3:
+		return cholQuad3(l, v)
+	case 4:
+		return cholQuad4(l, v)
+	}
+	return cholQuadLoop(l, v, work, n)
+}
+
+// cholQuadLoop is cholQuadRaw at any n.
+func cholQuadLoop(l []float64, v, work Vec, n int) float64 {
 	var quad float64
 	for i := 0; i < n; i++ {
 		sum := v[i]
-		row := l.data[i*n : i*n+i]
+		row := l[i*n : i*n+i]
 		for k, lik := range row {
 			sum -= lik * work[k]
 		}
-		y := sum / l.data[i*n+i]
+		y := sum / l[i*n+i]
 		work[i] = y
 		quad += y * y
 	}
 	return quad
+}
+
+// SPDInvQuadForm returns the χ² statistic vᵀ·m⁻¹·v of v against the
+// symmetric covariance m. It writes m's Cholesky factor into buf and
+// takes CholInvQuadForm's forward-substitution quad form; when m is not
+// positive definite to working precision it answers with the LU-based
+// Mat.InvQuadForm instead, keeping its singular-matrix error. buf is the
+// caller's, at least n·(n+1) floats for an n×n m, and holds nothing the
+// caller reads afterwards.
+func SPDInvQuadForm(m *Mat, v Vec, buf []float64) (float64, error) {
+	mustSquare(m)
+	n := m.rows
+	if len(v) != n || len(buf) < n*(n+1) {
+		panic(fmt.Errorf("%w: quad form %dx%d against vector of length %d with a buffer of %d",
+			ErrDimension, n, n, len(v), len(buf)))
+	}
+	l, work := buf[:n*n], buf[n*n:n*(n+1)]
+	if cholFactorRaw(l, m.data, n) {
+		return cholQuadRaw(l, v, work, n), nil
+	}
+	return m.InvQuadForm(v)
 }
 
 // CholLogDet returns log det(M) for M = L·Lᵀ, read off the factor
@@ -356,83 +428,4 @@ func RangeBasisInto(dst, m, work *Mat) bool {
 	// The leading q columns of the implicit Q span range(m).
 	applyQColumns(dst, work, 0)
 	return true
-}
-
-// CholCache memoizes Cholesky factors keyed by matrix identity, for
-// decision layers that test the same covariance repeatedly within one
-// control iteration (the engine's evidence terms and the decision
-// maker's χ² tests share the per-sensor covariance blocks). Entries pin
-// their keys, so Reset must be called once per iteration to keep the
-// cache from growing without bound. Factor storage is recycled across
-// Resets through a per-dimension free list — callers must not retain a
-// returned factor past the next Reset. Not safe for concurrent use.
-type CholCache struct {
-	factors map[*Mat]cholEntry
-	pool    map[int][]*Mat
-	work    Vec
-}
-
-type cholEntry struct {
-	l  *Mat
-	ok bool
-}
-
-// NewCholCache returns an empty factor cache.
-func NewCholCache() *CholCache {
-	return &CholCache{
-		factors: make(map[*Mat]cholEntry),
-		pool:    make(map[int][]*Mat),
-	}
-}
-
-// Reset drops every cached factor, recycling factor storage for the
-// next iteration.
-func (c *CholCache) Reset() {
-	for _, e := range c.factors {
-		if e.l != nil {
-			c.pool[e.l.rows] = append(c.pool[e.l.rows], e.l)
-		}
-	}
-	clear(c.factors)
-}
-
-// factorStorage returns an n×n matrix for a new factor, reusing
-// recycled storage when available. CholFactorInto overwrites every
-// entry, so recycled contents never leak.
-func (c *CholCache) factorStorage(n int) *Mat {
-	if free := c.pool[n]; len(free) > 0 {
-		l := free[len(free)-1]
-		c.pool[n] = free[:len(free)-1]
-		return l
-	}
-	return New(n, n)
-}
-
-// Factor returns the cached Cholesky factor of m, computing and caching
-// it (or its failure) on first sight.
-func (c *CholCache) Factor(m *Mat) (*Mat, bool) {
-	if e, hit := c.factors[m]; hit {
-		return e.l, e.ok
-	}
-	l := c.factorStorage(m.rows)
-	ok := CholFactorInto(l, m)
-	if !ok {
-		c.pool[l.rows] = append(c.pool[l.rows], l)
-		l = nil
-	}
-	c.factors[m] = cholEntry{l: l, ok: ok}
-	return l, ok
-}
-
-// InvQuadForm returns vᵀ·m⁻¹·v through the cached factor when m is
-// positive definite, falling back to the LU-based Mat.InvQuadForm when
-// it is not (preserving the caller's singular-covariance semantics).
-func (c *CholCache) InvQuadForm(m *Mat, v Vec) (float64, error) {
-	if l, ok := c.Factor(m); ok {
-		if len(c.work) < l.rows {
-			c.work = make(Vec, l.rows)
-		}
-		return CholInvQuadForm(l, v, c.work[:l.rows]), nil
-	}
-	return m.InvQuadForm(v)
 }

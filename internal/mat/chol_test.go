@@ -2,6 +2,7 @@ package mat
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -370,48 +371,108 @@ func TestPropertyDeflatedPseudoInverse(t *testing.T) {
 	}
 }
 
-func TestCholCache(t *testing.T) {
-	c := NewCholCache()
-	m := Diag(4, 9)
-	l1, ok := c.Factor(m)
-	if !ok || l1 == nil {
-		t.Fatal("SPD matrix failed to factor")
+// SPDInvQuadForm answers through the Cholesky factor when the covariance
+// is positive definite and through the LU fallback when it is not,
+// keeping the fallback's singular-matrix error.
+func TestSPDInvQuadForm(t *testing.T) {
+	buf := make([]float64, 6)
+	quad, err := SPDInvQuadForm(Diag(4, 9), VecOf(2, 3), buf)
+	if err != nil || quad != 2 {
+		t.Errorf("SPD quad = %v, %v; want 2", quad, err)
 	}
-	if l1.At(0, 0) != 2 || l1.At(1, 1) != 3 {
-		t.Errorf("factor = %v", l1)
-	}
-	l2, ok := c.Factor(m)
-	if !ok || l2 != l1 {
-		t.Error("second Factor call did not return the cached factor")
-	}
-	quad, err := c.InvQuadForm(m, VecOf(2, 3))
-	if err != nil || math.Abs(quad-2) > 1e-12 {
-		t.Errorf("InvQuadForm = %v, %v; want 2", quad, err)
-	}
-
-	// A non-PD matrix caches its failure and falls back to LU semantics.
-	sing := Diag(1, 0)
-	if _, ok := c.Factor(sing); ok {
-		t.Error("singular matrix factored")
-	}
-	if _, err := c.InvQuadForm(sing, VecOf(1, 1)); err == nil {
-		t.Error("singular InvQuadForm did not error")
+	if _, err := SPDInvQuadForm(Diag(1, 0), VecOf(1, 1), buf); err == nil {
+		t.Error("singular covariance did not error")
 	}
 	// Indefinite but invertible: the LU fallback must still answer.
-	indef := Diag(1, -1)
-	quad, err = c.InvQuadForm(indef, VecOf(1, 1))
-	if err != nil || math.Abs(quad-0) > 1e-12 {
+	quad, err = SPDInvQuadForm(Diag(1, -1), VecOf(1, 1), buf)
+	if err != nil || math.Abs(quad) > 1e-12 {
 		t.Errorf("LU fallback quad = %v, %v; want 0", quad, err)
 	}
+	rng := newQuickRNG(44)
+	for n := 1; n <= 6; n++ {
+		m := randomSPD(rng, n)
+		v := make(Vec, n)
+		for i := range v {
+			v[i] = rng()
+		}
+		l := New(n, n)
+		if !CholFactorInto(l, m) {
+			t.Fatalf("n=%d: SPD matrix failed to factor", n)
+		}
+		want := CholInvQuadForm(l, v, nil)
+		if got, err := SPDInvQuadForm(m, v, make([]float64, n*(n+1))); err != nil || !sameBits(got, want) {
+			t.Errorf("n=%d: SPDInvQuadForm = %v, %v; CholFactorInto+CholInvQuadForm = %v", n, got, err, want)
+		}
+	}
+}
 
-	// Reset must force recomputation (storage may be recycled, so the
-	// check is by value: mutate the key matrix and verify the factor
-	// follows it).
-	c.Reset()
-	m.Set(0, 0, 16)
-	l3, ok := c.Factor(m)
-	if !ok || l3.At(0, 0) != 4 || l3.At(1, 1) != 3 {
-		t.Errorf("Reset did not drop the cached factor: %v", l3)
+// checkCholKernels runs the factor, quad-form and solve dispatchers
+// against the generic loops on the n×n m (only its lower triangle is
+// read), the vector v and the n×c right-hand side b, and requires the
+// same verdict and the same bits. Where m does not factor, the quad form
+// and the solves run against m itself as a triangle.
+func checkCholKernels(t *testing.T, m *Mat, v Vec, b *Mat) {
+	t.Helper()
+	n, c := m.rows, b.cols
+	got, want := New(n, n), New(n, n)
+	ok, wantOK := cholFactorRaw(got.data, m.data, n), cholFactorLoop(want.data, m.data, n)
+	if ok != wantOK {
+		t.Fatalf("n=%d: factor verdict %v, loop %v on %v", n, ok, wantOK, m)
+	}
+	l := m
+	if ok {
+		if !bitEqual(got, want) {
+			t.Fatalf("n=%d: factor %v, loop %v", n, got, want)
+		}
+		aliased := m.Clone()
+		if !cholFactorRaw(aliased.data, aliased.data, n) || !bitEqual(aliased, want) {
+			t.Fatalf("n=%d: factor in place %v, loop %v", n, aliased, want)
+		}
+		l = want
+	}
+	if q, wantQ := cholQuadRaw(l.data, v, make(Vec, n), n), cholQuadLoop(l.data, v, make(Vec, n), n); !sameBits(q, wantQ) {
+		t.Fatalf("n=%d: quad form %v, loop %v", n, q, wantQ)
+	}
+	x, wantX := b.Clone(), b.Clone()
+	cholSolveMatRaw(x.data, l.data, n, c)
+	cholSolveMatLoop(wantX.data, l.data, n, c)
+	if !bitEqual(x, wantX) {
+		t.Fatalf("n=%d c=%d: solve %v, loop %v", n, c, x, wantX)
+	}
+}
+
+// TestCholKernelsBitExact sweeps n = 1…6, so the straight-line kernels
+// at 2, 3 and 4 and the loop beside them all run, over SPD matrices,
+// matrices seeded with ±0, ±Inf and NaN, a pivot exactly at the floor
+// and one just above it, and negative pivots.
+func TestCholKernelsBitExact(t *testing.T) {
+	rng := rand.New(rand.NewSource(44))
+	quick := newQuickRNG(44)
+	floor := cholPivotTol // the pivot floor of a matrix whose largest diagonal is 1
+	for n := 1; n <= 6; n++ {
+		for c := 1; c <= 5; c++ {
+			for trial := 0; trial < 8; trial++ {
+				v, b := specialMat(rng, n, 1).data, specialMat(rng, n, c)
+				checkCholKernels(t, randomSPD(quick, n), v, b)
+				checkCholKernels(t, specialMat(rng, n, n), v, b)
+				m := randomSPD(quick, n)
+				m.data[rng.Intn(n*n)] = specials[rng.Intn(len(specials))]
+				checkCholKernels(t, m, v, b)
+			}
+			for p := 0; p < n; p++ {
+				for _, pivot := range []float64{floor, math.Nextafter(floor, 1), -1, 0, math.Copysign(0, -1)} {
+					v, b := specialMat(rng, n, 1).data, specialMat(rng, n, c)
+					m := Identity(n)
+					m.Set(p, p, pivot)
+					checkCholKernels(t, m, v, b)
+					if p > 0 {
+						m.Set(p, 0, 0.5) // the pivot subtracts 0.25 first
+						m.Set(p, p, pivot+0.25)
+						checkCholKernels(t, m, v, b)
+					}
+				}
+			}
+		}
 	}
 }
 

@@ -67,3 +67,47 @@ func finite(m *Mat) bool {
 	}
 	return true
 }
+
+// FuzzCholKernels decodes a size n (1…6), a column count c (1…6) and
+// float64 values from the fuzz input, fills an n×n matrix, a vector and
+// an n×c right-hand side from them, and requires the factor, quad-form
+// and solve dispatchers to match the generic loops: the same verdict and
+// the same bits (checkCholKernels).
+func FuzzCholKernels(f *testing.F) {
+	seed := func(n, c byte, vals ...float64) []byte {
+		data := []byte{n - 1, c - 1}
+		for _, v := range vals {
+			data = binary.LittleEndian.AppendUint64(data, math.Float64bits(v))
+		}
+		return data
+	}
+	negZero, inf, nan := math.Copysign(0, -1), math.Inf(1), math.NaN()
+	f.Add(seed(2, 3, 4, 1, 1, 3, 0.5, -2, negZero))
+	f.Add(seed(3, 2, 2, 0.5, 0.25, 0.5, 3, 1, 0.25, 1, 4, inf, -1))
+	f.Add(seed(4, 4, 1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1e-12, 0, 0, 0, 0, 1, nan, 2))
+	f.Add(seed(4, 1, 5, 1, -1, 0.5, 1, 6, 0.25, 2, -1, 0.25, 7, 1, 0.5, 2, 1, 8))
+	f.Add(seed(5, 2, 3, -1, 2, negZero, 1e300, 0.1))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 2 {
+			return
+		}
+		n, c := 1+int(data[0])%6, 1+int(data[1])%6
+		var vals []float64
+		for rest := data[2:]; len(rest) >= 8; rest = rest[8:] {
+			vals = append(vals, math.Float64frombits(binary.LittleEndian.Uint64(rest)))
+		}
+		next := 0
+		fill := func(rows, cols int) *Mat {
+			m := New(rows, cols)
+			for i := range m.data {
+				if len(vals) > 0 {
+					m.data[i] = vals[next%len(vals)]
+					next++
+				}
+			}
+			return m
+		}
+		m := fill(n, n)
+		checkCholKernels(t, m, fill(n, 1).data, fill(n, c))
+	})
+}

@@ -29,13 +29,17 @@ func MulInto(dst, a, b *Mat) *Mat {
 }
 
 // mulRaw is MulInto's loop body on raw storage: a (ar×ac) times
-// b (ac×bc) into dst. The robots' state widths, 3 and 4, take
-// straight-line paths that keep a row's sums in locals instead of dst.
+// b (ac×bc) into dst. The robots' control width 2 and state widths 3
+// and 4 take straight-line paths that keep a row's sums in locals
+// instead of dst.
 // They are bit-exact with the generic loop: each element still starts
 // at +0 and adds av·b[k][j] for ascending k, skipping the k where
 // av == 0, one rounded multiply and one rounded add at a time.
 func mulRaw(dst, a, b []float64, ar, ac, bc int) {
 	switch {
+	case bc == 2:
+		mulRaw2(dst, a, b, ar, ac)
+		return
 	case bc == 3 && ac == 3:
 		mulRaw33(dst, a, b, ar)
 		return
@@ -87,6 +91,22 @@ func mulRaw33(dst, a, b []float64, ar int) {
 			s2 += av * b22
 		}
 		dst[i*3], dst[i*3+1], dst[i*3+2] = s0, s1, s2
+	}
+}
+
+// mulRaw2 is mulRaw for an output width of 2.
+func mulRaw2(dst, a, b []float64, ar, ac int) {
+	for i := 0; i < ar; i++ {
+		var s0, s1 float64
+		for k, av := range a[i*ac : (i+1)*ac] {
+			if av == 0 {
+				continue
+			}
+			rowB := b[k*2 : k*2+2 : k*2+2]
+			s0 += av * rowB[0]
+			s1 += av * rowB[1]
+		}
+		dst[i*2], dst[i*2+1] = s0, s1
 	}
 }
 
@@ -210,8 +230,13 @@ func TMulInto(dst, a, b *Mat) *Mat {
 }
 
 // tMulRaw is TMulInto's loop body on raw storage: the transpose of
-// a (ar×ac) times b (ar×bc) into dst (ac×bc).
+// a (ar×ac) times b (ar×bc) into dst (ac×bc). The control width 2 takes
+// a straight-line path like mulRaw's, bit-exact with the loop.
 func tMulRaw(dst, a, b []float64, ar, ac, bc int) {
+	if bc == 2 {
+		tMulRaw2(dst, a, b, ar, ac)
+		return
+	}
 	clear(dst)
 	for k := 0; k < ar; k++ {
 		rowB := b[k*bc : (k+1)*bc]
@@ -225,6 +250,24 @@ func tMulRaw(dst, a, b []float64, ar, ac, bc int) {
 				rowOut[j] += av * bv
 			}
 		}
+	}
+}
+
+// tMulRaw2 is tMulRaw for an output width of 2: each output row sums
+// its column of a against b's rows in ascending k.
+func tMulRaw2(dst, a, b []float64, ar, ac int) {
+	for i := 0; i < ac; i++ {
+		var s0, s1 float64
+		for k := 0; k < ar; k++ {
+			av := a[k*ac+i]
+			if av == 0 {
+				continue
+			}
+			rowB := b[k*2 : k*2+2 : k*2+2]
+			s0 += av * rowB[0]
+			s1 += av * rowB[1]
+		}
+		dst[i*2], dst[i*2+1] = s0, s1
 	}
 }
 

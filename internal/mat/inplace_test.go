@@ -156,8 +156,8 @@ func checkProducts(t *testing.T, a, b, bt, at *Mat) {
 }
 
 // TestProductKernelsBitExact sweeps every shape with sides 1…6, so the
-// width-3, width-4 and generic paths of each product all run, over
-// operands seeded with zeros of both signs, infinities and NaN.
+// width-2, -3 and -4 paths and the generic loop of each product all run,
+// over operands seeded with zeros of both signs, infinities and NaN.
 func TestProductKernelsBitExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(38))
 	for r := 1; r <= 6; r++ {

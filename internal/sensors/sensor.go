@@ -52,8 +52,7 @@ type Sensor interface {
 // The first call freezes the value: configure a sensor fully before its
 // first use. Caching is safe under concurrent first use (the engine's
 // parallel mode bank shares sensors across goroutines): racing builders
-// converge on the first stored pointer, and the stable pointer identity
-// is what lets the engine's CholCache reuse covariance factors.
+// converge on the first stored pointer.
 type sensorConsts struct {
 	r, c   atomic.Pointer[mat.Mat]
 	angles atomic.Pointer[[]int]

@@ -10,30 +10,34 @@ import (
 // ErrInvalidParam indicates an out-of-domain distribution parameter.
 var ErrInvalidParam = errors.New("stat: invalid parameter")
 
+// lnGammaHalf[k] is lnΓ(k/2), the normalization of a chi-square variable
+// with k degrees of freedom, for the k the detector tests (one entry per
+// reading dimension it stacks); built with math.Lgamma, so a lookup has
+// the bits of the call it replaces.
+var lnGammaHalf [64]float64
+
+func init() {
+	for k := 1; k < len(lnGammaHalf); k++ {
+		lnGammaHalf[k], _ = math.Lgamma(float64(k) / 2)
+	}
+}
+
 // regularizedGammaP computes P(s, x) = γ(s, x)/Γ(s), the lower regularized
-// incomplete gamma function, using the series expansion for x < s+1 and
-// the continued fraction for x ≥ s+1 (Numerical Recipes style).
-func regularizedGammaP(s, x float64) (float64, error) {
-	switch {
-	case s <= 0:
-		return 0, fmt.Errorf("%w: shape %v", ErrInvalidParam, s)
-	case x < 0:
-		return 0, fmt.Errorf("%w: x %v", ErrInvalidParam, x)
-	case x == 0:
-		return 0, nil
-	}
+// incomplete gamma function at s > 0 and finite x ≥ 0, from lg = lnΓ(s),
+// using the series expansion for x < s+1 and the continued fraction for
+// x ≥ s+1 (Numerical Recipes style).
+func regularizedGammaP(s, x, lg float64) (float64, error) {
 	if x < s+1 {
-		return gammaPSeries(s, x)
+		return gammaPSeries(s, x, lg)
 	}
-	q, err := gammaQContinuedFraction(s, x)
+	q, err := gammaQContinuedFraction(s, x, lg)
 	if err != nil {
 		return 0, err
 	}
 	return 1 - q, nil
 }
 
-func gammaPSeries(s, x float64) (float64, error) {
-	lg, _ := math.Lgamma(s)
+func gammaPSeries(s, x, lg float64) (float64, error) {
 	ap := s
 	sum := 1 / s
 	del := sum
@@ -48,8 +52,7 @@ func gammaPSeries(s, x float64) (float64, error) {
 	return 0, errors.New("stat: incomplete gamma series did not converge")
 }
 
-func gammaQContinuedFraction(s, x float64) (float64, error) {
-	lg, _ := math.Lgamma(s)
+func gammaQContinuedFraction(s, x, lg float64) (float64, error) {
 	const tiny = 1e-300
 	b := x + 1 - s
 	c := 1 / tiny
@@ -77,15 +80,27 @@ func gammaQContinuedFraction(s, x float64) (float64, error) {
 }
 
 // ChiSquareCDF returns P(X ≤ x) for a chi-square variable with k degrees
-// of freedom.
+// of freedom: 0 for x ≤ 0, 1 for x = +Inf, and ErrInvalidParam for a NaN
+// x.
 func ChiSquareCDF(x float64, k int) (float64, error) {
-	if k <= 0 {
+	switch {
+	case k <= 0:
 		return 0, fmt.Errorf("%w: degrees of freedom %d", ErrInvalidParam, k)
-	}
-	if x <= 0 {
+	case math.IsNaN(x):
+		return 0, fmt.Errorf("%w: x %v", ErrInvalidParam, x)
+	case x <= 0:
 		return 0, nil
+	case math.IsInf(x, 1):
+		return 1, nil
 	}
-	return regularizedGammaP(float64(k)/2, x/2)
+	s := float64(k) / 2
+	var lg float64
+	if k < len(lnGammaHalf) {
+		lg = lnGammaHalf[k]
+	} else {
+		lg, _ = math.Lgamma(s)
+	}
+	return regularizedGammaP(s, x/2, lg)
 }
 
 // ChiSquareQuantile returns the threshold t with P(X > t) = alpha for a

@@ -146,6 +146,32 @@ func TestChiSquareCDFReference(t *testing.T) {
 	}
 }
 
+// The CDF's edges answer at once: 1 at +Inf (where a hostile 1e300
+// reading's statistic lands) and ErrInvalidParam for NaN, instead of
+// running the continued fraction out to "did not converge".
+func TestChiSquareCDFEdges(t *testing.T) {
+	for _, k := range []int{1, 2, 3, 7, 64, 100} {
+		if got, err := ChiSquareCDF(math.Inf(1), k); got != 1 || err != nil {
+			t.Errorf("cdf(+Inf, %d) = %v, %v; want 1, nil", k, got, err)
+		}
+		if _, err := ChiSquareCDF(math.NaN(), k); !errors.Is(err, ErrInvalidParam) {
+			t.Errorf("cdf(NaN, %d): err = %v, want ErrInvalidParam", k, err)
+		}
+		if got, err := ChiSquareCDF(math.Inf(-1), k); got != 0 || err != nil {
+			t.Errorf("cdf(-Inf, %d) = %v, %v; want 0, nil", k, got, err)
+		}
+	}
+}
+
+// The lnΓ(k/2) table has the bits of the math.Lgamma call it replaces.
+func TestLnGammaHalfTable(t *testing.T) {
+	for k := 1; k < len(lnGammaHalf); k++ {
+		if want, _ := math.Lgamma(float64(k) / 2); math.Float64bits(lnGammaHalf[k]) != math.Float64bits(want) {
+			t.Errorf("lnGammaHalf[%d] = %v, math.Lgamma = %v", k, lnGammaHalf[k], want)
+		}
+	}
+}
+
 func TestChiSquareInvalidParams(t *testing.T) {
 	if _, err := ChiSquareCDF(1, 0); !errors.Is(err, ErrInvalidParam) {
 		t.Fatalf("err = %v", err)

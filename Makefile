@@ -54,9 +54,10 @@ sizes:
 # through the router) are the concurrency-sensitive surfaces; run them
 # under the race detector. So is the scenario suite runner, which steps
 # missions on Workers goroutines into indexed slots, and the simulator's
-# plan memo, which those goroutines share.
+# plan memo, which those goroutines share, as is the χ² quantile table
+# every engine and decider of a process fills.
 race:
-	$(GO) test -race ./internal/core/... ./internal/detect/... ./internal/telemetry/... ./internal/store/... ./internal/fleet/... ./client/ ./internal/router/ ./internal/sim/
+	$(GO) test -race ./internal/core/... ./internal/detect/... ./internal/telemetry/... ./internal/store/... ./internal/fleet/... ./client/ ./internal/router/ ./internal/sim/ ./internal/stat/
 	$(GO) test -race -run 'TestSuiteWorkersDeterminism' ./internal/scenario/
 
 # Fleet soak: the multi-session service suite under the race detector —
@@ -106,8 +107,9 @@ flakehunt:
 tier1-loaded:
 	@$(LOADED) GOMAXPROCS=2 $(GO) test -count=1 ./...
 
-# Fuzz smoke: each decoder target, and the matrix product and Cholesky
-# kernels against their generic reference, gets a short native-fuzzing
+# Fuzz smoke: each decoder target, the matrix product and Cholesky
+# kernels against their generic reference, and the LiDAR's fused h/C
+# evaluation against H and C, gets a short native-fuzzing
 # burst (go test -fuzz accepts one target per invocation). The corpus
 # grows in testdata/fuzz and regressions replay as ordinary seed tests.
 fuzz:
@@ -122,6 +124,7 @@ fuzz:
 	$(GO) test -run xxx -fuzz FuzzScenarioDecode -fuzztime 15s ./internal/scenario/
 	$(GO) test -run xxx -fuzz FuzzMulKernels -fuzztime 15s ./internal/mat/
 	$(GO) test -run xxx -fuzz FuzzCholKernels -fuzztime 15s ./internal/mat/
+	$(GO) test -run xxx -fuzz FuzzLidarHC -fuzztime 15s ./internal/sensors/
 
 bench:
 	$(GO) test -run xxx -bench 'EngineFleet|FleetStep|NUISEStep' -benchtime=1500x .

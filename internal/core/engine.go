@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"time"
 
 	"roboads/internal/mat"
@@ -113,12 +114,14 @@ type Engine struct {
 	// commitNext is commit's reused weight-update scratch (the
 	// un-normalized next weights); evCovs holds one reusable d×d scratch
 	// matrix per (mode, testing sensor) that the evidence terms copy a Ps
-	// block into, and quadBuf the factor and substitution buffer their χ²
-	// statistics share (mat.SPDInvQuadForm). All are sized lazily on the
-	// first Step.
-	commitNext []float64
-	evCovs     [][]*mat.Mat
-	quadBuf    []float64
+	// block into, evFloorQuads each term's floorQuad and actFloorQuad the
+	// actuator term's, and quadBuf the factor and substitution buffer
+	// their χ² statistics share (mat.SPDInvQuadForm).
+	commitNext   []float64
+	evCovs       [][]*mat.Mat
+	evFloorQuads [][]float64
+	actFloorQuad float64
+	quadBuf      []float64
 
 	// sensorNames is the union of every mode's reference and testing
 	// workflow names and sensorDims their reading lengths. Each Step looks
@@ -259,7 +262,8 @@ func (e *Engine) indexSensors() error {
 	return nil
 }
 
-// sizeOutputs allocates the per-mode reading stacks and sizes the
+// sizeOutputs allocates the per-mode reading stacks and the weight
+// update's scratch (floorQuad resolved per evidence term), and sizes the
 // per-Step slab from the mode shapes: every mode's Result, the weight
 // vector, and the largest anomaly split any mode could be selected with.
 func (e *Engine) sizeOutputs() {
@@ -267,6 +271,11 @@ func (e *Engine) sizeOutputs() {
 	e.shapes = make([]resultShape, m)
 	e.z2 = make([]mat.Vec, m)
 	e.z1 = make([]mat.Vec, m)
+	e.commitNext = make([]float64, m)
+	e.evCovs = make([][]*mat.Mat, m)
+	e.evFloorQuads = make([][]float64, m)
+	widest := e.plant.Model.ControlDim()
+	e.actFloorQuad = floorQuad(e.cfg.ActuatorPrior, e.plant.Model.ControlDim())
 	splitFloats, splitMats := 0, 0
 	for i, mode := range e.modes {
 		sh := newResultShape(e.plant.Model, mode.Reference, mode.testingStacked)
@@ -276,7 +285,13 @@ func (e *Engine) sizeOutputs() {
 		e.slabFloats += sh.floats()
 		splitFloats = max(splitFloats, mode.splitFloats())
 		splitMats = max(splitMats, len(mode.Testing))
+		for _, s := range mode.Testing {
+			e.evCovs[i] = append(e.evCovs[i], mat.New(s.Dim(), s.Dim()))
+			e.evFloorQuads[i] = append(e.evFloorQuads[i], floorQuad(e.cfg.AttackPrior, s.Dim()))
+			widest = max(widest, s.Dim())
+		}
 	}
+	e.quadBuf = make([]float64, widest*(widest+1))
 	e.slabFloats += m + splitFloats
 	e.slabMats = resultMats*m + splitMats
 }
@@ -441,18 +456,6 @@ func (e *Engine) commit(out *Output, perMode []*Result, slab *mat.Slab, stepStar
 	// the floor from erasing relative mode history: likelihood weights
 	// below 1 (p-values always are) would otherwise drag every mode to
 	// ε within tens of iterations and reset the bank each step.
-	if e.commitNext == nil {
-		e.commitNext = make([]float64, len(e.weights))
-		e.evCovs = make([][]*mat.Mat, len(e.modes))
-		widest := e.plant.Model.ControlDim()
-		for i, m := range e.modes {
-			for _, s := range m.Testing {
-				e.evCovs[i] = append(e.evCovs[i], mat.New(s.Dim(), s.Dim()))
-				widest = max(widest, s.Dim())
-			}
-		}
-		e.quadBuf = make([]float64, widest*(widest+1))
-	}
 	next := e.commitNext
 	var sum float64
 	for i := range e.weights {
@@ -646,22 +649,25 @@ func (e *Engine) testingEvidence(i int, res *Result) float64 {
 		for j, s := range e.modes[i].Testing {
 			d := s.Dim()
 			cov := res.Ps.SubmatrixInto(e.evCovs[i][j], off, off)
-			evidence *= flooredPValue(cov, res.Ds[off:off+d], e.quadBuf, e.cfg.AttackPrior)
+			evidence *= flooredPValue(cov, res.Ds[off:off+d], e.quadBuf, e.cfg.AttackPrior, e.evFloorQuads[i][j])
 			off += d
 		}
 	}
 	if e.cfg.ActuatorPrior > 0 && res.Da != nil {
-		evidence *= flooredPValue(res.Pa, res.Da, e.quadBuf, e.cfg.ActuatorPrior)
+		evidence *= flooredPValue(res.Pa, res.Da, e.quadBuf, e.cfg.ActuatorPrior, e.actFloorQuad)
 	}
 	return evidence
 }
 
-// flooredPValue returns max(P(χ²_n > vᵀcov⁻¹v), floor), degrading to the
-// floor when the covariance is singular. buf is the factor buffer
-// mat.SPDInvQuadForm needs.
-func flooredPValue(cov *mat.Mat, v mat.Vec, buf []float64, floor float64) float64 {
+// flooredPValue returns max(P(χ²_n > vᵀcov⁻¹v), floor), the floor when
+// cov is singular or the statistic reaches fromQuad (floorQuad: the
+// incomplete gamma is skipped). buf is mat.SPDInvQuadForm's buffer.
+func flooredPValue(cov *mat.Mat, v mat.Vec, buf []float64, floor, fromQuad float64) float64 {
 	pv := 0.0
 	if quad, err := mat.SPDInvQuadForm(cov, v, buf); err == nil && quad >= 0 {
+		if quad >= fromQuad {
+			return floor
+		}
 		if cdf, err := stat.ChiSquareCDF(quad, v.Len()); err == nil {
 			pv = 1 - cdf
 		}
@@ -670,4 +676,17 @@ func flooredPValue(cov *mat.Mat, v mat.Vec, buf []float64, floor float64) float6
 		pv = floor
 	}
 	return pv
+}
+
+// floorQuad returns the χ²_k statistic from which the tail is below floor
+// for certain: the floor's quantile t times 1 + 1e-6, where the true tail
+// is below the floor by ~1e-7 or more (the density times t·1e-6) and
+// ChiSquareCDF is good to ~1e-15, so max(1 − CDF, floor) is the floor bit
+// for bit. A floor with no quantile gets +Inf: nothing skips.
+func floorQuad(floor float64, k int) float64 {
+	t, err := stat.ChiSquareQuantileTable(floor, k)
+	if err != nil {
+		return math.Inf(1)
+	}
+	return t * (1 + 1e-6)
 }

@@ -124,9 +124,10 @@ func NUISE(plant Plant, reference, testing sensors.Sensor, u, xPrev mat.Vec, pxP
 }
 
 // NUISEScratch is NUISE with an explicit scratch arena for the ~60 matrix
-// and vector temporaries one step builds: the Jacobians A, G, C2, C1 and
-// the predictions f, h2, h1 are evaluated through the models' Into fast
-// paths into arena buffers, and everything stored in the Result is carved
+// and vector temporaries one step builds: the predictions f, h2, h1 and
+// their Jacobians A, G, C2, C1 are evaluated once per point through the
+// models' fused fast paths (FAGInto, HCInto) into arena buffers, and
+// everything stored in the Result is carved
 // from one private mat.Slab that nothing else ever writes. Passing the
 // same arena across iterations makes the step allocation-free apart from
 // the Result (the Result header, its slab's two backing arrays, and
@@ -218,14 +219,15 @@ func nuiseStep(plant Plant, reference, testing sensors.Sensor, u, xPrev mat.Vec,
 	n := model.StateDim()
 	q := model.ControlDim()
 
-	// Linearize the kinematics at the previous estimate.
-	a := dynamics.EvalAInto(model, sc.Mat(n, n), xPrev, u)
-	g := dynamics.EvalGInto(model, sc.Mat(n, q), xPrev, u)
-
-	// Uncompensated prediction, and the measurement linearization point.
+	// Linearize the kinematics at the previous estimate; the uncompensated
+	// prediction is the measurement linearization point, where h2 and C2
+	// come from one evaluation.
+	a, g, xPred0 := sc.Mat(n, n), sc.Mat(n, q), sc.Vec(n)
+	dynamics.EvalFAGInto(model, xPred0, a, g, xPrev, u)
+	plant.wrapState(xPred0)
 	p2 := reference.Dim()
-	xPred0 := plant.wrapState(dynamics.EvalFInto(model, sc.Vec(n), xPrev, u))
-	c2 := sensors.EvalCInto(reference, sc.Mat(p2, n), xPred0)
+	h2, c2 := sc.Vec(p2), sc.Mat(p2, n)
+	sensors.EvalHCInto(reference, h2, c2, 0, xPred0)
 	r2 := reference.R()
 
 	// --- Step 1: actuator anomaly estimation (lines 2–6) ---
@@ -269,7 +271,6 @@ func nuiseStep(plant Plant, reference, testing sensors.Sensor, u, xPrev mat.Vec,
 		}
 	}
 	if daValid {
-		h2 := sensors.EvalHInto(reference, sc.Vec(p2), xPred0)
 		innov0 := sensors.WrapResidual(mat.SubVecInto(h2, z2, h2), reference.AngleIndices())
 		mat.MulVecInto(da, m2, innov0)
 		paAcc := mat.MulTInto(sc.Mat(q, q), mat.MulInto(sc.Mat(q, p2), m2, rStar), m2)
@@ -418,10 +419,9 @@ func nuiseStep(plant Plant, reference, testing sensors.Sensor, u, xPrev mat.Vec,
 	// --- Step 4: testing-sensor anomaly estimation (lines 15–16) ---
 	if testing != nil {
 		p1 := testing.Dim()
-		sensors.WrapResidual(
-			mat.SubVecInto(res.Ds, z1, sensors.EvalHInto(testing, sc.Vec(p1), x)),
-			testing.AngleIndices())
-		c1 := sensors.EvalCInto(testing, sc.Mat(p1, n), x)
+		h1, c1 := sc.Vec(p1), sc.Mat(p1, n)
+		sensors.EvalHCInto(testing, h1, c1, 0, x)
+		sensors.WrapResidual(mat.SubVecInto(res.Ds, z1, h1), testing.AngleIndices())
 		psAcc := mat.MulTInto(sc.Mat(p1, p1), mat.MulInto(sc.Mat(p1, n), c1, px), c1)
 		mat.AddInto(psAcc, psAcc, testing.R())
 		mat.SymmetrizeInto(res.Ps, psAcc)

@@ -152,26 +152,23 @@ func NewDecider(cfg Config) *Decider {
 }
 
 func (d *Decider) sensorThreshold(dof int) (float64, error) {
-	if t, ok := d.thresholds[dof]; ok {
-		return t, nil
-	}
-	t, err := stat.ChiSquareQuantile(d.cfg.SensorAlpha, dof)
-	if err != nil {
-		return 0, fmt.Errorf("detect: sensor threshold: %w", err)
-	}
-	d.thresholds[dof] = t
-	return t, nil
+	return quantileOnce(d.thresholds, d.cfg.SensorAlpha, dof, "sensor")
+}
+func (d *Decider) actuatorThreshold(dof int) (float64, error) {
+	return quantileOnce(d.actThresholds, d.cfg.ActuatorAlpha, dof, "actuator")
 }
 
-func (d *Decider) actuatorThreshold(dof int) (float64, error) {
-	if t, ok := d.actThresholds[dof]; ok {
-		return t, nil
+// quantileOnce returns the χ²_dof quantile at alpha from the decider's
+// map, filling it from stat's process-wide table on a miss.
+func quantileOnce(cache map[int]float64, alpha float64, dof int, side string) (float64, error) {
+	t, ok := cache[dof]
+	if !ok {
+		var err error
+		if t, err = stat.ChiSquareQuantileTable(alpha, dof); err != nil {
+			return 0, fmt.Errorf("detect: %s threshold: %w", side, err)
+		}
+		cache[dof] = t
 	}
-	t, err := stat.ChiSquareQuantile(d.cfg.ActuatorAlpha, dof)
-	if err != nil {
-		return 0, fmt.Errorf("detect: actuator threshold: %w", err)
-	}
-	d.actThresholds[dof] = t
 	return t, nil
 }
 

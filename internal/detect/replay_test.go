@@ -46,7 +46,7 @@ func TestDetectorStepAllocs(t *testing.T) {
 	for _, tc := range []struct {
 		robot   string
 		ceiling float64
-	}{{"khepera", 13}, {"tamiya", 12}} {
+	}{{"khepera", 11}, {"tamiya", 10}} {
 		t.Run(tc.robot, func(t *testing.T) {
 			prof, recs := attackedFrames(t, tc.robot)
 			det, err := scenario.DefaultDetector(prof)

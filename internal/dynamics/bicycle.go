@@ -53,20 +53,14 @@ func (b *Bicycle) clampSteer(delta float64) float64 {
 	return math.Max(-b.MaxSteer, math.Min(b.MaxSteer, delta))
 }
 
-// F implements Model.
+// F implements Model: FInto into a fresh vector.
 func (b *Bicycle) F(x, u mat.Vec) mat.Vec {
-	mustDims(b, x, u)
-	theta, v := x[2], x[3]
-	accel, delta := u[0], b.clampSteer(u[1])
-	return mat.VecOf(
-		x[0]+v*math.Cos(theta)*b.Dt,
-		x[1]+v*math.Sin(theta)*b.Dt,
-		NormalizeAngle(theta+v/b.WheelBase*math.Tan(delta)*b.Dt),
-		v+accel*b.Dt,
-	)
+	out := make(mat.Vec, 4)
+	b.FInto(out, x, u)
+	return out
 }
 
-// FInto implements FIntoer: F's expressions written into dst.
+// FInto implements FIntoer: f(x, u) written into dst.
 func (b *Bicycle) FInto(dst mat.Vec, x, u mat.Vec) {
 	mustDims(b, x, u)
 	theta, v := x[2], x[3]
@@ -77,32 +71,32 @@ func (b *Bicycle) FInto(dst mat.Vec, x, u mat.Vec) {
 	dst[3] = v + accel*b.Dt
 }
 
-// AInto implements AIntoer: A's expressions written into dst.
-func (b *Bicycle) AInto(dst *mat.Mat, x, u mat.Vec) {
+// FAGInto implements FAGIntoer: F's, A's and G's expressions written
+// into f, a and g from one sin θ, cos θ, tan δ and cos δ.
+func (b *Bicycle) FAGInto(f mat.Vec, a, g *mat.Mat, x, u mat.Vec) {
 	mustDims(b, x, u)
 	theta, v := x[2], x[3]
-	delta := b.clampSteer(u[1])
-	dst.Zero()
-	dst.Set(0, 0, 1)
-	dst.Set(0, 2, -v*math.Sin(theta)*b.Dt)
-	dst.Set(0, 3, math.Cos(theta)*b.Dt)
-	dst.Set(1, 1, 1)
-	dst.Set(1, 2, v*math.Cos(theta)*b.Dt)
-	dst.Set(1, 3, math.Sin(theta)*b.Dt)
-	dst.Set(2, 2, 1)
-	dst.Set(2, 3, math.Tan(delta)/b.WheelBase*b.Dt)
-	dst.Set(3, 3, 1)
-}
-
-// GInto implements GIntoer: G's expressions written into dst.
-func (b *Bicycle) GInto(dst *mat.Mat, x, u mat.Vec) {
-	mustDims(b, x, u)
-	v := x[3]
-	delta := b.clampSteer(u[1])
+	accel, delta := u[0], b.clampSteer(u[1])
+	sin, cos := math.Sin(theta), math.Cos(theta)
+	tan := math.Tan(delta)
+	f[0] = x[0] + v*cos*b.Dt
+	f[1] = x[1] + v*sin*b.Dt
+	f[2] = NormalizeAngle(theta + v/b.WheelBase*tan*b.Dt)
+	f[3] = v + accel*b.Dt
+	a.Zero()
+	a.Set(0, 0, 1)
+	a.Set(0, 2, -v*sin*b.Dt)
+	a.Set(0, 3, cos*b.Dt)
+	a.Set(1, 1, 1)
+	a.Set(1, 2, v*cos*b.Dt)
+	a.Set(1, 3, sin*b.Dt)
+	a.Set(2, 2, 1)
+	a.Set(2, 3, tan/b.WheelBase*b.Dt)
+	a.Set(3, 3, 1)
 	sec := 1 / math.Cos(delta)
-	dst.Zero()
-	dst.Set(2, 1, v/b.WheelBase*sec*sec*b.Dt)
-	dst.Set(3, 0, b.Dt)
+	g.Zero()
+	g.Set(2, 1, v/b.WheelBase*sec*sec*b.Dt)
+	g.Set(3, 0, b.Dt)
 }
 
 // A implements Model with the closed-form state Jacobian.

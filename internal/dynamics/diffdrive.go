@@ -43,20 +43,14 @@ func (d *DifferentialDrive) StateDim() int { return 3 }
 // ControlDim implements Model: (vL, vR).
 func (d *DifferentialDrive) ControlDim() int { return 2 }
 
-// F implements Model.
+// F implements Model: FInto into a fresh vector.
 func (d *DifferentialDrive) F(x, u mat.Vec) mat.Vec {
-	mustDims(d, x, u)
-	v := (u[0] + u[1]) / 2
-	omega := (u[1] - u[0]) / d.WheelBase
-	theta := x[2]
-	return mat.VecOf(
-		x[0]+v*math.Cos(theta)*d.Dt,
-		x[1]+v*math.Sin(theta)*d.Dt,
-		NormalizeAngle(theta+omega*d.Dt),
-	)
+	out := make(mat.Vec, 3)
+	d.FInto(out, x, u)
+	return out
 }
 
-// FInto implements FIntoer: F's expressions written into dst.
+// FInto implements FIntoer: f(x, u) written into dst.
 func (d *DifferentialDrive) FInto(dst mat.Vec, x, u mat.Vec) {
 	mustDims(d, x, u)
 	v := (u[0] + u[1]) / 2
@@ -67,33 +61,33 @@ func (d *DifferentialDrive) FInto(dst mat.Vec, x, u mat.Vec) {
 	dst[2] = NormalizeAngle(theta + omega*d.Dt)
 }
 
-// AInto implements AIntoer: A's expressions written into dst.
-func (d *DifferentialDrive) AInto(dst *mat.Mat, x, u mat.Vec) {
+// FAGInto implements FAGIntoer: F's, A's and G's expressions written
+// into f, a and g from one sin θ and one cos θ.
+func (d *DifferentialDrive) FAGInto(f mat.Vec, a, g *mat.Mat, x, u mat.Vec) {
 	mustDims(d, x, u)
 	v := (u[0] + u[1]) / 2
+	omega := (u[1] - u[0]) / d.WheelBase
 	theta := x[2]
-	dst.Set(0, 0, 1)
-	dst.Set(0, 1, 0)
-	dst.Set(0, 2, -v*math.Sin(theta)*d.Dt)
-	dst.Set(1, 0, 0)
-	dst.Set(1, 1, 1)
-	dst.Set(1, 2, v*math.Cos(theta)*d.Dt)
-	dst.Set(2, 0, 0)
-	dst.Set(2, 1, 0)
-	dst.Set(2, 2, 1)
-}
-
-// GInto implements GIntoer: G's expressions written into dst.
-func (d *DifferentialDrive) GInto(dst *mat.Mat, x, u mat.Vec) {
-	mustDims(d, x, u)
-	theta := x[2]
+	sin, cos := math.Sin(theta), math.Cos(theta)
+	f[0] = x[0] + v*cos*d.Dt
+	f[1] = x[1] + v*sin*d.Dt
+	f[2] = NormalizeAngle(theta + omega*d.Dt)
+	a.Set(0, 0, 1)
+	a.Set(0, 1, 0)
+	a.Set(0, 2, -v*sin*d.Dt)
+	a.Set(1, 0, 0)
+	a.Set(1, 1, 1)
+	a.Set(1, 2, v*cos*d.Dt)
+	a.Set(2, 0, 0)
+	a.Set(2, 1, 0)
+	a.Set(2, 2, 1)
 	halfDt := d.Dt / 2
-	dst.Set(0, 0, halfDt*math.Cos(theta))
-	dst.Set(0, 1, halfDt*math.Cos(theta))
-	dst.Set(1, 0, halfDt*math.Sin(theta))
-	dst.Set(1, 1, halfDt*math.Sin(theta))
-	dst.Set(2, 0, -d.Dt/d.WheelBase)
-	dst.Set(2, 1, d.Dt/d.WheelBase)
+	g.Set(0, 0, halfDt*cos)
+	g.Set(0, 1, halfDt*cos)
+	g.Set(1, 0, halfDt*sin)
+	g.Set(1, 1, halfDt*sin)
+	g.Set(2, 0, -d.Dt/d.WheelBase)
+	g.Set(2, 1, d.Dt/d.WheelBase)
 }
 
 // A implements Model with the closed-form state Jacobian.

@@ -185,3 +185,82 @@ func TestModelNames(t *testing.T) {
 		t.Fatal("tamiya name")
 	}
 }
+
+// FAGInto writes exactly F's, A's and G's values into destinations
+// filled with NaN first, for both models at seeded random points, with
+// the heading at ±π and the Tamiya's steering inside and past its
+// saturation.
+func TestFAGIntoMatchesFAG(t *testing.T) {
+	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+	sameMat := func(got, want *mat.Mat) bool {
+		for i := 0; i < want.Rows(); i++ {
+			for j := 0; j < want.Cols(); j++ {
+				if !same(got.At(i, j), want.At(i, j)) {
+					return false
+				}
+			}
+		}
+		return true
+	}
+	nan := func(m *mat.Mat) *mat.Mat {
+		for i := 0; i < m.Rows(); i++ {
+			for j := 0; j < m.Cols(); j++ {
+				m.Set(i, j, math.NaN())
+			}
+		}
+		return m
+	}
+	check := func(m Model, x, u mat.Vec) {
+		t.Helper()
+		n, q := m.StateDim(), m.ControlDim()
+		f := make(mat.Vec, n)
+		for i := range f {
+			f[i] = math.NaN()
+		}
+		a, g := nan(mat.New(n, n)), nan(mat.New(n, q))
+		m.(FAGIntoer).FAGInto(f, a, g, x, u)
+		want := m.F(x, u)
+		for i := range want {
+			if !same(f[i], want[i]) {
+				t.Fatalf("%s at x=%v u=%v: f[%d] = %v, F gives %v", m.Name(), x, u, i, f[i], want[i])
+			}
+		}
+		if !sameMat(a, m.A(x, u)) || !sameMat(g, m.G(x, u)) {
+			t.Fatalf("%s at x=%v u=%v: FAGInto's A or G differs from A, G:\n%v\n%v", m.Name(), x, u, a, g)
+		}
+	}
+	d, b := NewKhepera(0.1), NewTamiya(0.1)
+	r := stat.NewRNG(45)
+	for i := 0; i < 500; i++ {
+		theta := (2*r.Float64() - 1) * math.Pi
+		check(d, mat.VecOf(r.Gaussian(0, 2), r.Gaussian(0, 2), theta), mat.VecOf(r.Gaussian(0, 0.3), r.Gaussian(0, 0.3)))
+		check(b, mat.VecOf(r.Gaussian(0, 2), r.Gaussian(0, 2), theta, r.Gaussian(0.5, 0.3)), mat.VecOf(r.Gaussian(0, 0.5), r.Gaussian(0, 0.6)))
+	}
+	for _, theta := range []float64{math.Pi, -math.Pi, math.Nextafter(math.Pi, 0), 0} {
+		check(d, mat.VecOf(1, 2, theta), mat.VecOf(0.1, 0.2))
+		for _, delta := range []float64{0, 0.2, b.MaxSteer, -b.MaxSteer, 1.2, -1.2, math.Pi / 2} {
+			check(b, mat.VecOf(1, 2, theta, 0.7), mat.VecOf(0.3, delta))
+		}
+	}
+}
+
+// EvalFAGInto serves a model without the fast path from F, A and G.
+func TestEvalFAGIntoFallback(t *testing.T) {
+	m := plainModel{NewTamiya(0.1)}
+	x, u := mat.VecOf(1, 2, 0.3, 0.7), mat.VecOf(0.3, 0.2)
+	f, a, g := make(mat.Vec, 4), mat.New(4, 4), mat.New(4, 2)
+	EvalFAGInto(m, f, a, g, x, u)
+	if f.Sub(m.F(x, u)).MaxAbs() != 0 || !a.Equal(m.A(x, u), 0) || !g.Equal(m.G(x, u), 0) {
+		t.Fatalf("fallback gave f=%v\nA=%v\nG=%v", f, a, g)
+	}
+}
+
+// plainModel hides its model's fast paths.
+type plainModel struct{ m Model }
+
+func (p plainModel) Name() string            { return p.m.Name() }
+func (p plainModel) StateDim() int           { return p.m.StateDim() }
+func (p plainModel) ControlDim() int         { return p.m.ControlDim() }
+func (p plainModel) F(x, u mat.Vec) mat.Vec  { return p.m.F(x, u) }
+func (p plainModel) A(x, u mat.Vec) *mat.Mat { return p.m.A(x, u) }
+func (p plainModel) G(x, u mat.Vec) *mat.Mat { return p.m.G(x, u) }

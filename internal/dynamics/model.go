@@ -39,23 +39,19 @@ type Model interface {
 }
 
 // FIntoer is an optional Model fast path: FInto writes f(x, u) into dst
-// (length StateDim()) without allocating. Implementations must produce
-// values bit-identical to F — the batched engine leans on this to stay
-// bit-for-bit reproducible against the scalar path.
+// (length StateDim()) without allocating, bit-identical to F (the NUISE
+// step's compensated prediction runs through it).
 type FIntoer interface {
 	FInto(dst mat.Vec, x, u mat.Vec)
 }
 
-// AIntoer is an optional Model fast path: AInto writes ∂f/∂x at (x, u)
-// into dst, overwriting every entry. Values must be bit-identical to A.
-type AIntoer interface {
-	AInto(dst *mat.Mat, x, u mat.Vec)
-}
-
-// GIntoer is an optional Model fast path: GInto writes ∂f/∂u at (x, u)
-// into dst, overwriting every entry. Values must be bit-identical to G.
-type GIntoer interface {
-	GInto(dst *mat.Mat, x, u mat.Vec)
+// FAGIntoer is the optional Model fast path the NUISE step linearizes
+// through: FAGInto writes f(x, u) into f and the Jacobians ∂f/∂x and
+// ∂f/∂u at (x, u) into a and g, overwriting every entry, without
+// allocating — one evaluation of the point's shared terms (sin θ, cos θ,
+// …) for all three. Values must be bit-identical to F, A and G.
+type FAGIntoer interface {
+	FAGInto(f mat.Vec, a, g *mat.Mat, x, u mat.Vec)
 }
 
 // EvalFInto evaluates f(x, u) into dst through the model's fast path
@@ -69,24 +65,17 @@ func EvalFInto(m Model, dst mat.Vec, x, u mat.Vec) mat.Vec {
 	return dst
 }
 
-// EvalAInto evaluates ∂f/∂x into dst through the model's fast path when
-// it has one, copying A's result otherwise.
-func EvalAInto(m Model, dst *mat.Mat, x, u mat.Vec) *mat.Mat {
-	if f, ok := m.(AIntoer); ok {
-		f.AInto(dst, x, u)
-		return dst
+// EvalFAGInto evaluates f(x, u), ∂f/∂x and ∂f/∂u into f, a and g through
+// the model's fast path when it has one, copying F's, A's and G's results
+// otherwise.
+func EvalFAGInto(m Model, f mat.Vec, a, g *mat.Mat, x, u mat.Vec) {
+	if fag, ok := m.(FAGIntoer); ok {
+		fag.FAGInto(f, a, g, x, u)
+		return
 	}
-	return mat.CopyInto(dst, m.A(x, u))
-}
-
-// EvalGInto evaluates ∂f/∂u into dst through the model's fast path when
-// it has one, copying G's result otherwise.
-func EvalGInto(m Model, dst *mat.Mat, x, u mat.Vec) *mat.Mat {
-	if f, ok := m.(GIntoer); ok {
-		f.GInto(dst, x, u)
-		return dst
-	}
-	return mat.CopyInto(dst, m.G(x, u))
+	copy(f, m.F(x, u))
+	mat.CopyInto(a, m.A(x, u))
+	mat.CopyInto(g, m.G(x, u))
 }
 
 // NormalizeAngle wraps an angle to (−π, π].

@@ -188,15 +188,6 @@ func (h *replHub) waitAcked(session string, seq int, timeout time.Duration) erro
 	}
 }
 
-// replNotify wakes the replication shipper after a job's records were
-// written to the log (CommitAsync does that before it enlists the job
-// for its local sync), so the follower's fsync overlaps the primary's.
-func (m *Manager) replNotify() {
-	if m.repl != nil {
-		m.repl.wake()
-	}
-}
-
 // handleReplicate serves POST /v1/internal/replicate: the follower's
 // hello line opens the stream, ack lines follow on the same request
 // body, and the response streams NDJSON ReplRecords until the follower

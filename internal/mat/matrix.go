@@ -229,16 +229,6 @@ func (m *Mat) SubmatrixInto(dst *Mat, r0, c0 int) *Mat {
 	return dst
 }
 
-// RowSpan returns a view of rows [r0,r1) sharing m's storage (rows are
-// stored contiguously, so a row band needs no copying). Writes through
-// the view write into m.
-func (m *Mat) RowSpan(r0, r1 int) *Mat {
-	if r0 < 0 || r1 < r0 || r1 > m.rows {
-		panic(fmt.Errorf("%w: row span [%d,%d) of %dx%d", ErrDimension, r0, r1, m.rows, m.cols))
-	}
-	return &Mat{rows: r1 - r0, cols: m.cols, data: m.data[r0*m.cols : r1*m.cols]}
-}
-
 // Zero clears every entry in place and returns m.
 func (m *Mat) Zero() *Mat {
 	clear(m.data)

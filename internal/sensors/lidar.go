@@ -61,19 +61,14 @@ func (s *Lidar) Name() string { return "lidar" }
 // Dim implements Sensor: one range per beam plus heading.
 func (s *Lidar) Dim() int { return len(s.BeamAngles) + 1 }
 
-// H implements Sensor.
+// H implements Sensor: HInto into a fresh vector.
 func (s *Lidar) H(x mat.Vec) mat.Vec {
-	mustStateLen(s.Name(), x, 3)
-	origin := world.Point{X: x[0], Y: x[1]}
-	out := make(mat.Vec, 0, s.Dim())
-	for _, beam := range s.BeamAngles {
-		d, _ := s.Map.RaycastWalls(origin, x[2]+beam, s.MaxRange)
-		out = append(out, d)
-	}
-	return append(out, x[2])
+	out := make(mat.Vec, s.Dim())
+	s.HInto(out, x)
+	return out
 }
 
-// HInto implements HIntoer: the same ray casts as H, written into dst.
+// HInto implements HIntoer: one ray cast per beam, written into dst.
 func (s *Lidar) HInto(dst mat.Vec, x mat.Vec) {
 	mustStateLen(s.Name(), x, 3)
 	origin := world.Point{X: x[0], Y: x[1]}
@@ -84,16 +79,21 @@ func (s *Lidar) HInto(dst mat.Vec, x mat.Vec) {
 	dst[s.Dim()-1] = x[2]
 }
 
-// CInto implements CIntoer: C's closed-form per-beam derivative written
-// into dst (cleared first — clipped or degenerate beams contribute zero
-// rows, matching C's freshly zeroed allocation).
-func (s *Lidar) CInto(dst *mat.Mat, x mat.Vec) {
+// HCInto implements HCIntoer: each beam is cast once, its range going to
+// h and its closed-form derivative (C's) to c's band, which is cleared
+// first — clipped or degenerate beams contribute zero rows, as in C.
+func (s *Lidar) HCInto(h mat.Vec, c *mat.Mat, row int, x mat.Vec) {
 	mustStateLen(s.Name(), x, 3)
-	dst.Zero()
+	for i := row; i < row+s.Dim(); i++ {
+		for j := 0; j < c.Cols(); j++ {
+			c.Set(i, j, 0)
+		}
+	}
 	origin := world.Point{X: x[0], Y: x[1]}
 	for i, beam := range s.BeamAngles {
 		phi := x[2] + beam
 		t, wall, ok := s.Map.RaycastWallsSeg(origin, phi, s.MaxRange)
+		h[i] = t
 		if !ok {
 			continue
 		}
@@ -103,11 +103,12 @@ func (s *Lidar) CInto(dst *mat.Mat, x mat.Vec) {
 		if den == 0 {
 			continue
 		}
-		dst.Set(i, 0, -ey/den)
-		dst.Set(i, 1, ex/den)
-		dst.Set(i, 2, -t*(-sin*ey-cos*ex)/den)
+		c.Set(row+i, 0, -ey/den)
+		c.Set(row+i, 1, ex/den)
+		c.Set(row+i, 2, -t*(-sin*ey-cos*ex)/den)
 	}
-	dst.Set(s.Dim()-1, 2, 1)
+	h[len(s.BeamAngles)] = x[2]
+	c.Set(row+len(s.BeamAngles), 2, 1)
 }
 
 // C implements Sensor, differentiating each beam's range against the

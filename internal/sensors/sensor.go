@@ -80,18 +80,19 @@ func cacheInts(p *atomic.Pointer[[]int], v []int) []int {
 var ErrEmptyStack = errors.New("sensors: empty sensor stack")
 
 // HIntoer is an optional Sensor fast path: HInto writes h(x) into dst
-// (length Dim()) without allocating. Implementations must produce
-// values bit-identical to H — the batched engine leans on this to stay
-// bit-for-bit reproducible against the scalar path.
+// (length Dim()) without allocating, bit-identical to H (the NUISE step's
+// innovation at the compensated prediction runs through it).
 type HIntoer interface {
 	HInto(dst mat.Vec, x mat.Vec)
 }
 
-// CIntoer is an optional Sensor fast path: CInto writes the Jacobian
-// ∂h/∂x at x into dst (Dim()×len(x)), overwriting every entry, without
-// allocating. Values must be bit-identical to C.
-type CIntoer interface {
-	CInto(dst *mat.Mat, x mat.Vec)
+// HCIntoer is the optional Sensor fast path the NUISE step linearizes
+// through: HCInto writes h(x) into h and ∂h/∂x at x into rows [row,
+// row+Dim()) of c — every entry of that band, nothing else — without
+// allocating, from one evaluation of the point (one ray cast per LiDAR
+// beam). Values must be bit-identical to H and C.
+type HCIntoer interface {
+	HCInto(h mat.Vec, c *mat.Mat, row int, x mat.Vec)
 }
 
 // EvalHInto evaluates h(x) into dst through the sensor's fast path when
@@ -106,16 +107,17 @@ func EvalHInto(s Sensor, dst mat.Vec, x mat.Vec) mat.Vec {
 	return dst
 }
 
-// EvalCInto evaluates the Jacobian at x into dst through the sensor's
-// fast path when it has one, copying C's result otherwise (free of
-// surprises for constant-Jacobian sensors, which return a cached
-// matrix).
-func EvalCInto(s Sensor, dst *mat.Mat, x mat.Vec) *mat.Mat {
-	if f, ok := s.(CIntoer); ok {
-		f.CInto(dst, x)
-		return dst
+// EvalHCInto evaluates h(x) into h and the Jacobian at x into rows
+// [row, row+Dim()) of c through the sensor's fast path when it has one;
+// otherwise h comes from EvalHInto and the band copies C's result (a
+// cached matrix for the constant-Jacobian sensors: nothing allocates).
+func EvalHCInto(s Sensor, h mat.Vec, c *mat.Mat, row int, x mat.Vec) {
+	if f, ok := s.(HCIntoer); ok {
+		f.HCInto(h, c, row, x)
+		return
 	}
-	return mat.CopyInto(dst, s.C(x))
+	EvalHInto(s, h, x)
+	c.SetSubmatrix(row, 0, s.C(x))
 }
 
 // WrapResidual wraps the listed angle components of a residual in place
@@ -163,13 +165,6 @@ func (s *Stacked) Name() string { return s.name }
 // Dim implements Sensor.
 func (s *Stacked) Dim() int { return s.dim }
 
-// Parts returns the component sensors in stacking order.
-func (s *Stacked) Parts() []Sensor {
-	out := make([]Sensor, len(s.parts))
-	copy(out, s.parts)
-	return out
-}
-
 // Offsets returns the starting index of each component within the stacked
 // reading vector.
 func (s *Stacked) Offsets() []int {
@@ -182,12 +177,10 @@ func (s *Stacked) Offsets() []int {
 	return out
 }
 
-// H implements Sensor.
+// H implements Sensor: HInto into a fresh vector.
 func (s *Stacked) H(x mat.Vec) mat.Vec {
-	out := make(mat.Vec, 0, s.dim)
-	for _, p := range s.parts {
-		out = append(out, p.H(x)...)
-	}
+	out := make(mat.Vec, s.dim)
+	s.HInto(out, x)
 	return out
 }
 
@@ -200,24 +193,13 @@ func (s *Stacked) HInto(dst mat.Vec, x mat.Vec) {
 	}
 }
 
-// CInto implements CIntoer: each part's Jacobian lands in its row band
-// of dst — through the part's own fast path when it has one, by copy
-// otherwise. Every row of dst is overwritten either way.
-func (s *Stacked) CInto(dst *mat.Mat, x mat.Vec) {
-	if len(s.parts) == 1 {
-		// Mirrors C's single-part delegation, and skips the row-band
-		// view header a one-part span would allocate.
-		EvalCInto(s.parts[0], dst, x)
-		return
-	}
-	row := 0
+// HCInto implements HCIntoer: each part evaluates into its slice of h
+// and its own row band of c.
+func (s *Stacked) HCInto(h mat.Vec, c *mat.Mat, row int, x mat.Vec) {
+	off := 0
 	for _, p := range s.parts {
-		if f, ok := p.(CIntoer); ok {
-			f.CInto(dst.RowSpan(row, row+p.Dim()), x)
-		} else {
-			dst.SetSubmatrix(row, 0, p.C(x))
-		}
-		row += p.Dim()
+		EvalHCInto(p, h[off:off+p.Dim()], c, row+off, x)
+		off += p.Dim()
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"sync"
 )
 
 // ErrInvalidParam indicates an out-of-domain distribution parameter.
@@ -111,7 +112,7 @@ func ChiSquareQuantile(alpha float64, k int) (float64, error) {
 	if k <= 0 {
 		return 0, fmt.Errorf("%w: degrees of freedom %d", ErrInvalidParam, k)
 	}
-	if alpha <= 0 || alpha >= 1 {
+	if !(alpha > 0 && alpha < 1) {
 		return 0, fmt.Errorf("%w: alpha %v outside (0,1)", ErrInvalidParam, alpha)
 	}
 	target := 1 - alpha
@@ -140,6 +141,48 @@ func ChiSquareQuantile(alpha float64, k int) (float64, error) {
 		}
 	}
 	return 0.5 * (lo + hi), nil
+}
+
+// quantiles is the process's table of ChiSquareQuantile results by
+// (alpha, k): the few pairs a detector tests at, each bisected once. It
+// holds at most maxQuantiles entries; a pair past that is computed on
+// every call, never stored.
+var quantiles struct {
+	sync.RWMutex
+	m map[quantileKey]float64
+}
+
+type quantileKey struct {
+	alpha float64
+	k     int
+}
+
+const maxQuantiles = 256
+
+// ChiSquareQuantileTable is ChiSquareQuantile with the same bits, looked
+// up in a process-wide table that computes each (alpha, k) pair once. It
+// is safe for concurrent use; errors are returned, not stored.
+func ChiSquareQuantileTable(alpha float64, k int) (float64, error) {
+	key := quantileKey{alpha, k}
+	quantiles.RLock()
+	t, ok := quantiles.m[key]
+	quantiles.RUnlock()
+	if ok {
+		return t, nil
+	}
+	t, err := ChiSquareQuantile(alpha, k)
+	if err != nil {
+		return 0, err
+	}
+	quantiles.Lock()
+	if quantiles.m == nil {
+		quantiles.m = make(map[quantileKey]float64)
+	}
+	if len(quantiles.m) < maxQuantiles {
+		quantiles.m[key] = t
+	}
+	quantiles.Unlock()
+	return t, nil
 }
 
 // ChiSquareSample draws a chi-square sample with k degrees of freedom as a

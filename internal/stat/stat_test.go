@@ -3,6 +3,7 @@ package stat
 import (
 	"errors"
 	"math"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -298,5 +299,63 @@ func TestKSUniform(t *testing.T) {
 	}
 	if _, _, err := KSUniform([]float64{2}, 0.05); err == nil {
 		t.Fatal("out-of-range sample accepted")
+	}
+}
+
+// The quantile table returns ChiSquareQuantile's bits, is safe when many
+// goroutines ask for the same new pairs at once (run under -race), stays
+// within maxQuantiles entries, and stores no error.
+func TestChiSquareQuantileTable(t *testing.T) {
+	alphas := []float64{0.05, 0.01, 0.2, 0.001, 0.0123}
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for _, alpha := range alphas {
+				for k := 1; k <= 7; k++ {
+					if _, err := ChiSquareQuantileTable(alpha, k); err != nil {
+						t.Error(err)
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	for _, alpha := range alphas {
+		for k := 1; k <= 7; k++ {
+			want, err := ChiSquareQuantile(alpha, k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for pass := 0; pass < 2; pass++ {
+				got, err := ChiSquareQuantileTable(alpha, k)
+				if err != nil || math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("table(%v, %d) = %v, %v; ChiSquareQuantile gives %v", alpha, k, got, err, want)
+				}
+			}
+		}
+	}
+	for _, bad := range []float64{0, 1, -0.5, math.NaN()} {
+		if _, err := ChiSquareQuantileTable(bad, 2); !errors.Is(err, ErrInvalidParam) {
+			t.Fatalf("alpha %v: err = %v", bad, err)
+		}
+	}
+	if _, err := ChiSquareQuantileTable(0.05, 0); !errors.Is(err, ErrInvalidParam) {
+		t.Fatalf("k = 0: err = %v", err)
+	}
+	for i := 0; i < maxQuantiles+10; i++ {
+		alpha := 0.3 + float64(i)*1e-4
+		got, err := ChiSquareQuantileTable(alpha, 1)
+		want, _ := ChiSquareQuantile(alpha, 1)
+		if err != nil || got != want {
+			t.Fatalf("table(%v, 1) = %v, %v; want %v", alpha, got, err, want)
+		}
+	}
+	quantiles.RLock()
+	n := len(quantiles.m)
+	quantiles.RUnlock()
+	if n > maxQuantiles {
+		t.Fatalf("table holds %d entries, bound %d", n, maxQuantiles)
 	}
 }

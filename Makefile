@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet fmtcheck staticcheck runcheck test tier1-loaded race fleetsoak crashsoak flakehunt fuzz bench profile-replay profile-generate benchsmoke benchdiff benchoverhead multinodesmoke scenariosmoke sizes ci
+.PHONY: build vet fmtcheck staticcheck runcheck test tier1-loaded race fleetsoak crashsoak flakehunt fuzz bench profile-replay profile-generate benchsmoke benchdiff benchoverhead multinodesmoke sizes ci
 
 build:
 	$(GO) build ./...
@@ -196,20 +196,5 @@ benchoverhead:
 # bit-for-bit resume of every session's report stream.
 multinodesmoke:
 	$(GO) test -count=1 -run 'TestMultinode' ./cmd/roboads/
-
-# Detection-quality smoke (DESIGN.md §15): generate the default
-# adversarial suite (all Table II + Tamiya scenarios, the stealthy /
-# coordinated / intermittent / ramp / environment adversaries), run it
-# through the real detector path, append a leaderboard record to
-# BENCH_quality.json, and gate it against the most recent same-shape
-# record via benchdiff -quality — detection delay, per-scenario FPR, and
-# missed detections may not regress. Results are bit-for-bit
-# reproducible from {seed, DSL}, so the gate is authoritative on any
-# machine (the first run of a new suite shape passes informationally).
-scenariosmoke:
-	$(GO) run ./cmd/roboads scenario gen -seed 42 -o /tmp/roboads-suite.json
-	$(GO) run ./cmd/roboads scenario run -i /tmp/roboads-suite.json \
-		-workers 4 -label default -out BENCH_quality.json
-	$(GO) run ./cmd/benchdiff -quality BENCH_quality.json
 
 ci: build vet test race

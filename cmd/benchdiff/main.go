@@ -8,10 +8,6 @@
 //
 //	benchdiff [-baseline BENCH_engine.json] [-input bench.out] [-threshold 0.15]
 //	          [-only REGEX] [-command CMD] [-best] [-allocs]
-//	benchdiff -quality BENCH_quality.json [-threshold 0.15]
-//
-// The second form runs no benchmark: it gates the newest detection-quality
-// record against its most recent same-shape predecessor (quality.go).
 //
 // With -input the tool only parses (useful in CI, where the run and the
 // comparison are separate steps); otherwise it executes the baseline's
@@ -200,12 +196,7 @@ func run() error {
 	command := flag.String("command", "", "shell command to run instead of the baseline's recorded one")
 	best := flag.Bool("best", false, "with repeated runs (-count > 1), compare the fastest occurrence of each benchmark instead of the last")
 	allocs := flag.Bool("allocs", false, "also gate allocs/op: any count above the baseline's allocs_per_op fails (allocations are deterministic — no threshold)")
-	quality := flag.String("quality", "", "gate the newest record in this BENCH_quality.json against its most recent same-shape predecessor: detection delay, FPR, and missed detections may not regress")
 	flag.Parse()
-
-	if *quality != "" {
-		return runQuality(*quality, *threshold, os.Stdout)
-	}
 
 	raw, err := os.ReadFile(*baselinePath)
 	if err != nil {

@@ -19,8 +19,8 @@
 //	evasive  [-seed S]               reproduce the §V-H stealthy-attack sweeps
 //	scenario gen|list|run [flags]    adversarial scenario engine: generate or
 //	                                 list a DSL suite, or run one through the
-//	                                 detector and append a BENCH_quality.json
-//	                                 leaderboard record
+//	                                 detector and print its leaderboard
+//	                                 (-trials N ≥ 2 adds bootstrap intervals)
 //	related  [-trials N] [-seed S]   compare against the §II-C detector families
 //	quality  [-seed S]               §V-E sensor-quality sweep
 //	calibrate [-trials N] [-seed S]  auto-select decision parameters (§V-F as a tool)
@@ -81,7 +81,7 @@ func run(args []string) error {
 	// The scenario subcommand has its own verb structure (gen/list/run)
 	// and flag set; dispatch it before the shared flags parse.
 	if sub == "scenario" {
-		return scenarioCmd(rest)
+		return scenarioCmd(os.Stdout, rest)
 	}
 
 	fs := flag.NewFlagSet(sub, flag.ContinueOnError)

@@ -4,18 +4,18 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"time"
 
-	"roboads/internal/benchquality"
+	"roboads/internal/eval"
 	"roboads/internal/scenario"
 )
 
 // scenarioCmd implements the `roboads scenario <gen|list|run>` verbs of
 // the adversarial scenario engine: generate a DSL suite, list one, or
-// execute one through the detector and append a BENCH_quality.json
-// leaderboard record.
-func scenarioCmd(args []string) error {
+// execute one through the detector and print its leaderboard to stdout.
+func scenarioCmd(stdout io.Writer, args []string) error {
 	if len(args) == 0 {
 		return errors.New("scenario: missing verb (want gen, list, or run)")
 	}
@@ -25,10 +25,8 @@ func scenarioCmd(args []string) error {
 	fuzz := fs.Int("fuzz", 0, "append N fuzz-swept scenarios to a generated suite")
 	input := fs.String("i", "", "suite DSL file (list/run); empty = generate the default suite")
 	output := fs.String("o", "", "output file (gen; default stdout)")
-	trials := fs.Int("trials", 1, "trials per scenario (run)")
+	trials := fs.Int("trials", 1, "trials per scenario (run); from 2 on each rate and delay carries its 95% bootstrap interval")
 	workers := fs.Int("workers", 0, "concurrent missions (run); results identical for any value")
-	label := fs.String("label", "default", "leaderboard record label (run)")
-	out := fs.String("out", "", "append the leaderboard record to this BENCH_quality.json (run)")
 	if err := fs.Parse(rest); err != nil {
 		return err
 	}
@@ -64,7 +62,7 @@ func scenarioCmd(args []string) error {
 			return err
 		}
 		if *output == "" {
-			_, err = os.Stdout.Write(data)
+			_, err = stdout.Write(data)
 			return err
 		}
 		if err := os.WriteFile(*output, data, 0o644); err != nil {
@@ -83,8 +81,8 @@ func scenarioCmd(args []string) error {
 		if err != nil {
 			return err
 		}
-		fmt.Printf("suite %q  seed=%d  hash=%s  (%d scenarios)\n", s.Name, s.Seed, hash, len(s.Scenarios))
-		fmt.Printf("%-34s %-13s %-8s %-10s %s\n", "name", "class", "robot", "world", "attacks")
+		fmt.Fprintf(stdout, "suite %q  seed=%d  hash=%s  (%d scenarios)\n", s.Name, s.Seed, hash, len(s.Scenarios))
+		fmt.Fprintf(stdout, "%-34s %-13s %-8s %-10s %s\n", "name", "class", "robot", "world", "attacks")
 		for i := range s.Scenarios {
 			sc := &s.Scenarios[i]
 			world := sc.World
@@ -101,7 +99,7 @@ func scenarioCmd(args []string) error {
 			if kinds == "" {
 				kinds = "-"
 			}
-			fmt.Printf("%-34s %-13s %-8s %-10s %s\n", sc.Name, sc.Class, sc.Robot, world, kinds)
+			fmt.Fprintf(stdout, "%-34s %-13s %-8s %-10s %s\n", sc.Name, sc.Class, sc.Robot, world, kinds)
 		}
 		return nil
 
@@ -116,21 +114,10 @@ func scenarioCmd(args []string) error {
 			return err
 		}
 		wall := time.Since(start).Seconds()
-		res.Write(os.Stdout)
-		fmt.Printf("wall: %.1fs\n", wall)
-		if *out == "" {
-			return nil
-		}
-		rec, err := res.Record(s, *label, wall)
-		if err != nil {
-			return err
-		}
-		if err := benchquality.Append(*out, rec); err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "appended record %q (suite hash %s) to %s\n",
-			*label, rec.Config.SuiteHash, *out)
-		return nil
+		return eval.Render(stdout, func(w io.Writer) {
+			res.Write(w)
+			fmt.Fprintf(w, "wall: %.1fs\n", wall)
+		})
 
 	default:
 		return fmt.Errorf("scenario: unknown verb %q (want gen, list, or run)", verb)

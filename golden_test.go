@@ -212,7 +212,10 @@ func outputDigest[R interface{ Write(io.Writer) }](r R, err error) (string, erro
 // point and of the default suite's leaderboard at seed 42, one trial: the
 // tables, figures and sweeps of §V all go through the one mission runner,
 // so a change to the runner or its accounting that moves any printed
-// number fails here.
+// number fails here. suite-10 is the same leaderboard over ten trials
+// with its bootstrap intervals, the judge of a detection number (DESIGN.md
+// §15): a change that moves it on purpose shows its rows against the
+// parent's intervals before it re-records.
 func TestGoldenEvalOutputs(t *testing.T) {
 	const seed = 42
 	runs, err := eval.Fig7Workload(1, seed)
@@ -237,6 +240,9 @@ func TestGoldenEvalOutputs(t *testing.T) {
 		"evasive":    func() (string, error) { return outputDigest(eval.Evasive(seed)) },
 		"quality":    func() (string, error) { return outputDigest(eval.SensorQuality(seed)) },
 		"suite":      func() (string, error) { return outputDigest(scenario.RunSuite(suite, scenario.RunConfig{})) },
+		"suite-10": func() (string, error) {
+			return outputDigest(scenario.RunSuite(suite, scenario.RunConfig{Trials: 10, Workers: 2}))
+		},
 	}
 	got := map[string]string{}
 	for name, render := range outputs {

@@ -296,12 +296,18 @@ func TestPropertyRangeBasis(t *testing.T) {
 	}
 }
 
-// The deflation identity behind the NUISE fast path, on matrices with
-// the step's actual structure M = R* − B·F⁻¹·Bᵀ (F = Bᵀ·(R*)⁻¹·B): the
-// null space of M is (R*)⁻¹·range(B), so its range is R*·range(Z) for Z
-// the orthonormal complement of range(B). With U = orth(R*·Z),
-// U·(Uᵀ·M·U)⁻¹·Uᵀ equals the Moore–Penrose pseudo-inverse and
-// det(Uᵀ·M·U) the pseudo-determinant. The basis choice is load-bearing:
+// The deflation identity behind the NUISE fast path. The step's
+// M = R* − B·F⁻¹·Bᵀ (F = Bᵀ·(R*)⁻¹·B) is PSD with null space
+// (R*)⁻¹·range(B), so its range is R*·range(Z) for Z the orthonormal
+// complement of range(B); with U = orth(R*·Z), U·(Uᵀ·M·U)⁻¹·Uᵀ is the
+// Moore–Penrose pseudo-inverse and det(Uᵀ·M·U) the pseudo-determinant.
+// The identity depends on M only through that range, so the test builds
+// M with it and a known spectrum: M = Q_r·diag(s)·Q_rᵀ with [Q_r Q_q]
+// orthogonal, s ≥ 1, and B = R*·Q_q·G, which makes range(Q_q) =
+// (R*)⁻¹·range(B) the null space. Then M† = Q_r·diag(1/s)·Q_rᵀ and
+// pdet(M) = Πs hold by construction. (A numerical-rank reference on a
+// random R* − B·F⁻¹·Bᵀ misjudged its rank when an eigenvalue came out
+// tiny: seed −271539753502286156.) The basis choice is load-bearing:
 // deflating with Z itself preserves the quad form on range(M) but
 // under-counts the determinant by det(Zᵀ·U)² ≤ 1 — asserted below as a
 // strict inequality check against the U-based value.
@@ -311,20 +317,24 @@ func TestPropertyDeflatedPseudoInverse(t *testing.T) {
 		for p := 3; p <= 8; p++ {
 			q := 1 + p%2 // alternate q = 1, 2
 			r := p - q
-			b := randomMat(rng, p, q)
-			rStar := randomSPD(rng, p)
-			// M = R* − B·F⁻¹·Bᵀ with F = Bᵀ·(R*)⁻¹·B.
-			rsInvB, err := rStar.SolveMat(b)
-			if err != nil {
+			basis := New(p, p)
+			if !RangeBasisInto(basis, randomSPD(rng, p), New(p, p)) {
 				return false
 			}
-			f := TMulInto(New(q, q), b, rsInvB)
-			fInvBt, err := f.SolveMat(b.T())
-			if err != nil {
-				return false
+			qr, qq := basis.Submatrix(0, p, 0, r), basis.Submatrix(0, p, r, p)
+			s, sInv := New(r, r), New(r, r)
+			logPdet := 0.0
+			for i := 0; i < r; i++ {
+				si := 1 + math.Abs(rng())
+				s.Set(i, i, si)
+				sInv.Set(i, i, 1/si)
+				logPdet += math.Log(si)
 			}
-			m := rStar.Sub(b.Mul(fInvBt))
+			m := MulTInto(New(p, p), qr.Mul(s), qr)
 			m = SymmetrizeInto(m, m)
+			pinv := MulTInto(New(p, p), qr.Mul(sInv), qr)
+			rStar := randomSPD(rng, p)
+			b := rStar.Mul(qq).Mul(randomSPD(rng, q))
 
 			z := New(p, r)
 			if !RangeComplementInto(z, b, New(p, q)) {
@@ -342,15 +352,9 @@ func TestPropertyDeflatedPseudoInverse(t *testing.T) {
 			inv := CholSolveMatInto(New(r, r), rul, Identity(r))
 			deflated := MulTInto(New(p, p), MulInto(New(p, r), u, inv), u)
 
-			pinv, rank, pdet, err := m.PseudoInverseSym(0)
-			if err != nil || rank != r {
+			if maxAbsDiff(deflated, pinv) > 1e-9*math.Max(1, pinv.MaxAbs()) {
 				return false
 			}
-			scale := math.Max(1, pinv.MaxAbs())
-			if maxAbsDiff(deflated, pinv) > 1e-9*scale {
-				return false
-			}
-			logPdet := math.Log(pdet)
 			if math.Abs(CholLogDet(rul)-logPdet) > 1e-9*math.Max(1, math.Abs(logPdet)) {
 				return false
 			}
@@ -365,6 +369,12 @@ func TestPropertyDeflatedPseudoInverse(t *testing.T) {
 			}
 		}
 		return true
+	}
+	// Seeds on which the earlier numerical-rank reference failed.
+	for _, seed := range []int64{-271539753502286156, -3805679981873527479} {
+		if !f(seed) {
+			t.Errorf("seed %d: deflation does not match M's known structure", seed)
+		}
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 15}); err != nil {
 		t.Fatal(err)

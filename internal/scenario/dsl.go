@@ -2,7 +2,8 @@
 // item 4: a versioned JSON DSL composing worlds × robot profiles ×
 // attack schedules, a deterministic seeded generator/fuzzer sweeping the
 // DSL's parameter space, and a runner executing suites through the real
-// robot.Profile detector path into BENCH_quality.json leaderboard records.
+// robot.Profile detector path into a leaderboard with bootstrap intervals
+// over trials.
 //
 // RunMission is the one mission loop of the tree — it steps a simulator
 // into a detector and returns the trace as a Run — and Run's methods are
@@ -441,8 +442,7 @@ func (s *Suite) Encode() ([]byte, error) {
 	return append(out, '\n'), nil
 }
 
-// Hash fingerprints the canonical encoding — the leaderboard Config's
-// suite identity.
+// Hash fingerprints the canonical encoding (scenario list prints it).
 func (s *Suite) Hash() (string, error) {
 	data, err := json.Marshal(s)
 	if err != nil {

@@ -3,11 +3,13 @@ package scenario
 import (
 	"fmt"
 	"io"
+	"math"
 	"sync"
 
 	"roboads/internal/metrics"
 	"roboads/internal/robot"
 	"roboads/internal/sim"
+	"roboads/internal/stat"
 )
 
 // RunConfig shapes suite execution.
@@ -57,9 +59,24 @@ type Result struct {
 	MeanDelaySec float64 `json:"meanDelaySec"`
 	// Missed counts (target, trial) pairs never detected.
 	Missed int `json:"missed"`
+	// Intervals bound the metrics above over trials; nil with one trial.
+	Intervals *Intervals `json:"intervals,omitempty"`
 
 	delaySum float64 // detected delay seconds, for suite aggregation
 	detected int
+}
+
+// Intervals are the percentile-bootstrap intervals (stat.Bootstrap) of a
+// result's rates and mean delay: each resample draws the trials with
+// replacement and pools their counts and delays as the point estimate
+// pools all of them. A nil field is undefined on every resample (a delay
+// with nothing detected).
+type Intervals struct {
+	SensorFPR   *stat.Interval `json:"sensorFPR,omitempty"`
+	SensorFNR   *stat.Interval `json:"sensorFNR,omitempty"`
+	ActuatorFPR *stat.Interval `json:"actuatorFPR,omitempty"`
+	ActuatorFNR *stat.Interval `json:"actuatorFNR,omitempty"`
+	DelaySec    *stat.Interval `json:"delaySec,omitempty"`
 }
 
 // SuiteResult is a full suite run.
@@ -75,6 +92,9 @@ type SuiteResult struct {
 	// the suite; −1 when none.
 	AvgDelaySec float64 `json:"avgDelaySec"`
 	Missed      int     `json:"missed"`
+	// Intervals bound the suite's metrics over trials, a resample drawing
+	// whole trials (every scenario at one seed); nil with one trial.
+	Intervals *Intervals `json:"intervals,omitempty"`
 }
 
 // maxIterations is the scenario's iteration cap.
@@ -122,10 +142,65 @@ type trialScore struct {
 	dt               float64
 }
 
-// aggregate reduces one scenario's trials to a Result. Every trial lists
-// the same targets in the same order (Run.Targets), so sums over them
-// repeat to the last bit.
-func aggregate(sc *Scenario, trials []trialScore) Result {
+// trialTotals is what an interval pools of one trial: its confusion
+// counts and the delays of the targets it detected.
+type trialTotals struct {
+	sensor, actuator metrics.Confusion
+	delaySum         float64
+	detected         int
+}
+
+func (t *trialTotals) add(o trialTotals) {
+	t.sensor.Merge(o.sensor)
+	t.actuator.Merge(o.actuator)
+	t.delaySum += o.delaySum
+	t.detected += o.detected
+}
+
+// bootstrapSeed roots every interval's resampling. Each result forks its
+// own stream by name, so a scenario's intervals do not depend on which
+// other scenarios share its suite, and all five of a result's intervals
+// read the same resamples.
+const bootstrapSeed = 0x0b007
+
+// intervals bootstraps a result's metrics over its trials' totals; nil
+// with fewer than two trials.
+func intervals(name string, totals []trialTotals) *Intervals {
+	if len(totals) < 2 {
+		return nil
+	}
+	ci := func(metric func(trialTotals) float64) *stat.Interval {
+		iv, ok := stat.Bootstrap(len(totals), func(trials []int) float64 {
+			var pool trialTotals
+			for _, t := range trials {
+				pool.add(totals[t])
+			}
+			return metric(pool)
+		}, stat.NewRNG(bootstrapSeed).Fork(name))
+		if !ok {
+			return nil
+		}
+		return &iv
+	}
+	return &Intervals{
+		SensorFPR:   ci(func(p trialTotals) float64 { return p.sensor.FPR() }),
+		SensorFNR:   ci(func(p trialTotals) float64 { return p.sensor.FNR() }),
+		ActuatorFPR: ci(func(p trialTotals) float64 { return p.actuator.FPR() }),
+		ActuatorFNR: ci(func(p trialTotals) float64 { return p.actuator.FNR() }),
+		DelaySec: ci(func(p trialTotals) float64 {
+			if p.detected == 0 {
+				return math.NaN()
+			}
+			return p.delaySum / float64(p.detected)
+		}),
+	}
+}
+
+// aggregate reduces one scenario's trials to a Result, and returns each
+// trial's totals for the suite's intervals. Every trial lists the same
+// targets in the same order (Run.Targets), so sums over them repeat to
+// the last bit.
+func aggregate(sc *Scenario, trials []trialScore) (Result, []trialTotals) {
 	r := Result{
 		Name:         sc.Name,
 		Class:        sc.Class,
@@ -134,10 +209,12 @@ func aggregate(sc *Scenario, trials []trialScore) Result {
 		Targets:      make(map[string]TargetStats),
 		MeanDelaySec: -1,
 	}
-	for _, ts := range trials {
+	totals := make([]trialTotals, len(trials))
+	for t, ts := range trials {
 		r.Iterations += ts.iterations
 		r.SensorConfusion.Merge(ts.sensor)
 		r.ActuatorConfusion.Merge(ts.actuator)
+		totals[t].sensor, totals[t].actuator = ts.sensor, ts.actuator
 	}
 	dt := trials[0].dt
 	for i, first := range trials[0].targets {
@@ -150,8 +227,11 @@ func aggregate(sc *Scenario, trials []trialScore) Result {
 			if target.Delay.Detected < 0 {
 				stats.Missed++
 			} else {
-				r.delaySum += target.Delay.Seconds(dt)
+				d := target.Delay.Seconds(dt)
+				r.delaySum += d
 				r.detected++
+				totals[t].delaySum += d
+				totals[t].detected++
 			}
 		}
 		stats.AlarmFraction /= float64(len(trials))
@@ -162,7 +242,8 @@ func aggregate(sc *Scenario, trials []trialScore) Result {
 	if r.detected > 0 {
 		r.MeanDelaySec = r.delaySum / float64(r.detected)
 	}
-	return r
+	r.Intervals = intervals(sc.Name, totals)
+	return r, totals
 }
 
 // RunSuite executes every scenario × trial of the suite and aggregates
@@ -209,8 +290,12 @@ func RunSuite(s *Suite, cfg RunConfig) (*SuiteResult, error) {
 	out := &SuiteResult{Suite: s.Name, Seed: s.Seed, Trials: trials, AvgDelaySec: -1}
 	var delaySum float64
 	detected := 0
+	suiteTotals := make([]trialTotals, trials)
 	for si := range s.Scenarios {
-		r := aggregate(&s.Scenarios[si], scores[si*trials:(si+1)*trials])
+		r, totals := aggregate(&s.Scenarios[si], scores[si*trials:(si+1)*trials])
+		for t := range totals {
+			suiteTotals[t].add(totals[t])
+		}
 		out.SensorConfusion.Merge(r.SensorConfusion)
 		out.ActuatorConfusion.Merge(r.ActuatorConfusion)
 		delaySum += r.delaySum
@@ -221,6 +306,7 @@ func RunSuite(s *Suite, cfg RunConfig) (*SuiteResult, error) {
 	if detected > 0 {
 		out.AvgDelaySec = delaySum / float64(detected)
 	}
+	out.Intervals = intervals(s.Name, suiteTotals)
 	return out, nil
 }
 
@@ -236,21 +322,53 @@ func RunOne(sc Scenario, seed int64, cfg RunConfig) (*Result, error) {
 	return &res.Results[0], nil
 }
 
-// Write renders the per-scenario leaderboard table.
+// Write renders the per-scenario leaderboard table. From two trials on,
+// each rate and delay is followed by its bootstrap interval.
 func (r *SuiteResult) Write(w io.Writer) {
 	fmt.Fprintf(w, "suite %q  seed=%d  trials=%d\n", r.Suite, r.Seed, r.Trials)
-	fmt.Fprintf(w, "%-34s %-13s %8s %8s %8s %8s %9s %6s\n",
-		"name", "class", "sFPR%", "sFNR%", "aFPR%", "aFNR%", "delay(s)", "missed")
+	width := 8 // a rate's column; the delay's is one wider
+	if r.Intervals != nil {
+		fmt.Fprintf(w, "%.0f%% bootstrap intervals over trials in brackets\n", 100*stat.BootstrapLevel)
+		width = 21
+	}
+	fmt.Fprintf(w, "%-34s %-13s %*s %*s %*s %*s %*s %6s\n", "name", "class",
+		width, "sFPR%", width, "sFNR%", width, "aFPR%", width, "aFNR%", width+1, "delay(s)", "missed")
 	for i := range r.Results {
 		res := &r.Results[i]
-		fmt.Fprintf(w, "%-34s %-13s %8.2f %8.2f %8.2f %8.2f %9.2f %6d\n",
-			res.Name, res.Class,
-			100*res.SensorConfusion.FPR(), 100*res.SensorConfusion.FNR(),
-			100*res.ActuatorConfusion.FPR(), 100*res.ActuatorConfusion.FNR(),
-			res.MeanDelaySec, res.Missed)
+		iv := res.Intervals.orZero()
+		fmt.Fprintf(w, "%-34s %-13s %*s %*s %*s %*s %*s %6d\n", res.Name, res.Class,
+			width, withBounds(100, res.SensorConfusion.FPR(), iv.SensorFPR),
+			width, withBounds(100, res.SensorConfusion.FNR(), iv.SensorFNR),
+			width, withBounds(100, res.ActuatorConfusion.FPR(), iv.ActuatorFPR),
+			width, withBounds(100, res.ActuatorConfusion.FNR(), iv.ActuatorFNR),
+			width+1, withBounds(1, res.MeanDelaySec, iv.DelaySec), res.Missed)
 	}
-	fmt.Fprintf(w, "aggregate: sensor FPR %.2f%% FNR %.2f%%, actuator FPR %.2f%% FNR %.2f%%, mean delay %.2fs, missed %d\n",
-		100*r.SensorConfusion.FPR(), 100*r.SensorConfusion.FNR(),
-		100*r.ActuatorConfusion.FPR(), 100*r.ActuatorConfusion.FNR(),
-		r.AvgDelaySec, r.Missed)
+	iv := r.Intervals.orZero()
+	fmt.Fprintf(w, "aggregate: sensor FPR %.2f%%%s FNR %.2f%%%s, actuator FPR %.2f%%%s FNR %.2f%%%s, mean delay %.2fs%s, missed %d\n",
+		100*r.SensorConfusion.FPR(), bounds(100, iv.SensorFPR),
+		100*r.SensorConfusion.FNR(), bounds(100, iv.SensorFNR),
+		100*r.ActuatorConfusion.FPR(), bounds(100, iv.ActuatorFPR),
+		100*r.ActuatorConfusion.FNR(), bounds(100, iv.ActuatorFNR),
+		r.AvgDelaySec, bounds(1, iv.DelaySec), r.Missed)
+}
+
+// orZero returns *iv, or no intervals when iv is nil.
+func (iv *Intervals) orZero() Intervals {
+	if iv == nil {
+		return Intervals{}
+	}
+	return *iv
+}
+
+// withBounds formats scale·v to two decimals, then its bounds.
+func withBounds(scale, v float64, iv *stat.Interval) string {
+	return fmt.Sprintf("%.2f", scale*v) + bounds(scale, iv)
+}
+
+// bounds formats scale·iv as " [lo, hi]", or "" when iv is nil.
+func bounds(scale float64, iv *stat.Interval) string {
+	if iv == nil {
+		return ""
+	}
+	return fmt.Sprintf(" [%.2f, %.2f]", scale*iv.Lo, scale*iv.Hi)
 }

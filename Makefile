@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet fmtcheck staticcheck runcheck test tier1-loaded race fleetsoak crashsoak flakehunt fuzz bench profile-replay profile-generate benchsmoke benchdiff benchoverhead multinodesmoke sizes ci
+.PHONY: build vet fmtcheck staticcheck runcheck test tier1-loaded race fleetsoak crashsoak flakehunt fuzz bench profile-replay profile-generate profile-fleet benchsmoke benchdiff benchoverhead multinodesmoke sizes ci
 
 build:
 	$(GO) build ./...
@@ -97,9 +97,13 @@ LOADED = set -e; pids=""; \
 # was invisible on a quiet machine). Any failure in 20 is a bug. Covers
 # the shared log's concurrency (appenders x flusher x rotation x GC x
 # replica reads: TestPipelineHistory, TestGroupCommit*, TestBoundedDisk)
-# and its crash-point sweeps.
+# and its crash-point sweeps. Then every package with property tests
+# (testing/quick, seeded through internal/testkit) 50 times over on fresh
+# seeds, where tier-1 runs each test's fixed seed: a failing check logs
+# its seed and the command that replays it.
 flakehunt:
 	@$(LOADED) GOMAXPROCS=2 $(GO) test -race -count=20 -timeout 60m ./internal/store/ ./internal/fleet/
+	ROBOADS_QUICK_SEED=fresh $(GO) test -count=50 ./internal/mat/ ./internal/stat/ ./internal/dynamics/ ./internal/sensors/ ./internal/world/ ./internal/plan/ ./internal/detect/
 
 # Tier-1 under load (ROADMAP item 4c): the whole suite, uncached, on two
 # Ps with the same four CPU burners as flakehunt. A test that passes on a
@@ -152,6 +156,20 @@ profile-generate:
 	$(GO) test -run xxx -bench '^BenchmarkSuiteGenerate$$' -benchtime=10x \
 		-o $(PROFILE_DIR)/roboads.test -outputdir $(PROFILE_DIR) \
 		-cpuprofile gen-cpu.prof -memprofile gen-mem.prof .
+	@echo "profiles in $(PROFILE_DIR)"
+
+# The same for bench/'s fleet_durable round (BenchmarkFleetDurableRound:
+# 16 durable sessions under a 2 ms commit window, a 4-frame SubmitBatch to
+# each, then a Wait on each; its frames are made before the timer starts,
+# and its state directory is a temporary one). Profiles are named
+# fleet-*.prof beside profile-replay's; every goroutine's allocations
+# count, so read the program's bytes with
+#   go tool pprof -sample_index=alloc_space -top $(PROFILE_DIR)/roboads.test $(PROFILE_DIR)/fleet-mem.prof
+profile-fleet:
+	mkdir -p $(PROFILE_DIR)
+	$(GO) test -run xxx -bench '^BenchmarkFleetDurableRound$$' -benchtime=2000x \
+		-o $(PROFILE_DIR)/roboads.test -outputdir $(PROFILE_DIR) \
+		-cpuprofile fleet-cpu.prof -memprofile fleet-mem.prof .
 	@echo "profiles in $(PROFILE_DIR)"
 
 # The benchmark (bench/, BENCHMARK.json) is a Go module of its own, so

@@ -133,6 +133,45 @@ func TestScenarioRunFromFile(t *testing.T) {
 	}
 }
 
+// Both scenario tables size the name column to the longest name: in
+// `scenario list` and in the leaderboard, every row's class starts in the
+// header's class column, the default suite's longest names included.
+func TestScenarioTablesAlignColumns(t *testing.T) {
+	suite, err := scenario.Default(42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var list, board bytes.Buffer
+	if err := scenarioCmd(&list, []string{"list", "-seed", "42"}); err != nil {
+		t.Fatal(err)
+	}
+	res := &scenario.SuiteResult{Suite: suite.Name, Seed: suite.Seed, Trials: 1}
+	for _, sc := range suite.Scenarios {
+		res.Results = append(res.Results, scenario.Result{Name: sc.Name, Class: sc.Class})
+	}
+	res.Write(&board)
+	for table, out := range map[string]string{"list": list.String(), "leaderboard": board.String()} {
+		col, row := -1, 0
+		for _, line := range strings.Split(out, "\n") {
+			if strings.HasPrefix(line, "name ") {
+				col = strings.Index(line, " class") + 1
+				continue
+			}
+			if col <= 0 || row == len(suite.Scenarios) {
+				continue
+			}
+			sc := suite.Scenarios[row]
+			row++
+			if len(line) < col || strings.TrimRight(line[:col], " ") != sc.Name || !strings.HasPrefix(line[col:], sc.Class+" ") {
+				t.Errorf("%s: row %q does not start its class %q at column %d", table, line, sc.Class, col)
+			}
+		}
+		if row != len(suite.Scenarios) {
+			t.Errorf("%s: %d rows after the header, want %d:\n%s", table, row, len(suite.Scenarios), out)
+		}
+	}
+}
+
 // The leaderboard record's flags went with the record.
 func TestScenarioRunRemovedFlags(t *testing.T) {
 	for _, flag := range []string{"-out", "-label"} {

@@ -82,7 +82,12 @@ func scenarioCmd(stdout io.Writer, args []string) error {
 			return err
 		}
 		fmt.Fprintf(stdout, "suite %q  seed=%d  hash=%s  (%d scenarios)\n", s.Name, s.Seed, hash, len(s.Scenarios))
-		fmt.Fprintf(stdout, "%-34s %-13s %-8s %-10s %s\n", "name", "class", "robot", "world", "attacks")
+		names := make([]string, len(s.Scenarios))
+		for i := range s.Scenarios {
+			names[i] = s.Scenarios[i].Name
+		}
+		nw := scenario.NameWidth(names...)
+		fmt.Fprintf(stdout, "%-*s %-13s %-8s %-10s %s\n", nw, "name", "class", "robot", "world", "attacks")
 		for i := range s.Scenarios {
 			sc := &s.Scenarios[i]
 			world := sc.World
@@ -99,7 +104,7 @@ func scenarioCmd(stdout io.Writer, args []string) error {
 			if kinds == "" {
 				kinds = "-"
 			}
-			fmt.Fprintf(stdout, "%-34s %-13s %-8s %-10s %s\n", sc.Name, sc.Class, sc.Robot, world, kinds)
+			fmt.Fprintf(stdout, "%-*s %-13s %-8s %-10s %s\n", nw, sc.Name, sc.Class, sc.Robot, world, kinds)
 		}
 		return nil
 

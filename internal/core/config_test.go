@@ -137,7 +137,7 @@ func TestEngineImplausibleModeGated(t *testing.T) {
 	if ipsIdx < 0 {
 		t.Fatal("no ips mode")
 	}
-	if res := out.PerMode[ipsIdx]; res == nil || !res.Implausible {
+	if res := eng.perMode[ipsIdx]; res == nil || !res.Implausible {
 		t.Fatalf("ips mode not gated: %+v", res)
 	}
 	if out.Selected == ipsIdx {

@@ -21,6 +21,7 @@ func TestEngineStepContextMatchesStep(t *testing.T) {
 		}
 		if errA == nil {
 			requireOutputsEqual(t, k, outA, outB)
+			requireModesEqual(t, k, plain, withCtx)
 		}
 	}
 }
@@ -52,6 +53,7 @@ func TestEngineStepContextCancelIsAllOrNothing(t *testing.T) {
 		}
 		if errA == nil {
 			requireOutputsEqual(t, k, outB, outA)
+			requireModesEqual(t, k, twin, eng)
 		}
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"roboads/internal/mat"
 	"roboads/internal/sensors"
 	"roboads/internal/stat"
+	"roboads/internal/testkit"
 	"roboads/internal/world"
 )
 
@@ -107,7 +108,7 @@ func lossyScenario(seed int64, steps int) (*testRig, []mat.Vec, []map[string]mat
 }
 
 // requireOutputsEqual fails unless two step outputs agree bit for bit:
-// selection, weights, every mode's result and the anomaly split.
+// selection, weights, the selected mode's result and the anomaly split.
 func requireOutputsEqual(t *testing.T, k int, want, got *Output) {
 	t.Helper()
 	if want.Iteration != got.Iteration || want.Selected != got.Selected {
@@ -117,37 +118,7 @@ func requireOutputsEqual(t *testing.T, k int, want, got *Output) {
 	if !vecsEqual(mat.Vec(want.Weights), mat.Vec(got.Weights)) {
 		t.Fatalf("k=%d: weights\nwant %v\ngot  %v", k, want.Weights, got.Weights)
 	}
-	for i := range want.PerMode {
-		rw, rg := want.PerMode[i], got.PerMode[i]
-		if (rw == nil) != (rg == nil) {
-			t.Fatalf("k=%d mode=%d: nil mismatch (want nil=%v)", k, i, rw == nil)
-		}
-		if rw == nil {
-			continue
-		}
-		if !vecsEqual(rw.X, rg.X) || !rw.Px.Equal(rg.Px, 0) {
-			t.Fatalf("k=%d mode=%d: state/covariance diverged", k, i)
-		}
-		if !vecsEqual(rw.Da, rg.Da) || !rw.Pa.Equal(rg.Pa, 0) {
-			t.Fatalf("k=%d mode=%d: actuator estimate diverged", k, i)
-		}
-		if (rw.Ds == nil) != (rg.Ds == nil) || (rw.Ds != nil && !vecsEqual(rw.Ds, rg.Ds)) {
-			t.Fatalf("k=%d mode=%d: Ds diverged", k, i)
-		}
-		if !rw.Ps.Equal(rg.Ps, 0) {
-			t.Fatalf("k=%d mode=%d: Ps diverged", k, i)
-		}
-		if rw.Likelihood != rg.Likelihood || rw.PValue != rg.PValue {
-			t.Fatalf("k=%d mode=%d: likelihood %v/%v vs %v/%v",
-				k, i, rw.Likelihood, rw.PValue, rg.Likelihood, rg.PValue)
-		}
-		if !vecsEqual(rw.Innovation, rg.Innovation) {
-			t.Fatalf("k=%d mode=%d: innovation diverged", k, i)
-		}
-		if rw.Implausible != rg.Implausible || rw.DaValid != rg.DaValid {
-			t.Fatalf("k=%d mode=%d: flags diverged", k, i)
-		}
-	}
+	requireResultsEqual(t, k, want.Selected, want.Result, got.Result)
 	if len(want.SensorAnomalies) != len(got.SensorAnomalies) {
 		t.Fatalf("k=%d: anomaly split length %d vs %d",
 			k, len(want.SensorAnomalies), len(got.SensorAnomalies))
@@ -160,27 +131,59 @@ func requireOutputsEqual(t *testing.T, k int, want, got *Output) {
 	}
 }
 
+// requireModesEqual fails unless two engines' last steps left every
+// mode's engine-owned result equal bit for bit (nil where a mode failed).
+func requireModesEqual(t *testing.T, k int, want, got *Engine) {
+	t.Helper()
+	for i := range want.perMode {
+		rw, rg := want.perMode[i], got.perMode[i]
+		if (rw == nil) != (rg == nil) {
+			t.Fatalf("k=%d mode=%d: nil mismatch (want nil=%v)", k, i, rw == nil)
+		}
+		if rw != nil {
+			requireResultsEqual(t, k, i, rw, rg)
+		}
+	}
+}
+
+func requireResultsEqual(t *testing.T, k, i int, rw, rg *Result) {
+	t.Helper()
+	if !vecsEqual(rw.X, rg.X) || !rw.Px.Equal(rg.Px, 0) {
+		t.Fatalf("k=%d mode=%d: state/covariance diverged", k, i)
+	}
+	if !vecsEqual(rw.Da, rg.Da) || !rw.Pa.Equal(rg.Pa, 0) {
+		t.Fatalf("k=%d mode=%d: actuator estimate diverged", k, i)
+	}
+	if (rw.Ds == nil) != (rg.Ds == nil) || (rw.Ds != nil && !vecsEqual(rw.Ds, rg.Ds)) {
+		t.Fatalf("k=%d mode=%d: Ds diverged", k, i)
+	}
+	if !rw.Ps.Equal(rg.Ps, 0) {
+		t.Fatalf("k=%d mode=%d: Ps diverged", k, i)
+	}
+	if rw.Likelihood != rg.Likelihood || rw.PValue != rg.PValue {
+		t.Fatalf("k=%d mode=%d: likelihood %v/%v vs %v/%v",
+			k, i, rw.Likelihood, rw.PValue, rg.Likelihood, rg.PValue)
+	}
+	if !vecsEqual(rw.Innovation, rg.Innovation) {
+		t.Fatalf("k=%d mode=%d: innovation diverged", k, i)
+	}
+	if rw.Implausible != rg.Implausible || rw.DaValid != rg.DaValid {
+		t.Fatalf("k=%d mode=%d: flags diverged", k, i)
+	}
+}
+
 // cloneOutput deep-copies everything an Output points at.
 func cloneOutput(o *Output) *Output {
 	c := *o
 	c.Weights = append([]float64(nil), o.Weights...)
-	c.PerMode = make([]*Result, len(o.PerMode))
-	for i, r := range o.PerMode {
-		if r == nil {
-			continue
-		}
-		rc := *r
-		rc.X, rc.Px = r.X.Clone(), r.Px.Clone()
-		rc.Da, rc.Pa = r.Da.Clone(), r.Pa.Clone()
-		rc.Ps, rc.Innovation = r.Ps.Clone(), r.Innovation.Clone()
-		if r.Ds != nil {
-			rc.Ds = r.Ds.Clone()
-		}
-		c.PerMode[i] = &rc
-		if r == o.Result {
-			c.Result = &rc
-		}
+	r := *o.Result
+	r.X, r.Px = o.Result.X.Clone(), o.Result.Px.Clone()
+	r.Da, r.Pa = o.Result.Da.Clone(), o.Result.Pa.Clone()
+	r.Ps, r.Innovation = o.Result.Ps.Clone(), o.Result.Innovation.Clone()
+	if o.Result.Ds != nil {
+		r.Ds = o.Result.Ds.Clone()
 	}
+	c.Result = &r
 	c.SensorAnomalies = make([]SensorAnomaly, len(o.SensorAnomalies))
 	for j, a := range o.SensorAnomalies {
 		c.SensorAnomalies[j] = SensorAnomaly{Sensor: a.Sensor, Ds: a.Ds.Clone(), Ps: a.Ps.Clone()}
@@ -188,13 +191,17 @@ func cloneOutput(o *Output) *Output {
 	return &c
 }
 
-// A warmed engine with no observer allocates only what its
-// caller receives: the Output, the Result and PerMode arrays, the slab's
-// two backing arrays and the anomaly split. Everything else — Jacobians,
-// predictions, reading stacks, ~60 temporaries per mode — is reused.
+// A warmed engine with no observer allocates only what its caller
+// receives: the Output and its Result in one block, one exact-size slab
+// (its float and header arrays) holding the Result's, the weights' and
+// the anomaly split's floats, and the split itself. Everything else —
+// the per-mode Results, Jacobians, predictions, reading stacks, ~60
+// temporaries per mode — is the engine's and reused. The byte ceilings
+// are what these frames measure; fresh per-mode Results every step would
+// more than double them.
 func TestEngineStepAllocs(t *testing.T) {
-	const ceiling = 6
-	measure := func(t *testing.T, eng *Engine, us []mat.Vec, readings []map[string]mat.Vec) {
+	const ceiling = 4
+	measure := func(t *testing.T, eng *Engine, us []mat.Vec, readings []map[string]mat.Vec, byteCeiling float64) {
 		k := 0
 		step := func() {
 			if _, err := eng.Step(us[k], readings[k]); err != nil {
@@ -205,23 +212,26 @@ func TestEngineStepAllocs(t *testing.T) {
 		for k < 100 {
 			step()
 		}
-		if got := testing.AllocsPerRun(200, step); got > ceiling {
+		if got := testing.AllocsPerRun(100, step); got > ceiling {
 			t.Fatalf("Engine.Step allocates %.1f times per step, ceiling %d", got, ceiling)
+		}
+		if got := testkit.BytesPerRun(100, step); got > byteCeiling {
+			t.Fatalf("Engine.Step allocates %.0f B per step, ceiling %.0f", got, byteCeiling)
 		}
 	}
 	t.Run("khepera", func(t *testing.T) {
 		rig, us, readings := recordScenario(5, 400)
-		measure(t, buildEngine(t, rig), us, readings)
+		measure(t, buildEngine(t, rig), us, readings, 1430)
 	})
 	t.Run("tamiya", func(t *testing.T) {
 		plant, modes, x0, us, readings := tamiyaMission(t, 5, 400, 20)
-		measure(t, tamiyaEngine(t, plant, modes, x0), us, readings)
+		measure(t, tamiyaEngine(t, plant, modes, x0), us, readings, 830)
 	})
 }
 
 // Callers may retain an Output forever: nothing a later Step does — the
-// arena turning over, the next slab, resyncs, dropped readings — may
-// write to it.
+// arena and the engine-owned per-mode results turning over, resyncs,
+// dropped readings — may write to its Result, Weights or SensorAnomalies.
 func TestEngineRetainedOutputImmutable(t *testing.T) {
 	rig, us, readings := lossyScenario(9, 520)
 	eng := buildEngine(t, rig)
@@ -239,15 +249,19 @@ func TestEngineRetainedOutputImmutable(t *testing.T) {
 }
 
 // poisonedTwin steps two engines over the same frames, filling every
-// arena buffer of the second with NaN between steps, and requires
-// identical outputs: no result may depend on what a recycled buffer held.
-// It returns how many mode-steps estimated the actuator anomaly and how
-// many took the daValid == false degrade.
+// arena buffer and every engine-owned per-mode result of the second with
+// NaN between steps, and requires identical outputs and per-mode results:
+// nothing may depend on what a recycled buffer held. It returns how many
+// mode-steps estimated the actuator anomaly and how many took the
+// daValid == false degrade.
 func poisonedTwin(t *testing.T, clean, poisoned *Engine, us []mat.Vec, readings []map[string]mat.Vec) (valid, degraded int) {
 	t.Helper()
 	for k := range us {
 		for _, sc := range poisoned.scratch {
 			sc.Fill(math.NaN())
+		}
+		for i := range poisoned.pristine {
+			poison(&poisoned.pristine[i])
 		}
 		want, wantErr := clean.Step(us[k], readings[k])
 		got, gotErr := poisoned.Step(us[k], readings[k])
@@ -258,7 +272,8 @@ func poisonedTwin(t *testing.T, clean, poisoned *Engine, us []mat.Vec, readings 
 			continue
 		}
 		requireOutputsEqual(t, k, want, got)
-		for _, r := range want.PerMode {
+		requireModesEqual(t, k, clean, poisoned)
+		for _, r := range clean.perMode {
 			switch {
 			case r == nil:
 			case r.DaValid:
@@ -269,6 +284,22 @@ func poisonedTwin(t *testing.T, clean, poisoned *Engine, us []mat.Vec, readings 
 		}
 	}
 	return valid, degraded
+}
+
+// poison fills every float of a Result's storage with NaN.
+func poison(r *Result) {
+	for _, v := range []mat.Vec{r.X, r.Da, r.Ds, r.Innovation} {
+		for i := range v {
+			v[i] = math.NaN()
+		}
+	}
+	for _, m := range []*mat.Mat{r.Px, r.Pa, r.Ps} {
+		for i := 0; i < m.Rows(); i++ {
+			for j := 0; j < m.Cols(); j++ {
+				m.Set(i, j, math.NaN())
+			}
+		}
+	}
 }
 
 func TestEnginePoisonedArena(t *testing.T) {
@@ -339,6 +370,7 @@ func TestEngineRefusesMalformedFrame(t *testing.T) {
 				t.Fatalf("%s k=%d: %v", tc.name, k, err)
 			}
 			requireOutputsEqual(t, k, want, got)
+			requireModesEqual(t, k, ref, eng)
 		}
 	}
 }

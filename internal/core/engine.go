@@ -101,15 +101,15 @@ type Engine struct {
 	scratch []*mat.Scratch
 	z2, z1  []mat.Vec
 
-	// Everything a Step hands its caller is carved from one slab: the
-	// per-mode Results (shapes[i] each), the weight vector and the
-	// selected mode's anomaly split. slabFloats and slabMats size it
-	// exactly, once, from the mode shapes; the slab value itself is only
-	// cursors, renewed onto fresh backing arrays every Step, so a
-	// returned Output is never written again.
-	shapes               []resultShape
-	slab                 mat.Slab
-	slabFloats, slabMats int
+	// results holds every mode's Result, engine-owned and reused: each
+	// Step re-points them from pristine (their storage, carved once in
+	// sizeOutputs), since dropTesting re-points a Result's Ds and Ps, and
+	// perMode[i] is &results[i] where mode i produced a result this step,
+	// nil where it failed. Only the selected Result is copied out (see
+	// Output); shapes are each mode's Result dimensions.
+	shapes            []resultShape
+	results, pristine []Result
+	perMode           []*Result
 
 	// commitNext is commit's reused weight-update scratch (the
 	// un-normalized next weights); evCovs holds one reusable d×d scratch
@@ -142,9 +142,9 @@ type Engine struct {
 }
 
 // Output is one control iteration's engine result. It is the caller's to
-// keep: the Output, the Results it points at and every vector and matrix
-// in them are fresh each Step (one slab and a few headers, see
-// Engine.slab) and the engine never writes to them again.
+// keep: the Output, its Result and every vector and matrix in them are
+// fresh each Step (one block, see Engine.output) and the engine never
+// writes to them again. The other modes' Results stay inside the engine.
 type Output struct {
 	// Iteration is the control iteration index k.
 	Iteration int
@@ -154,9 +154,6 @@ type Output struct {
 	SelectedMode *Mode
 	// Weights are the normalized mode weights μ.
 	Weights []float64
-	// PerMode holds each mode's NUISE result (nil where the mode failed
-	// this iteration, e.g. transient ill-conditioning).
-	PerMode []*Result
 	// Result is the selected mode's NUISE result.
 	Result *Result
 	// SensorAnomalies is the per-testing-sensor split of the selected
@@ -262,10 +259,9 @@ func (e *Engine) indexSensors() error {
 	return nil
 }
 
-// sizeOutputs allocates the per-mode reading stacks and the weight
-// update's scratch (floorQuad resolved per evidence term), and sizes the
-// per-Step slab from the mode shapes: every mode's Result, the weight
-// vector, and the largest anomaly split any mode could be selected with.
+// sizeOutputs allocates the per-mode reading stacks, the weight update's
+// scratch (floorQuad resolved per evidence term) and every mode's Result,
+// carved once from one slab.
 func (e *Engine) sizeOutputs() {
 	m := len(e.modes)
 	e.shapes = make([]resultShape, m)
@@ -276,15 +272,13 @@ func (e *Engine) sizeOutputs() {
 	e.evFloorQuads = make([][]float64, m)
 	widest := e.plant.Model.ControlDim()
 	e.actFloorQuad = floorQuad(e.cfg.ActuatorPrior, e.plant.Model.ControlDim())
-	splitFloats, splitMats := 0, 0
+	floats := 0
 	for i, mode := range e.modes {
 		sh := newResultShape(e.plant.Model, mode.Reference, mode.testingStacked)
 		e.shapes[i] = sh
 		e.z2[i] = make(mat.Vec, sh.p2)
 		e.z1[i] = make(mat.Vec, sh.p1)
-		e.slabFloats += sh.floats()
-		splitFloats = max(splitFloats, mode.splitFloats())
-		splitMats = max(splitMats, len(mode.Testing))
+		floats += sh.floats()
 		for _, s := range mode.Testing {
 			e.evCovs[i] = append(e.evCovs[i], mat.New(s.Dim(), s.Dim()))
 			e.evFloorQuads[i] = append(e.evFloorQuads[i], floorQuad(e.cfg.AttackPrior, s.Dim()))
@@ -292,8 +286,13 @@ func (e *Engine) sizeOutputs() {
 		}
 	}
 	e.quadBuf = make([]float64, widest*(widest+1))
-	e.slabFloats += m + splitFloats
-	e.slabMats = resultMats*m + splitMats
+	slab := mat.NewSlab(floats, resultMats*m)
+	e.pristine = make([]Result, m)
+	for i, sh := range e.shapes {
+		sh.carve(slab, &e.pristine[i])
+	}
+	e.results = make([]Result, m)
+	e.perMode = make([]*Result, m)
 }
 
 // ErrAllModesFailed indicates every NUISE instance errored in one
@@ -394,21 +393,14 @@ func (e *Engine) StepContext(ctx context.Context, u mat.Vec, readings map[string
 		}
 	}
 
-	// What the caller receives: the Output, the Results its PerMode points
-	// into, and one slab holding every float of both, all fresh each Step.
-	out := new(Output)
-	results := make([]Result, len(e.modes))
-	perMode := make([]*Result, len(e.modes))
-	e.slab.Renew(e.slabFloats, e.slabMats)
-	for i := range results {
-		e.shapes[i].carve(&e.slab, &results[i])
-	}
+	copy(e.results, e.pristine)
+	clear(e.perMode)
 	if obs == nil {
 		for i := range e.modes {
 			if cancellable && ctx.Err() != nil {
 				return nil, ctx.Err()
 			}
-			e.runMode(i, u, results, perMode)
+			e.runMode(i, u)
 		}
 	} else {
 		for i := range e.modes {
@@ -416,28 +408,28 @@ func (e *Engine) StepContext(ctx context.Context, u mat.Vec, readings map[string
 				return nil, ctx.Err()
 			}
 			modeStart := time.Now()
-			e.runMode(i, u, results, perMode)
-			obs.ModeStep(i, e.modes[i].Name, time.Since(modeStart).Nanoseconds(), perMode[i] != nil)
+			e.runMode(i, u)
+			obs.ModeStep(i, e.modes[i].Name, time.Since(modeStart).Nanoseconds(), e.perMode[i] != nil)
 		}
 	}
 	if cancellable && ctx.Err() != nil {
-		// Nothing has been committed: the per-call outputs, the reading
-		// stacks and the scratch arenas are the only things touched.
+		// Nothing has been committed: the engine-owned results, the
+		// reading stacks and the scratch arenas are the only things
+		// touched, and the next Step overwrites them all.
 		return nil, ctx.Err()
 	}
 
-	return e.commit(out, perMode, &e.slab, stepStart, fallbacks0)
+	return e.commit(stepStart, fallbacks0)
 }
 
 // commit is the tail of a step — belief commit, weight update,
 // selection, resync, output assembly. It runs after every mode has
 // stepped (not inside stepMode) so that a cancelled StepContext aborts
-// with no partial per-mode state written. out is the caller's fresh
-// Output to fill and slab the step's slab, which the weight vector and
-// the anomaly split are carved from. stepStart and fallbacks0 carry the
-// caller's instrumentation preamble and are read only when an observer is
-// attached.
-func (e *Engine) commit(out *Output, perMode []*Result, slab *mat.Slab, stepStart time.Time, fallbacks0 int64) (*Output, error) {
+// with no partial per-mode state written. stepStart and fallbacks0 carry
+// the caller's instrumentation preamble and are read only when an
+// observer is attached.
+func (e *Engine) commit(stepStart time.Time, fallbacks0 int64) (*Output, error) {
+	perMode := e.perMode
 	obs := e.obs
 
 	// Commit each surviving mode's private belief. The belief buffers are
@@ -545,21 +537,7 @@ func (e *Engine) commit(out *Output, perMode []*Result, slab *mat.Slab, stepStar
 		}
 	}
 
-	weights := slab.Vec(len(e.weights))
-	copy(weights, e.weights)
-	*out = Output{
-		Iteration:    e.k,
-		Selected:     selected,
-		SelectedMode: e.modes[selected],
-		Weights:      weights,
-		PerMode:      perMode,
-		Result:       res,
-	}
-	if res.Ds != nil {
-		// Only the selected mode's split is materialized (it escapes into
-		// the Output).
-		out.SensorAnomalies = e.modes[selected].splitDs(res.Ds, res.Ps, slab)
-	}
+	out := e.output(selected, res)
 	if obs != nil {
 		failed := 0
 		for _, r := range perMode {
@@ -586,12 +564,61 @@ func (e *Engine) commit(out *Output, perMode []*Result, slab *mat.Slab, stepStar
 	return out, nil
 }
 
-// runMode steps mode i into results[i] and, when the mode produced a
-// result, points perMode[i] at it.
-func (e *Engine) runMode(i int, u mat.Vec, results []Result, perMode []*Result) {
-	if e.stepMode(i, u, &results[i]) {
-		perMode[i] = &results[i]
+// runMode steps mode i into e.results[i] and, when the mode produced a
+// result, points e.perMode[i] at it.
+func (e *Engine) runMode(i int, u mat.Vec) {
+	if e.stepMode(i, u, &e.results[i]) {
+		e.perMode[i] = &e.results[i]
 	}
+}
+
+// output is what a Step hands its caller: the Output and a copy of the
+// selected mode's Result res in one allocation, and in one exact-size
+// slab every float of that Result, of the weights and of the selected
+// mode's anomaly split.
+func (e *Engine) output(selected int, res *Result) *Output {
+	sh := e.shapes[selected]
+	sh.p1 = len(res.Ds) // 0 when this step dropped the testing block
+	floats, mats := sh.floats()+len(e.weights), resultMats
+	if res.Ds != nil {
+		floats += e.modes[selected].splitFloats()
+		mats += len(e.modes[selected].Testing)
+	}
+	block := new(struct {
+		out Output
+		res Result
+	})
+	slab := mat.NewSlab(floats, mats)
+	block.res = *res
+	block.res.X = copyVec(slab, res.X)
+	block.res.Px = copyMat(slab, res.Px)
+	block.res.Da = copyVec(slab, res.Da)
+	block.res.Pa = copyMat(slab, res.Pa)
+	block.res.Innovation = copyVec(slab, res.Innovation)
+	block.res.Ps = copyMat(slab, res.Ps)
+	block.out = Output{
+		Iteration:    e.k,
+		Selected:     selected,
+		SelectedMode: e.modes[selected],
+		Weights:      copyVec(slab, e.weights),
+		Result:       &block.res,
+	}
+	if res.Ds != nil {
+		block.res.Ds = copyVec(slab, res.Ds)
+		block.out.SensorAnomalies = e.modes[selected].splitDs(res.Ds, res.Ps, slab)
+	}
+	return &block.out
+}
+
+// copyVec and copyMat return a copy of v or m carved from slab.
+func copyVec(slab *mat.Slab, v []float64) mat.Vec {
+	c := slab.Vec(len(v))
+	copy(c, v)
+	return c
+}
+
+func copyMat(slab *mat.Slab, m *mat.Mat) *mat.Mat {
+	return mat.CopyInto(slab.Mat(m.Rows(), m.Cols()), m)
 }
 
 // stepMode runs mode i's NUISE for this iteration into res, which the

@@ -365,6 +365,7 @@ func TestEngineObserverIsReadOnly(t *testing.T) {
 			t.Fatalf("k=%d: %v", k, err)
 		}
 		requireOutputsEqual(t, k, want, got)
+		requireModesEqual(t, k, plain, observed)
 	}
 	if obs.steps != len(us) || obs.modeSteps != 3*len(us) || obs.drops != 0 {
 		t.Fatalf("observer saw %d steps, %d mode steps, %d drops; want %d, %d, 0",
@@ -404,17 +405,17 @@ func TestEngineStepMissingReadingDegradesBank(t *testing.T) {
 			}
 		}
 		if refUsesIPS {
-			if out.PerMode[i] != nil {
+			if eng.perMode[i] != nil {
 				t.Fatalf("mode %s ran without its reference reading", m.Name)
 			}
 			continue
 		}
-		if out.PerMode[i] == nil {
+		if eng.perMode[i] == nil {
 			t.Fatalf("mode %s failed although its reference was present", m.Name)
 		}
 		// ips sits in this mode's testing block; the testing stack is
 		// incomplete, so the mode must have run reference-only.
-		if out.PerMode[i].Ds != nil {
+		if eng.perMode[i].Ds != nil {
 			t.Fatalf("mode %s produced d̂s from an incomplete testing stack", m.Name)
 		}
 	}
@@ -431,10 +432,10 @@ func TestEngineStepMissingReadingDegradesBank(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, m := range modes {
-		if out.PerMode[i] == nil {
+		if eng.perMode[i] == nil {
 			t.Fatalf("mode %s did not recover after the drop", m.Name)
 		}
-		if len(m.Testing) > 0 && out.PerMode[i].Ds == nil {
+		if len(m.Testing) > 0 && eng.perMode[i].Ds == nil {
 			t.Fatalf("mode %s missing d̂s after recovery", m.Name)
 		}
 	}

@@ -147,10 +147,8 @@ func NUISEScratch(plant Plant, reference, testing sensors.Sensor, u, xPrev mat.V
 		testing = nil
 	}
 	shape := newResultShape(plant.Model, reference, testing)
-	var slab mat.Slab
-	slab.Renew(shape.floats(), resultMats)
 	res := new(Result)
-	shape.carve(&slab, res)
+	shape.carve(mat.NewSlab(shape.floats(), resultMats), res)
 	if err := nuiseStep(plant, reference, testing, u, xPrev, pxPrev, z1, z2, sc, res); err != nil {
 		return nil, err
 	}

@@ -102,9 +102,9 @@ type Decision struct {
 	ActuatorRaw bool
 	// ActuatorAlarm is the window-confirmed actuator misbehavior alarm.
 	ActuatorAlarm bool
-	// PerSensorStats maps each testing sensor to its identification
-	// statistic.
-	PerSensorStats map[string]float64
+	// PerSensorStats holds each testing sensor's identification
+	// statistic: PerSensorStats[j] is SensorAnomalies[j].Sensor's.
+	PerSensorStats []float64
 	// Condition is the confirmed misbehavior condition.
 	Condition Condition
 	// Da is the actuator anomaly estimate (per-actuator quantification,
@@ -183,10 +183,19 @@ func (d *Decider) windowFor(sensor string) *SlidingWindow {
 
 // Decide runs Algorithm 1 lines 10–25 on one engine output.
 func (d *Decider) Decide(out *core.Output) (*Decision, error) {
-	dec := &Decision{
+	dec := new(Decision)
+	if err := d.decide(dec, out); err != nil {
+		return nil, err
+	}
+	return dec, nil
+}
+
+// decide is Decide into the caller's fresh dec.
+func (d *Decider) decide(dec *Decision, out *core.Output) error {
+	*dec = Decision{
 		Iteration:       out.Iteration,
 		Mode:            out.SelectedMode.Name,
-		PerSensorStats:  make(map[string]float64, len(out.SensorAnomalies)),
+		PerSensorStats:  make([]float64, len(out.SensorAnomalies)),
 		Da:              out.Result.Da,
 		SensorAnomalies: out.SensorAnomalies,
 	}
@@ -197,7 +206,7 @@ func (d *Decider) Decide(out *core.Output) (*Decision, error) {
 		dec.SensorStat = quad
 		threshold, err := d.sensorThreshold(ds.Len())
 		if err != nil {
-			return nil, err
+			return err
 		}
 		dec.SensorThreshold = threshold
 		dec.SensorRaw = quad > threshold
@@ -218,7 +227,7 @@ func (d *Decider) Decide(out *core.Output) (*Decision, error) {
 		dec.ActuatorStat = quad
 		threshold, err := d.actuatorThreshold(da.Len())
 		if err != nil {
-			return nil, err
+			return err
 		}
 		dec.ActuatorThreshold = threshold
 		dec.ActuatorRaw = quad > threshold
@@ -231,12 +240,12 @@ func (d *Decider) Decide(out *core.Output) (*Decision, error) {
 	// Per-sensor identification (lines 13–18). Every testing sensor's
 	// statistic feeds its own c-of-w window; the reference sensors of the
 	// selected mode are hypothesized clean and push a negative.
-	for _, sa := range out.SensorAnomalies {
+	for j, sa := range out.SensorAnomalies {
 		quad := d.quad(sa.Ps, sa.Ds)
-		dec.PerSensorStats[sa.Sensor] = quad
+		dec.PerSensorStats[j] = quad
 		threshold, err := d.sensorThreshold(sa.Ds.Len())
 		if err != nil {
-			return nil, err
+			return err
 		}
 		confirmed := d.windowFor(sa.Sensor).Push(quad > threshold)
 		if dec.SensorAlarm && confirmed {
@@ -270,10 +279,11 @@ func (d *Decider) Decide(out *core.Output) (*Decision, error) {
 			SensorWindowFill:   d.sensorWindow.Fill(),
 			ActuatorWindowFill: d.actuatorWindow.Fill(),
 			PerSensor:          dec.PerSensorStats,
+			SensorAnomalies:    out.SensorAnomalies,
 		}
 		d.obs.Decision(&d.stats)
 	}
-	return dec, nil
+	return nil
 }
 
 // quad returns the χ² statistic vᵀ·cov⁻¹·v, or 0 when cov is singular:
@@ -350,11 +360,16 @@ func (d *Detector) StepContext(ctx context.Context, u mat.Vec, readings map[stri
 	if err != nil {
 		return nil, err
 	}
-	dec, err := d.decider.Decide(out)
-	if err != nil {
+	// The Report and its Decision are the caller's, in one allocation.
+	block := new(struct {
+		rep Report
+		dec Decision
+	})
+	if err := d.decider.decide(&block.dec, out); err != nil {
 		return nil, err
 	}
-	return &Report{Engine: out, Decision: dec}, nil
+	block.rep = Report{Engine: out, Decision: &block.dec}
+	return &block.rep, nil
 }
 
 // State exposes the engine's fused state estimate.

@@ -10,6 +10,7 @@ import (
 	"roboads/internal/mat"
 	"roboads/internal/sensors"
 	"roboads/internal/stat"
+	"roboads/internal/testkit"
 	"roboads/internal/world"
 )
 
@@ -86,7 +87,7 @@ func TestPropertySlidingWindowCount(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
+	if err := quick.Check(f, testkit.Quick(t, 40)); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -1,9 +1,11 @@
 package detect
 
+import "roboads/internal/core"
+
 // DecisionStats is one Decide call's instrumentation record. The struct
-// is owned by the Decider and reused across iterations; its PerSensor
-// map is the Decision's own (borrowed). Observers must read
-// synchronously and copy anything they retain.
+// is owned by the Decider and reused across iterations; its slices are
+// the Decision's own (borrowed). Observers must read synchronously and
+// copy anything they retain.
 type DecisionStats struct {
 	// Iteration is the control iteration index.
 	Iteration int
@@ -27,9 +29,11 @@ type DecisionStats struct {
 	// SensorWindowFill and ActuatorWindowFill are the c-of-w window fill
 	// levels in [0,1] (pushed outcomes / window size).
 	SensorWindowFill, ActuatorWindowFill float64
-	// PerSensor maps testing sensors to their identification statistics
-	// (borrowed from the Decision — do not retain).
-	PerSensor map[string]float64
+	// PerSensor holds the testing sensors' identification statistics:
+	// PerSensor[j] is SensorAnomalies[j].Sensor's (the Decision's
+	// PerSensorStats and SensorAnomalies; borrowed — do not retain).
+	PerSensor       []float64
+	SensorAnomalies []core.SensorAnomaly
 }
 
 // Observer receives decision-maker instrumentation events. Decision is

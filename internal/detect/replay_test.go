@@ -9,6 +9,7 @@ import (
 	"roboads/internal/robot"
 	"roboads/internal/scenario"
 	"roboads/internal/sim"
+	"roboads/internal/testkit"
 )
 
 // attackedFrames returns the frames of an attacked scenario of the
@@ -38,15 +39,15 @@ func attackedFrames(t *testing.T, robotName string) (robot.Profile, []*sim.StepR
 }
 
 // A warmed Detector.Step allocates what its caller receives: the
-// engine's share (TestEngineStepAllocs), then the Report, the Decision,
-// its per-sensor statistics map and, while a sensor alarm is confirmed,
-// the condition's sensor list. The ceilings are the counts measured on
-// these frames; the χ² statistics allocate nothing.
+// engine's share (TestEngineStepAllocs), then the Report and its Decision
+// in one block, the per-sensor statistics and, while a sensor alarm is
+// confirmed, the condition's sensor list. The ceilings are what these
+// frames measure; the χ² statistics allocate nothing.
 func TestDetectorStepAllocs(t *testing.T) {
 	for _, tc := range []struct {
-		robot   string
-		ceiling float64
-	}{{"khepera", 11}, {"tamiya", 10}} {
+		robot          string
+		ceiling, bytes float64
+	}{{"khepera", 7, 1640}, {"tamiya", 6, 1140}} {
 		t.Run(tc.robot, func(t *testing.T) {
 			prof, recs := attackedFrames(t, tc.robot)
 			det, err := scenario.DefaultDetector(prof)
@@ -66,6 +67,9 @@ func TestDetectorStepAllocs(t *testing.T) {
 			}
 			if got := testing.AllocsPerRun(200, step); got > tc.ceiling {
 				t.Fatalf("Detector.Step allocates %.1f times per step, ceiling %v", got, tc.ceiling)
+			}
+			if got := testkit.BytesPerRun(200, step); got > tc.bytes {
+				t.Fatalf("Detector.Step allocates %.0f B per step, ceiling %.0f", got, tc.bytes)
 			}
 		})
 	}

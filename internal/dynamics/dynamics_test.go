@@ -7,6 +7,7 @@ import (
 
 	"roboads/internal/mat"
 	"roboads/internal/stat"
+	"roboads/internal/testkit"
 )
 
 func TestNormalizeAngle(t *testing.T) {
@@ -125,7 +126,7 @@ func TestPropertyDiffDriveJacobians(t *testing.T) {
 		numG := NumericJacobianU(d.F, x, u, 1e-6)
 		return d.A(x, u).Equal(numA, 1e-6) && d.G(x, u).Equal(numG, 1e-6)
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
+	if err := quick.Check(f, testkit.Quick(t, 50)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -142,7 +143,7 @@ func TestPropertyBicycleJacobians(t *testing.T) {
 		numG := NumericJacobianU(b.F, x, u, 1e-6)
 		return b.A(x, u).Equal(numA, 1e-5) && b.G(x, u).Equal(numG, 1e-5)
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
+	if err := quick.Check(f, testkit.Quick(t, 50)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -158,7 +159,7 @@ func TestPropertyAngleNormalization(t *testing.T) {
 		n := NormalizeAngle(theta)
 		return n > -math.Pi-1e-9 && n <= math.Pi+1e-9
 	}
-	if err := quick.Check(f, nil); err != nil {
+	if err := quick.Check(f, testkit.Quick(t, 0)); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -5,16 +5,17 @@ import (
 	"testing"
 
 	"roboads/internal/mat"
+	"roboads/internal/testkit"
 )
 
 // One volatile session's Step (BenchmarkFleetStep's path) allocates what
-// the hosted detector's step does on clean frames (10, see
+// the hosted detector's step does on clean frames (6, see
 // TestDetectorStepAllocs) plus five of the fleet's own, in
-// Manager.accept, Manager.Step and Manager.process. The ceiling is the
-// count measured on these frames; a new allocation on the fleet's
-// per-frame path fails it.
+// Manager.accept, Manager.Step and Manager.process. The ceilings are
+// what these frames measure; a new allocation on the fleet's per-frame
+// path, or fresh per-mode engine results, fails them.
 func TestFleetStepAllocs(t *testing.T) {
-	const ceiling = 15
+	const ceiling, byteCeiling = 11, 1840
 	mgr, err := NewManager(Config{Build: DefaultBuilder()})
 	if err != nil {
 		t.Fatal(err)
@@ -42,5 +43,8 @@ func TestFleetStepAllocs(t *testing.T) {
 	}
 	if got := testing.AllocsPerRun(200, step); got > ceiling {
 		t.Fatalf("Manager.Step allocates %.1f times per frame, ceiling %d", got, ceiling)
+	}
+	if got := testkit.BytesPerRun(200, step); got > byteCeiling {
+		t.Fatalf("Manager.Step allocates %.0f B per frame, ceiling %d", got, byteCeiling)
 	}
 }

@@ -134,11 +134,21 @@ func (m *Manager) persistSnapshot(s *session) (int, error) {
 // memory but its durability is unknown, and claiming success would break
 // the recovery contract.
 func (m *Manager) logFrame(s *session, fr BatchFrame, rep *detect.Report) error {
-	frame := &trace.Frame{K: rep.Decision.Iteration, U: []float64(fr.U), Readings: make(map[string][]float64, len(fr.Readings))}
-	for name, z := range fr.Readings {
-		frame.Readings[name] = []float64(z)
+	// The record is encoded into the store's buffer by Append, so one
+	// trace.Frame per session serves every frame: its map keeps its
+	// capacity across clears and the frame allocates nothing.
+	f := &s.walFrame
+	if f.Readings == nil {
+		f.Readings = make(map[string][]float64, len(fr.Readings))
 	}
-	if err := s.ds.Append(frame); err != nil {
+	f.K, f.U = rep.Decision.Iteration, fr.U
+	for name, z := range fr.Readings {
+		f.Readings[name] = z
+	}
+	err := s.ds.Append(f)
+	f.U = nil
+	clear(f.Readings)
+	if err != nil {
 		return fmt.Errorf("fleet: persist frame: %w", err)
 	}
 	return nil

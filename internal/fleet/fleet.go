@@ -34,6 +34,7 @@ import (
 	"roboads/internal/mat"
 	"roboads/internal/store"
 	"roboads/internal/telemetry"
+	"roboads/internal/trace"
 )
 
 // Metric names registered by a Manager (nil-safe: a private registry is
@@ -951,16 +952,6 @@ func (m *Manager) complete(s *session, job frameJob, results []FrameResult, appe
 		// batch.
 		m.persistSnapshot(s)
 	}
-	finish := func(err error) {
-		if err != nil {
-			for i := range results {
-				if results[i].Err == nil {
-					results[i] = FrameResult{Err: err}
-				}
-			}
-		}
-		m.answer(s, job, results)
-	}
 	followerAck := m.cfg.AckPolicy == AckFollower && m.repl != nil
 	var prev, next chan struct{}
 	if followerAck {
@@ -985,7 +976,7 @@ func (m *Manager) complete(s *session, job frameJob, results []FrameResult, appe
 			}
 		}
 		if !followerAck {
-			finish(err)
+			m.finish(s, job, results, err)
 			return
 		}
 		go func() {
@@ -998,10 +989,23 @@ func (m *Manager) complete(s *session, job frameJob, results []FrameResult, appe
 			if prev != nil {
 				<-prev // the session's previous job has been answered
 			}
-			finish(err)
+			m.finish(s, job, results, err)
 			close(next)
 		}()
 	})
+}
+
+// finish answers a durable job once its commit completed: err, when set,
+// replaces the result of every frame that had stepped cleanly.
+func (m *Manager) finish(s *session, job frameJob, results []FrameResult, err error) {
+	if err != nil {
+		for i := range results {
+			if results[i].Err == nil {
+				results[i] = FrameResult{Err: err}
+			}
+		}
+	}
+	m.answer(s, job, results)
 }
 
 // answer sends a job's reply. The session stops counting the job as
@@ -1210,6 +1214,10 @@ type session struct {
 	closeMu   sync.RWMutex
 	closed    bool
 	stepMu    sync.Mutex
+
+	// walFrame is logFrame's reused log record, pointed at each logged
+	// frame's inputs only while it is encoded. Guarded by stepMu.
+	walFrame trace.Frame
 }
 
 func (s *session) isClosed() bool {

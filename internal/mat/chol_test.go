@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"roboads/internal/testkit"
 )
 
 // randomSPD builds a well-conditioned SPD matrix Gᵀ·G + I·n from the
@@ -48,7 +50,7 @@ func TestPropertyCholFactorMatchesCholesky(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
+	if err := quick.Check(f, testkit.Quick(t, 30)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -77,7 +79,7 @@ func TestPropertyCholFactorRoundTrip(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
+	if err := quick.Check(f, testkit.Quick(t, 30)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -131,7 +133,7 @@ func TestPropertyCholSolveResiduals(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
+	if err := quick.Check(f, testkit.Quick(t, 20)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -171,7 +173,7 @@ func TestPropertyCholQuadFormAndLogDet(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
+	if err := quick.Check(f, testkit.Quick(t, 20)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -230,7 +232,7 @@ func TestPropertyRangeComplement(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 10}); err != nil {
+	if err := quick.Check(f, testkit.Quick(t, 10)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -282,7 +284,7 @@ func TestPropertyRangeBasis(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 10}); err != nil {
+	if err := quick.Check(f, testkit.Quick(t, 10)); err != nil {
 		t.Fatal(err)
 	}
 	// Rank-deficient: proportional columns.
@@ -376,7 +378,7 @@ func TestPropertyDeflatedPseudoInverse(t *testing.T) {
 			t.Errorf("seed %d: deflation does not match M's known structure", seed)
 		}
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 15}); err != nil {
+	if err := quick.Check(f, testkit.Quick(t, 15)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -522,7 +524,7 @@ func TestVecIntoVariantsMatchAllocating(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
+	if err := quick.Check(f, testkit.Quick(t, 30)); err != nil {
 		t.Fatal(err)
 	}
 }

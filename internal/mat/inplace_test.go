@@ -6,6 +6,8 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"roboads/internal/testkit"
 )
 
 func randomMat(rng func() float64, r, c int) *Mat {
@@ -60,7 +62,7 @@ func TestIntoVariantsMatchAllocating(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
+	if err := quick.Check(f, testkit.Quick(t, 30)); err != nil {
 		t.Fatal(err)
 	}
 }

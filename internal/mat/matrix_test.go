@@ -6,6 +6,8 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"roboads/internal/testkit"
 )
 
 func TestVecBasicOps(t *testing.T) {
@@ -364,7 +366,7 @@ func TestPropertyDotSymmetric(t *testing.T) {
 		v, w := boundedVec(rng, n), boundedVec(rng, n)
 		return math.Abs(v.Dot(w)-w.Dot(v)) < 1e-9
 	}
-	if err := quick.Check(f, nil); err != nil {
+	if err := quick.Check(f, testkit.Quick(t, 0)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -382,7 +384,7 @@ func TestPropertyAddCommutative(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(f, nil); err != nil {
+	if err := quick.Check(f, testkit.Quick(t, 0)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -399,7 +401,7 @@ func TestPropertyMulAssociativeWithVec(t *testing.T) {
 		right := a.MulVec(b.MulVec(v))
 		return left.Sub(right).MaxAbs() < 1e-8
 	}
-	if err := quick.Check(f, nil); err != nil {
+	if err := quick.Check(f, testkit.Quick(t, 0)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -413,7 +415,7 @@ func TestPropertyTransposeOfProduct(t *testing.T) {
 		b := randomSymmetric(rng, n)
 		return a.Mul(b).T().Equal(b.T().Mul(a.T()), 1e-9)
 	}
-	if err := quick.Check(f, nil); err != nil {
+	if err := quick.Check(f, testkit.Quick(t, 0)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -434,7 +436,7 @@ func TestPropertySolveMatchesInverse(t *testing.T) {
 		}
 		return x.Sub(inv.MulVec(b)).MaxAbs() < 1e-7
 	}
-	if err := quick.Check(f, nil); err != nil {
+	if err := quick.Check(f, testkit.Quick(t, 0)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -452,7 +454,7 @@ func TestPropertyCholeskyReconstructs(t *testing.T) {
 		}
 		return l.Mul(l.T()).Equal(a, 1e-8)
 	}
-	if err := quick.Check(f, nil); err != nil {
+	if err := quick.Check(f, testkit.Quick(t, 0)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -483,7 +485,7 @@ func TestPropertyPseudoInversePenroseAxioms(t *testing.T) {
 		ax2 := pinv.Mul(a).Mul(pinv).Equal(pinv, 1e-7*math.Max(1, pinv.MaxAbs()))
 		return ax1 && ax2
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
+	if err := quick.Check(f, testkit.Quick(t, 60)); err != nil {
 		t.Fatal(err)
 	}
 }

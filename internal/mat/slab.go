@@ -3,12 +3,12 @@ package mat
 import "fmt"
 
 // Slab carves many small matrices and vectors out of a few large
-// allocations. An engine step must hand its caller freshly allocated
-// memory (outputs escape and may be retained — the fleet wire layer
+// allocations. What an engine step hands its caller must be freshly
+// allocated (outputs escape and may be retained — the fleet wire layer
 // marshals them after the step returns), but paying one heap allocation
-// per tiny matrix is most of what a step costs beyond its algebra. A
-// Slab front-loads that cost: one float backing array plus one header
-// array serve an entire step's worth of escaping values.
+// per tiny matrix is most of what such a copy costs. A Slab front-loads
+// that cost: one float backing array plus one header array serve every
+// escaping value of a step.
 //
 // Carved memory is never reclaimed or reused — Mat and Vec both return
 // zeroed storage that the slab forgets about (beyond accounting), so
@@ -16,11 +16,6 @@ import "fmt"
 // When a backing array runs out a fresh one, twice what was carved so
 // far, is allocated; previously carved values keep pointing at the old
 // one.
-//
-// The Slab value itself is only a pair of cursors, so one that lives in
-// a long-lived struct (or on the stack) is pointed at fresh backing
-// arrays with Renew at the start of each step; nothing carved refers
-// back to it.
 type Slab struct {
 	data []float64
 	hdrs []Mat
@@ -29,21 +24,10 @@ type Slab struct {
 }
 
 // NewSlab returns a slab with capacity for the given number of floats
-// and matrix headers.
+// and matrix headers. It is small enough to inline, so a slab used within
+// one function lives on that function's stack.
 func NewSlab(floats, mats int) *Slab {
-	s := new(Slab)
-	s.Renew(floats, mats)
-	return s
-}
-
-// Renew points the slab at fresh backing arrays with capacity for the
-// given number of floats and matrix headers and restarts its accounting.
-// Everything carved so far stays with whoever holds it.
-func (s *Slab) Renew(floats, mats int) {
-	if floats < 0 || mats < 0 {
-		panic(fmt.Errorf("%w: slab capacity %d floats, %d mats", ErrDimension, floats, mats))
-	}
-	*s = Slab{data: make([]float64, floats), hdrs: make([]Mat, mats)}
+	return &Slab{data: make([]float64, floats), hdrs: make([]Mat, mats)}
 }
 
 // carve returns n zeroed floats from the backing array, growing it when

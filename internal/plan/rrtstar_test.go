@@ -8,6 +8,7 @@ import (
 	"testing/quick"
 
 	"roboads/internal/stat"
+	"roboads/internal/testkit"
 	"roboads/internal/world"
 )
 
@@ -147,7 +148,7 @@ func TestPropertyResamplePreservesLength(t *testing.T) {
 		out := Resample(path, 0.05)
 		return math.Abs(PathLength(out)-PathLength(path)) < 0.06*float64(n)
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
+	if err := quick.Check(f, testkit.Quick(t, 50)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -365,7 +366,7 @@ func TestPropertyIndexMatchesLinearScan(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(check, &quick.Config{MaxCount: 200}); err != nil {
+	if err := quick.Check(check, testkit.Quick(t, 200)); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"io"
 	"math"
 	"sync"
+	"unicode/utf8"
 
 	"roboads/internal/metrics"
 	"roboads/internal/robot"
@@ -331,12 +332,17 @@ func (r *SuiteResult) Write(w io.Writer) {
 		fmt.Fprintf(w, "%.0f%% bootstrap intervals over trials in brackets\n", 100*stat.BootstrapLevel)
 		width = 21
 	}
-	fmt.Fprintf(w, "%-34s %-13s %*s %*s %*s %*s %*s %6s\n", "name", "class",
+	names := make([]string, len(r.Results))
+	for i := range r.Results {
+		names[i] = r.Results[i].Name
+	}
+	nw := NameWidth(names...)
+	fmt.Fprintf(w, "%-*s %-13s %*s %*s %*s %*s %*s %6s\n", nw, "name", "class",
 		width, "sFPR%", width, "sFNR%", width, "aFPR%", width, "aFNR%", width+1, "delay(s)", "missed")
 	for i := range r.Results {
 		res := &r.Results[i]
 		iv := res.Intervals.orZero()
-		fmt.Fprintf(w, "%-34s %-13s %*s %*s %*s %*s %*s %6d\n", res.Name, res.Class,
+		fmt.Fprintf(w, "%-*s %-13s %*s %*s %*s %*s %*s %6d\n", nw, res.Name, res.Class,
 			width, withBounds(100, res.SensorConfusion.FPR(), iv.SensorFPR),
 			width, withBounds(100, res.SensorConfusion.FNR(), iv.SensorFNR),
 			width, withBounds(100, res.ActuatorConfusion.FPR(), iv.ActuatorFPR),
@@ -350,6 +356,17 @@ func (r *SuiteResult) Write(w io.Writer) {
 		100*r.ActuatorConfusion.FPR(), bounds(100, iv.ActuatorFPR),
 		100*r.ActuatorConfusion.FNR(), bounds(100, iv.ActuatorFNR),
 		r.AvgDelaySec, bounds(1, iv.DelaySec), r.Missed)
+}
+
+// NameWidth is the width of a scenario table's name column: the longest
+// of names, and at least the "name" header's. The leaderboard and
+// `scenario list` both size their first column with it.
+func NameWidth(names ...string) int {
+	w := len("name")
+	for _, name := range names {
+		w = max(w, utf8.RuneCountInString(name))
+	}
+	return w
 }
 
 // orZero returns *iv, or no intervals when iv is nil.

@@ -9,6 +9,7 @@ import (
 	"roboads/internal/dynamics"
 	"roboads/internal/mat"
 	"roboads/internal/stat"
+	"roboads/internal/testkit"
 	"roboads/internal/world"
 )
 
@@ -218,7 +219,7 @@ func TestPropertyLidarRangesValid(t *testing.T) {
 		}
 		return z[len(z)-1] == x[2]
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
+	if err := quick.Check(f, testkit.Quick(t, 100)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -238,7 +239,7 @@ func TestPropertyStackedConsistency(t *testing.T) {
 		got := s.H(x)
 		return got.Sub(want).MaxAbs() == 0
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
+	if err := quick.Check(f, testkit.Quick(t, 50)); err != nil {
 		t.Fatal(err)
 	}
 }

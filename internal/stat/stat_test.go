@@ -8,6 +8,7 @@ import (
 	"testing/quick"
 
 	"roboads/internal/mat"
+	"roboads/internal/testkit"
 )
 
 func TestRNGDeterministic(t *testing.T) {
@@ -231,7 +232,7 @@ func TestPropertyCDFMonotone(t *testing.T) {
 		p2, err2 := ChiSquareCDF(x2, k)
 		return err1 == nil && err2 == nil && p2 >= p1-1e-12 && p1 >= 0 && p2 <= 1
 	}
-	if err := quick.Check(f, nil); err != nil {
+	if err := quick.Check(f, testkit.Quick(t, 0)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -251,7 +252,7 @@ func TestPropertyQuantileCDFRoundTrip(t *testing.T) {
 		}
 		return math.Abs((1-p)-alpha) < 1e-6
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
+	if err := quick.Check(f, testkit.Quick(t, 60)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -267,7 +268,7 @@ func TestPropertyQuantileMonotoneInAlpha(t *testing.T) {
 		// Larger alpha (less confidence) → smaller threshold.
 		return err1 == nil && err2 == nil && q2 < q1
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
+	if err := quick.Check(f, testkit.Quick(t, 40)); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -48,6 +48,9 @@ type committer struct {
 	// wake cuts short the flusher's wait for a session's pace when another
 	// session, possibly due at once, enlists.
 	wake chan struct{}
+	// ready is flush's reused list of the enlistments it completes; the
+	// flusher's own, like pass.
+	ready []enlistment
 }
 
 // flushesPerWindow bounds how often a flush may start: window /
@@ -89,7 +92,6 @@ func (c *committer) run() {
 	for {
 		c.mu.Lock()
 		if len(c.open) == 0 {
-			c.open = nil
 			c.flushing = false
 			c.mu.Unlock()
 			return
@@ -167,7 +169,7 @@ func (c *committer) flush(now time.Time, need int64) {
 
 	c.mu.Lock()
 	c.pass++
-	var ready []enlistment
+	ready := c.ready[:0]
 	kept := c.open[:0]
 	sessions, frames := 0, 0
 	for _, e := range c.open {
@@ -198,4 +200,6 @@ func (c *committer) flush(now time.Time, need int64) {
 		st.mEnlistedWait.Observe(syncedAt.Sub(e.at).Seconds())
 		e.done(err)
 	}
+	clear(ready) // the completions are done with; keep only the capacity
+	c.ready = ready
 }

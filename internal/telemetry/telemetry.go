@@ -292,8 +292,8 @@ func (t *Telemetry) Decision(s *detect.DecisionStats) {
 		t.snap.perSensorStat = make(map[string]float64, len(s.PerSensor))
 	}
 	clear(t.snap.perSensorStat)
-	for k, v := range s.PerSensor {
-		t.snap.perSensorStat[k] = v
+	for j, v := range s.PerSensor {
+		t.snap.perSensorStat[s.SensorAnomalies[j].Sensor] = v
 	}
 	t.snapMu.Unlock()
 

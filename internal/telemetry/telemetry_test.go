@@ -72,6 +72,17 @@ func TestCleanScenarioMetrics(t *testing.T) {
 	if snap.LastDecision == nil || snap.LastDecision.Condition == "" {
 		t.Fatalf("snapshot lastDecision = %+v", snap.LastDecision)
 	}
+	// The per-sensor statistics are the last decision's, keyed by the
+	// testing sensors' names.
+	last := run.Trace[len(run.Trace)-1].Decision
+	if len(snap.PerSensor) != len(last.SensorAnomalies) {
+		t.Fatalf("snapshot perSensorStats = %v, want %d sensors", snap.PerSensor, len(last.SensorAnomalies))
+	}
+	for j, sa := range last.SensorAnomalies {
+		if got, ok := snap.PerSensor[sa.Sensor]; !ok || got != last.PerSensorStats[j] {
+			t.Fatalf("snapshot perSensorStats[%s] = %v, want %v", sa.Sensor, got, last.PerSensorStats[j])
+		}
+	}
 }
 
 func TestDroppedReadingCounter(t *testing.T) {

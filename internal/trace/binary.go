@@ -72,7 +72,8 @@ func AppendFrameBinary(dst []byte, f *Frame) []byte {
 		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(v))
 	}
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(f.Readings)))
-	names := make([]string, 0, len(f.Readings))
+	var inline [8]string // a robot's sensor suite, sorted without allocating
+	names := inline[:0]
 	for name := range f.Readings {
 		names = append(names, name)
 	}

@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"roboads/internal/stat"
+	"roboads/internal/testkit"
 )
 
 func TestPointOps(t *testing.T) {
@@ -162,7 +163,7 @@ func TestPropertyRaycastAlwaysHitsInsideArena(t *testing.T) {
 		// Hit point stays within (or on) the arena.
 		return m.Bounds.Inflate(1e-9).Contains(hit)
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+	if err := quick.Check(f, testkit.Quick(t, 200)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -178,7 +179,7 @@ func TestPropertyRaycastTruncation(t *testing.T) {
 		clipped, _ := m.Raycast(p, theta, full/2)
 		return clipped <= full
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
+	if err := quick.Check(f, testkit.Quick(t, 100)); err != nil {
 		t.Fatal(err)
 	}
 }

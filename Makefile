@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet fmtcheck staticcheck runcheck test tier1-loaded race fleetsoak crashsoak flakehunt fuzz bench profile-replay profile-generate profile-fleet benchsmoke benchdiff benchoverhead multinodesmoke sizes ci
+.PHONY: build vet fmtcheck staticcheck runcheck inlinecheck test tier1-loaded race fleetsoak crashsoak flakehunt fuzz bench profile-replay profile-generate profile-fleet benchsmoke benchdiff benchoverhead multinodesmoke sizes ci
 
 build:
 	$(GO) build ./...
@@ -34,6 +34,18 @@ runcheck:
 			$(GO) test -list "$$alt" $$pkg | grep -q '^Test' \
 				|| { echo "runcheck: -run $$alt matches no test in $$pkg"; fail=1; }; \
 		done; \
+	done; \
+	exit $$fail
+
+# The shape guards of every mat …Into kernel must inline: each runs on
+# every kernel call of the NUISE step, and a guard the compiler stops
+# inlining (after an edit, or in a Go release with another inlining
+# budget) costs a call per kernel that no test would see.
+inlinecheck:
+	@out=$$($(GO) build -gcflags=-m ./internal/mat/ 2>&1); fail=0; \
+	for f in mustShape mustSameShape mustSquare mustDistinct; do \
+		echo "$$out" | grep -q ": can inline $$f$$" \
+			|| { echo "inlinecheck: $$f does not inline"; fail=1; }; \
 	done; \
 	exit $$fail
 

@@ -120,7 +120,7 @@ func BenchmarkFleetDurableRound(b *testing.B) {
 // fall; fresh per-mode engine results or a log record built per frame
 // fail it.
 func TestFleetDurableRoundBytes(t *testing.T) {
-	const warm, rounds, ceiling = 10, 40, 1680
+	const warm, rounds, ceiling = 10, 40, 1470
 	sets := durableFrames(t, (warm+rounds+1)*durableBatch)
 	at := make([]int, durableSessions)
 	round := durableRound(t, func(i int) []fleet.BatchFrame {
@@ -188,7 +188,6 @@ func flattenReport(rep *detect.Report) []float64 {
 	mats := []*mat.Mat{res.Px, res.Pa, res.Ps}
 	for _, sa := range out.SensorAnomalies {
 		flat = append(flat, sa.Ds...)
-		mats = append(mats, sa.Ps)
 	}
 	for _, m := range mats {
 		for i := 0; i < m.Rows(); i++ {

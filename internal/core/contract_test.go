@@ -125,9 +125,14 @@ func requireOutputsEqual(t *testing.T, k int, want, got *Output) {
 	}
 	for j := range want.SensorAnomalies {
 		aw, ag := want.SensorAnomalies[j], got.SensorAnomalies[j]
-		if aw.Sensor != ag.Sensor || !vecsEqual(aw.Ds, ag.Ds) || !aw.Ps.Equal(ag.Ps, 0) {
+		if aw.Sensor != ag.Sensor || !vecsEqual(aw.Ds, ag.Ds) {
 			t.Fatalf("k=%d: anomaly split %d diverged", k, j)
 		}
+	}
+	if !vecsEqual(want.SensorStats, got.SensorStats) ||
+		math.Float64bits(want.ActuatorStat) != math.Float64bits(got.ActuatorStat) {
+		t.Fatalf("k=%d: χ² statistics %v/%v vs %v/%v",
+			k, want.SensorStats, want.ActuatorStat, got.SensorStats, got.ActuatorStat)
 	}
 }
 
@@ -186,17 +191,19 @@ func cloneOutput(o *Output) *Output {
 	c.Result = &r
 	c.SensorAnomalies = make([]SensorAnomaly, len(o.SensorAnomalies))
 	for j, a := range o.SensorAnomalies {
-		c.SensorAnomalies[j] = SensorAnomaly{Sensor: a.Sensor, Ds: a.Ds.Clone(), Ps: a.Ps.Clone()}
+		c.SensorAnomalies[j] = SensorAnomaly{Sensor: a.Sensor, Ds: a.Ds.Clone()}
 	}
+	c.SensorStats = append([]float64(nil), o.SensorStats...)
 	return &c
 }
 
 // A warmed engine with no observer allocates only what its caller
 // receives: the Output and its Result in one block, one exact-size slab
-// (its float and header arrays) holding the Result's, the weights' and
-// the anomaly split's floats, and the split itself. Everything else —
-// the per-mode Results, Jacobians, predictions, reading stacks, ~60
-// temporaries per mode — is the engine's and reused. The byte ceilings
+// (its float and header arrays) holding the Result's, the weights', the
+// anomaly split's and the χ² statistics' floats, and the split itself.
+// Everything else — the per-mode Results, Jacobians, predictions,
+// reading stacks, the workspaces' ~50 temporaries per mode — is the
+// engine's and reused. The byte ceilings
 // are what these frames measure; fresh per-mode Results every step would
 // more than double them.
 func TestEngineStepAllocs(t *testing.T) {
@@ -221,7 +228,7 @@ func TestEngineStepAllocs(t *testing.T) {
 	}
 	t.Run("khepera", func(t *testing.T) {
 		rig, us, readings := recordScenario(5, 400)
-		measure(t, buildEngine(t, rig), us, readings, 1430)
+		measure(t, buildEngine(t, rig), us, readings, 1230)
 	})
 	t.Run("tamiya", func(t *testing.T) {
 		plant, modes, x0, us, readings := tamiyaMission(t, 5, 400, 20)
@@ -249,8 +256,9 @@ func TestEngineRetainedOutputImmutable(t *testing.T) {
 }
 
 // poisonedTwin steps two engines over the same frames, filling every
-// arena buffer and every engine-owned per-mode result of the second with
-// NaN between steps, and requires identical outputs and per-mode results:
+// NUISE workspace buffer (through the mode arenas they are carved from)
+// and every engine-owned per-mode result of the second with NaN between
+// steps, and requires identical outputs and per-mode results:
 // nothing may depend on what a recycled buffer held. It returns how many
 // mode-steps estimated the actuator anomaly and how many took the
 // daValid == false degrade.
@@ -259,6 +267,11 @@ func poisonedTwin(t *testing.T, clean, poisoned *Engine, us []mat.Vec, readings 
 	for k := range us {
 		for _, sc := range poisoned.scratch {
 			sc.Fill(math.NaN())
+		}
+		for i := range poisoned.work {
+			if w := &poisoned.work[i]; !w.pTilde.HasNaN() || !w.m2.HasNaN() || !w.xPred0.HasNaN() {
+				t.Fatalf("k=%d: Fill missed mode %d's workspace", k, i)
+			}
 		}
 		for i := range poisoned.pristine {
 			poison(&poisoned.pristine[i])
@@ -307,8 +320,8 @@ func TestEnginePoisonedArena(t *testing.T) {
 		rig, us, readings := lossyScenario(31, 120)
 		poisonedTwin(t, buildEngine(t, rig), buildEngine(t, rig), us, readings)
 	})
-	// The degrade's M2 = 0 is the one arena buffer read without being a
-	// kernel's destination.
+	// The degrade's M2 = 0 is the one workspace buffer read without being
+	// a kernel's destination.
 	t.Run("tamiya standstill", func(t *testing.T) {
 		plant, modes, x0, us, readings := tamiyaMission(t, 31, 120, 40)
 		valid, degraded := poisonedTwin(t,

@@ -95,10 +95,11 @@ type Engine struct {
 	k        int
 	selected int
 
-	// scratch holds one matrix arena per mode, which keeps each arena's
-	// shape sequence stable across iterations. z2 and z1 are each mode's
-	// stacked reference and testing readings.
+	// work is each mode's NUISE workspace, carved once from the mode's
+	// arena in scratch. z2 and z1 are each mode's stacked reference and
+	// testing readings.
 	scratch []*mat.Scratch
+	work    []nuiseWork
 	z2, z1  []mat.Vec
 
 	// results holds every mode's Result, engine-owned and reused: each
@@ -113,15 +114,19 @@ type Engine struct {
 
 	// commitNext is commit's reused weight-update scratch (the
 	// un-normalized next weights); evCovs holds one reusable d×d scratch
-	// matrix per (mode, testing sensor) that the evidence terms copy a Ps
-	// block into, evFloorQuads each term's floorQuad and actFloorQuad the
-	// actuator term's, and quadBuf the factor and substitution buffer
-	// their χ² statistics share (mat.SPDInvQuadForm).
+	// matrix per (mode, testing sensor) that the χ² statistics copy a Ps
+	// block into, evFloorQuads each evidence term's floorQuad and
+	// actFloorQuad the actuator term's, and quadBuf the factor and
+	// substitution buffer the statistics share (mat.SPDInvQuadForm).
+	// sensorQuads and actQuads hold each mode's statistics of this step
+	// (see sensorQuad and actuatorQuad).
 	commitNext   []float64
 	evCovs       [][]*mat.Mat
 	evFloorQuads [][]float64
 	actFloorQuad float64
 	quadBuf      []float64
+	sensorQuads  [][]float64
+	actQuads     []float64
 
 	// sensorNames is the union of every mode's reference and testing
 	// workflow names and sensorDims their reading lengths. Each Step looks
@@ -157,8 +162,16 @@ type Output struct {
 	// Result is the selected mode's NUISE result.
 	Result *Result
 	// SensorAnomalies is the per-testing-sensor split of the selected
-	// mode's d̂s.
+	// mode's d̂s; sensor j's covariance is the diagonal block of
+	// Result.Ps at its offset in d̂s.
 	SensorAnomalies []SensorAnomaly
+	// SensorStats[j] is SensorAnomalies[j]'s χ² statistic
+	// d̂sᵀ·Ps⁻¹·d̂s over its covariance block, and ActuatorStat the
+	// selected mode's d̂aᵀ·Pa⁻¹·d̂a; a covariance that does not factor
+	// scores 0. They are the statistics the weight update's evidence
+	// terms test (EngineConfig.AttackPrior, ActuatorPrior).
+	SensorStats  []float64
+	ActuatorStat float64
 }
 
 // NewEngine builds an engine with the given hypothesis set and initial
@@ -259,9 +272,9 @@ func (e *Engine) indexSensors() error {
 	return nil
 }
 
-// sizeOutputs allocates the per-mode reading stacks, the weight update's
-// scratch (floorQuad resolved per evidence term) and every mode's Result,
-// carved once from one slab.
+// sizeOutputs allocates the per-mode reading stacks, NUISE workspaces
+// and χ² statistics, the weight update's scratch (floorQuad resolved per
+// evidence term) and every mode's Result, carved once from one slab.
 func (e *Engine) sizeOutputs() {
 	m := len(e.modes)
 	e.shapes = make([]resultShape, m)
@@ -270,12 +283,17 @@ func (e *Engine) sizeOutputs() {
 	e.commitNext = make([]float64, m)
 	e.evCovs = make([][]*mat.Mat, m)
 	e.evFloorQuads = make([][]float64, m)
+	e.sensorQuads = make([][]float64, m)
+	e.actQuads = make([]float64, m)
+	e.work = make([]nuiseWork, m)
 	widest := e.plant.Model.ControlDim()
 	e.actFloorQuad = floorQuad(e.cfg.ActuatorPrior, e.plant.Model.ControlDim())
 	floats := 0
 	for i, mode := range e.modes {
 		sh := newResultShape(e.plant.Model, mode.Reference, mode.testingStacked)
 		e.shapes[i] = sh
+		e.work[i].carve(e.scratch[i], sh)
+		e.sensorQuads[i] = make([]float64, len(mode.Testing))
 		e.z2[i] = make(mat.Vec, sh.p2)
 		e.z1[i] = make(mat.Vec, sh.p1)
 		floats += sh.floats()
@@ -414,7 +432,7 @@ func (e *Engine) StepContext(ctx context.Context, u mat.Vec, readings map[string
 	}
 	if cancellable && ctx.Err() != nil {
 		// Nothing has been committed: the engine-owned results, the
-		// reading stacks and the scratch arenas are the only things
+		// reading stacks and the NUISE workspaces are the only things
 		// touched, and the next Step overwrites them all.
 		return nil, ctx.Err()
 	}
@@ -575,20 +593,20 @@ func (e *Engine) runMode(i int, u mat.Vec) {
 // output is what a Step hands its caller: the Output and a copy of the
 // selected mode's Result res in one allocation, and in one exact-size
 // slab every float of that Result, of the weights and of the selected
-// mode's anomaly split.
+// mode's anomaly split and χ² statistics.
 func (e *Engine) output(selected int, res *Result) *Output {
+	e.selectedQuads(selected, res)
 	sh := e.shapes[selected]
 	sh.p1 = len(res.Ds) // 0 when this step dropped the testing block
-	floats, mats := sh.floats()+len(e.weights), resultMats
+	floats := sh.floats() + len(e.weights)
 	if res.Ds != nil {
-		floats += e.modes[selected].splitFloats()
-		mats += len(e.modes[selected].Testing)
+		floats += sh.p1 + len(e.sensorQuads[selected])
 	}
 	block := new(struct {
 		out Output
 		res Result
 	})
-	slab := mat.NewSlab(floats, mats)
+	slab := mat.NewSlab(floats, resultMats)
 	block.res = *res
 	block.res.X = copyVec(slab, res.X)
 	block.res.Px = copyMat(slab, res.Px)
@@ -602,10 +620,12 @@ func (e *Engine) output(selected int, res *Result) *Output {
 		SelectedMode: e.modes[selected],
 		Weights:      copyVec(slab, e.weights),
 		Result:       &block.res,
+		ActuatorStat: e.actQuads[selected],
 	}
 	if res.Ds != nil {
 		block.res.Ds = copyVec(slab, res.Ds)
-		block.out.SensorAnomalies = e.modes[selected].splitDs(res.Ds, res.Ps, slab)
+		block.out.SensorAnomalies = e.modes[selected].splitDs(res.Ds, slab)
+		block.out.SensorStats = copyVec(slab, e.sensorQuads[selected])
 	}
 	return &block.out
 }
@@ -625,7 +645,7 @@ func copyMat(slab *mat.Slab, m *mat.Mat) *mat.Mat {
 // caller carved to the mode's shape, and reports whether the mode
 // produced a result. It reads the frame gather parked and the mode's
 // private belief (e.xm, e.pxm) and writes only mode i's reading stacks
-// and arena and res; the belief is committed after the whole bank has
+// and workspace and res; the belief is committed after the whole bank has
 // stepped, so an aborted StepContext leaves it untouched. Failure
 // semantics mirror the weight floor: a missing reference reading or a
 // NUISE error fails the mode (it sits out this iteration and takes the
@@ -645,7 +665,7 @@ func (e *Engine) stepMode(i int, u mat.Vec, res *Result) bool {
 			res.dropTesting()
 		}
 	}
-	return nuiseStep(e.plant, m.Reference, testing, u, e.xm[i], e.pxm[i], z1, z2, e.scratch[i], res) == nil
+	return nuiseStep(e.plant, m.Reference, testing, u, e.xm[i], e.pxm[i], z1, z2, &e.work[i], res) == nil
 }
 
 // stack concatenates the frame's readings of the listed sensors into
@@ -665,37 +685,84 @@ func (e *Engine) stack(dst mat.Vec, sensorIdx []int) bool {
 
 // testingEvidence returns Π_t max(pvalue(d̂s_t), AttackPrior) over mode
 // i's testing sensors, times max(pvalue(d̂a), ActuatorPrior) (see
-// EngineConfig.AttackPrior and ActuatorPrior). Each per-sensor term
-// factors a block copy of Ps held in the engine's per-slot scratch —
-// value-identical to the Submatrix the decision layer tests, without
-// materializing a SensorAnomaly split for modes that won't be selected.
+// EngineConfig.AttackPrior and ActuatorPrior). Its χ² statistics are the
+// ones the decision layer tests, so computing them here records them for
+// the mode's Output too.
 func (e *Engine) testingEvidence(i int, res *Result) float64 {
 	evidence := 1.0
 	if e.cfg.AttackPrior > 0 && res.Ds != nil {
 		off := 0
-		for j, s := range e.modes[i].Testing {
-			d := s.Dim()
-			cov := res.Ps.SubmatrixInto(e.evCovs[i][j], off, off)
-			evidence *= flooredPValue(cov, res.Ds[off:off+d], e.quadBuf, e.cfg.AttackPrior, e.evFloorQuads[i][j])
+		for j, cov := range e.evCovs[i] {
+			d := cov.Rows()
+			quad, ok := e.sensorQuad(i, j, off, res)
+			evidence *= flooredPValue(quad, ok, d, e.cfg.AttackPrior, e.evFloorQuads[i][j])
 			off += d
 		}
 	}
 	if e.cfg.ActuatorPrior > 0 && res.Da != nil {
-		evidence *= flooredPValue(res.Pa, res.Da, e.quadBuf, e.cfg.ActuatorPrior, e.actFloorQuad)
+		quad, ok := e.actuatorQuad(i, res)
+		evidence *= flooredPValue(quad, ok, res.Da.Len(), e.cfg.ActuatorPrior, e.actFloorQuad)
 	}
 	return evidence
 }
 
-// flooredPValue returns max(P(χ²_n > vᵀcov⁻¹v), floor), the floor when
-// cov is singular or the statistic reaches fromQuad (floorQuad: the
-// incomplete gamma is skipped). buf is mat.SPDInvQuadForm's buffer.
-func flooredPValue(cov *mat.Mat, v mat.Vec, buf []float64, floor, fromQuad float64) float64 {
+// selectedQuads computes the χ² statistics of the selected mode that
+// the weight update did not: all of them under WeightByDensity or when
+// the mode is implausible (no evidence terms ran), one side when its
+// prior is 0.
+func (e *Engine) selectedQuads(selected int, res *Result) {
+	evidenced := !e.cfg.WeightByDensity && !res.Implausible
+	if res.Ds != nil && !(evidenced && e.cfg.AttackPrior > 0) {
+		off := 0
+		for j, cov := range e.evCovs[selected] {
+			e.sensorQuad(selected, j, off, res)
+			off += cov.Rows()
+		}
+	}
+	if !(evidenced && e.cfg.ActuatorPrior > 0) {
+		e.actuatorQuad(selected, res)
+	}
+}
+
+// sensorQuad records and returns the χ² statistic d̂sᵀ·Ps⁻¹·d̂s of mode
+// i's testing sensor j, whose block starts at row off of res's d̂s and
+// Ps, and whether the block factored (0 is recorded when it did not).
+func (e *Engine) sensorQuad(i, j, off int, res *Result) (float64, bool) {
+	cov := e.evCovs[i][j]
+	d := cov.Rows()
+	quad, ok := chiSquare(res.Ps.SubmatrixInto(cov, off, off), res.Ds[off:off+d], e.quadBuf)
+	e.sensorQuads[i][j] = quad
+	return quad, ok
+}
+
+// actuatorQuad is sensorQuad for mode i's d̂aᵀ·Pa⁻¹·d̂a.
+func (e *Engine) actuatorQuad(i int, res *Result) (float64, bool) {
+	quad, ok := chiSquare(res.Pa, res.Da, e.quadBuf)
+	e.actQuads[i] = quad
+	return quad, ok
+}
+
+// chiSquare returns vᵀ·cov⁻¹·v and true, or 0 and false when cov does
+// not factor: a singular covariance is non-informative, not alarming.
+// buf is mat.SPDInvQuadForm's buffer.
+func chiSquare(cov *mat.Mat, v mat.Vec, buf []float64) (float64, bool) {
+	quad, err := mat.SPDInvQuadForm(cov, v, buf)
+	if err != nil {
+		return 0, false
+	}
+	return quad, true
+}
+
+// flooredPValue returns max(P(χ²_k > quad), floor): the floor when the
+// covariance did not factor (ok false), the statistic is negative or it
+// reaches fromQuad (floorQuad: the incomplete gamma is skipped).
+func flooredPValue(quad float64, ok bool, k int, floor, fromQuad float64) float64 {
 	pv := 0.0
-	if quad, err := mat.SPDInvQuadForm(cov, v, buf); err == nil && quad >= 0 {
+	if ok && quad >= 0 {
 		if quad >= fromQuad {
 			return floor
 		}
-		if cdf, err := stat.ChiSquareCDF(quad, v.Len()); err == nil {
+		if cdf, err := stat.ChiSquareCDF(quad, k); err == nil {
 			pv = 1 - cdf
 		}
 	}

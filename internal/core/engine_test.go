@@ -92,8 +92,7 @@ func TestModeSplitDs(t *testing.T) {
 		t.Fatal(err)
 	}
 	ds := mat.VecOf(1, 2, 3, 4, 5, 6, 7) // WE(3) + LiDAR(4)
-	ps := mat.Identity(7).Scale(2)
-	split := m.SplitDs(ds, ps)
+	split := m.SplitDs(ds)
 	if len(split) != 2 {
 		t.Fatalf("split count = %d", len(split))
 	}
@@ -103,8 +102,8 @@ func TestModeSplitDs(t *testing.T) {
 	if split[1].Sensor != "lidar" || split[1].Ds.Len() != 4 || split[1].Ds[3] != 7 {
 		t.Fatalf("split[1] = %+v", split[1])
 	}
-	if split[1].Ps.Rows() != 4 || split[1].Ps.At(0, 0) != 2 {
-		t.Fatalf("split[1].Ps =\n%v", split[1].Ps)
+	if ds[3] = -1; split[1].Ds[0] != 4 {
+		t.Fatal("split shares storage with ds")
 	}
 }
 

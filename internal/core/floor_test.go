@@ -67,7 +67,8 @@ func TestFlooredPValueMatchesFullComputation(t *testing.T) {
 	buf := make([]float64, 8*9)
 	check := func(cov *mat.Mat, v mat.Vec, floor float64) {
 		t.Helper()
-		got := flooredPValue(cov, v, buf, floor, floorQuad(floor, v.Len()))
+		quad, ok := chiSquare(cov, v, buf)
+		got := flooredPValue(quad, ok, v.Len(), floor, floorQuad(floor, v.Len()))
 		want := parentFlooredPValue(cov, v, buf, floor)
 		if math.Float64bits(got) != math.Float64bits(want) {
 			t.Fatalf("cov=%v v=%v floor=%v: %v, full computation %v", cov, v, floor, got, want)
@@ -132,5 +133,40 @@ func TestEngineResolvesFloorQuads(t *testing.T) {
 	}
 	if want := floorQuad(eng.cfg.ActuatorPrior, 2); eng.actFloorQuad != want {
 		t.Fatalf("actuator threshold %v, want %v", eng.actFloorQuad, want)
+	}
+}
+
+// A covariance block that does not factor scores 0, as the decision
+// layer's own statistic did (non-informative, not alarming), and its
+// evidence term takes the floor.
+func TestSingularBlockScoresZero(t *testing.T) {
+	rig, _, _ := recordScenario(5, 10)
+	eng := buildEngine(t, rig)
+	for i, m := range eng.modes {
+		sh := eng.shapes[i]
+		res := Result{Ds: mat.NewVec(sh.p1), Ps: mat.New(sh.p1, sh.p1), Da: mat.VecOf(1, 1), Pa: mat.New(2, 2)}
+		for j := range res.Ds {
+			res.Ds[j] = 1
+		}
+		for j := range eng.sensorQuads[i] {
+			eng.sensorQuads[i][j] = math.NaN()
+		}
+		eng.actQuads[i] = math.NaN()
+		want := 1.0
+		for range m.Testing {
+			want *= eng.cfg.AttackPrior
+		}
+		want *= eng.cfg.ActuatorPrior
+		if got := eng.testingEvidence(i, &res); got != want {
+			t.Fatalf("mode %s: evidence %v, want the floors' product %v", m.Name, got, want)
+		}
+		for j, q := range eng.sensorQuads[i] {
+			if math.Float64bits(q) != 0 {
+				t.Fatalf("mode %s sensor %d: statistic %v, want 0", m.Name, j, q)
+			}
+		}
+		if math.Float64bits(eng.actQuads[i]) != 0 {
+			t.Fatalf("mode %s: actuator statistic %v, want 0", m.Name, eng.actQuads[i])
+		}
 	}
 }

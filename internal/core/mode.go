@@ -67,47 +67,34 @@ func (m *Mode) TestingStacked() sensors.Sensor { return m.testingStacked }
 
 // SensorAnomaly is the per-workflow split of the stacked d̂s estimate,
 // used by the decision maker's per-sensor identification tests
-// (Algorithm 1 lines 13–18).
+// (Algorithm 1 lines 13–18). Its covariance is the diagonal block of the
+// stacked Ps at the sensor's offset; the engine reports its χ² statistic
+// (Output.SensorStats).
 type SensorAnomaly struct {
 	// Sensor is the workflow name.
 	Sensor string
 	// Ds is this sensor's slice of the anomaly estimate.
 	Ds mat.Vec
-	// Ps is the corresponding covariance block.
-	Ps *mat.Mat
 }
 
-// SplitDs slices the stacked anomaly estimate and covariance back into
-// per-sensor components (copies: the split shares nothing with ds, ps).
-func (m *Mode) SplitDs(ds mat.Vec, ps *mat.Mat) []SensorAnomaly {
-	return m.splitDs(ds, ps, mat.NewSlab(m.splitFloats(), len(m.Testing)))
+// SplitDs slices the stacked anomaly estimate back into per-sensor
+// components (copies: the split shares nothing with ds).
+func (m *Mode) SplitDs(ds mat.Vec) []SensorAnomaly {
+	return m.splitDs(ds, mat.NewSlab(ds.Len(), 0))
 }
 
 // splitDs is SplitDs with the copies carved from slab.
-func (m *Mode) splitDs(ds mat.Vec, ps *mat.Mat, slab *mat.Slab) []SensorAnomaly {
+func (m *Mode) splitDs(ds mat.Vec, slab *mat.Slab) []SensorAnomaly {
 	out := make([]SensorAnomaly, len(m.Testing))
 	off := 0
 	for j, s := range m.Testing {
 		d := s.Dim()
 		part := slab.Vec(d)
 		copy(part, ds[off:off+d])
-		out[j] = SensorAnomaly{
-			Sensor: s.Name(),
-			Ds:     part,
-			Ps:     ps.SubmatrixInto(slab.Mat(d, d), off, off),
-		}
+		out[j] = SensorAnomaly{Sensor: s.Name(), Ds: part}
 		off += d
 	}
 	return out
-}
-
-// splitFloats returns the floats one anomaly split of this mode holds.
-func (m *Mode) splitFloats() int {
-	floats := 0
-	for _, s := range m.Testing {
-		floats += s.Dim() + s.Dim()*s.Dim()
-	}
-	return floats
 }
 
 // HypothesizedCorrupted reports whether the mode hypothesizes the named

@@ -123,19 +123,19 @@ func NUISE(plant Plant, reference, testing sensors.Sensor, u, xPrev mat.Vec, pxP
 	return NUISEScratch(plant, reference, testing, u, xPrev, pxPrev, z1, z2, nil)
 }
 
-// NUISEScratch is NUISE with an explicit scratch arena for the ~60 matrix
-// and vector temporaries one step builds: the predictions f, h2, h1 and
-// their Jacobians A, G, C2, C1 are evaluated once per point through the
-// models' fused fast paths (FAGInto, HCInto) into arena buffers, and
-// everything stored in the Result is carved
-// from one private mat.Slab that nothing else ever writes. Passing the
-// same arena across iterations makes the step allocation-free apart from
-// the Result (the Result header, its slab's two backing arrays, and
-// whatever a model or sensor without an Into fast path allocates), and
-// results stay valid after the arena is reused. A nil arena allocates a
-// private one, which is equivalent to the plain NUISE call.
+// NUISEScratch is NUISE with an explicit scratch arena for the step's
+// temporaries: the predictions f, h2, h1 and their Jacobians A, G, C2,
+// C1 are evaluated once per point through the models' fused fast paths
+// (FAGInto, HCInto), and everything stored in the Result is carved from
+// one private mat.Slab that nothing else ever writes. Each call carves
+// the step's workspace from sc in one fixed order, so passing the same
+// arena across calls makes the step allocation-free apart from the
+// Result (the Result header, its slab's two backing arrays, and whatever
+// a model or sensor without an Into fast path allocates), and results
+// stay valid after the arena is reused. A nil arena allocates a private
+// one, which is equivalent to the plain NUISE call.
 //
-// Scratch reuse changes where intermediates live but not how they are
+// The workspace changes where intermediates live but not how they are
 // computed: every destination-variant op accumulates in the same element
 // order as its allocating counterpart (see internal/mat), so results are
 // bit-for-bit identical to the historical allocating implementation.
@@ -149,7 +149,10 @@ func NUISEScratch(plant Plant, reference, testing sensors.Sensor, u, xPrev mat.V
 	shape := newResultShape(plant.Model, reference, testing)
 	res := new(Result)
 	shape.carve(mat.NewSlab(shape.floats(), resultMats), res)
-	if err := nuiseStep(plant, reference, testing, u, xPrev, pxPrev, z1, z2, sc, res); err != nil {
+	var w nuiseWork
+	sc.Reset()
+	w.carve(sc, shape)
+	if err := nuiseStep(plant, reference, testing, u, xPrev, pxPrev, z1, z2, &w, res); err != nil {
 		return nil, err
 	}
 	return res, nil
@@ -204,46 +207,87 @@ func (res *Result) dropTesting() {
 // entries, so sharing one between every such Result is unobservable.
 var noTestingPs = mat.New(0, 0)
 
+// nuiseWork is every temporary of one NUISE step of one mode shape:
+// both daValid branches, both likelihood paths and the testing block
+// each have their buffers, so a step makes no arena request. Each is the
+// destination of an …Into kernel that overwrites all of it before
+// anything reads it, except m2 in the daValid == false degrade, which
+// the step zeroes. nn, nn2, pn, np, qp and pp are product temporaries
+// (n states, q controls, p2 reference rows) that the next kernel
+// consumes.
+type nuiseWork struct {
+	a, g, c2, pTilde, rStar, rStarChol, c2g, rsInvC2g, fisher   *mat.Mat
+	rsInvC2gT, fisherChol, m2, paAcc                            *mat.Mat
+	gm2, igm, aBar, qBar, gm2r2, pxPred                         *mat.Mat
+	s, r2Tilde, c2s, gainNumer, l, r2TildeChol, lt, ilc, pxAcc  *mat.Mat
+	z, zWork, basis, pr, prWork, basisT, ru, ruChol, nr, ruInvU *mat.Mat
+	c1, psAcc, p1n, nn, nn2, pn, np, qp, pp                     *mat.Mat
+	xPred0, h2, uComp, hx, quadP2, uNu, quadR, lnu, h1          mat.Vec
+}
+
+// carve points w's buffers at arena memory for a step of shape sh,
+// requesting them from sc in one fixed order, so an arena carved from
+// before hands back the same buffers.
+func (w *nuiseWork) carve(sc *mat.Scratch, sh resultShape) {
+	n, q, p2, p1 := sh.n, sh.q, sh.p2, sh.p1
+	r := max(p2-q, 0) // the deflated likelihood's rank
+	*w = nuiseWork{
+		a: sc.Mat(n, n), g: sc.Mat(n, q), c2: sc.Mat(p2, n),
+		pTilde: sc.Mat(n, n), rStar: sc.Mat(p2, p2), rStarChol: sc.Mat(p2, p2),
+		c2g: sc.Mat(p2, q), rsInvC2g: sc.Mat(p2, q), fisher: sc.Mat(q, q),
+		rsInvC2gT: sc.Mat(q, p2), fisherChol: sc.Mat(q, q), m2: sc.Mat(q, p2), paAcc: sc.Mat(q, q),
+		gm2: sc.Mat(n, p2), igm: sc.Mat(n, n), aBar: sc.Mat(n, n), qBar: sc.Mat(n, n),
+		gm2r2: sc.Mat(n, p2), pxPred: sc.Mat(n, n),
+		s: sc.Mat(n, p2), r2Tilde: sc.Mat(p2, p2), c2s: sc.Mat(p2, p2), gainNumer: sc.Mat(n, p2),
+		l: sc.Mat(n, p2), r2TildeChol: sc.Mat(p2, p2), lt: sc.Mat(p2, n),
+		ilc: sc.Mat(n, n), pxAcc: sc.Mat(n, n),
+		z: sc.Mat(p2, r), zWork: sc.Mat(p2, q), basis: sc.Mat(p2, r), pr: sc.Mat(p2, r),
+		prWork: sc.Mat(p2, r), basisT: sc.Mat(r, p2), ru: sc.Mat(r, r), ruChol: sc.Mat(r, r),
+		nr: sc.Mat(n, r), ruInvU: sc.Mat(r, p2),
+		c1: sc.Mat(p1, n), psAcc: sc.Mat(p1, p1), p1n: sc.Mat(p1, n),
+		nn: sc.Mat(n, n), nn2: sc.Mat(n, n), pn: sc.Mat(p2, n), np: sc.Mat(n, p2),
+		qp: sc.Mat(q, p2), pp: sc.Mat(p2, p2),
+		xPred0: sc.Vec(n), h2: sc.Vec(p2), uComp: sc.Vec(q), hx: sc.Vec(p2), quadP2: sc.Vec(p2),
+		uNu: sc.Vec(r), quadR: sc.Vec(r), lnu: sc.Vec(n), h1: sc.Vec(p1),
+	}
+}
+
 // nuiseStep is the one implementation of Algorithm 2. res arrives with
 // its vectors and matrices carved to the mode's shape (resultShape.carve,
 // then dropTesting when testing is nil) and leaves filled in; on error
-// its contents are unspecified. Every temporary lives on the arena, whose
-// buffers come back with unspecified contents — each is the destination
-// of an …Into kernel that overwrites all of it before anything reads it.
-func nuiseStep(plant Plant, reference, testing sensors.Sensor, u, xPrev mat.Vec, pxPrev *mat.Mat, z1, z2 mat.Vec, sc *mat.Scratch, res *Result) error {
-	sc.Reset()
-
+// its contents are unspecified. Every temporary is one of w's buffers,
+// carved for the same shape.
+func nuiseStep(plant Plant, reference, testing sensors.Sensor, u, xPrev mat.Vec, pxPrev *mat.Mat, z1, z2 mat.Vec, w *nuiseWork, res *Result) error {
 	model := plant.Model
-	n := model.StateDim()
 	q := model.ControlDim()
 
 	// Linearize the kinematics at the previous estimate; the uncompensated
 	// prediction is the measurement linearization point, where h2 and C2
 	// come from one evaluation.
-	a, g, xPred0 := sc.Mat(n, n), sc.Mat(n, q), sc.Vec(n)
+	a, g, xPred0 := w.a, w.g, w.xPred0
 	dynamics.EvalFAGInto(model, xPred0, a, g, xPrev, u)
 	plant.wrapState(xPred0)
 	p2 := reference.Dim()
-	h2, c2 := sc.Vec(p2), sc.Mat(p2, n)
+	h2, c2 := w.h2, w.c2
 	sensors.EvalHCInto(reference, h2, c2, 0, xPred0)
 	r2 := reference.R()
 
 	// --- Step 1: actuator anomaly estimation (lines 2–6) ---
 	// pTilde = A·Px·Aᵀ + Q
-	pTilde := mat.MulTInto(sc.Mat(n, n), mat.MulInto(sc.Mat(n, n), a, pxPrev), a)
+	pTilde := mat.MulTInto(w.pTilde, mat.MulInto(w.nn, a, pxPrev), a)
 	mat.AddInto(pTilde, pTilde, plant.Q)
 	// rStar = C2·pTilde·C2ᵀ + R2
-	rStar := mat.MulTInto(sc.Mat(p2, p2), mat.MulInto(sc.Mat(p2, n), c2, pTilde), c2)
+	rStar := mat.MulTInto(w.rStar, mat.MulInto(w.pn, c2, pTilde), c2)
 	mat.SymmetrizeInto(rStar, mat.AddInto(rStar, rStar, r2))
-	c2g := mat.MulInto(sc.Mat(p2, q), c2, g)
+	c2g := mat.MulInto(w.c2g, c2, g)
 	// R* = C2·P̃·C2ᵀ + R2 is SPD whenever the reference noise is, so the
 	// fast path factors it once and solves; never forms R*⁻¹. A
 	// factorization failure (degenerate reference) falls back to an LU
 	// solve with the historical error semantics.
 	var rsInvC2g *mat.Mat // R*⁻¹·C2·G, shared by the Fisher matrix and M2
-	rStarChol := sc.Mat(p2, p2)
+	rStarChol := w.rStarChol
 	if mat.CholFactorInto(rStarChol, rStar) {
-		rsInvC2g = mat.CholSolveMatInto(sc.Mat(p2, q), rStarChol, c2g)
+		rsInvC2g = mat.CholSolveMatInto(w.rsInvC2g, rStarChol, c2g)
 	} else {
 		solved, err := rStar.SolveMat(c2g)
 		if err != nil {
@@ -252,16 +296,16 @@ func nuiseStep(plant Plant, reference, testing sensors.Sensor, u, xPrev mat.Vec,
 		rsInvC2g = solved
 	}
 	// fisher = Gᵀ·C2ᵀ·R*⁻¹·C2·G
-	fisher := mat.TMulInto(sc.Mat(q, q), c2g, rsInvC2g)
+	fisher := mat.TMulInto(w.fisher, c2g, rsInvC2g)
 	daValid := fisherConditioned(fisher)
 	var m2 *mat.Mat
 	da, pa := res.Da, res.Pa
 	if daValid {
 		// m2 = fisher⁻¹·Gᵀ·C2ᵀ·R*⁻¹ = fisher⁻¹·(R*⁻¹·C2·G)ᵀ (q×p2)
-		rsInvC2gT := mat.TInto(sc.Mat(q, p2), rsInvC2g)
-		fisherChol := sc.Mat(q, q)
+		rsInvC2gT := mat.TInto(w.rsInvC2gT, rsInvC2g)
+		fisherChol := w.fisherChol
 		if mat.CholFactorInto(fisherChol, fisher) {
-			m2 = mat.CholSolveMatInto(sc.Mat(q, p2), fisherChol, rsInvC2gT)
+			m2 = mat.CholSolveMatInto(w.m2, fisherChol, rsInvC2gT)
 		} else if solved, err := fisher.SolveMat(rsInvC2gT); err == nil {
 			m2 = solved
 		} else {
@@ -271,16 +315,16 @@ func nuiseStep(plant Plant, reference, testing sensors.Sensor, u, xPrev mat.Vec,
 	if daValid {
 		innov0 := sensors.WrapResidual(mat.SubVecInto(h2, z2, h2), reference.AngleIndices())
 		mat.MulVecInto(da, m2, innov0)
-		paAcc := mat.MulTInto(sc.Mat(q, q), mat.MulInto(sc.Mat(q, p2), m2, rStar), m2)
+		paAcc := mat.MulTInto(w.paAcc, mat.MulInto(w.qp, m2, rStar), m2)
 		mat.SymmetrizeInto(pa, paAcc)
 	} else {
 		// rank(C2·G) < dim(u): the actuator anomaly is unobservable from
 		// this reference (e.g. steering at standstill). Degrade to a
 		// standard EKF step: no compensation, d̂a pinned at zero with an
 		// uninformative covariance. M2 = 0 is an operand of what follows,
-		// never a kernel's destination, so this is the one arena buffer
-		// that has to be zeroed by hand.
-		m2 = sc.Mat(q, p2).Zero()
+		// never a kernel's destination, so this is the one workspace
+		// buffer that has to be zeroed by hand.
+		m2 = w.m2.Zero()
 		clear(da)
 		pa.Zero()
 		for i := 0; i < q; i++ {
@@ -289,7 +333,7 @@ func nuiseStep(plant Plant, reference, testing sensors.Sensor, u, xPrev mat.Vec,
 	}
 
 	// --- Step 2: compensated state prediction (lines 7–10) ---
-	uComp := mat.AddVecInto(sc.Vec(len(u)), u, da)
+	uComp := mat.AddVecInto(w.uComp, u, da)
 	implausible := false
 	if daValid {
 		for i, bound := range plant.UMax {
@@ -299,33 +343,33 @@ func nuiseStep(plant Plant, reference, testing sensors.Sensor, u, xPrev mat.Vec,
 		}
 	}
 	xPred := plant.wrapState(dynamics.EvalFInto(model, res.X, xPrev, uComp))
-	gm2 := mat.MulInto(sc.Mat(n, p2), g, m2)
+	gm2 := mat.MulInto(w.gm2, g, m2)
 	// igm = I − G·M2·C2
-	igm := mat.IdentityInto(sc.Mat(n, n))
-	mat.SubInto(igm, igm, mat.MulInto(sc.Mat(n, n), gm2, c2))
-	aBar := mat.MulInto(sc.Mat(n, n), igm, a)
+	igm := mat.IdentityInto(w.igm)
+	mat.SubInto(igm, igm, mat.MulInto(w.nn, gm2, c2))
+	aBar := mat.MulInto(w.aBar, igm, a)
 	// qBar = igm·Q·igmᵀ + G·M2·R2·(G·M2)ᵀ
-	qBar := mat.MulTInto(sc.Mat(n, n), mat.MulInto(sc.Mat(n, n), igm, plant.Q), igm)
-	gm2r2 := mat.MulInto(sc.Mat(n, p2), gm2, r2)
-	mat.AddInto(qBar, qBar, mat.MulTInto(sc.Mat(n, n), gm2r2, gm2))
-	pxPred := mat.MulTInto(sc.Mat(n, n), mat.MulInto(sc.Mat(n, n), aBar, pxPrev), aBar)
+	qBar := mat.MulTInto(w.qBar, mat.MulInto(w.nn, igm, plant.Q), igm)
+	gm2r2 := mat.MulInto(w.gm2r2, gm2, r2)
+	mat.AddInto(qBar, qBar, mat.MulTInto(w.nn, gm2r2, gm2))
+	pxPred := mat.MulTInto(w.pxPred, mat.MulInto(w.nn, aBar, pxPrev), aBar)
 	mat.SymmetrizeInto(pxPred, mat.AddInto(pxPred, pxPred, qBar))
 
 	// --- Step 3: state estimation (lines 11–14) ---
 	// Cross covariance S = E[x̃_{k|k-1}·ξ2ᵀ] = −G·M2·R2.
-	s := mat.ScaleInto(sc.Mat(n, p2), -1, gm2r2)
+	s := mat.ScaleInto(w.s, -1, gm2r2)
 	// r2Tilde = C2·pxPred·C2ᵀ + R2 + C2·S + Sᵀ·C2ᵀ
-	r2Tilde := mat.MulTInto(sc.Mat(p2, p2), mat.MulInto(sc.Mat(p2, n), c2, pxPred), c2)
+	r2Tilde := mat.MulTInto(w.r2Tilde, mat.MulInto(w.pn, c2, pxPred), c2)
 	mat.AddInto(r2Tilde, r2Tilde, r2)
-	c2s := mat.MulInto(sc.Mat(p2, p2), c2, s)
+	c2s := mat.MulInto(w.c2s, c2, s)
 	mat.AddInto(r2Tilde, r2Tilde, c2s)
-	mat.AddInto(r2Tilde, r2Tilde, mat.TInto(sc.Mat(p2, p2), c2s))
+	mat.AddInto(r2Tilde, r2Tilde, mat.TInto(w.pp, c2s))
 	mat.SymmetrizeInto(r2Tilde, r2Tilde)
 	nu := sensors.WrapResidual(
-		mat.SubVecInto(res.Innovation, z2, sensors.EvalHInto(reference, sc.Vec(p2), xPred)),
+		mat.SubVecInto(res.Innovation, z2, sensors.EvalHInto(reference, w.hx, xPred)),
 		reference.AngleIndices())
 
-	gainNumer := mat.MulTInto(sc.Mat(n, p2), pxPred, c2)
+	gainNumer := mat.MulTInto(w.gainNumer, pxPred, c2)
 	mat.AddInto(gainNumer, gainNumer, s)
 	// SPD fast path: factor the innovation covariance once; the factor's
 	// diagonal yields the (pseudo-)log-determinant and its solves yield
@@ -359,30 +403,29 @@ func nuiseStep(plant Plant, reference, testing sensors.Sensor, u, xPrev mat.Vec,
 	solved := false
 	if !forceJacobiLikelihood {
 		if !daValid {
-			r2TildeChol := sc.Mat(p2, p2)
+			r2TildeChol := w.r2TildeChol
 			if mat.CholFactorInto(r2TildeChol, r2Tilde) {
 				// l = gainNumer·R̃2⁻¹ = (R̃2⁻¹·gainNumerᵀ)ᵀ
-				lt := mat.CholSolveMatInto(sc.Mat(p2, n), r2TildeChol, mat.TInto(sc.Mat(p2, n), gainNumer))
-				l = mat.TInto(sc.Mat(n, p2), lt)
-				quad := mat.CholInvQuadForm(r2TildeChol, nu, sc.Vec(p2))
+				lt := mat.CholSolveMatInto(w.lt, r2TildeChol, mat.TInto(w.pn, gainNumer))
+				l = mat.TInto(w.l, lt)
+				quad := mat.CholInvQuadForm(r2TildeChol, nu, w.quadP2)
 				likelihood, pValue = likelihoodFromLog(quad, p2, mat.CholLogDet(r2TildeChol))
 				solved = true
 			}
 		} else if r := p2 - q; r > 0 {
-			z := sc.Mat(p2, r)
-			basis := sc.Mat(p2, r)
-			if mat.RangeComplementInto(z, c2g, sc.Mat(p2, q)) &&
-				mat.RangeBasisInto(basis, mat.MulInto(sc.Mat(p2, r), rStar, z), sc.Mat(p2, r)) {
-				basisT := mat.TInto(sc.Mat(r, p2), basis)
-				ru := mat.MulInto(sc.Mat(r, r), basisT, mat.MulInto(sc.Mat(p2, r), r2Tilde, basis))
+			z, basis := w.z, w.basis
+			if mat.RangeComplementInto(z, c2g, w.zWork) &&
+				mat.RangeBasisInto(basis, mat.MulInto(w.pr, rStar, z), w.prWork) {
+				basisT := mat.TInto(w.basisT, basis)
+				ru := mat.MulInto(w.ru, basisT, mat.MulInto(w.pr, r2Tilde, basis))
 				mat.SymmetrizeInto(ru, ru)
-				ruChol := sc.Mat(r, r)
+				ruChol := w.ruChol
 				if mat.CholFactorInto(ruChol, ru) {
 					// l = gainNumer·R̃2† = (gainNumer·U)·Ru⁻¹·Uᵀ
-					w := mat.MulInto(sc.Mat(n, r), gainNumer, basis)
-					l = mat.MulInto(sc.Mat(n, p2), w, mat.CholSolveMatInto(sc.Mat(r, p2), ruChol, basisT))
-					uNu := mat.MulVecInto(sc.Vec(r), basisT, nu)
-					quad := mat.CholInvQuadForm(ruChol, uNu, sc.Vec(r))
+					gu := mat.MulInto(w.nr, gainNumer, basis)
+					l = mat.MulInto(w.l, gu, mat.CholSolveMatInto(w.ruInvU, ruChol, basisT))
+					uNu := mat.MulVecInto(w.uNu, basisT, nu)
+					quad := mat.CholInvQuadForm(ruChol, uNu, w.quadR)
 					likelihood, pValue = likelihoodFromLog(quad, r, mat.CholLogDet(ruChol))
 					solved = true
 				}
@@ -395,32 +438,32 @@ func nuiseStep(plant Plant, reference, testing sensors.Sensor, u, xPrev mat.Vec,
 		if err != nil {
 			return fmt.Errorf("%w: innovation covariance: %v", ErrIllConditioned, err)
 		}
-		l = mat.MulInto(sc.Mat(n, p2), gainNumer, r2TildeInv)
+		l = mat.MulInto(w.l, gainNumer, r2TildeInv)
 		likelihood, pValue = likelihoodOf(nu, r2TildeInv, rank, pseudoDet)
 	}
 
 	// xPred already lives in res.X, so the update lands in place and the
 	// sum is the Result's state.
-	x := plant.wrapState(mat.AddVecInto(xPred, xPred, mat.MulVecInto(sc.Vec(n), l, nu)))
+	x := plant.wrapState(mat.AddVecInto(xPred, xPred, mat.MulVecInto(w.lnu, l, nu)))
 	// ilc = I − L·C2
-	ilc := mat.IdentityInto(sc.Mat(n, n))
-	mat.SubInto(ilc, ilc, mat.MulInto(sc.Mat(n, n), l, c2))
+	ilc := mat.IdentityInto(w.ilc)
+	mat.SubInto(ilc, ilc, mat.MulInto(w.nn, l, c2))
 	// Joseph form: px = ilc·pxPred·ilcᵀ + L·R2·Lᵀ − ilc·S·Lᵀ − L·Sᵀ·ilcᵀ
-	pxAcc := mat.MulTInto(sc.Mat(n, n), mat.MulInto(sc.Mat(n, n), ilc, pxPred), ilc)
-	mat.AddInto(pxAcc, pxAcc, mat.MulTInto(sc.Mat(n, n), mat.MulInto(sc.Mat(n, p2), l, r2), l))
-	mat.SubInto(pxAcc, pxAcc, mat.MulTInto(sc.Mat(n, n), mat.MulInto(sc.Mat(n, p2), ilc, s), l))
-	mat.SubInto(pxAcc, pxAcc, mat.MulTInto(sc.Mat(n, n), mat.MulTInto(sc.Mat(n, n), l, s), ilc))
-	// The Result owns its matrices (the arena is reused next iteration),
-	// so the symmetrized covariances land in its carved storage.
+	pxAcc := mat.MulTInto(w.pxAcc, mat.MulInto(w.nn, ilc, pxPred), ilc)
+	mat.AddInto(pxAcc, pxAcc, mat.MulTInto(w.nn, mat.MulInto(w.np, l, r2), l))
+	mat.SubInto(pxAcc, pxAcc, mat.MulTInto(w.nn, mat.MulInto(w.np, ilc, s), l))
+	mat.SubInto(pxAcc, pxAcc, mat.MulTInto(w.nn, mat.MulTInto(w.nn2, l, s), ilc))
+	// The Result owns its matrices (the workspace is reused next
+	// iteration), so the symmetrized covariances land in its carved
+	// storage.
 	px := mat.SymmetrizeInto(res.Px, pxAcc)
 
 	// --- Step 4: testing-sensor anomaly estimation (lines 15–16) ---
 	if testing != nil {
-		p1 := testing.Dim()
-		h1, c1 := sc.Vec(p1), sc.Mat(p1, n)
+		h1, c1 := w.h1, w.c1
 		sensors.EvalHCInto(testing, h1, c1, 0, x)
 		sensors.WrapResidual(mat.SubVecInto(res.Ds, z1, h1), testing.AngleIndices())
-		psAcc := mat.MulTInto(sc.Mat(p1, p1), mat.MulInto(sc.Mat(p1, n), c1, px), c1)
+		psAcc := mat.MulTInto(w.psAcc, mat.MulInto(w.p1n, c1, px), c1)
 		mat.AddInto(psAcc, psAcc, testing.R())
 		mat.SymmetrizeInto(res.Ps, psAcc)
 	}

@@ -12,7 +12,7 @@ import (
 // EngineState is the complete cross-iteration state of an Engine: the
 // portion of the recursive filter that must survive a process restart
 // for the next Step to be bit-for-bit identical to an uninterrupted run.
-// Everything else the engine holds (scratch arenas, observer
+// Everything else the engine holds (NUISE workspaces, observer
 // bookkeeping) is reconstructed within a single Step and is deliberately
 // excluded. The field encoding is plain float64 slices,
 // so any exact-float64 codec (encoding/json included) round-trips it

@@ -103,7 +103,8 @@ type Decision struct {
 	// ActuatorAlarm is the window-confirmed actuator misbehavior alarm.
 	ActuatorAlarm bool
 	// PerSensorStats holds each testing sensor's identification
-	// statistic: PerSensorStats[j] is SensorAnomalies[j].Sensor's.
+	// statistic: PerSensorStats[j] is SensorAnomalies[j].Sensor's. It is
+	// the engine Output's SensorStats, which the engine computed.
 	PerSensorStats []float64
 	// Condition is the confirmed misbehavior condition.
 	Condition Condition
@@ -125,7 +126,8 @@ type Decider struct {
 	perSensor      map[string]*SlidingWindow
 	thresholds     map[int]float64 // sensor-side quantiles by dof
 	actThresholds  map[int]float64 // actuator-side quantiles by dof
-	// quadBuf is the factor buffer of the χ² statistics (see quad).
+	// quadBuf is the factor buffer of the aggregate χ² statistic (see
+	// quad); the engine computes the per-sensor and actuator ones.
 	quadBuf []float64
 
 	// obs is Config.Observer; nil when instrumentation is off. stats is
@@ -195,7 +197,7 @@ func (d *Decider) decide(dec *Decision, out *core.Output) error {
 	*dec = Decision{
 		Iteration:       out.Iteration,
 		Mode:            out.SelectedMode.Name,
-		PerSensorStats:  make([]float64, len(out.SensorAnomalies)),
+		PerSensorStats:  out.SensorStats,
 		Da:              out.Result.Da,
 		SensorAnomalies: out.SensorAnomalies,
 	}
@@ -223,7 +225,7 @@ func (d *Decider) decide(dec *Decision, out *core.Output) error {
 	actuatorHeld := true
 	if da := out.Result.Da; da.Len() > 0 && out.Result.DaValid {
 		actuatorHeld = false
-		quad := d.quad(out.Result.Pa, da)
+		quad := out.ActuatorStat
 		dec.ActuatorStat = quad
 		threshold, err := d.actuatorThreshold(da.Len())
 		if err != nil {
@@ -241,8 +243,7 @@ func (d *Decider) decide(dec *Decision, out *core.Output) error {
 	// statistic feeds its own c-of-w window; the reference sensors of the
 	// selected mode are hypothesized clean and push a negative.
 	for j, sa := range out.SensorAnomalies {
-		quad := d.quad(sa.Ps, sa.Ds)
-		dec.PerSensorStats[j] = quad
+		quad := out.SensorStats[j]
 		threshold, err := d.sensorThreshold(sa.Ds.Len())
 		if err != nil {
 			return err

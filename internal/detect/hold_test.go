@@ -8,12 +8,12 @@ import (
 )
 
 // actuatorOutput builds a minimal engine output whose actuator statistic
-// is either strongly alarming or clean, with DaValid controlling
-// observability.
+// (d̂aᵀ·Pa⁻¹·d̂a, which the engine computes) is either strongly alarming
+// or clean, with DaValid controlling observability.
 func actuatorOutput(k int, alarming, daValid bool) *core.Output {
-	da := mat.VecOf(0, 0)
+	da, stat := mat.VecOf(0, 0), 0.0
 	if alarming {
-		da = mat.VecOf(10, 10)
+		da, stat = mat.VecOf(10, 10), 2e4
 	}
 	res := &core.Result{
 		Da:      da,
@@ -24,6 +24,7 @@ func actuatorOutput(k int, alarming, daValid bool) *core.Output {
 		Iteration:    k,
 		SelectedMode: &core.Mode{Name: "ref=synthetic"},
 		Result:       res,
+		ActuatorStat: stat,
 	}
 }
 

@@ -9,13 +9,13 @@ import (
 )
 
 // One volatile session's Step (BenchmarkFleetStep's path) allocates what
-// the hosted detector's step does on clean frames (6, see
+// the hosted detector's step does on clean frames (5, see
 // TestDetectorStepAllocs) plus five of the fleet's own, in
 // Manager.accept, Manager.Step and Manager.process. The ceilings are
 // what these frames measure; a new allocation on the fleet's per-frame
 // path, or fresh per-mode engine results, fails them.
 func TestFleetStepAllocs(t *testing.T) {
-	const ceiling, byteCeiling = 11, 1840
+	const ceiling, byteCeiling = 10, 1630
 	mgr, err := NewManager(Config{Build: DefaultBuilder()})
 	if err != nil {
 		t.Fatal(err)

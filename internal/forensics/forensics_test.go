@@ -22,7 +22,7 @@ func decision(k int, sensor string, ds mat.Vec) *detect.Decision {
 		SensorAlarm: true,
 		Condition:   detect.Condition{Sensors: []string{sensor}},
 		SensorAnomalies: []core.SensorAnomaly{
-			{Sensor: sensor, Ds: ds, Ps: mat.Identity(ds.Len())},
+			{Sensor: sensor, Ds: ds},
 		},
 		Da: mat.NewVec(2),
 	}
@@ -119,8 +119,8 @@ func TestAnalyzerIgnoresUnconfirmedSensors(t *testing.T) {
 		SensorAlarm: true,
 		Condition:   detect.Condition{Sensors: []string{"ips"}},
 		SensorAnomalies: []core.SensorAnomaly{
-			{Sensor: "ips", Ds: mat.VecOf(0.07), Ps: mat.Identity(1)},
-			{Sensor: "lidar", Ds: mat.VecOf(9.9), Ps: mat.Identity(1)},
+			{Sensor: "ips", Ds: mat.VecOf(0.07)},
+			{Sensor: "lidar", Ds: mat.VecOf(9.9)},
 		},
 		Da: mat.NewVec(2),
 	}

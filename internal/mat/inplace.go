@@ -411,10 +411,21 @@ func SubVecInto(dst, a, b Vec) Vec {
 	return dst
 }
 
+// The shape guards run on every kernel call, so they must inline: each
+// keeps only its comparison and leaves building the error to shapePanic,
+// which never inlines (`make inlinecheck` holds them to it).
 func mustShape(m *Mat, rows, cols int) {
 	if m.rows != rows || m.cols != cols {
-		panic(fmt.Errorf("%w: destination is %dx%d, want %dx%d", ErrDimension, m.rows, m.cols, rows, cols))
+		shapePanic("destination is %dx%d, want %dx%d", m.rows, m.cols, rows, cols)
 	}
+}
+
+// shapePanic panics with ErrDimension and format filled in with the two
+// shapes r1×c1 and r2×c2.
+//
+//go:noinline
+func shapePanic(format string, r1, c1, r2, c2 int) {
+	panic(fmt.Errorf("%w: "+format, ErrDimension, r1, c1, r2, c2))
 }
 
 func mustDistinct(dst, a, b *Mat) {
@@ -425,9 +436,10 @@ func mustDistinct(dst, a, b *Mat) {
 
 // Scratch is a reusable arena of matrices for allocation-free hot loops.
 // Mat and Vec hand out buffers; Reset makes every buffer handed out so
-// far reusable again. After one warm pass with a stable shape sequence,
-// further passes allocate nothing and each request is answered by the
-// next buffer in line.
+// far reusable again. A pass that requests the shapes the last pass did,
+// in the same order, gets the same buffers back and allocates nothing;
+// a request whose shape differs from the buffer in line replaces it
+// with a fresh one.
 //
 // Contents are unspecified: a buffer comes back holding whatever its
 // last user left in it (only a buffer the arena has just allocated is
@@ -438,8 +450,7 @@ func mustDistinct(dst, a, b *Mat) {
 // Mat.Zero itself.
 //
 // A Scratch is not safe for concurrent use; the engine keeps one per
-// mode so each NUISE instance owns its arena (modes never run
-// concurrently with themselves).
+// mode, from which it carves that mode's NUISE workspace once.
 type Scratch struct {
 	mats []*Mat
 	next int
@@ -456,63 +467,26 @@ func NewScratch() *Scratch { return &Scratch{} }
 func (s *Scratch) Reset() { s.next, s.vnext = 0, 0 }
 
 // Mat returns an r×c matrix owned by the arena, contents unspecified.
-// When this pass requests shapes in the order the last one did, that is
-// the next buffer in line.
 func (s *Scratch) Mat(r, c int) *Mat {
-	if s.next < len(s.mats) {
-		if m := s.mats[s.next]; m.rows == r && m.cols == c {
-			s.next++
-			return m
-		}
+	if s.next < len(s.mats) && (s.mats[s.next].rows != r || s.mats[s.next].cols != c) {
+		s.mats[s.next] = New(r, c)
+	} else if s.next == len(s.mats) {
+		s.mats = append(s.mats, New(r, c))
 	}
-	return s.matSlow(r, c)
-}
-
-// matSlow serves a request the shape sequence did not predict (the first
-// pass, or a pass that branched differently): it moves a later free
-// buffer of the shape into line, or allocates one.
-func (s *Scratch) matSlow(r, c int) *Mat {
-	for i := s.next + 1; i < len(s.mats); i++ {
-		if m := s.mats[i]; m.rows == r && m.cols == c {
-			s.mats[i], s.mats[s.next] = s.mats[s.next], m
-			s.next++
-			return m
-		}
-	}
-	m := New(r, c)
-	s.mats = append(s.mats, m)
-	last := len(s.mats) - 1
-	s.mats[s.next], s.mats[last] = s.mats[last], s.mats[s.next]
 	s.next++
-	return m
+	return s.mats[s.next-1]
 }
 
 // Vec returns a length-n vector owned by the arena, contents
 // unspecified; see Mat.
 func (s *Scratch) Vec(n int) Vec {
-	if s.vnext < len(s.vecs) {
-		if v := s.vecs[s.vnext]; len(v) == n {
-			s.vnext++
-			return v
-		}
+	if s.vnext < len(s.vecs) && len(s.vecs[s.vnext]) != n {
+		s.vecs[s.vnext] = make(Vec, n)
+	} else if s.vnext == len(s.vecs) {
+		s.vecs = append(s.vecs, make(Vec, n))
 	}
-	return s.vecSlow(n)
-}
-
-func (s *Scratch) vecSlow(n int) Vec {
-	for i := s.vnext + 1; i < len(s.vecs); i++ {
-		if v := s.vecs[i]; len(v) == n {
-			s.vecs[i], s.vecs[s.vnext] = s.vecs[s.vnext], v
-			s.vnext++
-			return v
-		}
-	}
-	v := make(Vec, n)
-	s.vecs = append(s.vecs, v)
-	last := len(s.vecs) - 1
-	s.vecs[s.vnext], s.vecs[last] = s.vecs[last], s.vecs[s.vnext]
 	s.vnext++
-	return v
+	return s.vecs[s.vnext-1]
 }
 
 // Fill sets every entry of every buffer the arena owns to v. Tests fill

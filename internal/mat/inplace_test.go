@@ -261,8 +261,8 @@ func TestScratchReusesBuffers(t *testing.T) {
 	}
 }
 
-// A shape sequence that diverges between passes (the NUISE daValid
-// branch) must still reuse what it can and stay correct.
+// A shape sequence that diverges between passes must still hand back
+// buffers of the requested shapes, distinct within a pass.
 func TestScratchBranchDivergence(t *testing.T) {
 	s := NewScratch()
 	s.Mat(3, 3)

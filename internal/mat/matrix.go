@@ -314,7 +314,7 @@ func (m *Mat) String() string {
 
 func mustSameShape(a, b *Mat) {
 	if a.rows != b.rows || a.cols != b.cols {
-		panic(fmt.Errorf("%w: shapes %dx%d and %dx%d", ErrDimension, a.rows, a.cols, b.rows, b.cols))
+		shapePanic("shapes %dx%d and %dx%d", a.rows, a.cols, b.rows, b.cols)
 	}
 }
 

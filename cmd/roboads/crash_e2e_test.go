@@ -33,9 +33,8 @@ func TestServeHelperProcess(t *testing.T) {
 	commitWindow, _ := time.ParseDuration(os.Getenv("ROBOADS_COMMIT_WINDOW"))
 	promoteAfter, _ := time.ParseDuration(os.Getenv("ROBOADS_PROMOTE_AFTER"))
 	addrFile := os.Getenv("ROBOADS_ADDR_FILE")
-	err := serveScenario(context.Background(), serveOptions{
+	err := serveNode(context.Background(), serveOptions{
 		addr:          cmp.Or(os.Getenv("ROBOADS_ADDR"), "127.0.0.1:0"),
-		scenarioID:    -1,
 		quiet:         os.Getenv("ROBOADS_HELPER_VERBOSE") != "1",
 		stateDir:      os.Getenv("ROBOADS_STATE_DIR"),
 		snapshotEvery: snapEvery,

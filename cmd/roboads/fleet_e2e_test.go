@@ -23,20 +23,19 @@ import (
 	"roboads/internal/trace"
 )
 
-// startFleetServer runs a fleet-only serveScenario and returns its bound
-// address plus a stop func that cancels it and waits for the drain.
+// startFleetServer runs serveNode and returns its bound address plus a
+// stop func that cancels it and waits for the drain.
 func startFleetServer(t *testing.T, opts serveOptions) (net.Addr, func() error) {
 	t.Helper()
 	ctx, cancel := context.WithCancel(context.Background())
 	ready := make(chan net.Addr, 1)
 	done := make(chan error, 1)
-	opts.scenarioID = -1
 	opts.quiet = true
 	opts.onReady = func(a net.Addr) { ready <- a }
 	if opts.addr == "" {
 		opts.addr = "127.0.0.1:0"
 	}
-	go func() { done <- serveScenario(ctx, opts) }()
+	go func() { done <- serveNode(ctx, opts) }()
 	select {
 	case addr := <-ready:
 		return addr, func() error {
@@ -62,7 +61,13 @@ func startFleetServer(t *testing.T, opts serveOptions) (net.Addr, func() error) 
 // frames.
 func recordedFrames(t *testing.T, seed int64, n int) []trace.Frame {
 	t.Helper()
-	scenario := attack.CleanScenario()
+	return scenarioFrames(t, attack.CleanScenario(), seed, n)
+}
+
+// scenarioFrames runs a Khepera mission under scenario and returns its
+// first n frames.
+func scenarioFrames(t *testing.T, scenario attack.Scenario, seed int64, n int) []trace.Frame {
+	t.Helper()
 	setup, err := sim.NewKhepera(sim.LabMission(), &scenario, seed)
 	if err != nil {
 		t.Fatal(err)

@@ -30,11 +30,10 @@
 //	record   -scenario N [-o FILE]   record a mission's monitor inputs as a trace
 //	replay   [-i FILE] [-remote A]   replay a trace through a fresh detector,
 //	                                 or stream it to a live serve fleet endpoint
-//	serve    [-addr A] [-scenario N] host the fleet session API (/v1/sessions)
-//	                                 with live telemetry (/metrics, /snapshot,
-//	                                 /debug/pprof); -scenario -1 skips the
-//	                                 local mission loop; -follow URL starts
-//	                                 the node as a replication follower
+//	serve    [-addr A]               host the fleet session API (/v1/sessions)
+//	                                 with the fleet's live telemetry (/metrics);
+//	                                 -follow URL starts the node as a
+//	                                 replication follower
 //	route    -nodes A,B,C [-addr A]  front N serve nodes as one fleet:
 //	                                 consistent-hash placement, failover,
 //	                                 migration redirect chasing
@@ -94,8 +93,6 @@ func run(args []string) error {
 	remote := fs.String("remote", "", "replay against a live `roboads serve` fleet endpoint (e.g. 127.0.0.1:8080) instead of an in-process detector")
 	telemetryAddr := fs.String("telemetry", "", "serve /metrics, /snapshot and /debug/pprof on this address during run/replay (e.g. 127.0.0.1:8080)")
 	addr := fs.String("addr", "127.0.0.1:8080", "listen address (serve)")
-	missions := fs.Int("missions", 0, "missions to run back to back (serve); 0 = loop until interrupted")
-	interval := fs.Duration("interval", 0, "sleep per control iteration (serve); 0 = full speed")
 	fleetIdle := fs.Duration("fleet-idle", 0, "evict fleet sessions idle this long (serve); 0 = 5m, negative = never")
 	stateDir := fs.String("state-dir", "", "persist fleet sessions under this directory (serve); empty = no persistence")
 	snapshotEvery := fs.Int("snapshot-every", 0, "frames between automatic session checkpoints (serve); 0 = 256, negative = manual only")
@@ -119,14 +116,10 @@ func run(args []string) error {
 	case "serve":
 		ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 		defer stop()
-		return serveScenario(ctx, serveOptions{
-			addr:       *addr,
-			scenarioID: *scenarioID,
-			seed:       *seed,
-			missions:   *missions,
-			interval:   *interval,
-			fleetIdle:  *fleetIdle,
-			trace:      *traceFrames,
+		return serveNode(ctx, serveOptions{
+			addr:      *addr,
+			fleetIdle: *fleetIdle,
+			trace:     *traceFrames,
 
 			stateDir:      *stateDir,
 			snapshotEvery: *snapshotEvery,

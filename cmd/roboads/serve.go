@@ -13,23 +13,12 @@ import (
 	"roboads/internal/core"
 	"roboads/internal/detect"
 	"roboads/internal/fleet"
-	"roboads/internal/robot"
-	"roboads/internal/scenario"
-	"roboads/internal/sim"
 	"roboads/internal/telemetry"
 )
 
-// serveOptions configures the live telemetry server.
+// serveOptions configures a fleet node.
 type serveOptions struct {
-	addr       string
-	scenarioID int // negative: no local mission loop (fleet-only server)
-	seed       int64
-	// missions bounds the number of missions run back to back; 0 loops
-	// until the context is cancelled. Each mission uses seed+mission.
-	missions int
-	// interval paces the control loop (sleep per iteration); 0 runs at
-	// full speed.
-	interval time.Duration
+	addr string
 	// fleetIdle evicts fleet sessions idle this long; 0 defaults to
 	// 5 minutes, negative disables eviction.
 	fleetIdle time.Duration
@@ -74,28 +63,23 @@ type serveOptions struct {
 	// onReady, when set, receives the bound listen address once the
 	// HTTP surface is up (tests bind to 127.0.0.1:0).
 	onReady func(net.Addr)
-	// quiet suppresses the stderr event log.
+	// quiet suppresses the stderr notices (listen address, follower log).
 	quiet bool
 }
 
-// serveScenario runs the monitor as a service: the fleet session API
+// serveNode runs the monitor as a service: the fleet session API
 // (/v1/sessions) and the telemetry surface (/metrics, /snapshot,
-// /debug/pprof, /debug/vars) live on opts.addr, and — unless scenarioID
-// is negative — Table II missions loop locally to keep the engine-level
-// series moving. It returns when the context is cancelled or, with
-// missions > 0, after that many missions; on the way out the fleet
-// drains, so every accepted frame is answered before the process exits.
-func serveScenario(ctx context.Context, opts serveOptions) error {
-	topts := telemetry.Options{
-		// The compact per-step Debug record would be noise at mission
-		// rate; sample it 1-in-50 and leave Info (mode switches, alarm
-		// edges, condition changes) unsampled.
-		SampleEvery: map[slog.Level]int{slog.LevelDebug: 50},
-	}
-	if !opts.quiet {
-		topts.Logger = slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: slog.LevelInfo}))
-	}
-	tel := telemetry.New(topts)
+// /debug/pprof, /debug/vars) live on opts.addr, and every session's
+// engine and decision maker report to one telemetry.Counts on the
+// node's registry, so the roboads_engine_* and roboads_decider_* series
+// count the fleet's own steps. It returns when the context is cancelled;
+// on the way out the fleet drains, so every accepted frame is answered
+// before the process exits.
+func serveNode(ctx context.Context, opts serveOptions) error {
+	tel := telemetry.New(telemetry.Options{})
+	counts := telemetry.NewCounts(tel.Registry())
+	ecfg, dcfg := core.DefaultEngineConfig(), detect.DefaultConfig()
+	ecfg.Observer, dcfg.Observer = counts, counts
 
 	idle := opts.fleetIdle
 	if idle == 0 {
@@ -119,7 +103,7 @@ func serveScenario(ctx context.Context, opts serveOptions) error {
 	mgr, err := fleet.NewManager(fleet.Config{
 		QueueDepth:  opts.fleetQueue,
 		IdleTimeout: idle,
-		Build:       fleet.DefaultBuilder(),
+		Build:       fleet.ProfileBuilder(ecfg, dcfg),
 		Metrics:     tel.Registry(),
 		Trace:       tracer,
 		AckPolicy:   ackPolicy,
@@ -208,56 +192,7 @@ func serveScenario(ctx context.Context, opts serveOptions) error {
 		}()
 	}
 
-	if opts.scenarioID < 0 {
-		<-ctx.Done()
-		return nil
-	}
-	sc, err := scenarioByID(opts.scenarioID)
-	if err != nil {
-		return err
-	}
-
-	ecfg := core.DefaultEngineConfig()
-	ecfg.Observer = tel
-	cfg := detect.DefaultConfig()
-	cfg.Observer = tel
-
-	for mission := 0; opts.missions == 0 || mission < opts.missions; mission++ {
-		if ctx.Err() != nil {
-			return nil
-		}
-		setup, err := sim.NewKhepera(sim.LabMission(), &sc, opts.seed+int64(mission))
-		if err != nil {
-			return err
-		}
-		prof := robot.Khepera(setup)
-		det, err := prof.NewDetector(ecfg, cfg)
-		if err != nil {
-			return err
-		}
-		for i := 0; i < scenario.MaxIterations; i++ {
-			if ctx.Err() != nil {
-				return nil
-			}
-			step, err := setup.Sim.Step()
-			if err != nil {
-				break // mission over
-			}
-			if _, err := det.Step(step.UPlanned, step.Readings); err != nil {
-				return err
-			}
-			if step.Done {
-				break
-			}
-			if opts.interval > 0 {
-				select {
-				case <-ctx.Done():
-					return nil
-				case <-time.After(opts.interval):
-				}
-			}
-		}
-	}
+	<-ctx.Done()
 	return nil
 }
 

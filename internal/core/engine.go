@@ -55,9 +55,9 @@ type EngineConfig struct {
 	// goroutine.
 	Workers int
 	// Observer receives instrumentation events (per-Step wall time,
-	// per-mode latency, dropped readings, weight-floor hits, mode
-	// switches). Nil disables instrumentation entirely: the hot path then
-	// pays one nil check per site and takes no timestamps.
+	// dropped readings, weight-floor hits, mode switches). Nil disables
+	// instrumentation entirely: the hot path then pays one nil check per
+	// site and takes no timestamps.
 	// Observation is read-only and cannot perturb engine output; see the
 	// Observer contract.
 	Observer Observer
@@ -388,15 +388,13 @@ func (e *Engine) StepContext(ctx context.Context, u mat.Vec, readings map[string
 	}
 
 	// Instrumentation preamble: only when an observer is attached does
-	// the step take timestamps or sample the fallback counter. The
-	// obs == nil path must stay branch-predictable and timestamp-free —
-	// it is pinned by the BenchmarkEngineStep regression gate.
+	// the step read the clock. The obs == nil path must stay
+	// branch-predictable and timestamp-free — it is pinned by the
+	// BenchmarkEngineStep regression gate.
 	obs := e.obs
 	var stepStart time.Time
-	var fallbacks0 int64
 	if obs != nil {
 		stepStart = time.Now()
-		fallbacks0 = JacobiFallbacks()
 	}
 	// A malformed frame is refused here, before any mode runs and before
 	// anything of the engine's moves.
@@ -413,21 +411,12 @@ func (e *Engine) StepContext(ctx context.Context, u mat.Vec, readings map[string
 
 	copy(e.results, e.pristine)
 	clear(e.perMode)
-	if obs == nil {
-		for i := range e.modes {
-			if cancellable && ctx.Err() != nil {
-				return nil, ctx.Err()
-			}
-			e.runMode(i, u)
+	for i := range e.modes {
+		if cancellable && ctx.Err() != nil {
+			return nil, ctx.Err()
 		}
-	} else {
-		for i := range e.modes {
-			if cancellable && ctx.Err() != nil {
-				return nil, ctx.Err()
-			}
-			modeStart := time.Now()
-			e.runMode(i, u)
-			obs.ModeStep(i, e.modes[i].Name, time.Since(modeStart).Nanoseconds(), e.perMode[i] != nil)
+		if e.stepMode(i, u, &e.results[i]) {
+			e.perMode[i] = &e.results[i]
 		}
 	}
 	if cancellable && ctx.Err() != nil {
@@ -437,16 +426,15 @@ func (e *Engine) StepContext(ctx context.Context, u mat.Vec, readings map[string
 		return nil, ctx.Err()
 	}
 
-	return e.commit(stepStart, fallbacks0)
+	return e.commit(stepStart)
 }
 
 // commit is the tail of a step — belief commit, weight update,
 // selection, resync, output assembly. It runs after every mode has
 // stepped (not inside stepMode) so that a cancelled StepContext aborts
-// with no partial per-mode state written. stepStart and fallbacks0 carry
-// the caller's instrumentation preamble and are read only when an
-// observer is attached.
-func (e *Engine) commit(stepStart time.Time, fallbacks0 int64) (*Output, error) {
+// with no partial per-mode state written. stepStart is the caller's
+// instrumentation timestamp, read only when an observer is attached.
+func (e *Engine) commit(stepStart time.Time) (*Output, error) {
 	perMode := e.perMode
 	obs := e.obs
 
@@ -558,10 +546,13 @@ func (e *Engine) commit(stepStart time.Time, fallbacks0 int64) (*Output, error) 
 	out := e.output(selected, res)
 	if obs != nil {
 		failed := 0
-		for _, r := range perMode {
+		var fallbacks int64
+		for i, r := range perMode {
 			if r == nil {
 				failed++
 			}
+			fallbacks += e.work[i].fallbacks
+			e.work[i].fallbacks = 0
 		}
 		e.stats = StepStats{
 			Iteration:       e.k,
@@ -571,7 +562,7 @@ func (e *Engine) commit(stepStart time.Time, fallbacks0 int64) (*Output, error) 
 			Switched:        switched,
 			FloorHits:       floorHits,
 			ModesFailed:     failed,
-			JacobiFallbacks: JacobiFallbacks() - fallbacks0,
+			JacobiFallbacks: fallbacks,
 			Weights:         e.weights,
 			PValue:          res.PValue,
 			Likelihood:      res.Likelihood,
@@ -580,14 +571,6 @@ func (e *Engine) commit(stepStart time.Time, fallbacks0 int64) (*Output, error) 
 	}
 	e.k++
 	return out, nil
-}
-
-// runMode steps mode i into e.results[i] and, when the mode produced a
-// result, points e.perMode[i] at it.
-func (e *Engine) runMode(i int, u mat.Vec) {
-	if e.stepMode(i, u, &e.results[i]) {
-		e.perMode[i] = &e.results[i]
-	}
 }
 
 // output is what a Step hands its caller: the Output and a copy of the

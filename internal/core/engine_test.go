@@ -335,18 +335,17 @@ func vecsEqual(a, b mat.Vec) bool {
 // countingObserver counts every hook invocation the way a real telemetry
 // sink would, without perturbing the engine.
 type countingObserver struct {
-	steps, modeSteps, drops int
+	steps, drops int
 }
 
-func (c *countingObserver) EngineStep(*StepStats)             { c.steps++ }
-func (c *countingObserver) ModeStep(int, string, int64, bool) { c.modeSteps++ }
-func (c *countingObserver) DroppedReading(string)             { c.drops++ }
+func (c *countingObserver) EngineStep(*StepStats) { c.steps++ }
+func (c *countingObserver) DroppedReading(string) { c.drops++ }
 
 // Telemetry is strictly read-only: an engine with an observer attached
 // produces bit-for-bit the weights, selections and estimates of one
 // without, over a full scenario including an attack window that exercises
 // the weight floor, hysteresis and resync, and the observer sees one
-// EngineStep per iteration and one ModeStep per mode per iteration.
+// EngineStep per iteration.
 func TestEngineObserverIsReadOnly(t *testing.T) {
 	rig, us, readings := recordScenario(21, 100)
 	plain := buildEngine(t, rig)
@@ -366,9 +365,8 @@ func TestEngineObserverIsReadOnly(t *testing.T) {
 		requireOutputsEqual(t, k, want, got)
 		requireModesEqual(t, k, plain, observed)
 	}
-	if obs.steps != len(us) || obs.modeSteps != 3*len(us) || obs.drops != 0 {
-		t.Fatalf("observer saw %d steps, %d mode steps, %d drops; want %d, %d, 0",
-			obs.steps, obs.modeSteps, obs.drops, len(us), 3*len(us))
+	if obs.steps != len(us) || obs.drops != 0 {
+		t.Fatalf("observer saw %d steps, %d drops; want %d, 0", obs.steps, obs.drops, len(us))
 	}
 }
 

@@ -223,6 +223,9 @@ type nuiseWork struct {
 	z, zWork, basis, pr, prWork, basisT, ru, ruChol, nr, ruInvU *mat.Mat
 	c1, psAcc, p1n, nn, nn2, pn, np, qp, pp                     *mat.Mat
 	xPred0, h2, uComp, hx, quadP2, uNu, quadR, lnu, h1          mat.Vec
+	// fallbacks counts the steps on this workspace that took the Jacobi
+	// fallback since the engine last summed and cleared it (commit).
+	fallbacks int64
 }
 
 // carve points w's buffers at arena memory for a step of shape sh,
@@ -434,6 +437,7 @@ func nuiseStep(plant Plant, reference, testing sensors.Sensor, u, xPrev mat.Vec,
 	}
 	if !solved {
 		atomic.AddInt64(&nuiseJacobiFallbacks, 1)
+		w.fallbacks++
 		r2TildeInv, rank, pseudoDet, err := r2Tilde.PseudoInverseSym(0)
 		if err != nil {
 			return fmt.Errorf("%w: innovation covariance: %v", ErrIllConditioned, err)
@@ -533,9 +537,9 @@ var nuiseJacobiFallbacks int64
 // JacobiFallbacks returns the process-wide count of NUISE steps that
 // abandoned the Cholesky fast path for the Jacobi PseudoInverseSym
 // fallback since process start. Silent fallback engagement is a
-// performance regression (the Jacobi path is ~2× slower per step), so
-// the engine samples this around every instrumented Step and surfaces
-// the delta through Observer.EngineStep; a clean run must report zero.
+// performance regression (the Jacobi path is ~2× slower per step); an
+// engine counts its own modes' fallbacks in StepStats.JacobiFallbacks,
+// and a clean run must report zero.
 func JacobiFallbacks() int64 { return atomic.LoadInt64(&nuiseJacobiFallbacks) }
 
 // likelihoodOf evaluates the Gaussian likelihood of Algorithm 2 line 20

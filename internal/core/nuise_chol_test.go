@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -208,5 +209,64 @@ func TestNUISEJacobiFallbackEngagesOnRankDeficientR2(t *testing.T) {
 		if _, fallbacks := run(&dupRefSensor{dupNoise: dupNoise}); fallbacks != 0 {
 			t.Fatalf("structural-rank R̃2 (dupNoise=%g) fell back %d times", dupNoise, fallbacks)
 		}
+	}
+}
+
+// fallbackObserver sums one engine's StepStats.JacobiFallbacks.
+type fallbackObserver struct{ fallbacks int64 }
+
+func (o *fallbackObserver) EngineStep(s *StepStats) { o.fallbacks += s.JacobiFallbacks }
+func (o *fallbackObserver) DroppedReading(string)   {}
+
+// Two engines stepping at once each count only their own modes'
+// fallbacks: one whose only mode references xplusRefSensor falls back on
+// every step, the other never does, and their counts add up to the
+// process-wide delta.
+func TestEngineCountsOwnJacobiFallbacks(t *testing.T) {
+	rig := newTestRig(8)
+	x0 := mat.VecOf(0.8, 0.8, 0.2)
+	mode, err := NewMode([]sensors.Sensor{xplusRefSensor{}}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fallingObs, cleanObs := &fallbackObserver{}, &fallbackObserver{}
+	cfg := DefaultEngineConfig()
+	cfg.Observer = fallingObs
+	falling, err := NewEngine(rig.plant, []*Mode{mode}, x0, mat.Diag(1e-4, 1e-4, 1e-4), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Observer = cleanObs
+	clean := buildEngineWith(t, rig, cfg)
+
+	const steps = 60
+	u := rig.model.WheelSpeeds(0.12, 0.1)
+	frames := make([]map[string]mat.Vec, steps)
+	for k := range frames {
+		x0 = rig.model.F(x0, u).Add(rig.processNoise())
+		frames[k] = rig.readings(x0)
+		frames[k]["xplus"] = xplusRefSensor{}.H(x0)
+	}
+	before := JacobiFallbacks()
+	var wg sync.WaitGroup
+	for _, eng := range []*Engine{falling, clean} {
+		wg.Add(1)
+		go func(eng *Engine) {
+			defer wg.Done()
+			for _, frame := range frames {
+				if _, err := eng.Step(u, frame); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(eng)
+	}
+	wg.Wait()
+	delta := JacobiFallbacks() - before
+	if fallingObs.fallbacks != steps || cleanObs.fallbacks != 0 {
+		t.Fatalf("engines counted %d and %d fallbacks, want %d and 0", fallingObs.fallbacks, cleanObs.fallbacks, steps)
+	}
+	if sum := fallingObs.fallbacks + cleanObs.fallbacks; sum != delta {
+		t.Fatalf("engines counted %d fallbacks in all, the process %d", sum, delta)
 	}
 }

@@ -22,12 +22,11 @@ type StepStats struct {
 	// ModesFailed counts modes that produced no result this iteration
 	// (missing reference reading or NUISE error).
 	ModesFailed int
-	// JacobiFallbacks is the number of NUISE steps in this iteration
-	// that abandoned the Cholesky fast path for the Jacobi
-	// PseudoInverseSym fallback. It is sampled from the process-wide
-	// fallback counter around the mode bank, so engines stepping
-	// concurrently in one process may attribute each other's fallbacks;
-	// the sum over all engines is exact.
+	// JacobiFallbacks is the number of this engine's NUISE steps that
+	// abandoned the Cholesky fast path for the Jacobi PseudoInverseSym
+	// fallback since its previous StepStats (this iteration's, and any
+	// of a cancelled StepContext). Each mode counts its own, so engines
+	// stepping concurrently never count each other's.
 	JacobiFallbacks int64
 	// Weights is the normalized mode weight vector (borrowed — do not
 	// retain).
@@ -51,9 +50,6 @@ type StepStats struct {
 type Observer interface {
 	// EngineStep delivers the per-iteration record after mode selection.
 	EngineStep(*StepStats)
-	// ModeStep reports one mode's NUISE latency; ok is false when the
-	// mode produced no result this iteration.
-	ModeStep(mode int, name string, nanos int64, ok bool)
 	// DroppedReading reports a sensing workflow expected by the mode set
 	// but missing from this iteration's readings map.
 	DroppedReading(sensor string)

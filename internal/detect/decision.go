@@ -202,6 +202,10 @@ func (d *Decider) decide(dec *Decision, out *core.Output) error {
 		SensorAnomalies: out.SensorAnomalies,
 	}
 
+	// The confirmed alarms before this decision, for the observer's
+	// edges.
+	wasSensor, wasActuator := d.sensorWindow.Met(), d.actuatorWindow.Met()
+
 	// Aggregate sensor test (line 10).
 	if ds := out.Result.Ds; ds != nil && ds.Len() > 0 {
 		quad := d.quad(out.Result.Ps, ds)
@@ -266,7 +270,7 @@ func (d *Decider) decide(dec *Decision, out *core.Output) error {
 		d.stats = DecisionStats{
 			Iteration:          dec.Iteration,
 			Mode:               dec.Mode,
-			Condition:          dec.Condition.String(),
+			Condition:          dec.Condition,
 			ConditionChanged:   changed,
 			SensorStat:         dec.SensorStat,
 			SensorThreshold:    dec.SensorThreshold,
@@ -277,6 +281,8 @@ func (d *Decider) decide(dec *Decision, out *core.Output) error {
 			ActuatorRaw:        dec.ActuatorRaw,
 			ActuatorAlarm:      dec.ActuatorAlarm,
 			ActuatorHeld:       actuatorHeld,
+			SensorEdge:         dec.SensorAlarm != wasSensor,
+			ActuatorEdge:       dec.ActuatorAlarm != wasActuator,
 			SensorWindowFill:   d.sensorWindow.Fill(),
 			ActuatorWindowFill: d.actuatorWindow.Fill(),
 			PerSensor:          dec.PerSensorStats,

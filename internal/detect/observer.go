@@ -11,10 +11,11 @@ type DecisionStats struct {
 	Iteration int
 	// Mode is the selected mode's name.
 	Mode string
-	// Condition is the confirmed condition rendered as a string (e.g.
-	// "S{ips}/A1"); ConditionChanged reports that it differs from the
+	// Condition is the confirmed condition (its Sensors are the
+	// Decision's; borrowed — do not retain), which String renders, e.g.
+	// "S{ips}/A1"; ConditionChanged reports that it differs from the
 	// previous iteration's.
-	Condition        string
+	Condition        Condition
 	ConditionChanged bool
 	// SensorStat/SensorThreshold and the raw/confirmed flags mirror the
 	// aggregate sensor test of the Decision.
@@ -26,6 +27,12 @@ type DecisionStats struct {
 	ActuatorStat, ActuatorThreshold float64
 	ActuatorRaw, ActuatorAlarm      bool
 	ActuatorHeld                    bool
+	// SensorEdge and ActuatorEdge report that the confirmed alarm
+	// differs from the one before this decision, which the c-of-w window
+	// held (off in a fresh or Reset decider; a restored snapshot's
+	// windows carry it), so SensorAlarm and ActuatorAlarm give each
+	// edge's direction.
+	SensorEdge, ActuatorEdge bool
 	// SensorWindowFill and ActuatorWindowFill are the c-of-w window fill
 	// levels in [0,1] (pushed outcomes / window size).
 	SensorWindowFill, ActuatorWindowFill float64

@@ -340,8 +340,7 @@ func planKey(mission Mission, seed int64) string {
 
 // planMemoCap bounds the plan memo at about 160 KB. scenario.RunSuite
 // runs its jobs scenario-major, so its working set is trials × worlds
-// keys (20 for ten trials of the default suite); serve's demo loop, which
-// plans a new seed per mission for as long as it runs, cycles through it.
+// keys (20 for ten trials of the default suite).
 const planMemoCap = 256
 
 // planMemo maps planKey to a planned path, copying on the way in and out.

@@ -7,9 +7,10 @@
 //
 // The package is wired into the engine and the decision maker through
 // the Observer hook interfaces those packages define (core.Observer,
-// detect.Observer); a Telemetry value implements both. With no observer
-// attached the instrumented code paths reduce to a single nil check, so
-// the detector pays nothing when monitoring is off.
+// detect.Observer); a Telemetry (one detector) and a Counts (a fleet)
+// implement both. With no observer attached the instrumented code paths
+// reduce to a single nil check, so the detector pays nothing when
+// monitoring is off.
 package telemetry
 
 import (

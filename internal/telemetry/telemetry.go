@@ -14,7 +14,6 @@ import (
 // the full inventory with semantics.
 const (
 	MetricStepSeconds      = "roboads_engine_step_seconds"
-	MetricModeSeconds      = "roboads_engine_mode_step_seconds"
 	MetricFrameGapSeconds  = "roboads_trace_frame_gap_seconds"
 	MetricStepsTotal       = "roboads_engine_steps_total"
 	MetricModeSwitches     = "roboads_engine_mode_switches_total"
@@ -47,30 +46,107 @@ type Options struct {
 	SampleEvery map[slog.Level]int
 }
 
-// Telemetry is the runtime observability hub: it implements both
-// core.Observer and detect.Observer, accumulates metrics in a Registry,
-// emits structured events, and keeps the state the /snapshot endpoint
-// serves. All observer methods are safe for concurrent use.
-type Telemetry struct {
+// Counts is the counting half of Telemetry: the engine and decision
+// series (steps, step seconds, mode switches, floor hits, mode failures,
+// Jacobi fallbacks, dropped readings, decisions, condition changes and
+// alarm edges) as a core.Observer and detect.Observer. It takes no lock
+// on the step path and keeps no per-detector state, so one Counts can
+// observe every detector of a fleet.
+type Counts struct {
 	reg *Registry
-	log *slog.Logger
+
+	stepSeconds *Histogram
+
+	steps, switches, floorHits, modeFailures, jacobiFallbacks *Counter
+	decisions, conditionChanges                               *Counter
+	// alarmEdges[kind][on]: kind 0 sensor, 1 actuator; on is the
+	// alarm's state after the edge.
+	alarmEdges [2]map[bool]*Counter
+	// dropped caches each sensor's dropped-reading counter (sensor name
+	// → *Counter); its reads take no lock once the counter exists.
+	dropped sync.Map
+}
+
+// NewCounts registers the counting series on reg, or finds them there,
+// so a Counts shares them with a Telemetry on the same registry.
+func NewCounts(reg *Registry) *Counts {
+	c := &Counts{reg: reg}
+	c.stepSeconds = reg.Histogram(MetricStepSeconds, "Engine.Step wall time in seconds.", LatencyBuckets())
+	c.steps = reg.Counter(MetricStepsTotal, "Engine control iterations completed.")
+	c.switches = reg.Counter(MetricModeSwitches, "Selected-mode changes between consecutive iterations.")
+	c.floorHits = reg.Counter(MetricFloorHits, "Mode weights pinned at the epsilon floor.")
+	c.modeFailures = reg.Counter(MetricModeFailures, "Modes that produced no result in an iteration.")
+	c.jacobiFallbacks = reg.Counter(MetricJacobiFallbacks, "NUISE steps that took the Jacobi pseudo-inverse fallback; nonzero on a clean run is a perf regression.")
+	c.decisions = reg.Counter(MetricDecisionsTotal, "Decision-maker iterations completed.")
+	c.conditionChanges = reg.Counter(MetricConditionChanges, "Confirmed-condition transitions.")
+	for kind, k := range []string{"sensor", "actuator"} {
+		c.alarmEdges[kind] = make(map[bool]*Counter, 2)
+		for on, o := range map[bool]string{false: "off", true: "on"} {
+			c.alarmEdges[kind][on] = reg.Counter(MetricAlarmEdges+`{kind="`+k+`",to="`+o+`"}`,
+				"Confirmed alarm state transitions by kind and direction.")
+		}
+	}
+	return c
+}
+
+// EngineStep implements core.Observer.
+func (c *Counts) EngineStep(s *core.StepStats) {
+	c.steps.Inc()
+	c.stepSeconds.Observe(float64(s.WallNanos) * 1e-9)
+	if s.Switched {
+		c.switches.Inc()
+	}
+	if s.FloorHits > 0 {
+		c.floorHits.Add(int64(s.FloorHits))
+	}
+	if s.ModesFailed > 0 {
+		c.modeFailures.Add(int64(s.ModesFailed))
+	}
+	if s.JacobiFallbacks > 0 {
+		c.jacobiFallbacks.Add(s.JacobiFallbacks)
+	}
+}
+
+// DroppedReading implements core.Observer.
+func (c *Counts) DroppedReading(sensor string) {
+	counter, ok := c.dropped.Load(sensor)
+	if !ok {
+		counter, _ = c.dropped.LoadOrStore(sensor, c.reg.Counter(MetricDroppedReadings+`{sensor="`+sensor+`"}`,
+			"Iterations a sensing workflow's reading was missing from the input map."))
+	}
+	counter.(*Counter).Inc()
+}
+
+// Decision implements detect.Observer.
+func (c *Counts) Decision(s *detect.DecisionStats) {
+	c.decisions.Inc()
+	if s.ConditionChanged {
+		c.conditionChanges.Inc()
+	}
+	if s.SensorEdge {
+		c.alarmEdges[0][s.SensorAlarm].Inc()
+	}
+	if s.ActuatorEdge {
+		c.alarmEdges[1][s.ActuatorAlarm].Inc()
+	}
+}
+
+// Telemetry is the runtime observability hub for one detector: it
+// implements both core.Observer and detect.Observer, hands the counting
+// series to its Counts, keeps the gauges and the state the /snapshot
+// endpoint serves, and emits structured events. All observer methods are
+// safe for concurrent use.
+type Telemetry struct {
+	reg    *Registry
+	log    *slog.Logger
+	counts *Counts
 
 	// sampleEvery / sampleN implement per-level log sampling. The four
 	// slots cover slog's standard levels (Debug, Info, Warn, Error).
 	sampleEvery [4]int
 	sampleN     [4]atomic.Int64
 
-	stepSeconds     *Histogram
-	modeSeconds     *Histogram
 	frameGapSeconds *Histogram
-
-	stepsTotal       *Counter
-	modeSwitches     *Counter
-	floorHits        *Counter
-	modeFailures     *Counter
-	jacobiFallbacks  *Counter
-	decisionsTotal   *Counter
-	conditionChanges *Counter
 
 	topWeight      *Gauge
 	secondWeight   *Gauge
@@ -78,12 +154,6 @@ type Telemetry struct {
 	actuatorStat   *Gauge
 	sensorWindow   *Gauge
 	actuatorWindow *Gauge
-
-	// droppedMu guards the per-sensor dropped-reading counter cache;
-	// drops are rare, so the lock is off the common path.
-	droppedMu sync.Mutex
-	dropped   map[string]*Counter
-	alarmEdge map[string]*Counter
 
 	// snapMu guards the /snapshot state. Weights are copied into a
 	// reused buffer so steady-state snapshot upkeep does not allocate.
@@ -102,45 +172,26 @@ type snapshotState struct {
 	likelihood    float64
 	lastDecision  DecisionSnapshot
 	haveDecision  bool
-	prevSensor    bool
-	prevActuator  bool
-	everDecided   bool
 	perSensorStat map[string]float64
 }
 
 // New returns a Telemetry instance with a fresh registry.
 func New(opts Options) *Telemetry {
-	t := &Telemetry{
-		reg:       NewRegistry(),
-		log:       opts.Logger,
-		dropped:   make(map[string]*Counter),
-		alarmEdge: make(map[string]*Counter),
-	}
+	reg := NewRegistry()
+	t := &Telemetry{reg: reg, log: opts.Logger, counts: NewCounts(reg)}
 	for level, every := range opts.SampleEvery {
 		if i := levelSlot(level); i >= 0 {
 			t.sampleEvery[i] = every
 		}
 	}
 
-	lat := LatencyBuckets()
-	t.stepSeconds = t.reg.Histogram(MetricStepSeconds, "Engine.Step wall time in seconds.", lat)
-	t.modeSeconds = t.reg.Histogram(MetricModeSeconds, "Per-mode NUISE latency in seconds.", lat)
-	t.frameGapSeconds = t.reg.Histogram(MetricFrameGapSeconds, "Inter-frame gap of a replayed trace in seconds.", lat)
-
-	t.stepsTotal = t.reg.Counter(MetricStepsTotal, "Engine control iterations completed.")
-	t.modeSwitches = t.reg.Counter(MetricModeSwitches, "Selected-mode changes between consecutive iterations.")
-	t.floorHits = t.reg.Counter(MetricFloorHits, "Mode weights pinned at the epsilon floor.")
-	t.modeFailures = t.reg.Counter(MetricModeFailures, "Modes that produced no result in an iteration.")
-	t.jacobiFallbacks = t.reg.Counter(MetricJacobiFallbacks, "NUISE steps that took the Jacobi pseudo-inverse fallback; nonzero on a clean run is a perf regression.")
-	t.decisionsTotal = t.reg.Counter(MetricDecisionsTotal, "Decision-maker iterations completed.")
-	t.conditionChanges = t.reg.Counter(MetricConditionChanges, "Confirmed-condition transitions.")
-
-	t.topWeight = t.reg.Gauge(MetricTopWeight, "Normalized weight of the selected mode.")
-	t.secondWeight = t.reg.Gauge(MetricSecondWeight, "Second-highest normalized mode weight.")
-	t.sensorStat = t.reg.Gauge(MetricSensorStat, "Aggregate sensor chi-square statistic of the last decision.")
-	t.actuatorStat = t.reg.Gauge(MetricActuatorStat, "Actuator chi-square statistic of the last decision.")
-	t.sensorWindow = t.reg.Gauge(MetricSensorWindow, "Aggregate sensor c-of-w window fill level (0..1).")
-	t.actuatorWindow = t.reg.Gauge(MetricActuatorWindow, "Actuator c-of-w window fill level (0..1).")
+	t.frameGapSeconds = reg.Histogram(MetricFrameGapSeconds, "Inter-frame gap of a replayed trace in seconds.", LatencyBuckets())
+	t.topWeight = reg.Gauge(MetricTopWeight, "Normalized weight of the selected mode.")
+	t.secondWeight = reg.Gauge(MetricSecondWeight, "Second-highest normalized mode weight.")
+	t.sensorStat = reg.Gauge(MetricSensorStat, "Aggregate sensor chi-square statistic of the last decision.")
+	t.actuatorStat = reg.Gauge(MetricActuatorStat, "Actuator chi-square statistic of the last decision.")
+	t.sensorWindow = reg.Gauge(MetricSensorWindow, "Aggregate sensor c-of-w window fill level (0..1).")
+	t.actuatorWindow = reg.Gauge(MetricActuatorWindow, "Actuator c-of-w window fill level (0..1).")
 	return t
 }
 
@@ -179,20 +230,7 @@ func (t *Telemetry) sampled(level slog.Level) bool {
 
 // EngineStep implements core.Observer.
 func (t *Telemetry) EngineStep(s *core.StepStats) {
-	t.stepsTotal.Inc()
-	t.stepSeconds.Observe(float64(s.WallNanos) * 1e-9)
-	if s.Switched {
-		t.modeSwitches.Inc()
-	}
-	if s.FloorHits > 0 {
-		t.floorHits.Add(int64(s.FloorHits))
-	}
-	if s.ModesFailed > 0 {
-		t.modeFailures.Add(int64(s.ModesFailed))
-	}
-	if s.JacobiFallbacks > 0 {
-		t.jacobiFallbacks.Add(s.JacobiFallbacks)
-	}
+	t.counts.EngineStep(s)
 	top, second := topTwo(s.Weights)
 	t.topWeight.Set(top)
 	t.secondWeight.Set(second)
@@ -224,22 +262,9 @@ func (t *Telemetry) EngineStep(s *core.StepStats) {
 	}
 }
 
-// ModeStep implements core.Observer.
-func (t *Telemetry) ModeStep(mode int, name string, nanos int64, ok bool) {
-	t.modeSeconds.Observe(float64(nanos) * 1e-9)
-}
-
 // DroppedReading implements core.Observer.
 func (t *Telemetry) DroppedReading(sensor string) {
-	t.droppedMu.Lock()
-	c, ok := t.dropped[sensor]
-	if !ok {
-		c = t.reg.Counter(MetricDroppedReadings+`{sensor="`+sensor+`"}`,
-			"Iterations a sensing workflow's reading was missing from the input map.")
-		t.dropped[sensor] = c
-	}
-	t.droppedMu.Unlock()
-	c.Inc()
+	t.counts.DroppedReading(sensor)
 	if t.sampled(slog.LevelWarn) {
 		t.log.Warn("dropped reading", "sensor", sensor)
 	}
@@ -259,24 +284,19 @@ func (t *Telemetry) FrameGap(nanos int64) {
 
 // Decision implements detect.Observer.
 func (t *Telemetry) Decision(s *detect.DecisionStats) {
-	t.decisionsTotal.Inc()
+	t.counts.Decision(s)
 	t.sensorStat.Set(s.SensorStat)
 	if !s.ActuatorHeld {
 		t.actuatorStat.Set(s.ActuatorStat)
 	}
 	t.sensorWindow.Set(s.SensorWindowFill)
 	t.actuatorWindow.Set(s.ActuatorWindowFill)
-	if s.ConditionChanged {
-		t.conditionChanges.Inc()
-	}
 
 	t.snapMu.Lock()
-	prevSensor, prevActuator, ever := t.snap.prevSensor, t.snap.prevActuator, t.snap.everDecided
-	t.snap.prevSensor, t.snap.prevActuator, t.snap.everDecided = s.SensorAlarm, s.ActuatorAlarm, true
 	t.snap.lastDecision = DecisionSnapshot{
 		Iteration:          s.Iteration,
 		Mode:               s.Mode,
-		Condition:          s.Condition,
+		Condition:          s.Condition.String(),
 		SensorStat:         s.SensorStat,
 		SensorThreshold:    s.SensorThreshold,
 		SensorAlarm:        s.SensorAlarm,
@@ -297,41 +317,18 @@ func (t *Telemetry) Decision(s *detect.DecisionStats) {
 	}
 	t.snapMu.Unlock()
 
-	// Alarm edges: one counter per (kind, direction), plus a detailed
-	// record carrying the condition code.
-	if ever || s.SensorAlarm || s.ActuatorAlarm {
-		if s.SensorAlarm != prevSensor {
-			t.alarmEdgeCounter("sensor", s.SensorAlarm).Inc()
-			t.logAlarmEdge("sensor", s)
-		}
-		if s.ActuatorAlarm != prevActuator {
-			t.alarmEdgeCounter("actuator", s.ActuatorAlarm).Inc()
-			t.logAlarmEdge("actuator", s)
-		}
+	if s.SensorEdge {
+		t.logAlarmEdge("sensor", s)
+	}
+	if s.ActuatorEdge {
+		t.logAlarmEdge("actuator", s)
 	}
 	if s.ConditionChanged && t.sampled(slog.LevelInfo) {
 		t.log.Info("condition change",
-			"k", s.Iteration, "condition", s.Condition, "mode", s.Mode,
+			"k", s.Iteration, "condition", s.Condition.String(), "mode", s.Mode,
 			"sensor_stat", s.SensorStat, "sensor_threshold", s.SensorThreshold,
 			"actuator_stat", s.ActuatorStat, "actuator_threshold", s.ActuatorThreshold)
 	}
-}
-
-func (t *Telemetry) alarmEdgeCounter(kind string, rising bool) *Counter {
-	to := "off"
-	if rising {
-		to = "on"
-	}
-	key := kind + "/" + to
-	t.droppedMu.Lock()
-	defer t.droppedMu.Unlock()
-	c, ok := t.alarmEdge[key]
-	if !ok {
-		c = t.reg.Counter(MetricAlarmEdges+`{kind="`+kind+`",to="`+to+`"}`,
-			"Confirmed alarm state transitions by kind and direction.")
-		t.alarmEdge[key] = c
-	}
-	return c
 }
 
 func (t *Telemetry) logAlarmEdge(kind string, s *detect.DecisionStats) {
@@ -339,7 +336,7 @@ func (t *Telemetry) logAlarmEdge(kind string, s *detect.DecisionStats) {
 		return
 	}
 	t.log.Info("alarm edge",
-		"k", s.Iteration, "kind", kind, "condition", s.Condition,
+		"k", s.Iteration, "kind", kind, "condition", s.Condition.String(),
 		"sensor_alarm", s.SensorAlarm, "actuator_alarm", s.ActuatorAlarm,
 		"sensor_stat", s.SensorStat, "actuator_stat", s.ActuatorStat)
 }

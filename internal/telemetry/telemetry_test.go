@@ -48,10 +48,6 @@ func TestCleanScenarioMetrics(t *testing.T) {
 	if got := reg.HistogramCount(MetricStepSeconds); got != steps {
 		t.Fatalf("step_seconds count = %d, want %d", got, steps)
 	}
-	// Three single-reference modes run per step.
-	if got := reg.HistogramCount(MetricModeSeconds); got != 3*steps {
-		t.Fatalf("mode_step_seconds count = %d, want %d", got, 3*steps)
-	}
 	// A clean run on the SPD fast path must never hit the Jacobi
 	// fallback; a nonzero reading here is a numerical regression.
 	if got := reg.CounterValue(MetricJacobiFallbacks); got != 0 {
@@ -99,17 +95,20 @@ func TestDroppedReadingCounter(t *testing.T) {
 	}
 }
 
+// The alarm-edge counters count the edges the decider reports, and
+// nothing else: an alarm that stays on is not an edge.
 func TestAlarmEdgeCounters(t *testing.T) {
 	tel := New(Options{})
-	dec := func(iter int, sensor, actuator bool) *detect.DecisionStats {
-		return &detect.DecisionStats{Iteration: iter, Mode: "m", Condition: "S0/A0",
-			SensorAlarm: sensor, ActuatorAlarm: actuator}
+	dec := func(sensor, actuator, sensorEdge, actuatorEdge bool) *detect.DecisionStats {
+		return &detect.DecisionStats{Mode: "m", SensorAlarm: sensor, ActuatorAlarm: actuator,
+			SensorEdge: sensorEdge, ActuatorEdge: actuatorEdge}
 	}
-	tel.Decision(dec(0, false, false)) // baseline
-	tel.Decision(dec(1, true, false))  // sensor rising
-	tel.Decision(dec(2, true, true))   // actuator rising
-	tel.Decision(dec(3, false, true))  // sensor falling
-	tel.Decision(dec(4, false, false)) // actuator falling
+	tel.Decision(dec(false, false, false, false)) // baseline
+	tel.Decision(dec(true, false, true, false))   // sensor rising
+	tel.Decision(dec(true, true, false, true))    // actuator rising
+	tel.Decision(dec(true, true, false, false))   // both held on
+	tel.Decision(dec(false, true, true, false))   // sensor falling
+	tel.Decision(dec(false, false, false, true))  // actuator falling
 	reg := tel.Registry()
 	for name, want := range map[string]int64{
 		MetricAlarmEdges + `{kind="sensor",to="on"}`:    1,

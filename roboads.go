@@ -266,7 +266,6 @@ var NewTelemetry = telemetry.New
 // Metric names served by a Telemetry (DESIGN.md §9 is the inventory).
 const (
 	MetricStepSeconds      = telemetry.MetricStepSeconds
-	MetricModeSeconds      = telemetry.MetricModeSeconds
 	MetricFrameGapSeconds  = telemetry.MetricFrameGapSeconds
 	MetricStepsTotal       = telemetry.MetricStepsTotal
 	MetricModeSwitches     = telemetry.MetricModeSwitches

@@ -123,9 +123,6 @@ func (w *apiWalker) walk(t types.Type) {
 	switch t := types.Unalias(t).(type) {
 	case *types.Named:
 		w.named(t.Obj())
-		for i := 0; i < t.TypeArgs().Len(); i++ {
-			w.walk(t.TypeArgs().At(i))
-		}
 	case *types.Pointer:
 		w.walk(t.Elem())
 	case *types.Slice:
@@ -160,7 +157,7 @@ func (w *apiWalker) walk(t types.Type) {
 
 // named records a defined type of this module once: its underlying
 // kind (the full type for a non-struct, non-interface), its exported
-// fields, promoted ones included, and its exported method set.
+// fields, and its exported method set, promoted methods included.
 func (w *apiWalker) named(obj *types.TypeName) {
 	if obj.Pkg() == nil || w.seen[obj] {
 		return
@@ -174,7 +171,12 @@ func (w *apiWalker) named(obj *types.TypeName) {
 	switch u := under.(type) {
 	case *types.Struct:
 		w.add("%s struct", qual)
-		w.fields(qual, u)
+		for i := 0; i < u.NumFields(); i++ {
+			if f := u.Field(i); f.Exported() {
+				w.add("%s.%s field %s", qual, f.Name(), typeString(f.Type()))
+				w.walk(f.Type())
+			}
+		}
 	case *types.Interface:
 		w.add("%s interface", qual)
 		for i := 0; i < u.NumMethods(); i++ {
@@ -201,29 +203,6 @@ func (w *apiWalker) named(obj *types.TypeName) {
 		}
 		w.add("%s.%s %s", recv, m.Name(), typeString(sig))
 		w.walk(sig)
-	}
-}
-
-// fields records the exported fields of st as fields of qual, descending
-// into embedded unexported structs whose fields are promoted.
-func (w *apiWalker) fields(qual string, st *types.Struct) {
-	for i := 0; i < st.NumFields(); i++ {
-		f := st.Field(i)
-		if f.Exported() {
-			w.add("%s.%s field %s", qual, f.Name(), typeString(f.Type()))
-			w.walk(f.Type())
-			continue
-		}
-		if !f.Embedded() {
-			continue
-		}
-		ft := types.Unalias(f.Type())
-		if p, ok := ft.(*types.Pointer); ok {
-			ft = p.Elem()
-		}
-		if inner, ok := ft.Underlying().(*types.Struct); ok {
-			w.fields(qual, inner)
-		}
 	}
 }
 

@@ -132,10 +132,16 @@ func TestRunScenarioAndMetrics(t *testing.T) {
 	}
 }
 
-func TestObservabilityExport(t *testing.T) {
-	model := roboads.NewKheperaModel(0.1)
-	mag := roboads.NewMagnetometer(3)
-	if roboads.Observable(model, mag, roboads.Vec{0, 0, 0}, roboads.Vec{0.1, 0.1}) {
-		t.Fatal("magnetometer should not be observable alone")
+// TestNewRobotDetectorProfiles covers the named-profile builder and its
+// unknown-robot refusal.
+func TestNewRobotDetectorProfiles(t *testing.T) {
+	ecfg, dcfg := roboads.DefaultEngineConfig(), roboads.DefaultDetectorConfig()
+	for _, robot := range []string{"khepera", "tamiya"} {
+		if _, err := roboads.NewRobotDetector(robot, ecfg, dcfg); err != nil {
+			t.Fatalf("NewRobotDetector(%q): %v", robot, err)
+		}
+	}
+	if _, err := roboads.NewRobotDetector("roomba", ecfg, dcfg); err == nil {
+		t.Fatal("unknown robot accepted")
 	}
 }

@@ -145,3 +145,62 @@ func TestNewRobotDetectorProfiles(t *testing.T) {
 		t.Fatal("unknown robot accepted")
 	}
 }
+
+func TestObservabilityExport(t *testing.T) {
+	model := roboads.NewKheperaModel(0.1)
+	mag := roboads.NewMagnetometer(3)
+	if roboads.Observable(model, mag, roboads.Vec{0, 0, 0}, roboads.Vec{0.1, 0.1}) {
+		t.Fatal("magnetometer should not be observable alone")
+	}
+}
+
+// TestNewRobotDetectorDecisionConfig verifies the decision configuration
+// handed to NewRobotDetector reaches the decision maker: on spoofed IPS
+// readings an untrippable configuration stays silent and the paper's
+// configuration alarms.
+func TestNewRobotDetectorDecisionConfig(t *testing.T) {
+	run := func(dcfg roboads.DetectorConfig) int {
+		det, err := roboads.NewRobotDetector("khepera", roboads.DefaultEngineConfig(), dcfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		model := roboads.NewKheperaModel(0.1)
+		mission := roboads.LabMission()
+		suite := []roboads.Sensor{
+			roboads.NewIPS(3),
+			roboads.NewWheelEncoder(3),
+			roboads.NewLidar(mission.Map, 3),
+		}
+		rng := roboads.NewRNG(9)
+		xTrue := roboads.Vec{mission.Start.X, mission.Start.Y, mission.StartHeading}
+		u := model.WheelSpeeds(0.12, 0.1)
+		alarms := 0
+		for k := 0; k < 60; k++ {
+			xTrue = model.F(xTrue, u).Add(rng.GaussianVec(roboads.Vec{5e-4, 5e-4, 1e-3}))
+			readings := map[string]roboads.Vec{}
+			for _, s := range suite {
+				readings[s.Name()] = s.H(xTrue)
+			}
+			if k > 20 { // spoof the IPS after warm-up
+				readings["ips"] = readings["ips"].Add(roboads.Vec{0.5, 0.5, 0})
+			}
+			report, err := det.Step(u, readings)
+			if err != nil {
+				t.Fatalf("k=%d: %v", k, err)
+			}
+			if report.Decision.SensorAlarm {
+				alarms++
+			}
+		}
+		return alarms
+	}
+	untrippable := roboads.DefaultDetectorConfig()
+	untrippable.SensorAlpha = 1e-300
+	untrippable.SensorWindow, untrippable.SensorCriteria = 60, 60
+	if n := run(untrippable); n != 0 {
+		t.Fatalf("untrippable configuration still raised %d alarms", n)
+	}
+	if n := run(roboads.DefaultDetectorConfig()); n == 0 {
+		t.Fatal("paper configuration never alarmed on spoofed IPS")
+	}
+}
